@@ -190,6 +190,15 @@ let int_field_of_stats json name =
       Option.value ~default:(-1)
         (int_of_string_opt (String.sub json start (!stop - start)))
 
+(* One field summed over the nodes that reported stats. *)
+let sum_stats_field lines name =
+  Array.fold_left
+    (fun acc line ->
+      match line with
+      | Some json -> acc + max 0 (int_field_of_stats json name)
+      | None -> acc)
+    0 lines
+
 (* ------------------------------------------------------------------ *)
 (* The run                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -450,17 +459,13 @@ let run_single nodes cores coordinators clients keys theta workload txns
                replayed\n\
                %!"
               victim snaps replayed);
-      let epoch_changes =
-        Array.fold_left
-          (fun acc line ->
-            match line with
-            | Some json -> acc + max 0 (int_field_of_stats json "epoch_changes")
-            | None -> acc)
-          0 stats_lines
-      in
+      let epoch_changes = sum_stats_field stats_lines "epoch_changes" in
       if epoch_changes <= 0 then
-        fail_check "no node completed an epoch change merging node%d back"
+        fail_check
+          "no node completed an epoch change merging node%d back \
+           (wire_send_errors: %d)"
           victim
+          (sum_stats_field stats_lines "wire_send_errors")
       else
         Printf.printf "epoch changes: %d (node%d merged back)\n%!" epoch_changes
           victim
@@ -802,18 +807,13 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
                records replayed\n\
                %!"
               victim snaps replayed);
-      let epoch_changes =
-        Array.fold_left
-          (fun acc line ->
-            match line with
-            | Some json -> acc + max 0 (int_field_of_stats json "epoch_changes")
-            | None -> acc)
-          0 stats_lines.(0)
-      in
+      let epoch_changes = sum_stats_field stats_lines.(0) "epoch_changes" in
       if epoch_changes <= 0 then
         fail_check
-          "no shard-0 node completed an epoch change merging node%d back"
+          "no shard-0 node completed an epoch change merging node%d back \
+           (wire_send_errors: %d)"
           victim
+          (sum_stats_field stats_lines.(0) "wire_send_errors")
       else
         Printf.printf "epoch changes: %d (shard0/node%d merged back)\n%!"
           epoch_changes victim

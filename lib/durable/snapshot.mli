@@ -4,6 +4,10 @@
     {!Walcodec.encode_snapshot} frame. *)
 
 val write : path:string -> string -> unit
+(** Returns once the new image is durable under [path]: the file is
+    fsynced before the rename and the parent directory after it, so
+    no [.tmp] sibling remains and a log truncate issued next cannot
+    reach the disk ahead of the rename. *)
 
 val read : path:string -> string option
 (** Total: missing, unreadable, or empty means [None] (recovery then

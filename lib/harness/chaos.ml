@@ -13,6 +13,7 @@ module Rng = Mk_util.Rng
 module Memlog = Mk_durable.Memlog
 module Walcodec = Mk_durable.Walcodec
 module Recover = Mk_durable.Recover
+module Checkpoint = Mk_durable.Checkpoint
 module Tid = Mk_clock.Timestamp.Tid
 
 module Tid_table = Hashtbl.Make (struct
@@ -215,31 +216,15 @@ let install_memlog_hooks ~obs ~cores ~replicas ~memlogs =
             (* The merged epoch state supersedes the log: full per-core
                snapshots cutting at the current log lengths, exactly
                what the cluster backend writes at this hook. *)
-            let all_views = Replica.record_views rep in
-            let all_rows = Replica.store_snapshot rep in
             Array.iteri
-              (fun core m ->
-                let views =
-                  List.filter_map
-                    (fun (c, v) -> if c = core then Some v else None)
-                    all_views
-                in
-                let rows =
-                  List.filter (fun (k, _, _, _) -> k mod cores = core) all_rows
-                in
-                let s =
-                  Walcodec.encode_snapshot
-                    {
-                      Walcodec.core;
-                      epoch;
-                      wal_cut = Memlog.log_length m;
-                      views;
-                      rows;
-                    }
-                in
-                Memlog.set_snapshot m s;
+              (fun core snap ->
+                let s = Walcodec.encode_snapshot snap in
+                Memlog.set_snapshot memlogs.(r).(core) s;
                 Obs.note_snapshot obs ~bytes:(String.length s))
-              memlogs.(r)))
+              (Checkpoint.images ~cores ~epoch
+                 ~wal_cut:(fun core -> Memlog.log_length memlogs.(r).(core))
+                 ~views:(Replica.record_views rep)
+                 ~rows:(Replica.store_snapshot rep))))
     replicas
 
 type raw = {

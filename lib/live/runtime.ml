@@ -77,6 +77,7 @@ module Wal = Mk_durable.Wal
 module Walcodec = Mk_durable.Walcodec
 module Dsnapshot = Mk_durable.Snapshot
 module Recover = Mk_durable.Recover
+module Checkpoint = Mk_durable.Checkpoint
 
 type workload_kind = Ycsb_t | Rmw_pair | Retwis
 
@@ -1558,31 +1559,18 @@ let durable_hook ds ~dir ~cores ~replica rep (ev : Replica.durable_event) =
       (* Monitor domain, every server domain parked: the merged state
          supersedes whatever the logs say, so write full per-core
          snapshots cutting at the current log lengths. *)
-      let all_views = Replica.record_views rep in
-      let all_rows = Replica.store_snapshot rep in
-      for core = 0 to cores - 1 do
-        let views =
-          List.filter_map
-            (fun (c, v) -> if c = core then Some v else None)
-            all_views
-        in
-        let rows =
-          List.filter (fun (k, _, _, _) -> k mod cores = core) all_rows
-        in
-        let s =
-          Walcodec.encode_snapshot
-            {
-              Walcodec.core;
-              epoch;
-              wal_cut = Wal.length ds.d_wals.(replica).(core);
-              views;
-              rows;
-            }
-        in
-        Dsnapshot.write ~path:(durable_snap_path ~dir ~replica ~core) s;
-        ds.d_snaps <- ds.d_snaps + 1;
-        ds.d_snap_bytes <- ds.d_snap_bytes + String.length s
-      done
+      Array.iter
+        (fun (snap : Walcodec.snapshot) ->
+          let s = Walcodec.encode_snapshot snap in
+          Dsnapshot.write
+            ~path:(durable_snap_path ~dir ~replica ~core:snap.Walcodec.core)
+            s;
+          ds.d_snaps <- ds.d_snaps + 1;
+          ds.d_snap_bytes <- ds.d_snap_bytes + String.length s)
+        (Checkpoint.images ~cores ~epoch
+           ~wal_cut:(fun core -> Wal.length ds.d_wals.(replica).(core))
+           ~views:(Replica.record_views rep)
+           ~rows:(Replica.store_snapshot rep))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-system run                                                    *)

@@ -44,6 +44,9 @@ type t = {
           transactions that finished after the first install). *)
   mutable paused : bool;
   mutable crashed : bool;
+  mutable recovering : bool;
+      (** Rebuilding after a crash: only an epoch install may unpause
+          it, never {!resume}. *)
   stats : int array;
   mutable durable_hook : durable_event -> unit;
       (** Called with the same core-affinity as the handler that fired
@@ -74,6 +77,7 @@ let create ~id ~quorum ~cores =
     installed_epoch = 0;
     paused = false;
     crashed = false;
+    recovering = false;
     stats = Array.make (cores * stat_stride) 0;
     durable_hook = ignore;
   }
@@ -100,6 +104,7 @@ let is_paused t = t.paused
 
 let begin_recovery t =
   t.crashed <- false;
+  t.recovering <- true;
   t.paused <- true
 
 let view_of_entry (e : Trecord.entry) =
@@ -265,7 +270,19 @@ let handle_epoch_complete t ~epoch ~records ~store =
             assert false)
       (Trecord.entries merged);
     t.paused <- false;
+    t.recovering <- false;
     t.durable_hook (Installed { epoch });
+    Some ()
+  end
+
+(* An abandoned epoch change leaves the trecord as it was — non-final
+   records included, which an install would reject — and installs
+   nothing, so neither the installed-epoch watermark nor the durable
+   hook moves. *)
+let resume t ~epoch =
+  if t.crashed || t.recovering || epoch <> t.epoch then None
+  else begin
+    t.paused <- false;
     Some ()
   end
 

@@ -158,6 +158,15 @@ val handle_epoch_complete :
     snapshot first (for a replica recovering from scratch), and resume
     processing. *)
 
+val resume : t -> epoch:int -> unit option
+(** Abandon an epoch change at [epoch] that never produced a merge:
+    resume processing with this replica's own trecord, non-final
+    records included, installing nothing. [None] (the replica stays
+    paused) if it is crashed, if [epoch] is not its current epoch (a
+    newer change superseded this one), or if it is rebuilding after a
+    crash ({!begin_recovery}) — such a replica may only be readmitted
+    by a merge. *)
+
 val store_snapshot : t -> (int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t) list
 (** (key, value, wts, rts) rows for state transfer to a recovering
     replica. *)

@@ -17,11 +17,14 @@
    Durability (DESIGN.md §12): with [data_dir] set, every finalized
    record is appended to the owning core's write-ahead log (per-core
    files, per-core fsync schedules — no shared commit point, the ZCP
-   argument carried to the disk), and each core periodically folds
-   its partition into a snapshot file carrying the epoch and a
-   [wal_cut] token. A SIGKILLed process reboots by replaying
-   snapshot + log-suffix in {!create}, then rejoins the cluster
-   through the §5.3.1 epoch change below.
+   argument carried to the disk). A core folds its partition into a
+   snapshot file carrying the epoch and a [wal_cut] token whenever
+   its log has grown past the cut by more than the last snapshot's
+   size ({!Mk_durable.Checkpoint.due}), so replay stays within about
+   twice the state and checkpoint cost stays proportional to the
+   log. A SIGKILLed process reboots by replaying snapshot +
+   log-suffix in {!create}, then rejoins the cluster through the
+   §5.3.1 epoch change below.
 
    Failure handling (§5.3): each node runs its own {!Detector}
    instance fed only with [observer = me] facts — its peers'
@@ -56,6 +59,7 @@ module Wal = Mk_durable.Wal
 module Walcodec = Mk_durable.Walcodec
 module Snapshot = Mk_durable.Snapshot
 module Recover = Mk_durable.Recover
+module Checkpoint = Mk_durable.Checkpoint
 
 (* Messages travel stamped with their shard group id (wire v2): one
    socket fabric can carry several independent groups, and a node
@@ -137,6 +141,7 @@ type stats = {
   wire_bytes_rx : int;
   wire_decode_errors : int;
   wire_shard_drops : int;
+  wire_send_errors : int;
   wal_appends : int;
   wal_bytes : int;
   wal_fsyncs : int;
@@ -144,6 +149,7 @@ type stats = {
   wal_snapshots_used : int;
   wal_decode_errors : int;
   snapshots : int;
+  core_snapshots : int list;
 }
 
 (* Per-core durability tally: bumped only by the owning core's domain
@@ -155,6 +161,8 @@ type tally = {
   mutable t_fsyncs : int;
   mutable t_snaps : int;
   mutable t_snap_bytes : int;
+  mutable t_cut : int;  (** [wal_cut] of this core's latest snapshot. *)
+  mutable t_last_bytes : int;  (** Its encoded size; 0 before the first. *)
 }
 
 type durable = { dir : string; wals : Wal.t array; tallies : tally array }
@@ -184,10 +192,24 @@ let view_of_entry (e : Trecord.entry) : Replica.record_view =
     accept_view = e.Trecord.accept_view;
   }
 
-let write_snapshot ~path (snap : Walcodec.snapshot) =
+(* Write one core's image and make it the checkpoint that core's
+   log-growth trigger measures against. Called by the owning core, or
+   by the loop thread while every core is frozen. *)
+let write_checkpoint d (snap : Walcodec.snapshot) =
   let s = Walcodec.encode_snapshot snap in
-  Snapshot.write ~path s;
-  String.length s
+  Snapshot.write ~path:(snap_path d.dir snap.Walcodec.core) s;
+  let tally = d.tallies.(snap.Walcodec.core) in
+  tally.t_snaps <- tally.t_snaps + 1;
+  tally.t_snap_bytes <- tally.t_snap_bytes + String.length s;
+  tally.t_cut <- snap.Walcodec.wal_cut;
+  tally.t_last_bytes <- String.length s
+
+(* Every core's image of the whole replica, cut at [wal_cut core]. *)
+let checkpoint_all d replica ~epoch ~wal_cut =
+  Array.iter (write_checkpoint d)
+    (Checkpoint.images ~cores:(Array.length d.wals) ~epoch ~wal_cut
+       ~views:(Replica.record_views replica)
+       ~rows:(Replica.store_snapshot replica))
 
 (* The persistence callback. [Finalized] fires on the owning core's
    domain — each per-core WAL has a single writer, so plain appends
@@ -208,28 +230,8 @@ let on_durable t (d : durable) (ev : Replica.durable_event) =
         tally.t_bytes <- tally.t_bytes + String.length s
       end
   | Replica.Installed { epoch } ->
-      let cores = Array.length d.wals in
-      let all_views = Replica.record_views t.replica in
-      let all_rows = Replica.store_snapshot t.replica in
-      Array.iteri
-        (fun core wal ->
-          let views =
-            List.filter_map
-              (fun (c, v) -> if c = core then Some v else None)
-              all_views
-          in
-          let rows =
-            List.filter (fun (k, _, _, _) -> k mod cores = core) all_rows
-          in
-          let bytes =
-            write_snapshot
-              ~path:(snap_path d.dir core)
-              { Walcodec.core; epoch; wal_cut = Wal.length wal; views; rows }
-          in
-          let tally = d.tallies.(core) in
-          tally.t_snaps <- tally.t_snaps + 1;
-          tally.t_snap_bytes <- tally.t_snap_bytes + bytes)
-        d.wals
+      checkpoint_all d t.replica ~epoch ~wal_cut:(fun core ->
+          Wal.length d.wals.(core))
 
 (* The socket is bound before the replica exists: with [--port auto]
    the launcher needs the port announcement to finish assembling the
@@ -280,43 +282,12 @@ let create (net : bound) (cfg : config) ~n_replicas =
         Recover.apply replica parsed;
         Obs.note_wal_replayed obs ~snapshots:parsed.snapshots_used
           ~records:parsed.replayed ~errors:parsed.decode_errors;
-        let wals =
-          Array.init cfg.cores (fun c ->
-              Wal.open_log ~path:(wal_path dir c) ~policy:cfg.fsync)
-        in
-        if prior then begin
-          (* Compact: fold the replay into fresh snapshots (cut 0),
-             then drop the logs. Snapshot-before-truncate is
-             crash-safe — dying between the two just replays the same
-             prefix again, and replay is idempotent. Then advertise
-             ourselves paused: the survivors' detectors drive the
-             §5.3.1 epoch change that merges us back. *)
-          let all_views = Replica.record_views replica in
-          let all_rows = Replica.store_snapshot replica in
-          Array.iteri
-            (fun core wal ->
-              let views =
-                List.filter_map
-                  (fun (c, v) -> if c = core then Some v else None)
-                  all_views
-              in
-              let rows =
-                List.filter (fun (k, _, _, _) -> k mod cfg.cores = core) all_rows
-              in
-              let bytes =
-                write_snapshot
-                  ~path:(snap_path dir core)
-                  { Walcodec.core; epoch = parsed.epoch; wal_cut = 0; views; rows }
-              in
-              Obs.note_snapshot obs ~bytes;
-              Wal.truncate wal ~len:0)
-            wals;
-          Replica.begin_recovery replica
-        end;
-        Some
+        let d =
           {
             dir;
-            wals;
+            wals =
+              Array.init cfg.cores (fun c ->
+                  Wal.open_log ~path:(wal_path dir c) ~policy:cfg.fsync);
             tallies =
               Array.init cfg.cores (fun _ ->
                   {
@@ -325,8 +296,23 @@ let create (net : bound) (cfg : config) ~n_replicas =
                     t_fsyncs = 0;
                     t_snaps = 0;
                     t_snap_bytes = 0;
+                    t_cut = 0;
+                    t_last_bytes = 0;
                   });
           }
+        in
+        if prior then begin
+          (* Compact: fold the replay into fresh snapshots (cut 0),
+             then drop the logs. Snapshot-before-truncate is
+             crash-safe — dying between the two just replays the same
+             prefix again, and replay is idempotent. Then advertise
+             ourselves paused: the survivors' detectors drive the
+             §5.3.1 epoch change that merges us back. *)
+          checkpoint_all d replica ~epoch:parsed.epoch ~wal_cut:(fun _ -> 0);
+          Array.iter (fun wal -> Wal.truncate wal ~len:0) d.wals;
+          Replica.begin_recovery replica
+        end;
+        Some d
   in
   let t =
     {
@@ -354,7 +340,7 @@ let port t = Net.port t.net
 (* Core domains                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let core_loop t ~core ~snap_every_us =
+let core_loop t ~core ~push_every_us =
   let me = t.cfg.me in
   let replica = t.replica in
   let inbox = t.core_inboxes.(core) in
@@ -398,40 +384,28 @@ let core_loop t ~core ~snap_every_us =
     in
     ignore (Mailbox.try_push t.ctl_inbox (Records { core; entries }) : bool)
   in
-  (* Periodic durable checkpoint, written by the core that owns the
-     data: its own trecord partition, its own vstore keys (the shard
-     locks make the filtered scan safe), its own log length — no
-     cross-core coordination (ZCP). *)
+  (* Durable checkpoint, written by the core that owns the data once
+     its log has outgrown the last image: its own trecord partition,
+     its own vstore keys (the shard locks make the filtered scan
+     safe), its own log length — no cross-core coordination (ZCP). *)
   let checkpoint () =
     match t.durable with
     | None -> ()
     | Some d ->
-        let cores = t.cfg.cores in
-        let views =
-          List.map view_of_entry
-            (Trecord.core_entries (Replica.trecord replica) ~core)
-        in
-        let rows =
-          List.filter
-            (fun (k, _, _, _) -> k mod cores = core)
-            (Replica.store_snapshot replica)
-        in
-        let bytes =
-          write_snapshot
-            ~path:(snap_path d.dir core)
-            {
-              Walcodec.core;
-              epoch = Replica.epoch replica;
-              wal_cut = Wal.length d.wals.(core);
-              views;
-              rows;
-            }
-        in
         let tally = d.tallies.(core) in
-        tally.t_snaps <- tally.t_snaps + 1;
-        tally.t_snap_bytes <- tally.t_snap_bytes + bytes
+        let log_len = Wal.length d.wals.(core) in
+        if Checkpoint.due ~log_len ~cut:tally.t_cut ~last_bytes:tally.t_last_bytes
+        then
+          write_checkpoint d
+            (Checkpoint.image ~cores:t.cfg.cores ~core
+               ~epoch:(Replica.epoch replica) ~wal_cut:log_len
+               ~views:
+                 (List.map
+                    (fun e -> (core, view_of_entry e))
+                    (Trecord.core_entries (Replica.trecord replica) ~core))
+               ~rows:(Replica.store_snapshot replica))
   in
-  let next_snap = ref (Spawn.wall () *. 1e6) in
+  let next_push = ref (Spawn.wall () *. 1e6) in
   let idle = ref 0 in
   let quit = ref false in
   let frozen = ref None in
@@ -443,7 +417,10 @@ let core_loop t ~core ~snap_every_us =
            loss. *)
         if !frozen = None then begin
           idle := 0;
-          handle src msg
+          handle src msg;
+          (* Handling is the only way this core's log grows, so the
+             suffix past the last cut stays bounded under any load. *)
+          checkpoint ()
         end
     | Some (Core_freeze { gen }) ->
         frozen := Some gen;
@@ -455,13 +432,12 @@ let core_loop t ~core ~snap_every_us =
         | _ -> ())
     | Some Core_quit -> quit := true
     | None ->
-        (match snap_every_us with
+        (match push_every_us with
         | Some every when !frozen = None ->
             let now = Spawn.wall () *. 1e6 in
-            if now >= !next_snap then begin
+            if now >= !next_push then begin
               push_records ();
-              checkpoint ();
-              next_snap := now +. every
+              next_push := now +. every
             end
         | Some _ | None -> ());
         incr idle;
@@ -960,29 +936,21 @@ let launch t ~cluster =
                          r.ec_recovering
                   in
                   if r.ec_merged = None then begin
-                    (* Never reached a majority. Reinstall our own
-                       records so the replica does not stay paused
-                       behind an abandoned change. *)
-                    if ec_all_frozen m then
-                      ignore
-                        (ec_install_local ~epoch:m.ec_epoch
-                           ~records:(Replica.record_views t.replica)
-                           ~store:None
-                          : bool);
+                    (* Never reached a majority. Resume at the epoch
+                       with our own records (non-final ones included)
+                       so the replica does not stay paused behind an
+                       abandoned change. *)
+                    ignore (Replica.resume t.replica ~epoch:m.ec_epoch : unit option);
                     ec_thaw m
                   end;
                   ec_finish ~success:ok ~recovering:r.ec_recovering
-              | Ec_peer p ->
+              | Ec_peer _ ->
                   (* The install never arrived. Resume from our own
                      records — any record the missed merge finalized
                      is repaired later by the §5.3.2 view-change
-                     path. *)
-                  if p.ec_sent_records && ec_all_frozen m then
-                    ignore
-                      (ec_install_local ~epoch:m.ec_epoch
-                         ~records:(Replica.record_views t.replica)
-                         ~store:None
-                        : bool);
+                     path. A replica rebuilding after a reboot stays
+                     paused: only a merge may readmit it. *)
+                  ignore (Replica.resume t.replica ~epoch:m.ec_epoch : unit option);
                   ec_thaw m;
                   ec := None
             end
@@ -1250,15 +1218,13 @@ let launch t ~cluster =
             List.iter (vc_abandon d) !expired);
         ec_tick now_us
       in
-      let snap_every_us =
-        match (dcfg, t.durable) with
-        | Some d, _ -> Some (d.Detector.scan_every /. 2.0)
-        | None, Some _ -> Some 250_000.0 (* checkpoint cadence alone *)
-        | None, None -> None
+      (* The detector's record feed: twice per scan. *)
+      let push_every_us =
+        Option.map (fun d -> d.Detector.scan_every /. 2.0) dcfg
       in
       t.core_handles <-
         List.init cfg.cores (fun core ->
-            Spawn.spawn (fun () -> core_loop t ~core ~snap_every_us));
+            Spawn.spawn (fun () -> core_loop t ~core ~push_every_us));
       Net.start t.net ~obs:t.obs
         { Net.deliver; tick; reboot = (fun () -> ()) };
       Ok ()
@@ -1309,6 +1275,7 @@ let wait t =
     wire_bytes_rx = c "wire.bytes_rx";
     wire_decode_errors = c "wire.decode_errors";
     wire_shard_drops = c "wire.shard_drops";
+    wire_send_errors = c "wire.send_errors";
     wal_appends = c "wal.appends";
     wal_bytes = c "wal.bytes";
     wal_fsyncs = c "wal.fsyncs";
@@ -1316,9 +1283,14 @@ let wait t =
     wal_snapshots_used = c "wal.snapshots_used";
     wal_decode_errors = c "wal.decode_errors";
     snapshots = c "snapshot.count";
+    core_snapshots =
+      (match t.durable with
+      | None -> []
+      | Some d -> Array.to_list (Array.map (fun ta -> ta.t_snaps) d.tallies));
   }
 
 let obs t = t.obs
+let replica t = t.replica
 
 let stats_json (s : stats) =
   Printf.sprintf
@@ -1326,7 +1298,7 @@ let stats_json (s : stats) =
      \"validations_abort\": %d, \"view_changes\": %d, \"epoch_changes\": %d, \
      \"suspected\": [%s], \"wire_msgs_tx\": %d, \"wire_msgs_rx\": %d, \
      \"wire_bytes_tx\": %d, \"wire_bytes_rx\": %d, \"wire_decode_errors\": %d, \
-     \"wire_shard_drops\": %d, \
+     \"wire_shard_drops\": %d, \"wire_send_errors\": %d, \
      \"wal_appends\": %d, \"wal_bytes\": %d, \"wal_fsyncs\": %d, \
      \"wal_replayed\": %d, \"wal_snapshots_used\": %d, \
      \"wal_decode_errors\": %d, \"snapshots\": %d}"
@@ -1334,6 +1306,7 @@ let stats_json (s : stats) =
     s.view_changes s.epoch_changes
     (String.concat ", " (List.map string_of_int s.suspected))
     s.wire_msgs_tx s.wire_msgs_rx s.wire_bytes_tx s.wire_bytes_rx
-    s.wire_decode_errors s.wire_shard_drops s.wal_appends s.wal_bytes
+    s.wire_decode_errors s.wire_shard_drops s.wire_send_errors s.wal_appends
+    s.wal_bytes
     s.wal_fsyncs s.wal_replayed s.wal_snapshots_used s.wal_decode_errors
     s.snapshots

@@ -14,9 +14,11 @@
     over the wire.
 
     With [data_dir] set, every finalized record is appended to the
-    owning core's log and each core checkpoints its own partition —
-    per-core files, per-core fsync schedules, no shared commit point.
-    A SIGKILLed process reboots by replaying snapshot + log suffix in
+    owning core's log, and each core checkpoints its own partition
+    whenever its log has grown past the last checkpoint's cut by more
+    than that checkpoint's size ({!Mk_durable.Checkpoint.due}) —
+    per-core files, per-core fsync schedules, no shared commit point,
+    no timer. A SIGKILLed process reboots by replaying snapshot + log suffix in
     {!create}, then advertises itself paused; a survivor's detector
     notices the paused heartbeats and initiates the epoch change that
     merges the rebooted replica back in.
@@ -45,8 +47,13 @@ type config = {
           still works). *)
   rto_us : float;  (** View/epoch-change retransmission base. *)
   data_dir : string option;
-      (** Where the per-core [coreN.wal] / [coreN.snap] files live;
-          [None] runs without durability (the pre-WAL behaviour). *)
+      (** Where the per-core [coreN.wal] / [coreN.snap] files live
+          ({!wal_path}, {!snap_path}); [None] runs without durability
+          (the pre-WAL behaviour). Core [c] rewrites [coreN.snap]
+          once its log holds more bytes past the snapshot's [wal_cut]
+          than the snapshot itself, so a reboot replays at most about
+          twice the state; every completed epoch install and every
+          reboot compaction also snapshots all cores. *)
   fsync : Mk_durable.Wal.policy;
       (** When appends reach the platter; see {!Mk_durable.Wal.policy}. *)
 }
@@ -77,6 +84,9 @@ type stats = {
   wire_decode_errors : int;
   wire_shard_drops : int;
       (** Well-formed frames stamped for another shard group. *)
+  wire_send_errors : int;
+      (** Frames dropped at send because no retransmit could deliver
+          them (e.g. larger than one UDP datagram). *)
   wal_appends : int;
   wal_bytes : int;
   wal_fsyncs : int;
@@ -90,6 +100,10 @@ type stats = {
           suffix, so neither field alone is the reboot witness. *)
   wal_decode_errors : int;
   snapshots : int;
+  core_snapshots : int list;
+      (** Snapshots written per core (element [c] for core [c]),
+          including install and reboot-compaction images; [[]]
+          without a data directory. *)
 }
 
 type bound
@@ -124,6 +138,15 @@ val shutdown : t -> unit
 
 val obs : t -> Mk_obs.Obs.t
 (** The node's observability handle ([--metrics] dumps it). *)
+
+val replica : t -> Mk_meerkat.Replica.t
+(** The hosted replica, for inspecting its final state after {!wait}. *)
+
+val wal_path : string -> int -> string
+(** [wal_path dir core]: core [core]'s log file under [data_dir]. *)
+
+val snap_path : string -> int -> string
+(** [snap_path dir core]: core [core]'s snapshot file. *)
 
 val stats_json : stats -> string
 (** One JSON object, the node's exit report to the launcher. *)

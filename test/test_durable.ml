@@ -1,8 +1,9 @@
 (* The durability layer, tested from the bytes up: the CRC check
    value, codec roundtrips, exhaustive torn-tail / bit-flip fuzzing
    of the replay readers (they must never raise — rule Z7), the
-   snapshot/log interplay cases of crash-reboot recovery, and the
-   real-file WAL against a scratch directory. *)
+   snapshot/log interplay cases of crash-reboot recovery, the
+   log-proportional checkpoint rule, and the real-file WAL against a
+   temporary directory. *)
 
 module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
@@ -15,6 +16,7 @@ module Wal = Mk_durable.Wal
 module Snapshot = Mk_durable.Snapshot
 module Recover = Mk_durable.Recover
 module Memlog = Mk_durable.Memlog
+module Checkpoint = Mk_durable.Checkpoint
 module Runtime = Mk_live.Runtime
 
 let ts time = Timestamp.make ~time ~client_id:1
@@ -467,6 +469,99 @@ let test_snapshot_files () =
   | Some got -> Alcotest.(check string) "replaced" img2 got
   | None -> Alcotest.fail "snapshot unreadable after overwrite"
 
+let test_snapshot_write_leaves_no_tmp () =
+  (* [write] returns with the rename durable: only the final file is
+     left in the directory, and it reads back as the image. *)
+  let dir = Runtime.fresh_data_dir ~tag:"test-durable" in
+  Fun.protect
+    ~finally:(fun () -> Runtime.remove_data_dir ~dir ~n_replicas:1 ~cores:1)
+  @@ fun () ->
+  let path = Runtime.durable_snap_path ~dir ~replica:0 ~core:0 in
+  let img = Walcodec.encode_snapshot sample_snapshot in
+  Snapshot.write ~path img;
+  Alcotest.(check bool) "no .tmp sibling" false (Sys.file_exists (path ^ ".tmp"));
+  Alcotest.(check (list string)) "only the snapshot in the directory"
+    [ Filename.basename path ]
+    (Array.to_list (Sys.readdir dir));
+  match Snapshot.read ~path with
+  | Some got -> Alcotest.(check string) "reads back" img got
+  | None -> Alcotest.fail "snapshot unreadable"
+
+(* --- the log-proportional checkpoint rule --- *)
+
+let test_checkpoint_due () =
+  let due log_len cut last_bytes = Checkpoint.due ~log_len ~cut ~last_bytes in
+  Alcotest.(check bool) "empty log, no snapshot: nothing to fold" false (due 0 0 0);
+  Alcotest.(check bool) "first record with no snapshot is due" true (due 1 0 0);
+  Alcotest.(check bool) "suffix equal to the image is not due" false (due 100 0 100);
+  Alcotest.(check bool) "suffix past the image is due" true (due 101 0 100);
+  Alcotest.(check bool) "measured from the cut" false (due 150 50 100);
+  Alcotest.(check bool) "one byte past, from the cut" true (due 151 50 100);
+  Alcotest.(check bool) "a fresh cut at the log end is not due" false (due 70 70 0)
+
+(* Drive the rule the way a core does — append, check, snapshot when
+   due — with a snapshot the size of a base image plus every record
+   so far: the replayable suffix never exceeds the last image plus one
+   record, and the snapshot count grows with log2 of the history. *)
+let test_checkpoint_log_growth () =
+  let record = 90 and base = 1_000 in
+  List.iter
+    (fun n ->
+      let log_len = ref 0 and cut = ref 0 and last = ref 0 and snaps = ref 0 in
+      for i = 1 to n do
+        log_len := !log_len + record;
+        Alcotest.(check bool) "suffix bounded by image + one record" true
+          (!log_len - !cut <= !last + record);
+        if Checkpoint.due ~log_len:!log_len ~cut:!cut ~last_bytes:!last then begin
+          incr snaps;
+          cut := !log_len;
+          last := base + (i * record)
+        end
+      done;
+      let bound =
+        int_of_float (Float.ceil (Float.log2 (float_of_int n))) + 2
+      in
+      if !snaps > bound then
+        Alcotest.failf "%d records: %d snapshots, bound %d" n !snaps bound)
+    [ 1; 2; 10; 100; 1_000; 100_000 ]
+
+let test_checkpoint_images () =
+  let cores = 2 in
+  let views =
+    List.map (fun (r : Walcodec.record) -> (r.core, r.view)) sample_records
+  in
+  let rows = List.init 7 (fun k -> (k, k * 10, ts 1.0, ts 1.0)) in
+  let imgs =
+    Checkpoint.images ~cores ~epoch:4 ~wal_cut:(fun c -> 100 + c) ~views ~rows
+  in
+  Alcotest.(check int) "one image per core" cores (Array.length imgs);
+  Array.iteri
+    (fun c (img : Walcodec.snapshot) ->
+      Alcotest.(check int) "core" c img.core;
+      Alcotest.(check int) "epoch" 4 img.epoch;
+      Alcotest.(check int) "per-core cut" (100 + c) img.wal_cut;
+      let mine =
+        List.filter (fun (r : Walcodec.record) -> r.core = c) sample_records
+      in
+      Alcotest.(check int) "this core's views, in order" (List.length mine)
+        (List.length img.views);
+      List.iter2
+        (fun r v ->
+          Alcotest.(check bool) "same view" true
+            (record_equal r { Walcodec.core = c; view = v }))
+        mine img.views;
+      Alcotest.(check (list int)) "rows this core owns"
+        (List.filter (fun k -> k mod cores = c) (List.init 7 Fun.id))
+        (List.map (fun (k, _, _, _) -> k) img.rows);
+      (* A core's own partition alone gives the same image. *)
+      let own = List.filter (fun (c', _) -> c' = c) views in
+      Alcotest.(check string) "partition-only input, same bytes"
+        (Walcodec.encode_snapshot img)
+        (Walcodec.encode_snapshot
+           (Checkpoint.image ~cores ~core:c ~epoch:4 ~wal_cut:(100 + c)
+              ~views:own ~rows)))
+    imgs
+
 let test_fsync_policy_parse () =
   let cases =
     [ ("always", Some Wal.Always); ("never", Some Wal.Never);
@@ -522,6 +617,14 @@ let () =
         [
           Alcotest.test_case "wal files" `Quick test_wal_files;
           Alcotest.test_case "snapshot files" `Quick test_snapshot_files;
+          Alcotest.test_case "snapshot write leaves no tmp" `Quick
+            test_snapshot_write_leaves_no_tmp;
           Alcotest.test_case "fsync policy parse" `Quick test_fsync_policy_parse;
+        ] );
+      ( "checkpoint",
+        [
+          Alcotest.test_case "due rule" `Quick test_checkpoint_due;
+          Alcotest.test_case "log growth bounds" `Quick test_checkpoint_log_growth;
+          Alcotest.test_case "per-core images" `Quick test_checkpoint_images;
         ] );
     ]

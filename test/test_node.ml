@@ -2,8 +2,10 @@
    cluster-config parsing, node lifecycle validation, and a real
    3-node UDP-loopback cluster — bind/create/launch three replicas,
    drive a closed-loop workload through the client driver, check the
-   merged history serializable, and verify heartbeat-based failure
-   detection when one node goes silent (DESIGN.md §11). *)
+   merged history serializable, verify heartbeat-based failure
+   detection when one node goes silent (DESIGN.md §11), bound the
+   per-core checkpoints a durable cluster writes (DESIGN.md §12), and
+   check that an abandoned epoch change leaves the node serving. *)
 
 module Cluster_config = Mk_node.Cluster_config
 module Node = Mk_node.Node
@@ -12,7 +14,14 @@ module Shard_driver = Mk_node.Shard_driver
 module Checker = Mk_harness.Checker
 module Detector = Mk_meerkat.Detector
 module Codec = Mk_wire.Codec
-module Tid = Mk_clock.Timestamp.Tid
+module Timestamp = Mk_clock.Timestamp
+module Tid = Timestamp.Tid
+module Txn = Mk_storage.Txn
+module Replica = Mk_meerkat.Replica
+module Walcodec = Mk_durable.Walcodec
+module Wal = Mk_durable.Wal
+module Snapshot = Mk_durable.Snapshot
+module Recover = Mk_durable.Recover
 
 (* --- cluster config --- *)
 
@@ -130,19 +139,21 @@ let bind_cluster n =
   in
   (bound, cluster)
 
-let launch_cluster ?(heartbeat_ms = 10.0) ?(shard = 0) ~keys bound cluster =
+let launch_cluster ?(heartbeat_ms = 10.0) ?(shard = 0) ?(configure = fun _ c -> c)
+    ~keys bound cluster =
   let n = Array.length bound in
   Array.mapi
     (fun i b ->
       let cfg =
-        {
-          Node.default_config with
-          Node.me = i;
-          cores = 2;
-          keys;
-          shard;
-          detector = Some (Node.detector_cfg ~heartbeat_ms);
-        }
+        configure i
+          {
+            Node.default_config with
+            Node.me = i;
+            cores = 2;
+            keys;
+            shard;
+            detector = Some (Node.detector_cfg ~heartbeat_ms);
+          }
       in
       let node = Node.create b cfg ~n_replicas:n in
       (match Node.launch node ~cluster with
@@ -294,6 +305,207 @@ let test_shim_counts_oversized_frames () =
       Alcotest.(check int) "no spurious send errors" 1
         (Mk_obs.Obs.counter_value obs "wire.send_errors");
       Big.stop net
+
+let run_workload ~cluster driver_cfg =
+  let result =
+    match Driver.run driver_cfg ~cluster with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "driver: %s" e
+  in
+  (match Driver.shutdown ~cluster () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "shutdown: %s" e);
+  (match Checker.check result.Driver.committed with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "not serializable: %a" Checker.pp_violation v);
+  result
+
+(* --- durable cluster: log-proportional checkpoints (DESIGN.md §12) --- *)
+
+let with_data_dirs n f =
+  let dirs =
+    Array.init n (fun i ->
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "mk-test-node-%d-%d" (Unix.getpid ()) i))
+  in
+  let remove dir =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Array.iter remove dirs;
+  Fun.protect ~finally:(fun () -> Array.iter remove dirs) (fun () -> f dirs)
+
+let test_durable_checkpoints_log_proportional () =
+  (* Each core snapshots only once its log suffix outgrows the last
+     image. After a run of [txns] transactions: no core's suffix
+     exceeds its image plus one record, no core wrote more than
+     ceil(log2 txns) + 2 images, and the files alone restore every
+     committed record at its timestamp. *)
+  let keys = 64 and cores = 2 in
+  let driver_cfg =
+    {
+      Driver.default_config with
+      Driver.coordinators = 2;
+      clients = 6;
+      keys;
+      txns_per_client = 40;
+      seed = 5;
+    }
+  in
+  let txns = driver_cfg.clients * driver_cfg.txns_per_client in
+  with_data_dirs 3 @@ fun dirs ->
+  let bound, cluster = bind_cluster 3 in
+  let nodes =
+    launch_cluster ~keys
+      ~configure:(fun i c ->
+        { c with Node.cores; data_dir = Some dirs.(i); fsync = Wal.Every 8 })
+      bound cluster
+  in
+  let result = run_workload ~cluster driver_cfg in
+  let stats = Array.map Node.wait nodes in
+  Alcotest.(check int) "every transaction resolved" txns
+    (result.Driver.committed_count + result.Driver.aborted);
+  let max_snaps = int_of_float (Float.ceil (Float.log2 (float_of_int txns))) + 2 in
+  Array.iteri
+    (fun i (st : Node.stats) ->
+      let dir = dirs.(i) in
+      Alcotest.(check bool)
+        (Printf.sprintf "node%d logged" i)
+        true (st.Node.wal_appends > 0);
+      List.iteri
+        (fun c n ->
+          if n < 1 || n > max_snaps then
+            Alcotest.failf "node%d core%d wrote %d snapshots (bound %d)" i c n
+              max_snaps)
+        st.Node.core_snapshots;
+      let sources =
+        List.init cores (fun c ->
+            let log = Wal.read_file (Node.wal_path dir c) in
+            let snap, img =
+              match Snapshot.read ~path:(Node.snap_path dir c) with
+              | Some s -> (
+                  match Walcodec.read_snapshot s with
+                  | Some img -> (s, img)
+                  | None -> Alcotest.failf "node%d core%d: corrupt snapshot" i c)
+              | None -> Alcotest.failf "node%d core%d: no snapshot" i c
+            in
+            let suffix = Walcodec.read_records ~from:img.wal_cut log in
+            let frame =
+              List.fold_left
+                (fun acc r -> max acc (String.length (Walcodec.encode_record r)))
+                0 suffix.records
+            in
+            let snap_bytes = String.length snap in
+            if String.length log - img.wal_cut > snap_bytes + frame then
+              Alcotest.failf
+                "node%d core%d: %d log bytes past the cut, snapshot %d + record %d"
+                i c
+                (String.length log - img.wal_cut)
+                snap_bytes frame;
+            { Recover.snap = Some snap; log })
+      in
+      let parsed = Recover.parse ~cores sources in
+      Alcotest.(check int) (Printf.sprintf "node%d clean files" i) 0
+        parsed.decode_errors;
+      let final = Replica.record_views (Node.replica nodes.(i)) in
+      List.iter
+        (fun (core, (v : Replica.record_view)) ->
+          if v.status = Txn.Committed then
+            let restored =
+              List.exists
+                (fun (c, (r : Replica.record_view)) ->
+                  c = core
+                  && Tid.equal r.txn.tid v.txn.tid
+                  && r.status = Txn.Committed
+                  && Timestamp.compare r.ts v.ts = 0)
+                parsed.records
+            in
+            if not restored then
+              Alcotest.failf "node%d: committed record lost by recovery" i)
+        final)
+    stats
+
+(* --- an epoch change abandoned at its deadline --- *)
+
+let test_abandoned_epoch_change_resumes () =
+  (* Node 0 holds a non-final record (a validation whose write-back
+     never comes) and is drawn into an epoch change whose initiator
+     never answers, so the change hits its deadline without a merge.
+     The node must resume at the new epoch with its own records —
+     non-final one included — and serve the workload that follows. No
+     detector: nobody else starts a change that could rescue it. *)
+  let keys = 16 in
+  let bound, cluster = bind_cluster 3 in
+  let nodes =
+    launch_cluster ~keys
+      ~configure:(fun _ c -> { c with Node.detector = None; rto_us = 5_000.0 })
+      bound cluster
+  in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let dst =
+    Unix.ADDR_INET (Unix.inet_addr_loopback, cluster.(0).Cluster_config.port)
+  in
+  let send msg =
+    let s = Codec.encode msg in
+    ignore (Unix.sendto_substring sock s 0 (String.length s) [] dst : int)
+  in
+  let stray =
+    Txn.make
+      ~tid:(Tid.make ~seq:1 ~client_id:999)
+      ~read_set:[]
+      ~write_set:[ ({ key = keys + 1; value = 7 } : Txn.write_entry) ]
+  in
+  send
+    (Codec.Validate
+       {
+         coord = 0;
+         slot = 0;
+         seq = 1;
+         txn = stray;
+         ts = Timestamp.make ~time:1.0 ~client_id:999;
+       });
+  Unix.sleepf 0.05;
+  (* Node 1 has no change in flight: it drops node 0's report, so no
+     install ever comes. The deadline is 40 x rto = 200 ms. *)
+  send (Codec.Epoch_change { initiator = 1; epoch = 1 });
+  Unix.close sock;
+  let replica = Node.replica nodes.(0) in
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  while Replica.epoch replica < 1 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check int) "entered the epoch" 1 (Replica.epoch replica);
+  while (not (Replica.is_available replica)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "resumed after the deadline" true
+    (Replica.is_available replica);
+  let result =
+    run_workload ~cluster
+      {
+        Driver.default_config with
+        Driver.coordinators = 1;
+        clients = 3;
+        keys;
+        txns_per_client = 10;
+        seed = 3;
+      }
+  in
+  let stats = Array.map Node.wait nodes in
+  Alcotest.(check int) "workload resolved" 30
+    (result.Driver.committed_count + result.Driver.aborted);
+  Alcotest.(check bool) "node0 validated the workload" true
+    (stats.(0).Node.validations_ok > 1);
+  Alcotest.(check bool) "non-final record kept" true
+    (List.exists
+       (fun (_, (v : Replica.record_view)) ->
+         Tid.equal v.txn.tid stray.tid && v.status = Txn.Validated_ok)
+       (Replica.record_views replica))
 
 (* --- two shard groups on UDP loopback (DESIGN.md §13) --- *)
 
@@ -451,6 +663,13 @@ let () =
             test_shim_counts_oversized_frames;
           Alcotest.test_case "silent node detected" `Quick
             test_cluster_detects_silent_node;
+          Alcotest.test_case "abandoned epoch change resumes" `Quick
+            test_abandoned_epoch_change_resumes;
+        ] );
+      ( "durable",
+        [
+          Alcotest.test_case "checkpoints log-proportional" `Quick
+            test_durable_checkpoints_log_proportional;
         ] );
       ( "sharded",
         [

@@ -281,6 +281,43 @@ let test_epoch_complete_duplicate_does_not_reinstall () =
         (e.Mk_storage.Trecord.status = Txn.Committed)
   | None -> Alcotest.fail "duplicate install erased a newer commit"
 
+let test_resume_abandoned_epoch_change () =
+  (* An epoch change that never merges: the replica resumes at the
+     epoch it paused at, keeping its own non-final records, with no
+     install (a later install of that epoch still applies). *)
+  let r = fresh ~cores:1 () in
+  let t1 = rmw ~seq:1 3 in
+  ignore (Replica.handle_validate r ~core:0 ~txn:t1 ~ts:(ts 1.0));
+  ignore (Replica.handle_epoch_change r ~epoch:1);
+  Alcotest.(check bool) "paused" false (Replica.is_available r);
+  Alcotest.(check bool) "stale epoch refused" true (Replica.resume r ~epoch:2 = None);
+  Alcotest.(check bool) "resumes at its epoch" true (Replica.resume r ~epoch:1 = Some ());
+  Alcotest.(check bool) "available" true (Replica.is_available r);
+  Alcotest.(check int) "still at epoch 1" 1 (Replica.epoch r);
+  (match Replica.record_views r with
+  | [ (0, v) ] ->
+      Alcotest.(check bool) "non-final record kept" true (v.status = Txn.Validated_ok)
+  | _ -> Alcotest.fail "expected the one record");
+  Alcotest.(check bool) "serves validations again" true
+    (Replica.handle_validate r ~core:0 ~txn:(rmw ~seq:2 5) ~ts:(ts 2.0) <> None);
+  Alcotest.(check bool) "the epoch can still be installed" true
+    (Replica.handle_epoch_complete r ~epoch:1 ~records:[] ~store:None = Some ())
+
+let test_resume_refused_while_recovering () =
+  (* A replica rebuilding after a crash may only be readmitted by a
+     merge: abandoning the change leaves it paused. *)
+  let r = fresh ~cores:1 () in
+  Replica.crash r;
+  Replica.begin_recovery r;
+  ignore (Replica.handle_epoch_change r ~epoch:1);
+  Alcotest.(check bool) "refused" true (Replica.resume r ~epoch:1 = None);
+  Alcotest.(check bool) "still paused" false (Replica.is_available r);
+  ignore (Replica.handle_epoch_complete r ~epoch:1 ~records:[] ~store:None);
+  Alcotest.(check bool) "a merge readmits it" true (Replica.is_available r);
+  ignore (Replica.handle_epoch_change r ~epoch:2);
+  Alcotest.(check bool) "later changes may be abandoned" true
+    (Replica.resume r ~epoch:2 = Some ())
+
 let test_store_snapshot_roundtrip () =
   let r = fresh ~keys:8 () in
   let t = rmw ~seq:1 5 in
@@ -331,6 +368,10 @@ let () =
           Alcotest.test_case "snapshot restore" `Quick
             test_epoch_complete_with_snapshot_restores;
           Alcotest.test_case "snapshot roundtrip" `Quick test_store_snapshot_roundtrip;
+          Alcotest.test_case "abandoned epoch change resumes" `Quick
+            test_resume_abandoned_epoch_change;
+          Alcotest.test_case "no resume while recovering" `Quick
+            test_resume_refused_while_recovering;
           Alcotest.test_case "duplicate epoch-complete is a no-op" `Quick
             test_epoch_complete_duplicate_does_not_reinstall;
         ] );
