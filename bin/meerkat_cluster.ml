@@ -1,33 +1,42 @@
-(* meerkat_cluster: fork an N-node Meerkat cluster on localhost and
-   drive it end to end (DESIGN.md §11).
+(* meerkat_cluster: fork S shard groups of N Meerkat nodes each on
+   localhost and drive them end to end (DESIGN.md §11, §13).
 
-   The launcher forks N meerkat_node processes (each one whole
-   replica: its own domains, detector, and UDP socket), completes the
-   port handshake — every node binds an ephemeral port and announces
-   `port <n>'; the launcher assembles the cluster config and writes it
-   back over each node's stdin — then runs closed-loop client driver
-   domains in-process against the cluster, optionally SIGKILLs one
-   node mid-run (and with --reboot restarts it from its data
-   directory), broadcasts Shutdown, gathers per-node exit stats, and
-   checks the merged committed history for one-copy serializability.
+   The launcher forks S x N meerkat_node processes (each one whole
+   replica of one group: its own domains, detector, and UDP socket),
+   completes the port handshake — every node binds an ephemeral port
+   and announces `port <n>'; the launcher assembles each group's
+   cluster config and writes it back over each node's stdin — then
+   runs closed-loop {!Mk_node.Client_driver} domains in-process
+   against all groups, optionally SIGKILLs one node of group 0
+   mid-run (and with --reboot restarts it from its data directory),
+   broadcasts Shutdown, gathers per-node exit stats, and checks the
+   merged committed history for one-copy serializability. The default
+   --shards 1 is the single-group deployment; it takes the same path.
 
      dune exec bin/meerkat_cluster.exe -- --nodes 3 --clients 8
      dune exec bin/meerkat_cluster.exe -- --nodes 3 --duration 2 \
        --kill-node 1 --kill-after 0.5 --json BENCH_cluster.json
      dune exec bin/meerkat_cluster.exe -- --nodes 3 --duration 4 \
        --kill-node 1 --kill-after 0.5 --reboot
+     dune exec bin/meerkat_cluster.exe -- --shards 2 --cross 0.1
 
-   Exit status is non-zero on a serializability violation, lost
-   transactions, a surviving node exiting non-zero, or (with
-   --kill-node) no surviving node having detected the victim. With
-   --reboot the detection verdict is replaced by the recovery one:
-   the victim must replay its WAL (wal_replayed > 0 in its exit
-   stats) and some node must complete the §5.3.1 epoch change that
-   merges it back (epoch_changes > 0). *)
+   Exit status is non-zero on a serializability violation, lost or
+   unanswered transactions, a surviving node exiting non-zero, or
+   (with --kill-node) no surviving group-0 node having detected the
+   victim. With --reboot the detection verdict is replaced by the
+   recovery one: the victim must replay its WAL (wal_replayed > 0 in
+   its exit stats) and some group-0 node must complete the §5.3.1
+   epoch change that merges it back (epoch_changes > 0).
+
+   --json writes one shape for every S: the run parameters ("shards",
+   "nodes", "cores", "coordinators", "clients", "cross", "killed",
+   "rebooted", "detected_by", "serializable", "failures"), "driver"
+   (Client_driver.result_json) and "node_stats", one array of exit
+   stats per group (null for a node that left none). The driver's
+   p50/p99 run from the stamp mint to the global decision. *)
 
 module Cluster_config = Mk_node.Cluster_config
 module Driver = Mk_node.Client_driver
-module Shard_driver = Mk_node.Shard_driver
 module Router = Mk_shard.Router
 module Checker = Mk_harness.Checker
 module Spawn = Mk_live.Spawn
@@ -209,326 +218,17 @@ let parse_workload = function
   | "retwis" -> Ok Driver.Retwis
   | s -> Error (`Msg (Printf.sprintf "unknown workload %S (ycsb-t, retwis)" s))
 
-let run_single nodes cores coordinators clients keys theta workload txns
-    duration seed heartbeat_ms kill_node kill_after reboot data_dir fsync
+(* S >= 1 fleets of the same size, each its own shard group: its own
+   cluster config, detector gossip, WAL directories and — on the wire —
+   its own shard stamp. One in-process {!Driver} drives them all with
+   the cross-shard 2PC (one group is its one-shard case); a
+   --kill-node victim is killed in group 0's fleet, and every other
+   group must keep committing around it. *)
+let run shards nodes cores coordinators clients keys theta workload txns
+    duration seed cross heartbeat_ms kill_node kill_after reboot data_dir fsync
     no_check metrics json =
-  if nodes < 3 || nodes mod 2 = 0 then fail "--nodes must be odd and >= 3";
-  (match kill_node with
-  | Some v when v < 0 || v >= nodes -> fail "--kill-node out of range"
-  | Some _ when nodes < 3 -> fail "--kill-node needs >= 3 nodes"
-  | _ -> ());
-  if reboot && kill_node = None then fail "--reboot needs --kill-node";
-  let node_exe =
-    Filename.concat (Filename.dirname Sys.executable_name) "meerkat_node.exe"
-  in
-  if not (Sys.file_exists node_exe) then
-    fail "%s not found (build bin/meerkat_node.exe first)" node_exe;
-  (* A reboot needs somewhere durable to reboot from. *)
-  let data_base =
-    match data_dir with
-    | Some _ as d -> d
-    | None ->
-        if reboot then
-          Some
-            (Filename.concat
-               (Filename.get_temp_dir_name ())
-               (Printf.sprintf "meerkat-cluster-%d" (Unix.getpid ())))
-        else None
-  in
-  (match data_base with
-  | Some base -> (
-      try Unix.mkdir base 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  | None -> ());
-  let node_data_dir i =
-    Option.map
-      (fun base -> Filename.concat base (Printf.sprintf "node%d" i))
-      data_base
-  in
-  (* Fork the nodes and complete the port handshake. *)
-  let children =
-    Array.init nodes (fun i ->
-        spawn_node ~node_exe
-          ~name:(Printf.sprintf "node%d" i)
-          ~port_arg:"auto" ~cores ~keys ~shard:0 ~heartbeat_ms
-          ~data_dir:(node_data_dir i) ~fsync ~metrics)
-  in
-  let ports =
-    Array.map
-      (fun child ->
-        match read_line_timeout child ~timeout_s:10.0 with
-        | Some line -> (
-            match String.split_on_char ' ' line with
-            | [ "port"; p ] -> (
-                match int_of_string_opt p with
-                | Some p -> p
-                | None -> fail "%s: bad port announcement %S" child.name line)
-            | _ -> fail "%s: expected `port <n>', got %S" child.name line)
-        | None -> fail "%s: no port announcement" child.name)
-      children
-  in
-  let cluster =
-    Array.mapi
-      (fun i child ->
-        { Cluster_config.name = child.name; host = "127.0.0.1"; port = ports.(i) })
-      children
-  in
-  let config_text = Cluster_config.to_string cluster in
-  Array.iter
-    (fun child ->
-      write_all child.to_child config_text;
-      Unix.close child.to_child)
-    children;
-  Printf.printf "cluster up: %d nodes x %d cores\n%s%!" nodes cores config_text;
-  (* Arm the killer, drive the workload. With --reboot the killer is a
-     kill-and-reboot: reap the SIGKILLed process, then restart it on
-     its original port with its original data directory — the new
-     incarnation replays its WAL, advertises itself paused, and the
-     survivors' detectors drive the epoch change that merges it
-     back. *)
-  let killer =
-    Option.map
-      (fun victim ->
-        Spawn.spawn (fun () ->
-            Unix.sleepf kill_after;
-            Printf.printf "SIGKILL %s (pid %d) at t=%.2fs\n%!"
-              children.(victim).name children.(victim).pid kill_after;
-            Unix.kill children.(victim).pid Sys.sigkill;
-            if reboot then begin
-              ignore
-                (Unix.waitpid [] children.(victim).pid
-                  : int * Unix.process_status);
-              (try Unix.close children.(victim).from_child
-               with Unix.Unix_error (_, _, _) -> ());
-              let child =
-                spawn_node ~node_exe ~name:children.(victim).name
-                  ~port_arg:(string_of_int ports.(victim))
-                  ~cores ~keys ~shard:0 ~heartbeat_ms
-                  ~data_dir:(node_data_dir victim) ~fsync ~metrics
-              in
-              (match read_line_timeout child ~timeout_s:10.0 with
-              | Some _ -> ()
-              | None ->
-                  Printf.eprintf
-                    "meerkat_cluster: %s: no port announcement on reboot\n%!"
-                    child.name);
-              write_all child.to_child config_text;
-              Unix.close child.to_child;
-              children.(victim) <- child;
-              Printf.printf "rebooted %s (pid %d) on port %d\n%!" child.name
-                child.pid ports.(victim)
-            end))
-      kill_node
-  in
-  let dcfg =
-    {
-      Driver.default_config with
-      coordinators;
-      clients;
-      keys;
-      theta;
-      workload;
-      txns_per_client = txns;
-      duration;
-      seed;
-    }
-  in
-  let result =
-    match Driver.run dcfg ~cluster with
-    | Ok r -> r
-    | Error msg -> fail "driver: %s" msg
-  in
-  Option.iter Spawn.join killer;
-  (* Shut the nodes down and gather their exit stats. The Shutdown
-     frame is UDP: resend until the stats line (or EOF) arrives. *)
-  let stats_lines = Array.make nodes None in
-  (* With --reboot the victim's replacement is a full cluster member
-     again and owes us stats like everyone else. *)
-  let killed_for_good i = Some i = kill_node && not reboot in
-  Array.iteri
-    (fun i child ->
-      let rec gather attempts =
-        if attempts > 0 && stats_lines.(i) = None then begin
-          (match Driver.shutdown ~cluster () with Ok () | Error _ -> ());
-          let rec scan () =
-            match read_line_timeout child ~timeout_s:2.0 with
-            | None -> ()
-            | Some line ->
-                if String.length line >= 6 && String.sub line 0 6 = "stats "
-                then
-                  stats_lines.(i) <-
-                    Some (String.sub line 6 (String.length line - 6))
-                else scan ()
-          in
-          scan ();
-          gather (attempts - 1)
-        end
-      in
-      gather 5;
-      if stats_lines.(i) = None && not (killed_for_good i) then begin
-        Printf.eprintf "meerkat_cluster: %s: no stats; killing\n%!" child.name;
-        try Unix.kill child.pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ()
-      end)
-    children;
-  let exits =
-    Array.map (fun child -> snd (Unix.waitpid [] child.pid)) children
-  in
-  (* Verdicts. *)
-  let failures = ref 0 in
-  let fail_check fmt =
-    Printf.ksprintf
-      (fun msg ->
-        incr failures;
-        Printf.printf "FAILED: %s\n%!" msg)
-      fmt
-  in
-  Printf.printf
-    "driver: %d committed, %d aborted (%d fast / %d slow), %d retransmits, \
-     %.0f txn/s, p50 %.0f us, p99 %.0f us\n\
-     wire: %d tx, %d rx, %d decode errors\n\
-     %!"
-    result.Driver.committed_count result.Driver.aborted result.Driver.fast_path
-    result.Driver.slow_path result.Driver.retransmits result.Driver.throughput
-    result.Driver.p50_us result.Driver.p99_us result.Driver.wire_msgs_tx
-    result.Driver.wire_msgs_rx result.Driver.wire_decode_errors;
-  (if duration = None then
-     let decided = result.Driver.committed_count + result.Driver.aborted in
-     let expected = clients * txns in
-     if decided <> expected then
-       fail_check "lost transactions: %d decided, %d submitted" decided expected);
-  let serializable =
-    if no_check then true
-    else
-      match Checker.check result.Driver.committed with
-      | Ok () ->
-          Printf.printf "serializable: yes (%d commits)\n%!"
-            result.Driver.committed_count;
-          true
-      | Error v ->
-          fail_check "serializability violation: %s"
-            (Format.asprintf "%a" Checker.pp_violation v);
-          false
-  in
-  let detected_by = ref [] in
-  Array.iteri
-    (fun i child ->
-      let killed = killed_for_good i in
-      (match (stats_lines.(i), killed) with
-      | Some json, _ -> (
-          Printf.printf "%s: %s\n%!" child.name json;
-          match kill_node with
-          | Some victim when List.mem victim (suspected_of_stats json) ->
-              detected_by := i :: !detected_by
-          | _ -> ())
-      | None, true -> Printf.printf "%s: killed (no stats)\n%!" child.name
-      | None, false -> fail_check "%s: no exit stats" child.name);
-      match (exits.(i), killed) with
-      | Unix.WEXITED 0, false -> ()
-      | Unix.WSIGNALED _, true -> ()
-      | status, _ ->
-          let s =
-            match status with
-            | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-            | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-            | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
-          in
-          fail_check "%s: unexpected status (%s)" child.name s)
-    children;
-  (match kill_node with
-  | Some victim when reboot ->
-      (* Kill-and-reboot verdicts: the victim must have rebooted from
-         its data directory (it restored snapshots and/or replayed log
-         records — a snapshot written just before the SIGKILL can
-         leave an empty log suffix, so neither alone is required), and
-         the cluster must have driven the §5.3.1 epoch change that
-         merged it back. Suspicion at shutdown is NOT required — a
-         successfully reintegrated replica earns a fresh grace period,
-         so lingering suspicion would be the bug, not the proof. *)
-      (match stats_lines.(victim) with
-      | None -> fail_check "node%d: no stats after reboot" victim
-      | Some json ->
-          let replayed = int_field_of_stats json "wal_replayed" in
-          let snaps = int_field_of_stats json "wal_snapshots_used" in
-          if replayed + snaps <= 0 then
-            fail_check
-              "node%d rebooted without recovering anything from its data \
-               directory"
-              victim
-          else
-            Printf.printf
-              "node%d rebooted: %d snapshot(s) restored, %d log records \
-               replayed\n\
-               %!"
-              victim snaps replayed);
-      let epoch_changes = sum_stats_field stats_lines "epoch_changes" in
-      if epoch_changes <= 0 then
-        fail_check
-          "no node completed an epoch change merging node%d back \
-           (wire_send_errors: %d)"
-          victim
-          (sum_stats_field stats_lines "wire_send_errors")
-      else
-        Printf.printf "epoch changes: %d (node%d merged back)\n%!" epoch_changes
-          victim
-  | Some victim ->
-      if !detected_by = [] then
-        fail_check "no surviving node suspected node%d" victim
-      else
-        Printf.printf "node%d suspected by: %s\n%!" victim
-          (String.concat ", "
-             (List.map (Printf.sprintf "node%d") (List.rev !detected_by)))
-  | None -> ());
-  (match json with
-  | None -> ()
-  | Some path -> (
-      let node_stats =
-        String.concat ",\n    "
-          (Array.to_list
-             (Array.map
-                (fun s -> match s with Some j -> j | None -> "null")
-                stats_lines))
-      in
-      let body =
-        Printf.sprintf
-          "{\"experiment\": \"cluster\", \"nodes\": %d, \"cores\": %d, \
-           \"coordinators\": %d, \"clients\": %d, \"killed\": %d, \
-           \"rebooted\": %b, \"detected_by\": [%s], \"serializable\": %b, \
-           \"failures\": %d,\n\
-          \  \"driver\": %s,\n\
-          \  \"node_stats\": [\n\
-          \    %s\n\
-          \  ]}\n"
-          nodes cores coordinators clients
-          (match kill_node with Some v -> v | None -> -1)
-          reboot
-          (String.concat ", "
-             (List.map string_of_int (List.rev !detected_by)))
-          serializable !failures
-          (Driver.result_json result)
-          node_stats
-      in
-      try
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc body);
-        Printf.printf "wrote %s\n%!" path
-      with Sys_error msg -> Printf.eprintf "meerkat_cluster: %s\n%!" msg));
-  if !failures > 0 then begin
-    Printf.printf "%d check(s) FAILED\n%!" !failures;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The sharded run (--shards > 1)                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* S independent fleets of the same size, each its own shard group:
-   its own cluster config, detector gossip, WAL directories and — on
-   the wire — its own shard stamp. The in-process driver is the
-   cross-shard 2PC coordinator ({!Shard_driver}); a --kill-node victim
-   is killed in shard 0's fleet, and the other shards must keep
-   committing around it. *)
-let run_sharded ~shards nodes cores coordinators clients keys theta workload
-    txns duration seed cross heartbeat_ms kill_node kill_after reboot data_dir
-    fsync no_check metrics json =
+  if shards < 1 then fail "--shards must be >= 1";
+  if cross < 0.0 || cross > 1.0 then fail "--cross must be in [0, 1]";
   if nodes < 3 || nodes mod 2 = 0 then fail "--nodes must be odd and >= 3";
   (match kill_node with
   | Some v when v < 0 || v >= nodes -> fail "--kill-node out of range"
@@ -539,12 +239,18 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
   in
   if not (Sys.file_exists node_exe) then
     fail "%s not found (build bin/meerkat_node.exe first)" node_exe;
-  (* One router decides placement for the fleets AND the driver: shard
-     [s] serves the local keyspace of the global [keys] under Mod
-     placement, so every node is launched with its shard's local key
+  (* One router decides placement for the fleets AND the driver: group
+     [s] serves its local share of the global [keys] under Mod
+     placement, so every node is launched with its group's local key
      count. *)
   let router = Router.create ~shards ~keys () in
   let shard_keys s = Router.local_keys router ~shard:s in
+  (* Node [i] of group [s]; also its data directory's relative path. *)
+  let label s i =
+    if shards = 1 then Printf.sprintf "node%d" i
+    else Printf.sprintf "shard%d/node%d" s i
+  in
+  (* A reboot needs somewhere durable to reboot from. *)
   let data_base =
     match data_dir with
     | Some _ as d -> d
@@ -562,24 +268,24 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
   (match data_base with
   | Some base ->
       mkdir_p base;
-      for s = 0 to shards - 1 do
-        mkdir_p (Filename.concat base (Printf.sprintf "shard%d" s))
-      done
+      if shards > 1 then
+        for s = 0 to shards - 1 do
+          mkdir_p (Filename.concat base (Printf.sprintf "shard%d" s))
+        done
   | None -> ());
   let node_data_dir s i =
-    Option.map
-      (fun base ->
-        Filename.concat base (Printf.sprintf "shard%d/node%d" s i))
-      data_base
+    Option.map (fun base -> Filename.concat base (label s i)) data_base
+  in
+  let spawn s i ~port_arg =
+    spawn_node ~node_exe
+      ~name:(Printf.sprintf "node%d" i)
+      ~port_arg ~cores ~keys:(shard_keys s) ~shard:s ~heartbeat_ms
+      ~data_dir:(node_data_dir s i) ~fsync ~metrics
   in
   (* Fork shards x nodes processes and complete every port handshake. *)
   let children =
     Array.init shards (fun s ->
-        Array.init nodes (fun i ->
-            spawn_node ~node_exe
-              ~name:(Printf.sprintf "node%d" i)
-              ~port_arg:"auto" ~cores ~keys:(shard_keys s) ~shard:s
-              ~heartbeat_ms ~data_dir:(node_data_dir s i) ~fsync ~metrics))
+        Array.init nodes (fun i -> spawn s i ~port_arg:"auto"))
   in
   let ports =
     Array.map
@@ -617,50 +323,48 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
           Unix.close child.to_child)
         fleet)
     children;
-  Printf.printf "cluster up: %d shards x %d nodes x %d cores\n%!" shards nodes
-    cores;
-  (* The killer takes out shard 0's victim; the reboot (if asked)
-     brings it back on its original port with its shard-0 stamp and
-     data directory, and shard 0's survivors drive the epoch change.
-     Every other shard never notices. *)
+  Printf.printf "cluster up: %d group(s) x %d nodes x %d cores\n%s%!" shards
+    nodes cores
+    (String.concat "" (Array.to_list config_texts));
+  (* Arm the killer, drive the workload. With --reboot the killer is a
+     kill-and-reboot: reap the SIGKILLed process, then restart it on
+     its original port with its group-0 stamp and data directory — the
+     new incarnation replays its WAL, advertises itself paused, and
+     group 0's survivors drive the epoch change that merges it back.
+     Every other group never notices. *)
   let killer =
     Option.map
       (fun victim ->
         Spawn.spawn (fun () ->
+            let old = children.(0).(victim) in
             Unix.sleepf kill_after;
-            Printf.printf "SIGKILL shard0/%s (pid %d) at t=%.2fs\n%!"
-              children.(0).(victim).name children.(0).(victim).pid kill_after;
-            Unix.kill children.(0).(victim).pid Sys.sigkill;
+            Printf.printf "SIGKILL %s (pid %d) at t=%.2fs\n%!" (label 0 victim)
+              old.pid kill_after;
+            Unix.kill old.pid Sys.sigkill;
             if reboot then begin
-              ignore
-                (Unix.waitpid [] children.(0).(victim).pid
-                  : int * Unix.process_status);
-              (try Unix.close children.(0).(victim).from_child
+              ignore (Unix.waitpid [] old.pid : int * Unix.process_status);
+              (try Unix.close old.from_child
                with Unix.Unix_error (_, _, _) -> ());
               let child =
-                spawn_node ~node_exe ~name:children.(0).(victim).name
-                  ~port_arg:(string_of_int ports.(0).(victim))
-                  ~cores ~keys:(shard_keys 0) ~shard:0 ~heartbeat_ms
-                  ~data_dir:(node_data_dir 0 victim) ~fsync ~metrics
+                spawn 0 victim ~port_arg:(string_of_int ports.(0).(victim))
               in
               (match read_line_timeout child ~timeout_s:10.0 with
               | Some _ -> ()
               | None ->
                   Printf.eprintf
                     "meerkat_cluster: %s: no port announcement on reboot\n%!"
-                    child.name);
+                    (label 0 victim));
               write_all child.to_child config_texts.(0);
               Unix.close child.to_child;
               children.(0).(victim) <- child;
-              Printf.printf "rebooted shard0/%s (pid %d) on port %d\n%!"
-                child.name child.pid ports.(0).(victim)
+              Printf.printf "rebooted %s (pid %d) on port %d\n%!"
+                (label 0 victim) child.pid ports.(0).(victim)
             end))
       kill_node
   in
   let dcfg =
     {
-      Shard_driver.default_config with
-      shards;
+      Driver.default_config with
       coordinators;
       clients;
       keys;
@@ -673,13 +377,15 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
     }
   in
   let result =
-    match Shard_driver.run dcfg ~clusters with
+    match Driver.run_groups dcfg ~clusters with
     | Ok r -> r
     | Error msg -> fail "driver: %s" msg
   in
   Option.iter Spawn.join killer;
-  (* Shut every fleet down (per-shard Shutdown stamps) and gather the
-     exit stats. *)
+  (* Shut every fleet down (per-group Shutdown stamps) and gather the
+     exit stats. The Shutdown frame is UDP: resend until the stats
+     line (or EOF) arrives. With --reboot the victim's replacement is
+     a full member again and owes us stats like everyone else. *)
   let stats_lines = Array.make_matrix shards nodes None in
   let killed_for_good s i = s = 0 && Some i = kill_node && not reboot in
   Array.iteri
@@ -706,8 +412,8 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
           in
           gather 5;
           if stats_lines.(s).(i) = None && not (killed_for_good s i) then begin
-            Printf.eprintf "meerkat_cluster: shard%d/%s: no stats; killing\n%!"
-              s child.name;
+            Printf.eprintf "meerkat_cluster: %s: no stats; killing\n%!"
+              (label s i);
             try Unix.kill child.pid Sys.sigkill
             with Unix.Unix_error (_, _, _) -> ()
           end)
@@ -732,30 +438,29 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
      sub-attempts), %d retransmits, %.0f txn/s, p50 %.0f us, p99 %.0f us\n\
      wire: %d tx, %d rx, %d decode errors, %d shard drops\n\
      %!"
-    result.Shard_driver.committed_count result.Shard_driver.cross_shard
-    result.Shard_driver.aborted result.Shard_driver.fast_path
-    result.Shard_driver.slow_path result.Shard_driver.retransmits
-    result.Shard_driver.throughput result.Shard_driver.p50_us
-    result.Shard_driver.p99_us result.Shard_driver.wire_msgs_tx
-    result.Shard_driver.wire_msgs_rx result.Shard_driver.wire_decode_errors
-    result.Shard_driver.wire_shard_drops;
+    result.Driver.committed_count result.Driver.cross_shard
+    result.Driver.aborted result.Driver.fast_path result.Driver.slow_path
+    result.Driver.retransmits result.Driver.throughput result.Driver.p50_us
+    result.Driver.p99_us result.Driver.wire_msgs_tx result.Driver.wire_msgs_rx
+    result.Driver.wire_decode_errors result.Driver.wire_shard_drops;
+  if result.Driver.acked <> result.Driver.submitted then
+    fail_check "unanswered transactions: %d submitted, %d acked"
+      result.Driver.submitted result.Driver.acked;
   (if duration = None then
-     let decided =
-       result.Shard_driver.committed_count + result.Shard_driver.aborted
-     in
+     let decided = result.Driver.committed_count + result.Driver.aborted in
      let expected = clients * txns in
      if decided <> expected then
        fail_check "lost transactions: %d decided, %d submitted" decided expected);
   let serializable =
     if no_check then true
     else
-      match Checker.check result.Shard_driver.committed with
+      match Checker.check result.Driver.committed with
       | Ok () ->
-          Printf.printf "serializable: yes (%d commits, merged history)\n%!"
-            result.Shard_driver.committed_count;
+          Printf.printf "serializable: yes (%d commits)\n%!"
+            result.Driver.committed_count;
           true
       | Error v ->
-          fail_check "serializability violation (merged history): %s"
+          fail_check "serializability violation: %s"
             (Format.asprintf "%a" Checker.pp_violation v);
           false
   in
@@ -763,19 +468,18 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
   Array.iteri
     (fun s fleet ->
       Array.iteri
-        (fun i child ->
+        (fun i _ ->
           let killed = killed_for_good s i in
           (match (stats_lines.(s).(i), killed) with
           | Some json, _ -> (
-              Printf.printf "shard%d/%s: %s\n%!" s child.name json;
+              Printf.printf "%s: %s\n%!" (label s i) json;
               match kill_node with
               | Some victim
                 when s = 0 && List.mem victim (suspected_of_stats json) ->
                   detected_by := i :: !detected_by
               | _ -> ())
-          | None, true ->
-              Printf.printf "shard%d/%s: killed (no stats)\n%!" s child.name
-          | None, false -> fail_check "shard%d/%s: no exit stats" s child.name);
+          | None, true -> Printf.printf "%s: killed (no stats)\n%!" (label s i)
+          | None, false -> fail_check "%s: no exit stats" (label s i));
           match (exits.(s).(i), killed) with
           | Unix.WEXITED 0, false -> ()
           | Unix.WSIGNALED _, true -> ()
@@ -786,44 +490,51 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
                 | Unix.WSIGNALED sg -> Printf.sprintf "signal %d" sg
                 | Unix.WSTOPPED sg -> Printf.sprintf "stopped %d" sg
               in
-              fail_check "shard%d/%s: unexpected status (%s)" s child.name st)
+              fail_check "%s: unexpected status (%s)" (label s i) st)
         fleet)
     children;
   (match kill_node with
   | Some victim when reboot ->
+      (* Kill-and-reboot verdicts: the victim must have rebooted from
+         its data directory (it restored snapshots and/or replayed log
+         records — a snapshot written just before the SIGKILL can
+         leave an empty log suffix, so neither alone is required), and
+         its group must have driven the §5.3.1 epoch change that
+         merged it back. Suspicion at shutdown is NOT required — a
+         successfully reintegrated replica earns a fresh grace period,
+         so lingering suspicion would be the bug, not the proof. *)
       (match stats_lines.(0).(victim) with
-      | None -> fail_check "shard0/node%d: no stats after reboot" victim
+      | None -> fail_check "%s: no stats after reboot" (label 0 victim)
       | Some json ->
           let replayed = int_field_of_stats json "wal_replayed" in
           let snaps = int_field_of_stats json "wal_snapshots_used" in
           if replayed + snaps <= 0 then
             fail_check
-              "shard0/node%d rebooted without recovering anything from its \
-               data directory"
-              victim
+              "%s rebooted without recovering anything from its data \
+               directory"
+              (label 0 victim)
           else
             Printf.printf
-              "shard0/node%d rebooted: %d snapshot(s) restored, %d log \
-               records replayed\n\
+              "%s rebooted: %d snapshot(s) restored, %d log records \
+               replayed\n\
                %!"
-              victim snaps replayed);
+              (label 0 victim) snaps replayed);
       let epoch_changes = sum_stats_field stats_lines.(0) "epoch_changes" in
       if epoch_changes <= 0 then
         fail_check
-          "no shard-0 node completed an epoch change merging node%d back \
+          "no group-0 node completed an epoch change merging %s back \
            (wire_send_errors: %d)"
-          victim
+          (label 0 victim)
           (sum_stats_field stats_lines.(0) "wire_send_errors")
       else
-        Printf.printf "epoch changes: %d (shard0/node%d merged back)\n%!"
-          epoch_changes victim
+        Printf.printf "epoch changes: %d (%s merged back)\n%!" epoch_changes
+          (label 0 victim)
   | Some victim ->
       if !detected_by = [] then
-        fail_check "no surviving shard-0 node suspected node%d" victim
+        fail_check "no surviving group-0 node suspected %s" (label 0 victim)
       else
-        Printf.printf "shard0/node%d suspected by: %s\n%!" victim
-          (String.concat ", "
-             (List.map (Printf.sprintf "node%d") (List.rev !detected_by)))
+        Printf.printf "%s suspected by: %s\n%!" (label 0 victim)
+          (String.concat ", " (List.map (label 0) (List.rev !detected_by)))
   | None -> ());
   (match json with
   | None -> ()
@@ -836,18 +547,15 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
                   Printf.sprintf "[%s]"
                     (String.concat ", "
                        (Array.to_list
-                          (Array.map
-                             (fun st ->
-                               match st with Some j -> j | None -> "null")
-                             fleet))))
+                          (Array.map (Option.value ~default:"null") fleet))))
                 stats_lines))
       in
       let body =
         Printf.sprintf
-          "{\"experiment\": \"cluster-sharded\", \"shards\": %d, \"nodes\": \
-           %d, \"cores\": %d, \"coordinators\": %d, \"clients\": %d, \
-           \"cross\": %.2f, \"killed\": %d, \"rebooted\": %b, \
-           \"detected_by\": [%s], \"serializable\": %b, \"failures\": %d,\n\
+          "{\"experiment\": \"cluster\", \"shards\": %d, \"nodes\": %d, \
+           \"cores\": %d, \"coordinators\": %d, \"clients\": %d, \"cross\": \
+           %.2f, \"killed\": %d, \"rebooted\": %b, \"detected_by\": [%s], \
+           \"serializable\": %b, \"failures\": %d,\n\
           \  \"driver\": %s,\n\
           \  \"node_stats\": [\n\
           \    %s\n\
@@ -856,9 +564,7 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
           (match kill_node with Some v -> v | None -> -1)
           reboot
           (String.concat ", " (List.map string_of_int (List.rev !detected_by)))
-          serializable !failures
-          (Shard_driver.result_json result)
-          node_stats
+          serializable !failures (Driver.result_json result) node_stats
       in
       try
         Out_channel.with_open_text path (fun oc ->
@@ -869,20 +575,6 @@ let run_sharded ~shards nodes cores coordinators clients keys theta workload
     Printf.printf "%d check(s) FAILED\n%!" !failures;
     exit 1
   end
-
-let run shards nodes cores coordinators clients keys theta workload txns
-    duration seed cross heartbeat_ms kill_node kill_after reboot data_dir fsync
-    no_check metrics json =
-  if shards < 1 then fail "--shards must be >= 1";
-  if cross < 0.0 || cross > 1.0 then fail "--cross must be in [0, 1]";
-  if shards = 1 then
-    run_single nodes cores coordinators clients keys theta workload txns
-      duration seed heartbeat_ms kill_node kill_after reboot data_dir fsync
-      no_check metrics json
-  else
-    run_sharded ~shards nodes cores coordinators clients keys theta workload
-      txns duration seed cross heartbeat_ms kill_node kill_after reboot
-      data_dir fsync no_check metrics json
 
 let () =
   let open Cmdliner in
@@ -961,8 +653,8 @@ let () =
       value & opt (some int) None
       & info [ "kill-node" ] ~docv:"ID"
           ~doc:
-            "SIGKILL node $(docv) after --kill-after seconds; surviving nodes \
-             must detect it (exit stats' suspected list).")
+            "SIGKILL node $(docv) of group 0 after --kill-after seconds; its \
+             surviving peers must detect it (exit stats' suspected list).")
   in
   let kill_after =
     Arg.(

@@ -57,6 +57,11 @@ let run_sharded shards cross domains replicas coordinators clients keys theta
             (r.Multi.committed_count + r.Multi.aborted)
             expected
         end;
+        if r.Multi.acked <> r.Multi.submitted then begin
+          incr failures;
+          Format.printf "  UNANSWERED TRANSACTIONS: %d submitted, %d acked@."
+            r.Multi.submitted r.Multi.acked
+        end;
         if not no_check then begin
           match Checker.check r.Multi.history with
           | Ok () ->

@@ -16,8 +16,9 @@
 
    Per shard, the commit path is the single-group one: the coordinator
    instantiates {!Mk_shard.Driver} over a GROUP whose [prepare_txn]
-   drives a fresh {!Mk_meerkat.Protocol} attempt over the shard's
-   mailboxes to a decision — withholding the write-back — and whose
+   drives a fresh {!Mk_meerkat.Protocol} attempt, kept in the shared
+   {!Mk_meerkat.Attempts} table, over the shard's mailboxes to a
+   decision — withholding the write-back — and whose
    [finalize_txn] broadcasts the write-phase outcome once the global
    conjunction is known. Execute-phase reads go straight to one
    replica's versioned store (the same sanctioned shared-memory get as
@@ -36,8 +37,8 @@ module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
 module Txn = Mk_storage.Txn
 module Quorum = Mk_meerkat.Quorum
-module Batch = Mk_meerkat.Batch
 module Protocol = Mk_meerkat.Protocol
+module Attempts = Mk_meerkat.Attempts
 module Replica = Mk_meerkat.Replica
 module Workload = Mk_workload.Workload
 module Histogram = Mk_util.Histogram
@@ -114,8 +115,9 @@ type report = {
 
 (* Requests carry (coord, aid): [aid] is the coordinator-local attempt
    id, unique across clients AND shards, so a late reply for a
-   finished attempt can never be taken for a live one. The shard needs
-   no field — each shard has its own server mailboxes. *)
+   finished attempt can never be taken for a live one. Requests need
+   no shard field — each shard has its own server mailboxes — but
+   replies share the coordinator's inbox, so they name their shard. *)
 type server_msg =
   | Validate of {
       replica : int;
@@ -137,8 +139,13 @@ type server_msg =
   | Stop
 
 type coord_msg =
-  | Validated of { aid : int; replica : int; status : Txn.status }
-  | Accepted of { aid : int; replica : int; reply : Protocol.accept_reply }
+  | Validated of { aid : int; shard : int; replica : int; status : Txn.status }
+  | Accepted of {
+      aid : int;
+      shard : int;
+      replica : int;
+      reply : Protocol.accept_reply;
+    }
 
 (* One shard's shared runtime: its replicas and per-core inboxes. *)
 type shard_rt = {
@@ -150,7 +157,7 @@ type shard_rt = {
 (* Server domains (fault-free single-group loop, per shard)            *)
 (* ------------------------------------------------------------------ *)
 
-let server_loop ~core ~replicas ~inbox ~coord_inboxes =
+let server_loop ~shard ~core ~replicas ~inbox ~coord_inboxes =
   let rec loop () =
     (* Z8: this parking pop IS the drain loop's idle wait, exactly as
        in {!Runtime.server_loop}. *)
@@ -160,7 +167,8 @@ let server_loop ~core ~replicas ~inbox ~coord_inboxes =
         (match Replica.handle_validate replicas.(replica) ~core ~txn ~ts with
         | None -> ()
         | Some status ->
-            Mailbox.push coord_inboxes.(coord) (Validated { aid; replica; status }));
+            Mailbox.push coord_inboxes.(coord)
+              (Validated { aid; shard; replica; status }));
         loop ()
     | Accept { replica; coord; aid; txn; ts; decision; view } ->
         (match
@@ -169,7 +177,8 @@ let server_loop ~core ~replicas ~inbox ~coord_inboxes =
          with
         | None -> ()
         | Some reply ->
-            Mailbox.push coord_inboxes.(coord) (Accepted { aid; replica; reply }));
+            Mailbox.push coord_inboxes.(coord)
+              (Accepted { aid; shard; replica; reply }));
         loop ()
     | Write_back { replica; txn; ts; commit } ->
         ignore
@@ -183,88 +192,35 @@ let server_loop ~core ~replicas ~inbox ~coord_inboxes =
 (* Coordinator domains                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One per-shard validation attempt: a {!Protocol} run to its decision
-   with the write-back withheld (the 2PC prepare). *)
-type att = {
-  a_aid : int;
-  a_shard : int;
-  a_txn : Txn.t;
-  a_ts : Timestamp.t;
-  a_core : int;
-  a_proto : Protocol.t;
-  mutable a_timers : (Protocol.timer * float) list;
-  a_on_prepared : bool -> unit;
-}
-
-type stamp = { mutable s_seq : int; mutable s_last : float }
-
 (* Coordinator-domain state shared by its per-shard GROUP handles. *)
 type coord_state = {
   cs_id : int;
-  cs_cfg : config;
-  cs_wall : unit -> float;  (* wall µs since t0 *)
-  cs_params : Protocol.params;
-  cs_rto_cap : float;
-  cs_attempts : (int, att) Hashtbl.t;
-  mutable cs_next_aid : int;
-  cs_stamps : (int, stamp) Hashtbl.t;  (* client -> stamp state *)
   cs_shards : shard_rt array;
-  mutable cs_fast : int;
-  mutable cs_slow : int;
-  cs_pool : Protocol.action Batch.Pool.t;
-      (** Pooled, not a single scratch batch: [a_on_prepared] runs
-          synchronously from a [Note_decided] and may start the next
-          per-shard attempt while the outer batch is still being
-          iterated. *)
+  cs_wall : unit -> float;  (* wall µs since t0 *)
+  cs_atts : Attempts.t;
 }
 
 type group_handle = { g_shard : int; g_cs : coord_state }
 
-let exec cs (a : att) (action : Protocol.action) =
-  let sr = cs.cs_shards.(a.a_shard) in
-  match action with
-  | Protocol.Send_validates { only_missing } ->
-      for r = 0 to cs.cs_cfg.n_replicas - 1 do
-        if (not only_missing) || Protocol.needs_validate a.a_proto r then
-          Mailbox.push sr.sr_inboxes.(a.a_core)
-            (Validate
-               { replica = r; coord = cs.cs_id; aid = a.a_aid; txn = a.a_txn; ts = a.a_ts })
-      done
-  | Protocol.Send_accepts { decision } ->
-      for r = 0 to cs.cs_cfg.n_replicas - 1 do
-        Mailbox.push sr.sr_inboxes.(a.a_core)
-          (Accept
-             {
-               replica = r;
-               coord = cs.cs_id;
-               aid = a.a_aid;
-               txn = a.a_txn;
-               ts = a.a_ts;
-               decision;
-               view = 0;
-             })
-      done
-  | Protocol.Arm_timer { timer; delay } ->
-      let timer, delay =
-        match timer with
-        | Protocol.Retransmit rto when rto > cs.cs_rto_cap ->
-            (Protocol.Retransmit cs.cs_rto_cap, Float.min delay cs.cs_rto_cap)
-        | _ -> (timer, delay)
-      in
-      a.a_timers <- (timer, cs.cs_wall () +. delay) :: a.a_timers
-  | Protocol.Note_validated -> ()
-  | Protocol.Note_decided { commit; fast } ->
-      if fast then cs.cs_fast <- cs.cs_fast + 1 else cs.cs_slow <- cs.cs_slow + 1;
-      (* NO write-back here — that is the whole point of the prepare:
-         the outcome broadcast waits for the global conjunction
-         ([finalize_txn]). *)
-      Hashtbl.remove cs.cs_attempts a.a_aid;
-      a.a_on_prepared commit
-
-let feed cs a event =
-  Batch.Pool.with_batch cs.cs_pool (fun into ->
-      Protocol.handle a.a_proto ~now:(cs.cs_wall ()) event ~into;
-      Batch.iter (exec cs a) into)
+(* Requests of one transaction go to the same core of every replica
+   of a shard: the core that owns the tid's trecord partition. *)
+let sender (cfg : config) ~shard_rts ~coord =
+  let inbox shard (txn : Txn.t) =
+    shard_rts.(shard).sr_inboxes.(Tid.hash txn.Txn.tid mod cfg.server_domains)
+  in
+  {
+    Attempts.validate =
+      (fun ~shard ~replica ~id txn ts ->
+        Mailbox.push (inbox shard txn)
+          (Validate { replica; coord; aid = id; txn; ts }));
+    accept =
+      (fun ~shard ~replica ~id txn ts decision ->
+        Mailbox.push (inbox shard txn)
+          (Accept { replica; coord; aid = id; txn; ts; decision; view = 0 }));
+    write_back =
+      (fun ~shard ~replica txn ts ~commit ->
+        Mailbox.push (inbox shard txn) (Write_back { replica; txn; ts; commit }));
+  }
 
 (* The four GROUP operations of one shard, as seen from one
    coordinator domain. *)
@@ -287,53 +243,14 @@ module Live_group = struct
     k (attempt 0)
 
   let fresh_txn_stamp g ~client =
-    let cs = g.g_cs in
-    let s =
-      match Hashtbl.find_opt cs.cs_stamps client with
-      | Some s -> s
-      | None ->
-          let s = { s_seq = 0; s_last = 0.0 } in
-          Hashtbl.add cs.cs_stamps client s;
-          s
-    in
-    s.s_seq <- s.s_seq + 1;
-    let now = cs.cs_wall () in
-    (* Strictly increasing per client even when the wall clock stalls
-       within one microsecond. *)
-    let time = if now <= s.s_last then s.s_last +. 1e-3 else now in
-    s.s_last <- time;
-    (Tid.make ~seq:s.s_seq ~client_id:client, Timestamp.make ~time ~client_id:client)
+    Attempts.mint g.g_cs.cs_atts ~client ~now:(g.g_cs.cs_wall ())
 
   let prepare_txn g ~txn ~ts ~on_prepared =
-    let cs = g.g_cs in
-    let aid = cs.cs_next_aid in
-    cs.cs_next_aid <- aid + 1;
-    let now = cs.cs_wall () in
-    Batch.Pool.with_batch cs.cs_pool (fun into ->
-        let proto = Protocol.start cs.cs_params ~now ~into in
-        let a =
-          {
-            a_aid = aid;
-            a_shard = g.g_shard;
-            a_txn = txn;
-            a_ts = ts;
-            a_core = Tid.hash txn.Txn.tid mod cs.cs_cfg.server_domains;
-            a_proto = proto;
-            a_timers = [];
-            a_on_prepared = on_prepared;
-          }
-        in
-        Hashtbl.replace cs.cs_attempts aid a;
-        Batch.iter (exec cs a) into)
+    Attempts.start g.g_cs.cs_atts ~now:(g.g_cs.cs_wall ()) ~shard:g.g_shard ~txn
+      ~ts ~on_decided:on_prepared
 
   let finalize_txn g ~txn ~ts ~commit =
-    let cs = g.g_cs in
-    let sr = cs.cs_shards.(g.g_shard) in
-    let core = Tid.hash txn.Txn.tid mod cs.cs_cfg.server_domains in
-    for r = 0 to cs.cs_cfg.n_replicas - 1 do
-      Mailbox.push sr.sr_inboxes.(core)
-        (Write_back { replica = r; txn; ts; commit })
-    done
+    Attempts.finalize g.g_cs.cs_atts ~shard:g.g_shard ~txn ~ts ~commit
 end
 
 module Driver = Mk_shard.Driver.Make (Live_group)
@@ -353,32 +270,24 @@ type coord_result = {
 type client = {
   cid : int;
   mutable active : bool;
-  mutable done_txns : int;
+  mutable submitted : int;
+  mutable acked : int;
 }
 
 let coordinator (cfg : config) ~t0 ~router ~shard_rts ~coord_inboxes ~coord_id =
   let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
+  let atts =
+    Attempts.create
+      {
+        Protocol.n_replicas = cfg.n_replicas;
+        quorum = Quorum.create ~n:cfg.n_replicas;
+        rto = cfg.rto_us;
+        grace = cfg.grace_us;
+      }
+      ~send:(sender cfg ~shard_rts ~coord:coord_id)
+  in
   let cs =
-    {
-      cs_id = coord_id;
-      cs_cfg = cfg;
-      cs_wall = wall_us;
-      cs_params =
-        {
-          Protocol.n_replicas = cfg.n_replicas;
-          quorum = Quorum.create ~n:cfg.n_replicas;
-          rto = cfg.rto_us;
-          grace = cfg.grace_us;
-        };
-      cs_rto_cap = 8.0 *. cfg.rto_us;
-      cs_attempts = Hashtbl.create 64;
-      cs_next_aid = 0;
-      cs_stamps = Hashtbl.create 16;
-      cs_shards = shard_rts;
-      cs_fast = 0;
-      cs_slow = 0;
-      cs_pool = Batch.Pool.create ();
-    }
+    { cs_id = coord_id; cs_shards = shard_rts; cs_wall = wall_us; cs_atts = atts }
   in
   let driver =
     Driver.create ~router
@@ -398,16 +307,13 @@ let coordinator (cfg : config) ~t0 ~router ~shard_rts ~coord_inboxes ~coord_id =
   let local =
     List.init cfg.clients Fun.id
     |> List.filter (fun cid -> cid mod cfg.coordinators = coord_id)
-    |> List.map (fun cid -> { cid; active = false; done_txns = 0 })
+    |> List.map (fun cid -> { cid; active = false; submitted = 0; acked = 0 })
     |> Array.of_list
   in
-  let deadline_us =
-    match cfg.duration with Some d -> Some (d *. 1e6) | None -> None
-  in
-  let quota_done c =
-    match deadline_us with
-    | Some dl -> wall_us () >= dl
-    | None -> c.done_txns >= cfg.txns_per_client
+  let quota_done c ~now =
+    match cfg.duration with
+    | Some d -> now >= d *. 1e6
+    | None -> c.submitted >= cfg.txns_per_client
   in
   let lat = Histogram.create () in
   let cross = ref 0 in
@@ -423,44 +329,27 @@ let coordinator (cfg : config) ~t0 ~router ~shard_rts ~coord_inboxes ~coord_id =
     let is_cross = Hashtbl.length involved > 1 in
     let started = wall_us () in
     c.active <- true;
+    c.submitted <- c.submitted + 1;
     Driver.submit driver ~client:c.cid ~reads:req.Mk_model.System_intf.reads
       ~writes:(fun _ -> req.Mk_model.System_intf.writes)
       ~on_done:(fun ~committed:_ ->
         Histogram.add lat (wall_us () -. started);
         if is_cross then incr cross;
         c.active <- false;
-        c.done_txns <- c.done_txns + 1)
+        c.acked <- c.acked + 1)
   in
   let dispatch msg =
-    match msg with
-    | Validated { aid; replica; status } -> (
-        match Hashtbl.find_opt cs.cs_attempts aid with
-        | Some a -> feed cs a (Protocol.Validate_reply { replica; status })
-        | None -> ())
-    | Accepted { aid; replica; reply } -> (
-        match Hashtbl.find_opt cs.cs_attempts aid with
-        | Some a -> feed cs a (Protocol.Accept_reply { replica; reply })
-        | None -> ())
-  in
-  let fire_due_timers () =
     let now = wall_us () in
-    (* Collect first: feeding can remove attempts from the table. *)
-    let due = ref [] in
-    Hashtbl.iter
-      (fun _ a ->
-        if List.exists (fun (_, dl) -> dl <= now) a.a_timers then
-          due := a :: !due)
-      cs.cs_attempts;
-    List.iter
-      (fun a ->
-        let fire, pending = List.partition (fun (_, dl) -> dl <= now) a.a_timers in
-        a.a_timers <- pending;
-        List.iter
-          (fun (timer, _) ->
-            if not (Protocol.decided a.a_proto) then
-              feed cs a (Protocol.Timer timer))
-          fire)
-      !due
+    let (_ : Attempts.reply) =
+      match msg with
+      | Validated { aid; shard; replica; status } ->
+          Attempts.reply atts ~now ~id:aid ~shard
+            (Protocol.Validate_reply { replica; status })
+      | Accepted { aid; shard; replica; reply } ->
+          Attempts.reply atts ~now ~id:aid ~shard
+            (Protocol.Accept_reply { replica; reply })
+    in
+    ()
   in
   let idle = ref 0 in
   let rec loop () =
@@ -478,15 +367,16 @@ let coordinator (cfg : config) ~t0 ~router ~shard_rts ~coord_inboxes ~coord_id =
       end
     in
     drain ();
-    fire_due_timers ();
+    let now = wall_us () in
+    Attempts.fire_due atts ~now;
     let all_done = ref true in
     Array.iter
       (fun c ->
-        if (not c.active) && not (quota_done c) then begin
+        if (not c.active) && not (quota_done c ~now) then begin
           start_txn c;
           progressed := true
         end;
-        if c.active || not (quota_done c) then all_done := false)
+        if c.active || not (quota_done c ~now) then all_done := false)
       local;
     if not !all_done then begin
       if !progressed then idle := 0
@@ -498,16 +388,15 @@ let coordinator (cfg : config) ~t0 ~router ~shard_rts ~coord_inboxes ~coord_id =
     end
   in
   loop ();
-  let submitted = Array.fold_left (fun acc c -> acc + c.done_txns) 0 local in
   {
     mc_sub = Driver.sub_histories driver;
     mc_committed = Driver.committed driver;
     mc_aborted = Driver.aborted driver;
     mc_cross = !cross;
-    mc_fast = cs.cs_fast;
-    mc_slow = cs.cs_slow;
-    mc_submitted = submitted;
-    mc_acked = submitted;
+    mc_fast = Attempts.fast atts;
+    mc_slow = Attempts.slow atts;
+    mc_submitted = Array.fold_left (fun acc c -> acc + c.submitted) 0 local;
+    mc_acked = Array.fold_left (fun acc c -> acc + c.acked) 0 local;
     mc_lat = lat;
   }
 
@@ -564,7 +453,7 @@ let run (cfg : config) : report =
         let sr = shard_rts.(shard) in
         List.init cfg.server_domains (fun core ->
             Spawn.spawn (fun () ->
-                server_loop ~core ~replicas:sr.sr_replicas
+                server_loop ~shard ~core ~replicas:sr.sr_replicas
                   ~inbox:sr.sr_inboxes.(core) ~coord_inboxes)))
       (List.init cfg.shards Fun.id)
   in

@@ -8,7 +8,8 @@
     server domains plus [coordinators] coordinator domains. Nothing is
     shared between shards; the only cross-shard party is the
     coordinator, which runs one {!Mk_meerkat.Protocol} validation per
-    involved shard to a decision with the write-back withheld, then
+    involved shard (held in the shared {!Mk_meerkat.Attempts} table)
+    to a decision with the write-back withheld, then
     broadcasts the global conjunction (paper §5.2.4 — the
     client-chosen globally-unique timestamp makes this free of any
     shard-to-shard coordination).
@@ -61,8 +62,8 @@ type report = {
   abort_rate : float;
   p50_us : float;
   p99_us : float;
-  submitted : int;
-  acked : int;
+  submitted : int;  (** Transactions launched. *)
+  acked : int;  (** Transactions whose outcome reached their client. *)
   history : (Mk_storage.Txn.t * Mk_clock.Timestamp.t) list;
       (** The merged global history (via {!Mk_shard.History.merge}) —
           feed to {!Mk_harness.Checker.check}. *)

@@ -1,40 +1,50 @@
-(* Closed-loop clients driving a cluster of {!Node} processes over
-   UDP — the cross-process mirror of the live runtime's coordinator
-   domains.
+(* Closed-loop clients driving S >= 1 shard groups of {!Node}
+   processes over UDP — the cross-process mirror of the live runtime's
+   coordinator domains (DESIGN.md §11, §13).
 
-   Each coordinator domain owns its own shim socket in poll mode (a
-   background socket thread would starve against the busy-polling
-   loop for the domain's runtime lock; inline polling needs no
-   coordination at all), its own RNG, workload, Obs handle and
-   committed list — coordinators share nothing, merged only after
-   join.
+   Each coordinator domain owns one shim socket in poll mode for every
+   group (a background socket thread would starve against the
+   busy-polling loop for the domain's runtime lock; inline polling
+   needs no coordination at all), its own RNG, workload, Obs handle
+   and attempt table — coordinators share nothing, merged only after
+   join. Wire v2 frames carry the group stamp: requests are stamped
+   with the destination group and replies come back stamped by the
+   answering node, so one socket multiplexes S groups without
+   ambiguity, and a reply whose stamp disagrees with the read or
+   attempt it names is a counted drop.
 
-   An attempt has two wire phases. The execute phase sends [Get]s for
-   the read set's distinct keys to one replica and collects versioned
-   values; on silence past the get timeout it rotates to the next
-   replica and resends what is missing (UDP loss, a busy node, or a
-   dead one all look the same — the paper's closest-replica read with
-   failover). Once every key is resolved the commit phase runs the
-   extracted {!Protocol} machine verbatim: its actions become
-   [Validate]/[Accept]/[Write_back] frames to every node, its timers
-   ride the poll loop, and replica replies come back as
-   [Validated]/[Accepted] frames routed by (slot, seq) exactly as in
-   the live runtime — a stale reply for a finished attempt can never
-   be taken for the current one. *)
+   A transaction has two wire phases. The execute phase sends one
+   [Get] per read key to one replica of the key's group; on silence
+   past the get timeout it rotates to the next replica and resends
+   (UDP loss, a busy node, or a dead one all look the same — the
+   paper's closest-replica read with failover). The commit phase is
+   the paper's §5.2.4 client-side 2PC, shared with the other backends
+   through {!Mk_shard.Driver}: one {!Mk_meerkat.Protocol} attempt per
+   involved group, kept in a {!Mk_meerkat.Attempts} table, run to its
+   decision with the write-back withheld; the global outcome is the
+   conjunction, and the write phase is broadcast only then. A
+   single-group deployment is the one-shard case of the same code.
+
+   Routing is by coordinator-local ids — a read id for [Get]s and an
+   attempt id (carried in the frames' [slot] field) for validation
+   attempts — both unique across clients and groups, so a stale reply
+   for a finished read or attempt can never be taken for a live
+   one. *)
 
 module Timestamp = Mk_clock.Timestamp
-module Tid = Timestamp.Tid
 module Txn = Mk_storage.Txn
 module Intf = Mk_model.System_intf
 module Quorum = Mk_meerkat.Quorum
-module Batch = Mk_meerkat.Batch
 module Protocol = Mk_meerkat.Protocol
+module Attempts = Mk_meerkat.Attempts
 module Codec = Mk_wire.Codec
-module Mailbox = Mk_live.Mailbox
 module Spawn = Mk_live.Spawn
 module Workload = Mk_workload.Workload
 module Obs = Mk_obs.Obs
+module Span = Mk_obs.Span
 module Histogram = Mk_util.Histogram
+module Router = Mk_shard.Router
+module History = Mk_shard.History
 
 module Net = Shim.Make (struct
   type msg = int * Codec.t
@@ -53,10 +63,10 @@ type config = {
   keys : int;
   theta : float;
   workload : workload_kind;
+  cross : float;
   txns_per_client : int;
   duration : float option;
   seed : int;
-  shard : int;
   rto_us : float;
   grace_us : float;
   get_rto_us : float;
@@ -69,10 +79,10 @@ let default_config =
     keys = 1024;
     theta = 0.6;
     workload = Ycsb_t;
+    cross = 0.1;
     txns_per_client = 50;
     duration = None;
     seed = 42;
-    shard = 0;
     (* Real datagrams do get lost (full mailboxes, full socket
        buffers), so unlike the live runtime's safety-net timer this
        one is load-bearing: it must fire well before a human notices,
@@ -84,8 +94,10 @@ let default_config =
 
 type result = {
   committed : (Txn.t * Timestamp.t) list;
+  sub_histories : (int * (Txn.t * Timestamp.t) list) list;
   committed_count : int;
   aborted : int;
+  cross_shard : int;
   fast_path : int;
   slow_path : int;
   retransmits : int;
@@ -99,78 +111,172 @@ type result = {
   wire_msgs_tx : int;
   wire_msgs_rx : int;
   wire_decode_errors : int;
+  wire_shard_drops : int;
 }
 
 (* ------------------------------------------------------------------ *)
 (* One coordinator domain                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The execute phase of one attempt: versioned reads outstanding
-   against [target], rotating on timeout. *)
-type exec_phase = {
-  want : int list;  (** Distinct keys of the read set. *)
-  got : (int, Timestamp.t) Hashtbl.t;
-  mutable target : int;
-  mutable get_rto : float;
-  mutable retry_at : float;
-  exec_start : float;
+(* One outstanding execute-phase read of a local key against one
+   group, rotating replicas on timeout. *)
+type read = {
+  r_shard : int;
+  r_key : int;
+  mutable r_target : int;
+  mutable r_rto : float;
+  mutable r_retry_at : float;
+  r_k : int * Timestamp.t -> unit;
 }
 
-type commit_phase = {
-  txn : Txn.t;
-  ts : Timestamp.t;
-  proto : Protocol.t;
-  mutable timers : (Protocol.timer * float) list;  (* absolute µs *)
+type coord = {
+  id : int;
+  net : Net.t;
+  addrs : Unix.sockaddr array array;  (** [.(shard).(replica)]. *)
+  n : int;  (** Replicas per group (the same for every group). *)
+  wall : unit -> float;
+  get_rto : float;
+  atts : Attempts.t;
+  reads : (int, read) Hashtbl.t;
+  mutable next_rid : int;
+  mutable next_retry : float;  (** Lower bound on every [r_retry_at]. *)
 }
 
-type attempt = {
-  att_seq : int;
-  reads : int array;
-  writes : (int * int) array;
-  mutable exec : exec_phase option;
-  mutable commit : commit_phase option;
-}
+(* Z7: [r_shard] comes from the router, in [0, shards), and [r_target]
+   is kept in [0, n) — neither is ever read off the wire. *)
+let[@mk_lint.allow "Z7"] send_get co r ~rid =
+  Net.send co.net ~dst:co.addrs.(r.r_shard).(r.r_target)
+    (r.r_shard, Codec.Get { coord = co.id; slot = 0; seq = rid; key = r.r_key })
+
+(* The four GROUP operations of one shard group, as seen from one
+   coordinator's socket. *)
+module Sock_group = struct
+  type t = { shard : int; co : coord }
+
+  let execute_read g ~client ~key k =
+    let co = g.co in
+    let rid = co.next_rid in
+    co.next_rid <- rid + 1;
+    let retry_at = co.wall () +. co.get_rto in
+    let r =
+      {
+        r_shard = g.shard;
+        r_key = key;
+        r_target = (client + co.id) mod co.n;
+        r_rto = co.get_rto;
+        r_retry_at = retry_at;
+        r_k = k;
+      }
+    in
+    Hashtbl.replace co.reads rid r;
+    if retry_at < co.next_retry then co.next_retry <- retry_at;
+    send_get co r ~rid
+
+  let fresh_txn_stamp g ~client = Attempts.mint g.co.atts ~client ~now:(g.co.wall ())
+
+  let prepare_txn g ~txn ~ts ~on_prepared =
+    Attempts.start g.co.atts ~now:(g.co.wall ()) ~shard:g.shard ~txn ~ts
+      ~on_decided:on_prepared
+
+  let finalize_txn g ~txn ~ts ~commit =
+    Attempts.finalize g.co.atts ~shard:g.shard ~txn ~ts ~commit
+end
+
+module Driver2pc = Mk_shard.Driver.Make (Sock_group)
 
 type client = {
   cid : int;
-  slot : int;
-  mutable next_seq : int;
-  mutable last_time : float;
-  mutable done_txns : int;
-  mutable active : attempt option;
+  mutable active : bool;
+  mutable submitted : int;
+  mutable acked : int;
 }
 
 type coord_result = {
-  c_committed : (Txn.t * Timestamp.t) list;
-  c_latencies : Histogram.t;
-  c_obs : Obs.t;
+  c_sub : (int * (Txn.t * Timestamp.t) list) list;
+  c_committed : int;
+  c_aborted : int;
+  c_cross : int;
+  c_fast : int;
+  c_slow : int;
   c_submitted : int;
   c_acked : int;
+  c_lat : Histogram.t;
+  c_obs : Obs.t;
 }
 
-let distinct keys =
-  List.sort_uniq compare (Array.to_list keys)
+(* Z7 (the three send functions): [shard] comes from the router and
+   [replica] from the attempt table's [0, n) loops. *)
+let sender net ~addrs ~coord =
+  {
+    Attempts.validate =
+      (fun ~shard ~replica ~id txn ts ->
+        Net.send net
+          ~dst:(addrs.(shard).(replica) [@mk_lint.allow "Z7"])
+          (shard, Codec.Validate { coord; slot = id; seq = 0; txn; ts }));
+    accept =
+      (fun ~shard ~replica ~id txn ts decision ->
+        Net.send net
+          ~dst:(addrs.(shard).(replica) [@mk_lint.allow "Z7"])
+          ( shard,
+            Codec.Accept { coord; slot = id; seq = 0; txn; ts; decision; view = 0 }
+          ));
+    write_back =
+      (fun ~shard ~replica txn ts ~commit ->
+        Net.send net
+          ~dst:(addrs.(shard).(replica) [@mk_lint.allow "Z7"])
+          (shard, Codec.Write_back { txn; ts; commit }));
+  }
 
-let coordinator (cfg : config) ~addrs ~t0 ~coord_id =
-  let n = Array.length addrs in
+let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
   let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
-  let rto_cap = 8.0 *. cfg.rto_us in
   let obs = Obs.create ~clock:wall_us () in
-  let lat = Histogram.create () in
-  let committed = ref [] in
   let net =
     match Net.bind () with
     | Ok net -> net
     | Error msg -> failwith ("client socket: " ^ msg)
   in
   Net.set_obs net obs;
-  let params =
+  let shards = Array.length addrs in
+  let n = Array.length addrs.(0) in
+  let span kind a ~start =
+    Obs.span obs kind ~tid:(Attempts.attempt_txn a).Txn.tid.client_id ~start ()
+  in
+  let atts =
+    Attempts.create
+      {
+        Protocol.n_replicas = n;
+        quorum = Quorum.create ~n;
+        rto = cfg.rto_us;
+        grace = cfg.grace_us;
+      }
+      ~send:(sender net ~addrs ~coord:coord_id)
+      ~on_validated:(fun a ->
+        span Span.Validate a ~start:(Protocol.started (Attempts.attempt_proto a)))
+      ~on_decided:(fun a ~commit ~fast ->
+        let proto = Attempts.attempt_proto a in
+        if fast then span Span.Fast_quorum a ~start:(Protocol.started proto)
+        else if not (Float.is_nan (Protocol.accept_started proto)) then
+          span Span.Slow_accept a ~start:(Protocol.accept_started proto);
+        Obs.note_decision obs ~committed:commit ~fast)
+      ~on_retransmit:(fun _ -> Obs.note_retransmit obs)
+  in
+  let co =
     {
-      Protocol.n_replicas = n;
-      quorum = Quorum.create ~n;
-      rto = cfg.rto_us;
-      grace = cfg.grace_us;
+      id = coord_id;
+      net;
+      addrs;
+      n;
+      wall = wall_us;
+      get_rto = cfg.get_rto_us;
+      atts;
+      reads = Hashtbl.create 64;
+      next_rid = 0;
+      next_retry = infinity;
     }
+  in
+  let driver =
+    Driver2pc.create ~router
+      ~groups:(Array.init shards (fun shard -> { Sock_group.shard; co }))
   in
   let rng = Mk_util.Rng.create ~seed:(cfg.seed + (7919 * (coord_id + 1))) in
   let wl =
@@ -179,270 +285,104 @@ let coordinator (cfg : config) ~addrs ~t0 ~coord_id =
     | Rmw_pair -> Workload.rmw_pair ~rng ~keys:cfg.keys ~theta:cfg.theta
     | Retwis -> Workload.retwis ~rng ~keys:cfg.keys ~theta:cfg.theta
   in
+  (* The router places by key mod shards ({!Router.Mod}), which is the
+     placement the locality knob assumes. *)
+  if shards > 1 then
+    Workload.set_locality wl (Some { Workload.shards; cross = cfg.cross });
   let local =
     List.init cfg.clients Fun.id
     |> List.filter (fun cid -> cid mod cfg.coordinators = coord_id)
-    |> List.mapi (fun slot cid ->
-           { cid; slot; next_seq = 0; last_time = 0.0; done_txns = 0; active = None })
+    |> List.map (fun cid -> { cid; active = false; submitted = 0; acked = 0 })
     |> Array.of_list
   in
-  let deadline_us =
-    match cfg.duration with Some d -> Some (d *. 1e6) | None -> None
+  let quota_done c ~now =
+    match cfg.duration with
+    | Some d -> now >= d *. 1e6
+    | None -> c.submitted >= cfg.txns_per_client
   in
-  let quota_done c =
-    match deadline_us with
-    | Some dl -> wall_us () >= dl
-    | None -> c.done_txns >= cfg.txns_per_client
-  in
-  let send_gets c att ex =
-    List.iter
-      (fun key ->
-        if not (Hashtbl.mem ex.got key) then
-          Net.send net ~dst:addrs.(ex.target)
-            ( cfg.shard,
-              Codec.Get { coord = coord_id; slot = c.slot; seq = att.att_seq; key } ))
-      ex.want
-  in
-  (* Z7: the [addrs.(r)] reads below sit inside [0 .. n-1] loops with
-     [n = Array.length addrs]. *)
-  let exec_action c att cm action =
-    match action with
-    | Protocol.Send_validates { only_missing } ->
-        for r = 0 to n - 1 do
-          if (not only_missing) || Protocol.needs_validate cm.proto r then
-            Net.send net ~dst:(addrs.(r) [@mk_lint.allow "Z7"])
-              ( cfg.shard,
-                Codec.Validate
-                  {
-                    coord = coord_id;
-                    slot = c.slot;
-                    seq = att.att_seq;
-                    txn = cm.txn;
-                    ts = cm.ts;
-                  } )
-        done
-    | Protocol.Send_accepts { decision } ->
-        for r = 0 to n - 1 do
-          Net.send net ~dst:(addrs.(r) [@mk_lint.allow "Z7"])
-            ( cfg.shard,
-              Codec.Accept
-                {
-                  coord = coord_id;
-                  slot = c.slot;
-                  seq = att.att_seq;
-                  txn = cm.txn;
-                  ts = cm.ts;
-                  decision;
-                  view = 0;
-                } )
-        done
-    | Protocol.Arm_timer { timer; delay } ->
-        let timer, delay =
-          match timer with
-          | Protocol.Retransmit rto when rto > rto_cap ->
-              (Protocol.Retransmit rto_cap, Float.min delay rto_cap)
-          | _ -> (timer, delay)
-        in
-        cm.timers <- (timer, wall_us () +. delay) :: cm.timers
-    | Protocol.Note_validated ->
-        Obs.span obs Mk_obs.Span.Validate ~tid:c.cid
-          ~start:(Protocol.started cm.proto) ()
-    | Protocol.Note_decided { commit; fast } ->
-        let now = wall_us () in
-        Histogram.add lat (now -. Protocol.started cm.proto);
-        if fast then
-          Obs.span obs Mk_obs.Span.Fast_quorum ~tid:c.cid
-            ~start:(Protocol.started cm.proto) ()
-        else if not (Float.is_nan (Protocol.accept_started cm.proto)) then
-          Obs.span obs Mk_obs.Span.Slow_accept ~tid:c.cid
-            ~start:(Protocol.accept_started cm.proto) ();
-        Obs.note_decision obs ~committed:commit ~fast;
-        (* Asynchronous write phase (§5.2.3): fire and forget. *)
-        for r = 0 to n - 1 do
-          Net.send net ~dst:(addrs.(r) [@mk_lint.allow "Z7"])
-            (cfg.shard, Codec.Write_back { txn = cm.txn; ts = cm.ts; commit })
-        done;
-        if commit then committed := (cm.txn, cm.ts) :: !committed
-  in
-  (* One scratch batch per coordinator: [exec_action] never reenters
-     [feed]/[begin_commit] (the next transaction starts from the poll
-     loop), so a single reused buffer is safe. *)
-  let acts : Protocol.action Batch.t = Batch.create () in
-  let feed c att cm event =
-    Batch.clear acts;
-    Protocol.handle cm.proto ~now:(wall_us ()) event ~into:acts;
-    Batch.iter (exec_action c att cm) acts;
-    if Protocol.decided cm.proto then begin
-      c.active <- None;
-      c.done_txns <- c.done_txns + 1
-    end
-  in
-  (* Every read resolved: build the transaction and start the commit
-     protocol. *)
-  let begin_commit c att (ex : exec_phase option) =
-    let read_set =
-      Array.to_list
-        (Array.map
-           (fun key ->
-             let wts =
-               match ex with
-               | Some ex -> (
-                   match Hashtbl.find_opt ex.got key with
-                   | Some wts -> wts
-                   | None -> Timestamp.zero)
-               | None -> Timestamp.zero
-             in
-             ({ key; wts } : Txn.read_entry))
-           att.reads)
-    in
-    let write_set =
-      List.map
-        (fun (key, value) -> ({ key; value } : Txn.write_entry))
-        (Array.to_list att.writes)
-    in
-    (match ex with
-    | Some ex ->
-        Obs.span obs Mk_obs.Span.Execute ~tid:c.cid ~start:ex.exec_start ()
-    | None -> ());
-    let tid = Tid.make ~seq:att.att_seq ~client_id:c.cid in
-    let txn = Txn.make ~tid ~read_set ~write_set in
-    let now = wall_us () in
-    (* Strictly increasing proposed timestamps per client, even when
-       the wall clock stalls within one microsecond. *)
-    let time = if now <= c.last_time then c.last_time +. 1e-3 else now in
-    c.last_time <- time;
-    let ts = Timestamp.make ~time ~client_id:c.cid in
-    Batch.clear acts;
-    let proto = Protocol.start params ~now ~into:acts in
-    let cm = { txn; ts; proto; timers = [] } in
-    att.exec <- None;
-    att.commit <- Some cm;
-    Batch.iter (exec_action c att cm) acts
-  in
-  let start_txn c =
+  let lat = Histogram.create () in
+  let cross = ref 0 in
+  let start_txn c ~now =
     let req = Workload.next wl in
-    c.next_seq <- c.next_seq + 1;
-    let att =
-      {
-        att_seq = c.next_seq;
-        reads = req.Intf.reads;
-        writes = req.Intf.writes;
-        exec = None;
-        commit = None;
-      }
-    in
-    c.active <- Some att;
-    if Array.length req.Intf.reads = 0 then begin_commit c att None
-    else begin
-      let ex =
-        {
-          want = distinct req.Intf.reads;
-          got = Hashtbl.create 8;
-          target = c.cid mod n;
-          get_rto = cfg.get_rto_us;
-          retry_at = wall_us () +. cfg.get_rto_us;
-          exec_start = wall_us ();
-        }
-      in
-      att.exec <- Some ex;
-      send_gets c att ex
-    end
+    let is_cross = shards > 1 && Workload.spans ~shards req in
+    c.active <- true;
+    c.submitted <- c.submitted + 1;
+    Driver2pc.submit driver ~client:c.cid ~reads:req.Intf.reads
+      ~writes:(fun _ -> req.Intf.writes)
+      ~on_done:(fun ~committed:_ ->
+        (* Latency runs from the stamp mint (the end of the execute
+           phase) to the global decision. *)
+        let minted = Attempts.last_stamp atts ~client:c.cid in
+        Obs.span obs Span.Execute ~tid:c.cid ~start:now ~finish:minted ();
+        Histogram.add lat (wall_us () -. minted);
+        if is_cross then incr cross;
+        c.active <- false;
+        c.acked <- c.acked + 1)
   in
-  (* [slot] indexes [local] and [replica] indexes the protocol
-     machine's per-replica reply arrays, both straight off the wire: a
-     corrupted or hostile reply frame must be a counted drop, never an
-     [Invalid_argument] that aborts the coordinator domain. *)
-  let slot_ok s = s >= 0 && s < Array.length local in
   let replica_ok r = r >= 0 && r < n in
   let drop_bad_ids () = Obs.note_wire_decode_error obs in
+  let to_attempt ~id ~shard event =
+    match Attempts.reply atts ~now:(wall_us ()) ~id ~shard event with
+    | Attempts.Misrouted -> Obs.note_wire_shard_drop obs
+    | Attempts.Fed | Attempts.Stale -> ()
+  in
   let deliver ~src:_ ((shard, msg) : int * Codec.t) =
-    if shard <> cfg.shard then Obs.note_wire_shard_drop obs
-    else
     match msg with
-    | Codec.Get_reply { slot; seq; key; wts; _ } -> (
-        if not (slot_ok slot) then drop_bad_ids ()
-        else
-          (* Z7: [slot] passed [slot_ok] just above. *)
-          let c = (local.(slot) [@mk_lint.allow "Z7"]) in
-          match c.active with
-          | Some att when att.att_seq = seq -> (
-              match att.exec with
-              | Some ex ->
-                  if List.mem key ex.want && not (Hashtbl.mem ex.got key) then begin
-                    Hashtbl.replace ex.got key wts;
-                    if Hashtbl.length ex.got = List.length ex.want then
-                      begin_commit c att (Some ex)
-                  end
-              | None -> ())
-          | Some _ | None -> ())
-    | Codec.Validated { slot; seq; replica; status } -> (
-        if not (slot_ok slot && replica_ok replica) then drop_bad_ids ()
-        else
-          (* Z7: [slot] passed [slot_ok] just above. *)
-          let c = (local.(slot) [@mk_lint.allow "Z7"]) in
-          match c.active with
-          | Some att when att.att_seq = seq -> (
-              match att.commit with
-              | Some cm -> feed c att cm (Protocol.Validate_reply { replica; status })
-              | None -> ())
-          | Some _ | None -> ())
-    | Codec.Accepted { slot; seq; replica; reply } -> (
-        if not (slot_ok slot && replica_ok replica) then drop_bad_ids ()
-        else
-          (* Z7: [slot] passed [slot_ok] just above. *)
-          let c = (local.(slot) [@mk_lint.allow "Z7"]) in
-          match c.active with
-          | Some att when att.att_seq = seq -> (
-              match att.commit with
-              | Some cm -> feed c att cm (Protocol.Accept_reply { replica; reply })
-              | None -> ())
-          | Some _ | None -> ())
+    | Codec.Get_reply { seq = rid; key; wts; value; _ } -> (
+        match Hashtbl.find_opt co.reads rid with
+        | Some r ->
+            if shard <> r.r_shard then Obs.note_wire_shard_drop obs
+            else if key <> r.r_key then drop_bad_ids ()
+            else begin
+              Hashtbl.remove co.reads rid;
+              r.r_k (value, wts)
+            end
+        | None -> ())
+    | Codec.Validated { slot = id; replica; status; _ } ->
+        if replica_ok replica then
+          to_attempt ~id ~shard (Protocol.Validate_reply { replica; status })
+        else drop_bad_ids ()
+    | Codec.Accepted { slot = id; replica; reply; _ } ->
+        if replica_ok replica then
+          to_attempt ~id ~shard (Protocol.Accept_reply { replica; reply })
+        else drop_bad_ids ()
     | _ ->
         (* Server-side or control traffic; not for a client socket. *)
         ()
   in
-  let tick_client c =
-    match c.active with
-    | None -> if not (quota_done c) then start_txn c
-    | Some att -> (
-        match (att.exec, att.commit) with
-        | Some ex, _ ->
-            let now = wall_us () in
-            if now >= ex.retry_at then begin
-              (* Rotate replicas: loss, a busy node and a dead one all
-                 look like silence. *)
-              ex.target <- (ex.target + 1) mod n;
-              ex.get_rto <- Float.min (ex.get_rto *. 2.0) rto_cap;
-              ex.retry_at <- now +. ex.get_rto;
-              Obs.note_retransmit obs;
-              send_gets c att ex
-            end
-        | None, Some cm ->
-            let now = wall_us () in
-            let due, pending =
-              List.partition (fun (_, dl) -> dl <= now) cm.timers
-            in
-            cm.timers <- pending;
-            List.iter
-              (fun (timer, _) ->
-                if not (Protocol.decided cm.proto) then begin
-                  (match timer with
-                  | Protocol.Retransmit _ -> Obs.note_retransmit obs
-                  | Protocol.Fast_grace -> ());
-                  feed c att cm (Protocol.Timer timer)
-                end)
-              due
-        | None, None -> ())
+  (* Rotate every overdue read to the next replica: loss, a busy node
+     and a dead one all look like silence. *)
+  let retry_reads ~now =
+    if now >= co.next_retry then begin
+      let due =
+        Hashtbl.fold
+          (fun rid r acc -> if now >= r.r_retry_at then (rid, r) :: acc else acc)
+          co.reads []
+      in
+      List.iter
+        (fun (rid, r) ->
+          r.r_target <- (r.r_target + 1) mod n;
+          r.r_rto <- Float.min (r.r_rto *. 2.0) (Attempts.rto_cap atts);
+          r.r_retry_at <- now +. r.r_rto;
+          Obs.note_retransmit obs;
+          send_get co r ~rid)
+        due;
+      co.next_retry <-
+        Hashtbl.fold (fun _ r m -> Float.min m r.r_retry_at) co.reads infinity
+    end
   in
   let idle = ref 0 in
   let rec loop () =
     let delivered = Net.poll net ~deliver in
+    let now = wall_us () in
+    retry_reads ~now;
+    Attempts.fire_due atts ~now;
     let all_done = ref true in
-    Array.iter
-      (fun c ->
-        tick_client c;
-        if Option.is_some c.active || not (quota_done c) then all_done := false)
-      local;
+    for i = 0 to Array.length local - 1 do
+      let c = local.(i) in
+      if (not c.active) && not (quota_done c ~now) then start_txn c ~now;
+      if c.active || not (quota_done c ~now) then all_done := false
+    done;
     if not !all_done then begin
       if delivered > 0 then idle := 0
       else begin
@@ -454,58 +394,87 @@ let coordinator (cfg : config) ~addrs ~t0 ~coord_id =
   in
   loop ();
   Net.stop net;
-  let submitted = Array.fold_left (fun acc c -> acc + c.next_seq) 0 local in
-  let acked = Array.fold_left (fun acc c -> acc + c.done_txns) 0 local in
   {
-    c_committed = !committed;
-    c_latencies = lat;
+    c_sub = Driver2pc.sub_histories driver;
+    c_committed = Driver2pc.committed driver;
+    c_aborted = Driver2pc.aborted driver;
+    c_cross = !cross;
+    c_fast = Attempts.fast atts;
+    c_slow = Attempts.slow atts;
+    c_submitted = Array.fold_left (fun acc c -> acc + c.submitted) 0 local;
+    c_acked = Array.fold_left (fun acc c -> acc + c.acked) 0 local;
+    c_lat = lat;
     c_obs = obs;
-    c_submitted = submitted;
-    c_acked = acked;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Whole-driver run                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run (cfg : config) ~cluster =
+let resolve clusters =
+  Array.fold_right
+    (fun cluster acc ->
+      match (Cluster_config.sockaddrs cluster, acc) with
+      | Ok a, Ok rest -> Ok (a :: rest)
+      | (Error _ as e), _ -> e
+      | Ok _, (Error _ as e) -> e)
+    clusters (Ok [])
+  |> Result.map Array.of_list
+
+let run_groups (cfg : config) ~clusters =
+  let shards = Array.length clusters in
+  if shards < 1 then invalid_arg "Client_driver.run: no cluster";
   if cfg.coordinators < 1 then
     invalid_arg "Client_driver.run: coordinators must be >= 1";
   if cfg.clients < cfg.coordinators then
     invalid_arg "Client_driver.run: clients must be >= coordinators";
-  match Cluster_config.sockaddrs cluster with
+  if cfg.cross < 0.0 || cfg.cross > 1.0 then
+    invalid_arg "Client_driver.run: cross must be in [0, 1]";
+  match resolve clusters with
   | Error _ as e -> e
   | Ok addrs ->
+      let n = Array.length addrs.(0) in
+      if not (Array.for_all (fun a -> Array.length a = n) addrs) then
+        invalid_arg "Client_driver.run: every group needs the same fleet size";
+      let router = Router.create ~shards ~keys:cfg.keys () in
       let t0 = Spawn.wall () in
       let results =
         Spawn.parallel ~domains:cfg.coordinators (fun coord_id ->
-            coordinator cfg ~addrs ~t0 ~coord_id)
+            coordinator cfg ~router ~addrs ~t0 ~coord_id)
       in
       let wall_seconds = Spawn.wall () -. t0 in
-      let committed = List.concat_map (fun r -> r.c_committed) results in
-      let sum name =
-        List.fold_left
-          (fun acc r -> acc + Obs.counter_value r.c_obs name)
-          0 results
+      let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+      let sum name = total (fun r -> Obs.counter_value r.c_obs name) in
+      let sub_histories =
+        List.init shards (fun shard ->
+            (shard, List.concat_map (fun r -> List.assoc shard r.c_sub) results))
+      in
+      let committed =
+        (* One group's sub-history is already over global keys. *)
+        match sub_histories with
+        | [ (_, history) ] -> history
+        | _ -> History.merge ~router sub_histories
       in
       let lat =
         List.fold_left
-          (fun acc r -> Histogram.merge acc r.c_latencies)
+          (fun acc r -> Histogram.merge acc r.c_lat)
           (Histogram.create ()) results
       in
-      let committed_count = sum "txn.committed" in
-      let aborted = sum "txn.aborted" in
+      let committed_count = total (fun r -> r.c_committed) in
+      let aborted = total (fun r -> r.c_aborted) in
       let decided = committed_count + aborted in
       Ok
         {
           committed;
+          sub_histories;
           committed_count;
           aborted;
-          fast_path = sum "txn.fast_path";
-          slow_path = sum "txn.slow_path";
+          cross_shard = total (fun r -> r.c_cross);
+          fast_path = total (fun r -> r.c_fast);
+          slow_path = total (fun r -> r.c_slow);
           retransmits = sum "net.retransmits";
-          submitted = List.fold_left (fun acc r -> acc + r.c_submitted) 0 results;
-          acked = List.fold_left (fun acc r -> acc + r.c_acked) 0 results;
+          submitted = total (fun r -> r.c_submitted);
+          acked = total (fun r -> r.c_acked);
           wall_seconds;
           throughput = float_of_int committed_count /. wall_seconds;
           abort_rate =
@@ -516,7 +485,10 @@ let run (cfg : config) ~cluster =
           wire_msgs_tx = sum "wire.msgs_tx";
           wire_msgs_rx = sum "wire.msgs_rx";
           wire_decode_errors = sum "wire.decode_errors";
+          wire_shard_drops = sum "wire.shard_drops";
         }
+
+let run cfg ~cluster = run_groups cfg ~clusters:[| cluster |]
 
 let shutdown ?(shard = 0) ~cluster () =
   match Cluster_config.sockaddrs cluster with
@@ -532,11 +504,13 @@ let shutdown ?(shard = 0) ~cluster () =
 
 let result_json (r : result) =
   Printf.sprintf
-    "{\"committed\": %d, \"aborted\": %d, \"fast_path\": %d, \"slow_path\": \
-     %d, \"retransmits\": %d, \"submitted\": %d, \"acked\": %d, \
-     \"wall_seconds\": %.6f, \"throughput\": %.1f, \"abort_rate\": %.4f, \
-     \"p50_us\": %.1f, \"p99_us\": %.1f, \"wire_msgs_tx\": %d, \
-     \"wire_msgs_rx\": %d, \"wire_decode_errors\": %d}"
-    r.committed_count r.aborted r.fast_path r.slow_path r.retransmits
-    r.submitted r.acked r.wall_seconds r.throughput r.abort_rate r.p50_us
-    r.p99_us r.wire_msgs_tx r.wire_msgs_rx r.wire_decode_errors
+    "{\"committed\": %d, \"aborted\": %d, \"cross_shard\": %d, \"fast_path\": \
+     %d, \"slow_path\": %d, \"retransmits\": %d, \"submitted\": %d, \
+     \"acked\": %d, \"wall_seconds\": %.6f, \"throughput\": %.1f, \
+     \"abort_rate\": %.4f, \"p50_us\": %.1f, \"p99_us\": %.1f, \
+     \"wire_msgs_tx\": %d, \"wire_msgs_rx\": %d, \"wire_decode_errors\": %d, \
+     \"wire_shard_drops\": %d}"
+    r.committed_count r.aborted r.cross_shard r.fast_path r.slow_path
+    r.retransmits r.submitted r.acked r.wall_seconds r.throughput r.abort_rate
+    r.p50_us r.p99_us r.wire_msgs_tx r.wire_msgs_rx r.wire_decode_errors
+    r.wire_shard_drops

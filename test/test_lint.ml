@@ -562,7 +562,10 @@ let test_real_config_interprocedural () =
     && List.mem "lib/shard/router.ml" cfg.Config.pure_files
     && List.mem "lib/shard/xcoord.ml" cfg.Config.pure_files
     && List.mem "lib/shard/history.ml" cfg.Config.pure_files
-    && List.mem "lib/node/shard_driver.ml:deliver" cfg.Config.total_entries
+    (* The client side's attempt table, shared by the cluster client
+       and the live multi-group runner, is time-injected and
+       transport-free. *)
+    && List.mem "lib/meerkat/attempts.ml" cfg.Config.pure_files
     (* The absorbed sim-only sketch must not keep a stale escape
        hatch: lib/shard has no layering allow at all. *)
     && (not (List.mem "lib/meerkat/sharded.ml" cfg.Config.layering_allow))
@@ -577,8 +580,7 @@ let test_real_config_interprocedural () =
        entries too: the server domain's per-message handler and the
        poll-mode drivers' frame handlers. *)
     && List.mem "lib/live/runtime.ml:server_handle" cfg.Config.nonblock_entries
-    && List.mem "lib/node/client_driver.ml:deliver" cfg.Config.nonblock_entries
-    && List.mem "lib/node/shard_driver.ml:deliver" cfg.Config.nonblock_entries);
+    && List.mem "lib/node/client_driver.ml:deliver" cfg.Config.nonblock_entries);
   let cfg = rebase_cfg cfg in
   Alcotest.(check (list finding))
     "protocol core clean under Z5/Z6" []

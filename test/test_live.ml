@@ -17,6 +17,7 @@ module Transport = Mk_net.Transport
 module Intf = Mk_model.System_intf
 module Sim = Mk_meerkat.Sim_system
 module Workload = Mk_workload.Workload
+module Multi = Mk_live.Multi
 
 (* --- mailbox --- *)
 
@@ -396,6 +397,48 @@ let test_live_single_domain () =
     (r.Runtime.committed_count + r.Runtime.aborted);
   check_serializable "single domain" r
 
+(* --- the multi-group runner (DESIGN.md §13) --- *)
+
+let test_multi_cross_shard () =
+  (* 2 shards x 3 replicas with half of the multi-key transactions
+     spanning both groups: every submitted transaction must be
+     answered exactly once, cross-shard commits must actually happen,
+     and the merged history and each shard's own sub-history must be
+     serializable. *)
+  let clients = 4 and txns = 20 in
+  let r =
+    Multi.run
+      {
+        Multi.default_config with
+        shards = 2;
+        server_domains = 1;
+        n_replicas = 3;
+        coordinators = 1;
+        clients;
+        keys = 64;
+        workload = Runtime.Rmw_pair;
+        cross = 0.5;
+        txns_per_client = txns;
+        seed = 3;
+      }
+  in
+  let expected = clients * txns in
+  Alcotest.(check int) "decided" expected (r.Multi.committed_count + r.Multi.aborted);
+  Alcotest.(check int) "submitted" expected r.Multi.submitted;
+  Alcotest.(check int) "acked" expected r.Multi.acked;
+  Alcotest.(check bool) "some cross-shard transactions" true
+    (r.Multi.cross_shard > 0);
+  (match Checker.check r.Multi.history with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "merged history: %a" Checker.pp_violation v);
+  List.iter
+    (fun (shard, sub) ->
+      match Checker.check sub with
+      | Ok () -> ()
+      | Error v ->
+          Alcotest.failf "shard %d sub-history: %a" shard Checker.pp_violation v)
+    r.Multi.sub_histories
+
 (* --- chaos on live domains --- *)
 
 let test_coord_inbox_floor () =
@@ -580,6 +623,11 @@ let () =
             test_live_serializable_across_seeds;
           Alcotest.test_case "single server domain" `Quick
             test_live_single_domain;
+        ] );
+      ( "multi",
+        [
+          Alcotest.test_case "2 shards, cross-shard 2PC serializable" `Quick
+            test_multi_cross_shard;
         ] );
       ( "chaos",
         [

@@ -10,7 +10,6 @@
 module Cluster_config = Mk_node.Cluster_config
 module Node = Mk_node.Node
 module Driver = Mk_node.Client_driver
-module Shard_driver = Mk_node.Shard_driver
 module Checker = Mk_harness.Checker
 module Detector = Mk_meerkat.Detector
 module Codec = Mk_wire.Codec
@@ -531,9 +530,8 @@ let test_sharded_cluster_serializable () =
   let clusters = Array.map fst fleets in
   let driver_cfg =
     {
-      Shard_driver.default_config with
-      Shard_driver.shards;
-      coordinators = 2;
+      Driver.default_config with
+      Driver.coordinators = 2;
       clients = 6;
       keys;
       workload = Driver.Rmw_pair;
@@ -543,7 +541,7 @@ let test_sharded_cluster_serializable () =
     }
   in
   let result =
-    match Shard_driver.run driver_cfg ~clusters with
+    match Driver.run_groups driver_cfg ~clusters with
     | Ok r -> r
     | Error e -> Alcotest.failf "driver: %s" e
   in
@@ -555,14 +553,14 @@ let test_sharded_cluster_serializable () =
     clusters;
   let stats = Array.map (fun (_, nodes) -> Array.map Node.wait nodes) fleets in
   Alcotest.(check int) "72 transactions resolved" 72
-    (result.Shard_driver.committed_count + result.Shard_driver.aborted);
+    (result.Driver.committed_count + result.Driver.aborted);
   Alcotest.(check bool) "some commits" true
-    (result.Shard_driver.committed_count > 0);
+    (result.Driver.committed_count > 0);
   Alcotest.(check bool) "some cross-shard commits" true
-    (result.Shard_driver.cross_shard > 0);
+    (result.Driver.cross_shard > 0);
   Alcotest.(check int) "driver saw no shard drops" 0
-    result.Shard_driver.wire_shard_drops;
-  (match Checker.check result.Shard_driver.committed with
+    result.Driver.wire_shard_drops;
+  (match Checker.check result.Driver.committed with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "merged history not serializable: %a" Checker.pp_violation
@@ -575,7 +573,7 @@ let test_sharded_cluster_serializable () =
       | Error v ->
           Alcotest.failf "shard %d sub-history not serializable: %a" s
             Checker.pp_violation v)
-    result.Shard_driver.sub_histories;
+    result.Driver.sub_histories;
   Array.iteri
     (fun s fleet_stats ->
       Array.iter

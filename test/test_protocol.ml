@@ -12,6 +12,9 @@ module S = Mk_meerkat.Sim_system
 module Replica = Mk_meerkat.Replica
 module Checker = Mk_harness.Checker
 module Batch = Mk_meerkat.Batch
+module Attempts = Mk_meerkat.Attempts
+module Protocol = Mk_meerkat.Protocol
+module Quorum = Mk_meerkat.Quorum
 
 let base_cfg =
   { S.default_config with threads = 4; n_clients = 16; keys = 256; seed = 5 }
@@ -567,6 +570,140 @@ let test_pool_with_batch_reentrant () =
   Alcotest.(check bool) "batch recovered clean after the exception" true
     (Batch.is_empty r)
 
+(* --- the attempt table, over a fake transport and an injected clock --- *)
+
+type sent = V of int * int * int | A of int * int * int | W of int * int
+
+(* 3 replicas, rto 100, so the Retransmit cap is 800. [sent] logs
+   every request (newest first); [decided] every decision callback. *)
+let attempt_table () =
+  let sent = ref [] and decided = ref [] and retransmits = ref 0 in
+  let send =
+    {
+      Attempts.validate =
+        (fun ~shard ~replica ~id _ _ -> sent := V (shard, replica, id) :: !sent);
+      accept =
+        (fun ~shard ~replica ~id _ _ _ -> sent := A (shard, replica, id) :: !sent);
+      write_back =
+        (fun ~shard ~replica _ _ ~commit:_ -> sent := W (shard, replica) :: !sent);
+    }
+  in
+  let params =
+    { Protocol.n_replicas = 3; quorum = Quorum.create ~n:3; rto = 100.0; grace = 10.0 }
+  in
+  let t =
+    Attempts.create params ~send ~on_retransmit:(fun _ -> incr retransmits)
+  in
+  let start ?(shard = 0) ~now client =
+    let tid, ts = Attempts.mint t ~client ~now in
+    let txn =
+      Txn.make ~tid ~read_set:[] ~write_set:[ { Txn.key = client; value = 1 } ]
+    in
+    Attempts.start t ~now ~shard ~txn ~ts ~on_decided:(fun c ->
+        decided := (client, c) :: !decided)
+  in
+  (t, start, sent, decided, retransmits)
+
+let ok ~replica = Protocol.Validate_reply { replica; status = Txn.Validated_ok }
+
+let reply_t =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with
+        | Attempts.Fed -> "Fed"
+        | Attempts.Stale -> "Stale"
+        | Attempts.Misrouted -> "Misrouted"))
+    ( = )
+
+let test_attempts_stale_reply () =
+  let t, start, _, decided, _ = attempt_table () in
+  start ~now:0.0 7;
+  List.iter
+    (fun replica ->
+      Alcotest.check reply_t "live reply fed" Attempts.Fed
+        (Attempts.reply t ~now:1.0 ~id:0 ~shard:0 (ok ~replica)))
+    [ 0; 1; 2 ];
+  Alcotest.(check (list (pair int bool))) "decided on the fast path"
+    [ (7, true) ] !decided;
+  Alcotest.(check int) "fast" 1 (Attempts.fast t);
+  Alcotest.(check int) "left the table" 0 (Attempts.in_flight t);
+  Alcotest.check reply_t "reply for the finished id" Attempts.Stale
+    (Attempts.reply t ~now:2.0 ~id:0 ~shard:0 (ok ~replica:1));
+  Alcotest.(check int) "decided once" 1 (List.length !decided)
+
+let test_attempts_misrouted () =
+  let t, start, _, decided, _ = attempt_table () in
+  start ~shard:1 ~now:0.0 3;
+  List.iter
+    (fun replica ->
+      Alcotest.check reply_t "wrong group refused" Attempts.Misrouted
+        (Attempts.reply t ~now:1.0 ~id:0 ~shard:0 (ok ~replica)))
+    [ 0; 1; 2 ];
+  Alcotest.(check int) "nothing decided" 0 (List.length !decided);
+  Alcotest.(check int) "still in flight" 1 (Attempts.in_flight t);
+  Alcotest.check reply_t "right group fed" Attempts.Fed
+    (Attempts.reply t ~now:1.0 ~id:0 ~shard:1 (ok ~replica:0))
+
+let test_attempts_retransmit_clamped () =
+  let t, start, sent, _, retransmits = attempt_table () in
+  start ~now:0.0 1;
+  Alcotest.(check (float 0.0)) "first deadline" 100.0 (Attempts.next_due t);
+  (* Each expiry doubles the timeout — 200, 400, 800 — and the next
+     doubling (1600) is clamped to the 800 cap, twice over. *)
+  List.iter
+    (fun (now, next) ->
+      Attempts.fire_due t ~now;
+      Alcotest.(check (float 0.0)) (Printf.sprintf "after %g" now) next
+        (Attempts.next_due t))
+    [ (100.0, 300.0); (300.0, 700.0); (700.0, 1500.0); (1500.0, 2300.0);
+      (2300.0, 3100.0) ];
+  Alcotest.(check int) "five expiries" 5 !retransmits;
+  Alcotest.(check int) "each resent to all three" 18 (List.length !sent)
+
+let test_attempts_due_check () =
+  let t, start, sent, _, retransmits = attempt_table () in
+  start ~now:0.0 1;
+  start ~now:50.0 2;
+  let resent () = List.length !sent - 6 in
+  Attempts.fire_due t ~now:99.9;
+  Alcotest.(check int) "nothing before the first deadline" 0 (resent ());
+  Attempts.fire_due t ~now:120.0;
+  Alcotest.(check (list bool)) "only attempt 0 resent" [ true; true; true ]
+    (List.filteri (fun i _ -> i < resent ()) !sent
+    |> List.map (function V (_, _, id) -> id = 0 | _ -> false));
+  Alcotest.(check int) "one expiry" 1 !retransmits;
+  Attempts.fire_due t ~now:149.9;
+  Alcotest.(check int) "nothing more before 150" 3 (resent ());
+  Attempts.fire_due t ~now:150.0;
+  Alcotest.(check int) "attempt 1 resent at 150" 6 (resent ());
+  Alcotest.(check int) "two expiries" 2 !retransmits;
+  (* The client loop calls the check on every spin: with nothing due
+     it must not allocate. *)
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Attempts.fire_due t ~now:151.0
+  done;
+  Alcotest.(check bool) "idle checks allocate nothing" true
+    (Gc.minor_words () -. before < 100.0)
+
+let test_attempts_mint_monotone () =
+  let t, _, _, _, _ = attempt_table () in
+  let mint now = Attempts.mint t ~client:4 ~now in
+  (* A stalled clock, then one that steps backwards. *)
+  let stamps = List.map mint [ 10.0; 10.0; 10.0; 9.0; 11.0 ] in
+  let times = List.map (fun (_, (ts : Timestamp.t)) -> ts.time) stamps in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "strictly increasing" true (increasing times);
+  Alcotest.(check (list int)) "tid sequence" [ 1; 2; 3; 4; 5 ]
+    (List.map (fun ((tid : Timestamp.Tid.t), _) -> tid.seq) stamps);
+  Alcotest.(check (float 0.0)) "last stamp" 11.0 (Attempts.last_stamp t ~client:4);
+  let _, ts = Attempts.mint t ~client:5 ~now:10.0 in
+  Alcotest.(check (float 0.0)) "clients are independent" 10.0 ts.time
+
 let () =
   Alcotest.run "protocol"
     [
@@ -617,6 +754,19 @@ let () =
             test_pool_never_aliases;
           Alcotest.test_case "with_batch reentrant" `Quick
             test_pool_with_batch_reentrant;
+        ] );
+      ( "attempts",
+        [
+          Alcotest.test_case "reply for a finished id ignored" `Quick
+            test_attempts_stale_reply;
+          Alcotest.test_case "wrong-group reply refused" `Quick
+            test_attempts_misrouted;
+          Alcotest.test_case "doubled Retransmit clamped at the cap" `Quick
+            test_attempts_retransmit_clamped;
+          Alcotest.test_case "due check fires exactly the due timers" `Quick
+            test_attempts_due_check;
+          Alcotest.test_case "stamps strictly increase on a stalled clock"
+            `Quick test_attempts_mint_monotone;
         ] );
       ( "five-replicas",
         [
