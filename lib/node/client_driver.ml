@@ -2,12 +2,15 @@
    processes over UDP — the cross-process mirror of the live runtime's
    coordinator domains (DESIGN.md §11, §13).
 
-   Each coordinator domain owns one shim socket in poll mode for every
-   group (a background socket thread would starve against the
-   busy-polling loop for the domain's runtime lock; inline polling
+   Each coordinator domain owns one shim socket in inline mode for
+   every group (a background socket thread would contend with the
+   coordinator loop for the domain's runtime lock; inline polling
    needs no coordination at all), its own RNG, workload, Obs handle
    and attempt table — coordinators share nothing, merged only after
-   join. Wire v2 frames carry the group stamp: requests are stamped
+   join. The loop never spins or dozes: after a pass that delivered
+   nothing it blocks in the shim's [wait] until the next frame, the
+   earliest armed deadline (attempt timers, read retries) or a short
+   cap. Wire v2 frames carry the group stamp: requests are stamped
    with the destination group and replies come back stamped by the
    answering node, so one socket multiplexes S groups without
    ambiguity, and a reply whose stamp disagrees with the read or
@@ -117,6 +120,11 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* One coordinator domain                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* The longest a coordinator blocks when no frame arrives and no timer
+   is due sooner: a safety bound, not a poll interval — every wake-up
+   the loop needs is a frame or an armed deadline. *)
+let idle_cap_us = 5_000.0
 
 (* One outstanding execute-phase read of a local key against one
    group, rotating replicas on timeout. *)
@@ -371,7 +379,6 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
         Hashtbl.fold (fun _ r m -> Float.min m r.r_retry_at) co.reads infinity
     end
   in
-  let idle = ref 0 in
   let rec loop () =
     let delivered = Net.poll net ~deliver in
     let now = wall_us () in
@@ -384,10 +391,15 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
       if c.active || not (quota_done c ~now) then all_done := false
     done;
     if not !all_done then begin
-      if delivered > 0 then idle := 0
-      else begin
-        incr idle;
-        if !idle > 200 then Unix.sleepf 0.0001 else Spawn.relax ()
+      if delivered = 0 then begin
+        (* Nothing arrived: send what this pass queued and block until
+           the next frame, the earliest retransmission or read retry,
+           or the cap — whichever comes first. *)
+        let until =
+          Float.min (now +. idle_cap_us)
+            (Float.min (Attempts.next_due atts) co.next_retry)
+        in
+        ignore (Net.wait net ~timeout:((until -. now) /. 1e6) : bool)
       end;
       loop ()
     end

@@ -4,15 +4,17 @@
    Topology inside the process: [cores] server domains, each owning
    one core of the replica's trecord (the same partitioning as the
    simulator and the live runtime — a transaction is steered to core
-   [Tid.hash tid mod cores]); the shim's loop thread owns the socket,
-   the failure detector, and the recovery machines. Inbound protocol
-   requests are steered to the owning core's mailbox (a full mailbox
-   drops the datagram — retransmission recovers); replies go back out
-   through the shim to the datagram's source address, so a node never
-   needs to know where clients live. Execute-phase [Get]s are
-   answered inline on the loop thread: the vstore's shard locks make
-   versioned reads safe from any domain, exactly as the live
-   runtime's shared-memory reads.
+   [Tid.hash tid mod cores]); the shim's loop thread owns the socket's
+   receive side, the failure detector, and the recovery machines.
+   Inbound protocol requests are steered to the owning core's mailbox
+   (a full mailbox drops the datagram — retransmission recovers). A
+   core drains its mailbox in bursts and parks on it when it is empty;
+   it answers on the socket itself, through its own {!Shim} packer,
+   to the datagram's source address — so a node never needs to know
+   where clients live, and a reply takes no hop through the loop
+   thread. Execute-phase [Get]s are answered inline on the loop
+   thread: the vstore's shard locks make versioned reads safe from
+   any domain, exactly as the live runtime's shared-memory reads.
 
    Durability (DESIGN.md §12): with [data_dir] set, every finalized
    record is appended to the owning core's write-ahead log (per-core
@@ -28,9 +30,10 @@
 
    Failure handling (§5.3): each node runs its own {!Detector}
    instance fed only with [observer = me] facts — its peers'
-   heartbeats over UDP and its own cores' trecord snapshots (pushed
-   over a control mailbox, so the loop thread never touches a live
-   partition). Stuck records trigger the §5.3.2 backup-coordinator
+   heartbeats over UDP and its own cores' non-final records (each
+   core pushes them over a control mailbox when the loop thread's
+   tick posts it a [Core_push], so the loop thread never touches a
+   live partition). Stuck records trigger the §5.3.2 backup-coordinator
    view change, driven entirely over the wire: gather [Coord_change]
    from a majority, pick the safe outcome with {!Recovery.choose},
    [Vc_accept] at the new view, then broadcast the [Write_back].
@@ -120,6 +123,8 @@ type core_msg =
       (** Epoch change: stop touching the stores and ack [Frozen];
           drop protocol datagrams until the matching [Core_thaw]. *)
   | Core_thaw of { gen : int }
+  | Core_push
+      (** Send the detector this core's non-final records. *)
   | Core_quit
 
 type ctl_msg =
@@ -172,6 +177,9 @@ type t = {
   replica : Replica.t;
   net : Net.t;
   core_inboxes : core_msg Mailbox.t array;
+  packers : Net.packer array;
+      (** Core [c]'s reply sender; its tallies fold into [obs] at
+          [wait], like the durability tallies. *)
   ctl_inbox : ctl_msg Mailbox.t;
   done_box : unit Mailbox.t;
   obs : Obs.t;
@@ -321,6 +329,7 @@ let create (net : bound) (cfg : config) ~n_replicas =
       net;
       core_inboxes =
         Array.init cfg.cores (fun _ -> Mailbox.create ~capacity:cfg.core_inbox);
+      packers = Array.init cfg.cores (fun _ -> Net.packer net);
       ctl_inbox = Mailbox.create ~capacity:64;
       done_box = Mailbox.create ~capacity:2;
       obs;
@@ -340,11 +349,12 @@ let port t = Net.port t.net
 (* Core domains                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let core_loop t ~core ~push_every_us =
+let core_loop t ~core =
   let me = t.cfg.me in
   let replica = t.replica in
   let inbox = t.core_inboxes.(core) in
-  let reply src msg = Net.send t.net ~dst:src (t.cfg.shard, msg) in
+  let packer = t.packers.(core) in
+  let reply src msg = Net.pack packer ~dst:src (t.cfg.shard, msg) in
   let handle src (msg : Codec.t) =
     match msg with
     | Codec.Validate { slot; seq; txn; ts; _ } -> (
@@ -375,13 +385,7 @@ let core_loop t ~core ~push_every_us =
         ()
   in
   let push_records () =
-    let entries =
-      List.filter
-        (fun (e : Trecord.entry) -> not (Txn.is_final e.Trecord.status))
-        (Trecord.core_entries (Replica.trecord replica) ~core)
-      (* Fresh copies: the live partition stays owned by this core. *)
-      |> List.map (fun (e : Trecord.entry) -> { e with Trecord.ts = e.Trecord.ts })
-    in
+    let entries = Trecord.core_pending (Replica.trecord replica) ~core in
     ignore (Mailbox.try_push t.ctl_inbox (Records { core; entries }) : bool)
   in
   (* Durable checkpoint, written by the core that owns the data once
@@ -405,47 +409,43 @@ let core_loop t ~core ~push_every_us =
                     (Trecord.core_entries (Replica.trecord replica) ~core))
                ~rows:(Replica.store_snapshot replica))
   in
-  let next_push = ref (Spawn.wall () *. 1e6) in
-  let idle = ref 0 in
   let quit = ref false in
   let frozen = ref None in
-  while not !quit do
-    match Mailbox.try_pop inbox with
-    | Some (Net_req { src; msg }) ->
+  let step = function
+    | Net_req { src; msg } ->
         (* A frozen core drops protocol datagrams: the epoch change
            owns the stores; retransmission recovers, as for any other
            loss. *)
         if !frozen = None then begin
-          idle := 0;
+          (* A write-back may append to this core's log and fsync it:
+             replies already packed leave first, not behind the disk. *)
+          (match msg with
+          | Codec.Write_back _ when t.durable <> None -> Net.flush packer
+          | _ -> ());
           handle src msg;
           (* Handling is the only way this core's log grows, so the
              suffix past the last cut stays bounded under any load. *)
           checkpoint ()
         end
-    | Some (Core_freeze { gen }) ->
+    | Core_freeze { gen } ->
         frozen := Some gen;
         (* Re-acks on duplicate freezes cover a dropped [Frozen]. *)
         ignore (Mailbox.try_push t.ctl_inbox (Frozen { core; gen }) : bool)
-    | Some (Core_thaw { gen }) -> (
+    | Core_thaw { gen } -> (
         match !frozen with
         | Some g when g = gen -> frozen := None
         | _ -> ())
-    | Some Core_quit -> quit := true
-    | None ->
-        (match push_every_us with
-        | Some every when !frozen = None ->
-            let now = Spawn.wall () *. 1e6 in
-            if now >= !next_push then begin
-              push_records ();
-              next_push := now +. every
-            end
-        | Some _ | None -> ());
-        incr idle;
-        (* Z8: a 100µs doze after ~200 empty polls is the idle backoff,
-           not hot-path blocking — an inbox message ends it on the next
-           iteration. *)
-        if !idle > 200 then (Unix.sleepf 0.0001 [@mk_lint.allow "Z8"])
-        else Spawn.relax ()
+    | Core_push -> if !frozen = None then push_records ()
+    | Core_quit -> quit := true
+  in
+  while not !quit do
+    if Mailbox.drain inbox ~max:64 step = 0 then
+      (* Z8: this parking pop IS the core's idle wait — the core has
+         nothing to do until a message arrives, so blocking here is
+         the design, not a hazard. *)
+      step (Mailbox.pop inbox [@mk_lint.allow "Z8"]);
+    (* One flush per burst: replies to the same peer leave coalesced. *)
+    Net.flush packer
   done
 
 (* ------------------------------------------------------------------ *)
@@ -532,6 +532,7 @@ let launch t ~cluster =
       let vcs : vc_machine Tid_table.t = Tid_table.create 16 in
       let next_hb = ref 0.0 in
       let next_scan = ref 0.0 in
+      let next_push = ref 0.0 in
       (* Last heartbeat wall-clock per peer: the [recoverable]
          predicate — a suspect that still (or again) heartbeats can be
          reintegrated right now; a silent one has to reboot first. *)
@@ -1185,6 +1186,15 @@ let launch t ~cluster =
                     send ~dst:addr (Codec.Heartbeat { from_ = me; paused }))
                 addrs
             end;
+            if now_us >= !next_push then begin
+              (* The detector's record feed: every core sends its
+                 non-final records twice per scan. A full inbox drops
+                 the request; the next comes half a scan later. *)
+              next_push := now_us +. (dc.Detector.scan_every /. 2.0);
+              Array.iter
+                (fun inbox -> ignore (Mailbox.try_push inbox Core_push : bool))
+                t.core_inboxes
+            end;
             if now_us >= !next_scan then begin
               next_scan := now_us +. dc.Detector.scan_every;
               Batch.clear det_acts;
@@ -1218,13 +1228,9 @@ let launch t ~cluster =
             List.iter (vc_abandon d) !expired);
         ec_tick now_us
       in
-      (* The detector's record feed: twice per scan. *)
-      let push_every_us =
-        Option.map (fun d -> d.Detector.scan_every /. 2.0) dcfg
-      in
       t.core_handles <-
         List.init cfg.cores (fun core ->
-            Spawn.spawn (fun () -> core_loop t ~core ~push_every_us));
+            Spawn.spawn (fun () -> core_loop t ~core));
       Net.start t.net ~obs:t.obs
         { Net.deliver; tick; reboot = (fun () -> ()) };
       Ok ()
@@ -1246,9 +1252,10 @@ let wait t =
   List.iter Spawn.join t.core_handles;
   t.core_handles <- [];
   Net.stop t.net;
-  (* Cores and loop thread are quiescent: fold the per-core durability
-     tallies into the (single-threaded) registry, and let the close
-     flush any group-commit tail. *)
+  (* Cores and loop thread are quiescent: fold the per-core send and
+     durability tallies into the (single-threaded) registry, and let
+     the close flush any group-commit tail. *)
+  Array.iter (fun p -> Net.fold_tally p t.obs) t.packers;
   (match t.durable with
   | None -> ()
   | Some d ->

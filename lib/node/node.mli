@@ -5,13 +5,16 @@
 
     The third execution backend, same protocol code as the other two:
     [cores] server domains each own one trecord core (steering by
-    [Tid.hash mod cores], as everywhere else); the shim's loop thread
-    owns the socket, answers execute-phase [Get]s inline (the
-    vstore's shard locks make that safe), feeds this node's own
-    {!Mk_meerkat.Detector} instance with peer heartbeats and local
-    trecord snapshots, and drives §5.3.2 view changes for stuck
-    records and §5.3.1 epoch changes for recoverable peers entirely
-    over the wire.
+    [Tid.hash mod cores], as everywhere else). A core drains its
+    mailbox in bursts, parks on it when it is empty, and answers on
+    the socket itself through its own shim packer, flushed once per
+    burst. The shim's loop thread receives, answers execute-phase
+    [Get]s inline (the vstore's shard locks make that safe), feeds
+    this node's own {!Mk_meerkat.Detector} instance with peer
+    heartbeats and the non-final records each core sends when the
+    loop's tick asks for them, and drives §5.3.2 view changes for
+    stuck records and §5.3.1 epoch changes for recoverable peers
+    entirely over the wire.
 
     With [data_dir] set, every finalized record is appended to the
     owning core's log, and each core checkpoints its own partition
@@ -78,6 +81,7 @@ type stats = {
   suspected : int list;
       (** Peers this node still suspected at shutdown. *)
   wire_msgs_tx : int;
+      (** Frames sent, by the shim thread and by every core. *)
   wire_msgs_rx : int;
   wire_bytes_tx : int;
   wire_bytes_rx : int;
@@ -130,7 +134,8 @@ val launch : t -> cluster:Cluster_config.t -> (unit, string) result
 
 val wait : t -> stats
 (** Block until shutdown, then stop cores and socket, fold the
-    per-core durability tallies, close the logs and report. *)
+    per-core send and durability tallies, close the logs and
+    report. *)
 
 val shutdown : t -> unit
 (** Local shutdown trigger (tests); remote peers send the [Shutdown]

@@ -3,16 +3,23 @@
    Mailbox/Spawn in the live runtime — everything above it is
    coordination-free by construction).
 
-   One shim owns one UDP socket. Outbound messages are enqueued
-   UNENCODED on a bounded MPSC mailbox — a full mailbox drops the
-   message, which is exactly UDP's contract, and retransmission
-   recovers it. Encoding happens on the single consumer side, in
-   [flush_outbox]: each message is framed into buffers the shim owns
-   and reuses (no per-message string on the send path), and
+   One shim owns one UDP socket. The send side is a [packer]: the
+   payload scratch, a one-frame staging buffer, the accumulating
+   datagram with its destination, the reused [sendto] bytes and the
+   packer's own sent-frame tallies. Each message is framed into those
+   reused buffers (no per-message string on the send path), and
    consecutive frames to the same destination are coalesced into one
-   datagram of up to [max_datagram] bytes — a coordinator broadcast
-   burst to one node leaves as one [sendto], not one per message. The
-   receive side mirrors this: one reused receive buffer, and each
+   datagram of up to [max_datagram] bytes — a burst of replies to one
+   peer leaves as one [sendto], not one per message. A packer has one
+   owner. The shim's own packer drains the outbox: messages enqueued
+   UNENCODED on a bounded MPSC mailbox by any thread ([send]) — a full
+   mailbox drops the message, which is exactly UDP's contract, and
+   retransmission recovers it. A node's core domains each own another
+   packer on the same socket ({!packer}) and send their replies
+   directly, with no hop through the outbox; every packer runs the
+   same pack/coalesce/[sendto] code below.
+
+   The receive side mirrors this: one reused receive buffer, and each
    datagram is burst-decoded frame by frame at offsets ([decode_at]),
    so a coalesced datagram delivers every message it carries. A decode
    failure is counted and drops the rest of that datagram (framing is
@@ -20,14 +27,16 @@
    take a node down.
 
    The event loop is either a background systhread, for server nodes
-   whose main domain parks in [wait]; or inline [poll] calls, for
-   client drivers that busy-poll anyway and would starve a sibling
+   whose main domain parks in [wait]; or inline [poll]/[wait] calls,
+   for client drivers, which own their loop and would starve a sibling
    systhread of the domain's runtime lock. The threaded loop
-   multiplexes with [select] over the socket and a self-pipe: [send]
-   writes one wake byte after enqueueing, so outbound traffic leaves
-   immediately instead of on the next tick boundary, and the loop
-   sleeps (releasing the runtime lock) whenever there is genuinely
-   nothing to do. *)
+   multiplexes with [select] over the socket and a self-pipe: a [send]
+   from another thread writes one wake byte after enqueueing, so
+   outbound traffic leaves immediately instead of on the next tick
+   boundary, and the loop sleeps (releasing the runtime lock) whenever
+   there is genuinely nothing to do. A [send] from the loop thread
+   itself writes no byte: the loop flushes at the top of its next
+   iteration anyway. *)
 
 module Mailbox = Mk_live.Mailbox
 module Obs = Mk_obs.Obs
@@ -46,6 +55,21 @@ module Make (A : ARRANGEMENT) = struct
     reboot : unit -> unit;
   }
 
+  type packer = {
+    p_sock : Unix.file_descr;
+    scratch : Buffer.t;
+    frame : Buffer.t;
+    dgram : Buffer.t;
+    mutable dgram_dst : Unix.sockaddr option;
+    mutable dgram_frames : int;
+    send_buf : Bytes.t;
+    (* Tallies since the last [fold_tally]: plain ints, bumped only by
+       the packer's owner. *)
+    mutable sent_frames : int;
+    mutable sent_bytes : int;
+    mutable send_errors : int;
+  }
+
   type t = {
     sock : Unix.file_descr;
     port : int;
@@ -55,20 +79,27 @@ module Make (A : ARRANGEMENT) = struct
     stop : bool ref;
     mutable thread : Thread.t option;
     mutable obs : Obs.t option;
-    (* Flush-side state, owned by the single outbox consumer (the loop
-       thread, or the polling caller): the payload scratch, the
-       one-frame staging buffer, the accumulating datagram with its
-       destination and frame count, and the reused [sendto] bytes. *)
-    scratch : Buffer.t;
-    frame : Buffer.t;
-    dgram : Buffer.t;
-    mutable dgram_dst : Unix.sockaddr option;
-    mutable dgram_frames : int;
-    send_buf : Bytes.t;
+    out : packer;  (** The outbox consumer's (loop thread, or poller). *)
     (* Receive-side state, owned by the same consumer. *)
     recv_buf : Bytes.t;
     wake_buf : Bytes.t;
   }
+
+  let new_packer sock =
+    {
+      p_sock = sock;
+      scratch = Buffer.create 512;
+      frame = Buffer.create 512;
+      dgram = Buffer.create 2048;
+      dgram_dst = None;
+      dgram_frames = 0;
+      send_buf = Bytes.create 65535;
+      sent_frames = 0;
+      sent_bytes = 0;
+      send_errors = 0;
+    }
+
+  let packer t = new_packer t.sock
 
   let bind ?(port = 0) ?(outbox = 4096) () =
     match
@@ -93,12 +124,7 @@ module Make (A : ARRANGEMENT) = struct
         stop = ref false;
         thread = None;
         obs = None;
-        scratch = Buffer.create 512;
-        frame = Buffer.create 512;
-        dgram = Buffer.create 2048;
-        dgram_dst = None;
-        dgram_frames = 0;
-        send_buf = Bytes.create 65535;
+        out = new_packer sock;
         recv_buf = Bytes.create 65535;
         wake_buf = Bytes.create 64;
       }
@@ -111,18 +137,21 @@ module Make (A : ARRANGEMENT) = struct
 
   (* Largest UDP payload over IPv4: 65535 minus IP and UDP headers.
      Anything bigger dies in [sendto] with EMSGSIZE on every attempt,
-     so retransmission can never recover it — reject it at flush time
+     so retransmission can never recover it — reject it at pack time
      and count it, or the sender retries forever with no diagnostic. *)
   let max_datagram = 65507
 
   let send t ~dst msg =
     if Mailbox.try_push t.outbox (dst, msg) then
-      (* Wake a threaded loop blocked in select. EAGAIN means the pipe
-         already holds a pending wakeup; either way the loop will see
-         the message. Poll-mode shims have no loop thread to wake. *)
-      if t.thread <> None then
-        try ignore (Unix.write_substring t.wake_wr "w" 0 1 : int)
-        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      match t.thread with
+      | Some th when Thread.id th <> Thread.id (Thread.self ()) -> (
+          (* Wake a threaded loop blocked in select. EAGAIN means the
+             pipe already holds a pending wakeup; either way the loop
+             will see the message. The loop thread itself, and
+             poll-mode shims, have nobody to wake. *)
+          try ignore (Unix.write_substring t.wake_wr "w" 0 1 : int)
+          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+      | Some _ | None -> ()
 
   (* A full outbox dropped the message: UDP semantics, retransmission
      recovers. Nothing else to do. *)
@@ -130,63 +159,66 @@ module Make (A : ARRANGEMENT) = struct
   (* Ship the accumulated datagram: blit into the reused send bytes
      (no string extraction) and one [sendto] for every coalesced
      frame in it. *)
-  let flush_dgram t =
-    (match t.dgram_dst with
+  let flush p =
+    (match p.dgram_dst with
     | None -> ()
     | Some dst -> (
-        let len = Buffer.length t.dgram in
-        Buffer.blit t.dgram 0 t.send_buf 0 len;
+        let len = Buffer.length p.dgram in
+        Buffer.blit p.dgram 0 p.send_buf 0 len;
         try
-          ignore (Unix.sendto t.sock t.send_buf 0 len [] dst : int);
-          match t.obs with
-          | Some obs -> Obs.note_wire_tx_burst obs ~msgs:t.dgram_frames ~bytes:len
-          | None -> ()
+          ignore (Unix.sendto p.p_sock p.send_buf 0 len [] dst : int);
+          p.sent_frames <- p.sent_frames + p.dgram_frames;
+          p.sent_bytes <- p.sent_bytes + len
         with
-        | Unix.Unix_error (Unix.EMSGSIZE, _, _) -> (
+        | Unix.Unix_error (Unix.EMSGSIZE, _, _) ->
             (* A datagram too large for the path MTU fails identically
                on every retransmit: count it so the hang is
-               diagnosable (the flush-side guard caps at
+               diagnosable (the pack-side guard caps at
                [max_datagram]; this covers smaller-MTU paths). *)
-            match t.obs with
-            | Some obs -> Obs.note_wire_send_error obs
-            | None -> ())
+            p.send_errors <- p.send_errors + 1
         | Unix.Unix_error (_, _, _) ->
             (* Unreachable peer (ECONNREFUSED from a dead localhost
                node, ENETUNREACH, ...): drop, like the network
                would. *)
             ()));
-    Buffer.clear t.dgram;
-    t.dgram_dst <- None;
-    t.dgram_frames <- 0
+    Buffer.clear p.dgram;
+    p.dgram_dst <- None;
+    p.dgram_frames <- 0
 
-  (* Encode one outbox entry into the staging buffer and pack it onto
-     the accumulating datagram, flushing first when the destination
+  (* Encode one message into the staging buffer and pack it onto the
+     accumulating datagram, flushing first when the destination
      changes or the datagram would overflow. *)
-  let pack t (dst, msg) =
-    Buffer.clear t.frame;
-    A.encode_into ~scratch:t.scratch ~out:t.frame msg;
-    let flen = Buffer.length t.frame in
-    if flen > max_datagram then (
-      match t.obs with
-      | Some obs -> Obs.note_wire_send_error obs
-      | None -> ())
+  let pack p ~dst msg =
+    Buffer.clear p.frame;
+    A.encode_into ~scratch:p.scratch ~out:p.frame msg;
+    let flen = Buffer.length p.frame in
+    if flen > max_datagram then p.send_errors <- p.send_errors + 1
     else begin
-      (match t.dgram_dst with
-      | Some d when d = dst && Buffer.length t.dgram + flen <= max_datagram ->
+      (match p.dgram_dst with
+      | Some d when d = dst && Buffer.length p.dgram + flen <= max_datagram ->
           ()
-      | Some _ -> flush_dgram t
+      | Some _ -> flush p
       | None -> ());
-      t.dgram_dst <- Some dst;
-      t.dgram_frames <- t.dgram_frames + 1;
-      Buffer.add_buffer t.dgram t.frame
+      p.dgram_dst <- Some dst;
+      p.dgram_frames <- p.dgram_frames + 1;
+      Buffer.add_buffer p.dgram p.frame
     end
 
+  let fold_tally p obs =
+    Obs.note_wire_tx_burst obs ~msgs:p.sent_frames ~bytes:p.sent_bytes;
+    Obs.note_wire_send_errors obs p.send_errors;
+    p.sent_frames <- 0;
+    p.sent_bytes <- 0;
+    p.send_errors <- 0
+
   let flush_outbox t =
+    let pack_entry (dst, msg) = pack t.out ~dst msg in
     let rec go () =
-      if Mailbox.drain t.outbox ~max:64 (pack t) > 0 then go ()
+      if Mailbox.drain t.outbox ~max:64 pack_entry > 0 then go ()
     in
     go ();
-    flush_dgram t
+    flush t.out;
+    match t.obs with Some obs -> fold_tally t.out obs | None -> ()
 
   let recv_burst t ~deliver =
     let note_decode_error () =
@@ -247,6 +279,13 @@ module Make (A : ARRANGEMENT) = struct
     flush_outbox t;
     recv_burst t ~deliver
 
+  let wait t ~timeout =
+    flush_outbox t;
+    (* A negative timeout would make select block forever. *)
+    match Unix.select [ t.sock ] [] [] (Float.max 0.0 timeout) with
+    | readable, _, _ -> readable <> []
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
   let drain_wake t =
     let continue = ref true in
     while !continue do
@@ -257,7 +296,18 @@ module Make (A : ARRANGEMENT) = struct
       | _ -> ()
     done
 
-  let loop t handlers ~tick_every_s =
+  (* The threaded loop's select timeout: the longest the loop thread
+     blocks and so, with a node's cores parked on their inboxes, the
+     longest the node leaves a CPU idle. On a virtual machine whose
+     host is shared, a vCPU idle longer than the hypervisor's
+     halt-polling window (commonly 200 µs) is handed to another guest,
+     and the next datagram waits for the host to schedule it back
+     (steal time). On a 2-vCPU guest, a 1 ms timeout let cluster
+     goodput fall by up to half in runs with high steal; 50 µs kept
+     steal at the level of busy-polling loops (EXPERIMENTS.md). *)
+  let tick_every_s = 0.00005
+
+  let loop t handlers =
     while not !(t.stop) do
       flush_outbox t;
       (match Unix.select [ t.sock; t.wake_rd ] [] [] tick_every_s with
@@ -272,9 +322,9 @@ module Make (A : ARRANGEMENT) = struct
        box. *)
     flush_outbox t
 
-  let start t ?obs ?(tick_every_s = 0.001) handlers =
+  let start t ?obs handlers =
     t.obs <- obs;
-    t.thread <- Some (Thread.create (fun () -> loop t handlers ~tick_every_s) ())
+    t.thread <- Some (Thread.create (fun () -> loop t handlers) ())
 
   let set_obs t obs = t.obs <- Some obs
 

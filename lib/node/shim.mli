@@ -6,15 +6,17 @@
     [Mk_live.Mailbox]/[Spawn]. Everything above it (node, client
     driver) stays coordination-free: outbound messages go through a
     bounded mailbox whose overflow is a UDP drop (retransmission
-    recovers), inbound datagrams are decoded totally (garbage is
-    counted and dropped, never fatal) and handed to [deliver].
+    recovers) or through a {!Make.packer} with a single owner,
+    inbound datagrams are decoded totally (garbage is counted and
+    dropped, never fatal) and handed to [deliver].
 
-    The message plane is batched: outbound messages queue unencoded
-    and are framed on the flush side into buffers the shim owns and
-    reuses, with consecutive same-destination frames coalesced into
-    one datagram (up to the UDP maximum) per [sendto]; inbound
-    datagrams are burst-decoded frame by frame at offsets. The send
-    fast path allocates no per-message strings.
+    The message plane is batched: messages are framed into buffers a
+    {!Make.packer} owns and reuses, with consecutive same-destination
+    frames coalesced into one datagram (up to the UDP maximum) per
+    [sendto]; inbound datagrams are burst-decoded frame by frame at
+    offsets. The send fast path allocates no per-message strings. The
+    outbox consumer owns one packer; a node's core domains own one
+    each and send their replies on the socket directly.
 
     Two driving modes, never mixed on one shim:
     - {!Make.start} runs the loop on a background systhread
@@ -22,9 +24,11 @@
       server nodes, whose main domain parks while waiting for
       shutdown (a parked domain releases the runtime lock, so the
       thread runs freely).
-    - {!Make.poll} drains outbox and socket inline — for client
-      drivers, whose busy-polling coordinator loop would starve a
-      sibling systhread of the domain's runtime lock. *)
+    - {!Make.poll} drains outbox and socket inline, and {!Make.wait}
+      flushes the outbox and blocks until the socket is readable or a
+      timeout passes — for client drivers, which own their loop and
+      its timers (a sibling systhread would contend with it for the
+      domain's runtime lock). *)
 
 module type ARRANGEMENT = sig
   type msg
@@ -50,8 +54,8 @@ module Make (A : ARRANGEMENT) : sig
             exception is caught and counted under
             [wire.decode_errors] — it cannot kill the loop. *)
     tick : now_us:float -> unit;
-        (** Called once per loop iteration (at least every
-            [tick_every_s]) with the wall clock in µs — the hook for
+        (** Called once per loop iteration (at least every 50 µs)
+            with the wall clock in µs — the hook for
             timers: heartbeats, detector scans, retransmissions. *)
     reboot : unit -> unit;
         (** Reserved for the WAL work: replay durable state before
@@ -67,8 +71,10 @@ module Make (A : ARRANGEMENT) : sig
   val port : t -> int
   (** The actually bound port. *)
 
-  val start : t -> ?obs:Mk_obs.Obs.t -> ?tick_every_s:float -> handlers -> unit
-  (** Launch the background loop. [obs] receives the wire counters
+  val start : t -> ?obs:Mk_obs.Obs.t -> handlers -> unit
+  (** Launch the background loop; it wakes at least every 50 µs, so a
+      node whose cores park never leaves a CPU idle for long. [obs]
+      receives the wire counters
       ([wire.msgs_tx/rx], [wire.bytes_tx/rx], [wire.decode_errors],
       [wire.send_errors]). *)
 
@@ -77,17 +83,48 @@ module Make (A : ARRANGEMENT) : sig
       datagram currently readable (bounded burst); returns how many
       were delivered. The caller owns the loop and its timers. *)
 
+  val wait : t -> timeout:float -> bool
+  (** Inline mode's idle wait: flush the outbox, then block until a
+      datagram is readable (returns [true]) or [timeout] seconds pass
+      ([false]; a negative timeout counts as 0). Nothing is received:
+      the next {!poll} delivers. *)
+
   val set_obs : t -> Mk_obs.Obs.t -> unit
   (** Attach the counter sink in poll mode (start-mode shims pass it
       to {!start}). *)
 
   val send : t -> dst:Unix.sockaddr -> A.msg -> unit
   (** Enqueue one message; never blocks and never encodes — framing
-      happens at flush time into the shim's reused buffers. A full
-      outbox drops the message (UDP semantics); a frame too large for
-      one UDP datagram is dropped at flush and counted under
+      happens at flush time into the outbox packer. A full outbox
+      drops the message (UDP semantics); a frame too large for one UDP
+      datagram is dropped at flush and counted under
       [wire.send_errors], since no retransmit could ever deliver it.
-      Any thread may call this. *)
+      Any thread may call this; from a thread other than a running
+      loop's own it also wakes the loop. *)
+
+  type packer
+  (** Flush-side state for one sender: payload scratch, frame staging
+      buffer, the datagram being coalesced with its destination, the
+      reused [sendto] bytes, and tallies of what it sent. Not
+      thread-safe: one owner at a time. *)
+
+  val packer : t -> packer
+  (** A fresh packer sending on this shim's socket — for a domain that
+      answers on the socket directly instead of through the outbox. *)
+
+  val pack : packer -> dst:Unix.sockaddr -> A.msg -> unit
+  (** Frame one message onto the packer's datagram, first sending the
+      datagram when [dst] differs or it would outgrow one UDP payload.
+      An oversized frame is dropped and tallied as a send error. *)
+
+  val flush : packer -> unit
+  (** Send the datagram being coalesced, if any. *)
+
+  val fold_tally : packer -> Mk_obs.Obs.t -> unit
+  (** Add the frames, bytes and send errors the packer sent since the
+      last fold to [wire.msgs_tx], [wire.bytes_tx] and
+      [wire.send_errors], and zero its tallies. Call from the owner,
+      or once the owner is quiescent. *)
 
   val stop : t -> unit
   (** Stop the loop (joining the thread if one runs), flush the last

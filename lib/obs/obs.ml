@@ -136,7 +136,7 @@ let note_wire_rx t ~bytes =
   Registry.add t.wire_bytes_rx bytes
 
 let note_wire_decode_error t = Registry.incr t.wire_decode_errors
-let note_wire_send_error t = Registry.incr t.wire_send_errors
+let note_wire_send_errors t n = Registry.add t.wire_send_errors n
 let note_wire_shard_drop t = Registry.incr t.wire_shard_drops
 
 (* --- Durability counters (WAL appends, snapshots, replay). Like the

@@ -71,10 +71,10 @@ val note_wire_decode_error : t -> unit
     (out-of-range replica/slot) ([wire.decode_errors]++) — counted,
     dropped, never fatal. *)
 
-val note_wire_send_error : t -> unit
-(** [sendto] rejected a frame for a non-transient reason — above all
-    [EMSGSIZE], an encoding larger than one UDP datagram, which no
-    retransmit will ever fix ([wire.send_errors]++). Transient
+val note_wire_send_errors : t -> int -> unit
+(** [n] frames [sendto] rejected for a non-transient reason — above
+    all [EMSGSIZE], an encoding larger than one UDP datagram, which no
+    retransmit will ever fix ([wire.send_errors] += [n]). Transient
     unreachable-peer errors are ordinary UDP loss and are not
     counted. *)
 

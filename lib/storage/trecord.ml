@@ -16,11 +16,28 @@ module Tid_table = Hashtbl.Make (struct
   let hash = Tid.hash
 end)
 
-type t = { partitions : entry Tid_table.t array }
+(* [pending.(c)] holds every entry of partition [c] added since it was
+   last seen final — a superset of the partition's non-final entries,
+   so [core_pending] costs O(recent + non-final) rather than a walk of
+   the whole untrimmed partition. Final entries are dropped lazily:
+   by [core_pending], and by [add] whenever the table has doubled since
+   the last prune ([prune_at]), which keeps it proportional to the
+   non-final set on backends that never ask. *)
+type t = {
+  partitions : entry Tid_table.t array;
+  pending : entry Tid_table.t array;
+  prune_at : int array;
+}
+
+let min_prune = 1024
 
 let create ~cores =
   if cores <= 0 then invalid_arg "Trecord.create: cores must be positive";
-  { partitions = Array.init cores (fun _ -> Tid_table.create 256) }
+  {
+    partitions = Array.init cores (fun _ -> Tid_table.create 256);
+    pending = Array.init cores (fun _ -> Tid_table.create 256);
+    prune_at = Array.make cores min_prune;
+  }
 
 let cores t = Array.length t.partitions
 
@@ -41,17 +58,28 @@ let find t ~core tid =
   Owner.check_partition ~core ~what:"find";
   Tid_table.find_opt t.partitions.(core) tid
 
+let prune t core =
+  let p = t.pending.(core) in
+  Tid_table.filter_map_inplace
+    (fun _ e -> if Txn.is_final e.status then None else Some e)
+    p;
+  t.prune_at.(core) <- max min_prune (2 * Tid_table.length p)
+
 let add t ~core ~txn ~ts ~status =
   check_core t core;
   Owner.check_partition ~core ~what:"add";
   let entry = { txn; ts; status; view = 0; accept_view = None } in
   Tid_table.replace t.partitions.(core) txn.Txn.tid entry;
+  let p = t.pending.(core) in
+  Tid_table.replace p txn.Txn.tid entry;
+  if Tid_table.length p > t.prune_at.(core) then prune t core;
   entry
 
 let remove t ~core tid =
   check_core t core;
   Owner.check_partition ~core ~what:"remove";
-  Tid_table.remove t.partitions.(core) tid
+  Tid_table.remove t.partitions.(core) tid;
+  Tid_table.remove t.pending.(core) tid
 
 let size t = Array.fold_left (fun acc p -> acc + Tid_table.length p) 0 t.partitions
 
@@ -66,12 +94,22 @@ let core_entries t ~core =
   check_core t core;
   Tid_table.fold (fun _ e acc -> e :: acc) t.partitions.(core) []
 
+let core_pending t ~core =
+  check_core t core;
+  prune t core;
+  Tid_table.fold
+    (fun _ e acc -> { e with ts = e.ts } :: acc)
+    t.pending.(core) []
+
 let replace_all t pairs =
   Array.iter Tid_table.reset t.partitions;
+  Array.iter Tid_table.reset t.pending;
   List.iter
     (fun (core, e) ->
       check_core t core;
-      Tid_table.replace t.partitions.(core) e.txn.Txn.tid e)
+      Tid_table.replace t.partitions.(core) e.txn.Txn.tid e;
+      if not (Txn.is_final e.status) then
+        Tid_table.replace t.pending.(core) e.txn.Txn.tid e)
     pairs
 
 let trim_finalized t ~before =

@@ -60,6 +60,14 @@ val core_entries : t -> core:int -> entry list
     like {!entries}; callers copy the entries before crossing
     domains). *)
 
+val core_pending : t -> core:int -> entry list
+(** Fresh copies of one core's non-final records — the failure
+    detector's feed — without walking the whole untrimmed partition:
+    the cost is proportional to the records added since the previous
+    call plus those still non-final. Uninstrumented like
+    {!core_entries}, but it prunes an index of the partition, so only
+    the core that owns the partition may call it. *)
+
 val replace_all : t -> (int * entry) list -> unit
 (** Install a merged trecord (epoch-change-complete), preserving the
     per-core partitioning carried in the pairs. *)

@@ -319,6 +319,120 @@ let run_workload ~cluster driver_cfg =
   | Error v -> Alcotest.failf "not serializable: %a" Checker.pp_violation v);
   result
 
+(* A one-byte-length-prefixed string frame: just enough arrangement to
+   drive a shim without the protocol codec. *)
+module Txt = Mk_node.Shim.Make (struct
+  type msg = string
+
+  let encode_into ~scratch:_ ~out s =
+    Buffer.add_char out (Char.chr (String.length s));
+    Buffer.add_string out s
+
+  let decode_at d ~pos =
+    let len = Char.code d.[pos] in
+    if pos + 1 + len > String.length d then
+      Error (Mk_wire.Wire.Truncated { need = pos + 1 + len; have = String.length d })
+    else Ok (String.sub d (pos + 1) len, pos + 1 + len)
+end)
+
+let with_txt f =
+  match Txt.bind () with
+  | Error e -> Alcotest.failf "bind: %s" e
+  | Ok net -> Fun.protect ~finally:(fun () -> Txt.stop net) (fun () -> f net)
+
+let loopback net = Unix.ADDR_INET (Unix.inet_addr_loopback, Txt.port net)
+
+let test_wait_flushes_then_wakes () =
+  (* [wait] must send what the caller queued before it blocks: the
+     peer answers only once the ping arrives, so without that flush
+     the wait runs to its timeout and the pong never comes. The pong
+     must end the wait promptly, and the next poll delivers it. *)
+  with_txt @@ fun a ->
+  with_txt @@ fun b ->
+  let echo =
+    Mk_live.Spawn.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. 3.0 in
+        let got = ref None in
+        while !got = None && Unix.gettimeofday () < deadline do
+          ignore (Txt.wait b ~timeout:0.05 : bool);
+          ignore (Txt.poll b ~deliver:(fun ~src m -> got := Some (src, m)) : int)
+        done;
+        match !got with
+        | Some (src, "ping") ->
+            Txt.send b ~dst:src "pong";
+            ignore (Txt.poll b ~deliver:(fun ~src:_ _ -> ()) : int);
+            true
+        | _ -> false)
+  in
+  Txt.send a ~dst:(loopback b) "ping";
+  let t0 = Unix.gettimeofday () in
+  let woke = Txt.wait a ~timeout:2.0 in
+  let waited = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "peer got the ping" true (Mk_live.Spawn.join echo);
+  Alcotest.(check bool) "woken by the pong" true woke;
+  Alcotest.(check bool)
+    (Printf.sprintf "woke promptly (%.3f s)" waited)
+    true (waited < 1.0);
+  let got = ref [] in
+  ignore (Txt.poll a ~deliver:(fun ~src:_ m -> got := m :: !got) : int);
+  Alcotest.(check (list string)) "poll delivers it" [ "pong" ] !got
+
+let test_wait_times_out () =
+  with_txt @@ fun a ->
+  let t0 = Unix.gettimeofday () in
+  let woke = Txt.wait a ~timeout:0.05 in
+  let waited = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "nothing arrived" false woke;
+  Alcotest.(check bool)
+    (Printf.sprintf "ran to the timeout (%.3f s)" waited)
+    true
+    (waited >= 0.04 && waited < 1.0);
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "negative timeout" false (Txt.wait a ~timeout:(-1.0));
+  Alcotest.(check bool) "returns at once" true (Unix.gettimeofday () -. t0 < 0.5)
+
+let test_core_send_tallies () =
+  (* Cores answer on the socket through their own packers; what they
+     send is counted per core and folded in at [wait]. Every frame
+     the client received was sent by some node, so the nodes' summed
+     tx (no detector: replies only) bounds the client's rx — a lost
+     core tally or a racy shared increment shows up as a shortfall. *)
+  let keys = 64 in
+  let bound, cluster = bind_cluster 3 in
+  let nodes =
+    launch_cluster ~keys
+      ~configure:(fun _ c -> { c with Node.cores = 2; detector = None })
+      bound cluster
+  in
+  let result =
+    run_workload ~cluster
+      {
+        Driver.default_config with
+        Driver.coordinators = 2;
+        clients = 6;
+        keys;
+        txns_per_client = 20;
+        seed = 17;
+      }
+  in
+  let stats = Array.map Node.wait nodes in
+  let node_tx =
+    Array.fold_left (fun acc (s : Node.stats) -> acc + s.Node.wire_msgs_tx) 0 stats
+  in
+  Alcotest.(check int) "every transaction resolved" 120
+    (result.Driver.committed_count + result.Driver.aborted);
+  Alcotest.(check bool)
+    (Printf.sprintf "nodes sent %d >= client received %d" node_tx
+       result.Driver.wire_msgs_rx)
+    true
+    (result.Driver.wire_msgs_rx > 0 && node_tx >= result.Driver.wire_msgs_rx);
+  Array.iter
+    (fun (s : Node.stats) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node%d sent" s.Node.me)
+        true (s.Node.wire_msgs_tx > 0))
+    stats
+
 (* --- durable cluster: log-proportional checkpoints (DESIGN.md §12) --- *)
 
 let with_data_dirs n f =
@@ -506,6 +620,76 @@ let test_abandoned_epoch_change_resumes () =
          Tid.equal v.txn.tid stray.tid && v.status = Txn.Validated_ok)
        (Replica.record_views replica))
 
+(* --- a stuck record finalized by a backup coordinator (§5.3.2) --- *)
+
+let test_stuck_record_view_change () =
+  (* A raw-frame "coordinator" validates one transaction on every node
+     and then vanishes. The record sits non-final, and only the cores'
+     record feed tells each node's detector about it: after the stuck
+     timeout some detector must drive a view change over the wire and
+     its write-back must finalize the record on a majority. *)
+  let keys = 16 in
+  let bound, cluster = bind_cluster 3 in
+  let nodes = launch_cluster ~heartbeat_ms:10.0 ~keys bound cluster in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let stray =
+    Txn.make
+      ~tid:(Tid.make ~seq:1 ~client_id:777)
+      ~read_set:[]
+      ~write_set:[ ({ key = 3; value = 9 } : Txn.write_entry) ]
+  in
+  let validate =
+    Codec.encode
+      (Codec.Validate
+         {
+           coord = 0;
+           slot = 0;
+           seq = 1;
+           txn = stray;
+           ts = Timestamp.make ~time:1.0 ~client_id:777;
+         })
+  in
+  Array.iter
+    (fun (e : Cluster_config.node) ->
+      let dst = Unix.ADDR_INET (Unix.inet_addr_loopback, e.Cluster_config.port) in
+      ignore
+        (Unix.sendto_substring sock validate 0 (String.length validate) [] dst
+          : int))
+    cluster;
+  Unix.close sock;
+  let view_changes () =
+    Array.fold_left
+      (fun acc node ->
+        acc + Mk_obs.Obs.counter_value (Node.obs node) "recovery.view_changes")
+      0 nodes
+  in
+  (* Stuck after 8 heartbeats (80 ms), scanned every 20 ms. *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while view_changes () = 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  (* Let the finishing node's write-back land everywhere. *)
+  Unix.sleepf 0.1;
+  Array.iter Node.shutdown nodes;
+  let stats = Array.map Node.wait nodes in
+  Alcotest.(check bool) "a view change finished" true
+    (Array.exists (fun (s : Node.stats) -> s.Node.view_changes >= 1) stats);
+  let final =
+    Array.fold_left
+      (fun acc node ->
+        if
+          List.exists
+            (fun (_, (v : Replica.record_view)) ->
+              Tid.equal v.txn.tid stray.tid && Txn.is_final v.status)
+            (Replica.record_views (Node.replica node))
+        then acc + 1
+        else acc)
+      0 nodes
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "record final on a majority (%d of 3)" final)
+    true (final >= 2)
+
 (* --- two shard groups on UDP loopback (DESIGN.md §13) --- *)
 
 let test_sharded_cluster_serializable () =
@@ -663,6 +847,16 @@ let () =
             test_cluster_detects_silent_node;
           Alcotest.test_case "abandoned epoch change resumes" `Quick
             test_abandoned_epoch_change_resumes;
+          Alcotest.test_case "stuck record finalized by view change" `Quick
+            test_stuck_record_view_change;
+          Alcotest.test_case "core send tallies exact" `Quick
+            test_core_send_tallies;
+        ] );
+      ( "shim",
+        [
+          Alcotest.test_case "wait flushes, then wakes on a frame" `Quick
+            test_wait_flushes_then_wakes;
+          Alcotest.test_case "wait times out" `Quick test_wait_times_out;
         ] );
       ( "durable",
         [

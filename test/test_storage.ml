@@ -281,6 +281,52 @@ let test_trecord_remove () =
   Trecord.remove tr ~core:0 t1.Txn.tid;
   Alcotest.(check int) "empty" 0 (Trecord.size tr)
 
+let test_trecord_core_pending () =
+  (* The detector feed: exactly the core's non-final records, as fresh
+     copies, through adds, in-place finalization, removal, a merged
+     install, and enough finalized traffic to force add-time pruning. *)
+  let tr = Trecord.create ~cores:2 in
+  let tids l =
+    List.sort compare
+      (List.map (fun (e : Trecord.entry) -> e.Trecord.txn.Txn.tid.Timestamp.Tid.seq) l)
+  in
+  let add ~seq ~status =
+    Trecord.add tr ~core:0
+      ~txn:(txn ~seq ~reads:[] ~writes:[ (seq, 1) ] ())
+      ~ts:(ts (float_of_int seq)) ~status
+  in
+  let a = add ~seq:1 ~status:Txn.Validated_ok in
+  let b = add ~seq:2 ~status:Txn.Validated_abort in
+  ignore (add ~seq:3 ~status:Txn.Committed : Trecord.entry);
+  let got = Trecord.core_pending tr ~core:0 in
+  Alcotest.(check (list int)) "non-final only" [ 1; 2 ] (tids got);
+  Alcotest.(check bool) "fresh copies" true
+    (List.for_all (fun e -> e != a && e != b) got);
+  Alcotest.(check (list int)) "other core empty" []
+    (tids (Trecord.core_pending tr ~core:1));
+  a.Trecord.status <- Txn.Committed;
+  Trecord.remove tr ~core:0 b.Trecord.txn.Txn.tid;
+  Alcotest.(check (list int)) "finalized and removed drop out" []
+    (tids (Trecord.core_pending tr ~core:0));
+  (* Thousands of adds finalized between two feed calls (enough for
+     add-time pruning to run): the one pending record survives and
+     nothing final resurfaces. *)
+  let p = add ~seq:10 ~status:Txn.Validated_ok in
+  for seq = 100 to 5099 do
+    let e = add ~seq ~status:Txn.Validated_ok in
+    e.Trecord.status <- Txn.Aborted
+  done;
+  Alcotest.(check (list int)) "pruned under load" [ 10 ]
+    (tids (Trecord.core_pending tr ~core:0));
+  (* A merged install replaces the index with the install's non-final
+     records. *)
+  Trecord.replace_all tr
+    [ (1, { p with Trecord.status = Txn.Validated_ok }); (0, { p with Trecord.status = Txn.Committed }) ];
+  Alcotest.(check (list int)) "install: core 0" []
+    (tids (Trecord.core_pending tr ~core:0));
+  Alcotest.(check (list int)) "install: core 1" [ 10 ]
+    (tids (Trecord.core_pending tr ~core:1))
+
 let test_trecord_trim () =
   let tr = Trecord.create ~cores:2 in
   let old_commit = txn ~seq:1 ~reads:[] ~writes:[ (0, 1) ] () in
@@ -378,5 +424,6 @@ let () =
             test_trecord_entries_and_replace;
           Alcotest.test_case "remove" `Quick test_trecord_remove;
           Alcotest.test_case "trim finalized" `Quick test_trecord_trim;
+          Alcotest.test_case "core pending" `Quick test_trecord_core_pending;
         ] );
     ]
