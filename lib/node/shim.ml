@@ -14,9 +14,9 @@
    owner. The shim's own packer drains the outbox: messages enqueued
    UNENCODED on a bounded MPSC mailbox by any thread ([send]) — a full
    mailbox drops the message, which is exactly UDP's contract, and
-   retransmission recovers it. A node's core domains each own another
-   packer on the same socket ({!packer}) and send their replies
-   directly, with no hop through the outbox; every packer runs the
+   retransmission recovers it. A node's cores each own another packer
+   on the same socket ({!packer}) and send their replies directly,
+   with no hop through the outbox; every packer runs the
    same pack/coalesce/[sendto] code below.
 
    The receive side mirrors this: one reused receive buffer, and each

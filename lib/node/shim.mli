@@ -15,8 +15,8 @@
     frames coalesced into one datagram (up to the UDP maximum) per
     [sendto]; inbound datagrams are burst-decoded frame by frame at
     offsets. The send fast path allocates no per-message strings. The
-    outbox consumer owns one packer; a node's core domains own one
-    each and send their replies on the socket directly.
+    outbox consumer owns one packer; a node's cores own one each and
+    send their replies on the socket directly.
 
     Two driving modes, never mixed on one shim:
     - {!Make.start} runs the loop on a background systhread
