@@ -436,12 +436,14 @@ let run shards nodes cores coordinators clients keys theta workload txns
   Printf.printf
     "driver: %d committed (%d cross-shard), %d aborted (%d fast / %d slow \
      sub-attempts), %d retransmits, %.0f txn/s, p50 %.0f us, p99 %.0f us\n\
-     wire: %d tx, %d rx, %d decode errors, %d shard drops\n\
+     wire: %d tx, %d rx (%d / %d datagrams), %d decode errors, %d shard \
+     drops\n\
      %!"
     result.Driver.committed_count result.Driver.cross_shard
     result.Driver.aborted result.Driver.fast_path result.Driver.slow_path
     result.Driver.retransmits result.Driver.throughput result.Driver.p50_us
     result.Driver.p99_us result.Driver.wire_msgs_tx result.Driver.wire_msgs_rx
+    result.Driver.wire_dgrams_tx result.Driver.wire_dgrams_rx
     result.Driver.wire_decode_errors result.Driver.wire_shard_drops;
   if result.Driver.acked <> result.Driver.submitted then
     fail_check "unanswered transactions: %d submitted, %d acked"

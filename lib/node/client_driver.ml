@@ -113,6 +113,8 @@ type result = {
   p99_us : float;
   wire_msgs_tx : int;
   wire_msgs_rx : int;
+  wire_dgrams_tx : int;
+  wire_dgrams_rx : int;
   wire_decode_errors : int;
   wire_shard_drops : int;
 }
@@ -496,6 +498,8 @@ let run_groups (cfg : config) ~clusters =
           p99_us = Histogram.percentile lat 99.0;
           wire_msgs_tx = sum "wire.msgs_tx";
           wire_msgs_rx = sum "wire.msgs_rx";
+          wire_dgrams_tx = sum "wire.dgrams_tx";
+          wire_dgrams_rx = sum "wire.dgrams_rx";
           wire_decode_errors = sum "wire.decode_errors";
           wire_shard_drops = sum "wire.shard_drops";
         }
@@ -520,9 +524,10 @@ let result_json (r : result) =
      %d, \"slow_path\": %d, \"retransmits\": %d, \"submitted\": %d, \
      \"acked\": %d, \"wall_seconds\": %.6f, \"throughput\": %.1f, \
      \"abort_rate\": %.4f, \"p50_us\": %.1f, \"p99_us\": %.1f, \
-     \"wire_msgs_tx\": %d, \"wire_msgs_rx\": %d, \"wire_decode_errors\": %d, \
+     \"wire_msgs_tx\": %d, \"wire_msgs_rx\": %d, \"wire_dgrams_tx\": %d, \
+     \"wire_dgrams_rx\": %d, \"wire_decode_errors\": %d, \
      \"wire_shard_drops\": %d}"
     r.committed_count r.aborted r.cross_shard r.fast_path r.slow_path
     r.retransmits r.submitted r.acked r.wall_seconds r.throughput r.abort_rate
-    r.p50_us r.p99_us r.wire_msgs_tx r.wire_msgs_rx r.wire_decode_errors
-    r.wire_shard_drops
+    r.p50_us r.p99_us r.wire_msgs_tx r.wire_msgs_rx r.wire_dgrams_tx
+    r.wire_dgrams_rx r.wire_decode_errors r.wire_shard_drops

@@ -64,6 +64,10 @@ type result = {
   p99_us : float;
   wire_msgs_tx : int;
   wire_msgs_rx : int;
+  wire_dgrams_tx : int;
+      (** UDP datagrams sent: one per successful [sendto], however
+          many frames it carries. *)
+  wire_dgrams_rx : int;  (** UDP datagrams received. *)
   wire_decode_errors : int;
   wire_shard_drops : int;
 }

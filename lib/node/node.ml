@@ -151,6 +151,8 @@ type stats = {
   wire_msgs_rx : int;
   wire_bytes_tx : int;
   wire_bytes_rx : int;
+  wire_dgrams_tx : int;
+  wire_dgrams_rx : int;
   wire_decode_errors : int;
   wire_shard_drops : int;
   wire_send_errors : int;
@@ -1387,6 +1389,8 @@ let wait t =
     wire_msgs_rx = c "wire.msgs_rx";
     wire_bytes_tx = c "wire.bytes_tx";
     wire_bytes_rx = c "wire.bytes_rx";
+    wire_dgrams_tx = c "wire.dgrams_tx";
+    wire_dgrams_rx = c "wire.dgrams_rx";
     wire_decode_errors = c "wire.decode_errors";
     wire_shard_drops = c "wire.shard_drops";
     wire_send_errors = c "wire.send_errors";
@@ -1411,7 +1415,8 @@ let stats_json (s : stats) =
     "{\"me\": %d, \"committed\": %d, \"aborted\": %d, \"validations_ok\": %d, \
      \"validations_abort\": %d, \"view_changes\": %d, \"epoch_changes\": %d, \
      \"suspected\": [%s], \"wire_msgs_tx\": %d, \"wire_msgs_rx\": %d, \
-     \"wire_bytes_tx\": %d, \"wire_bytes_rx\": %d, \"wire_decode_errors\": %d, \
+     \"wire_bytes_tx\": %d, \"wire_bytes_rx\": %d, \"wire_dgrams_tx\": %d, \
+     \"wire_dgrams_rx\": %d, \"wire_decode_errors\": %d, \
      \"wire_shard_drops\": %d, \"wire_send_errors\": %d, \
      \"wal_appends\": %d, \"wal_bytes\": %d, \"wal_fsyncs\": %d, \
      \"wal_replayed\": %d, \"wal_snapshots_used\": %d, \
@@ -1420,7 +1425,7 @@ let stats_json (s : stats) =
     s.view_changes s.epoch_changes
     (String.concat ", " (List.map string_of_int s.suspected))
     s.wire_msgs_tx s.wire_msgs_rx s.wire_bytes_tx s.wire_bytes_rx
-    s.wire_decode_errors s.wire_shard_drops s.wire_send_errors s.wal_appends
-    s.wal_bytes
+    s.wire_dgrams_tx s.wire_dgrams_rx s.wire_decode_errors s.wire_shard_drops
+    s.wire_send_errors s.wal_appends s.wal_bytes
     s.wal_fsyncs s.wal_replayed s.wal_snapshots_used s.wal_decode_errors
     s.snapshots

@@ -94,6 +94,11 @@ type stats = {
   wire_msgs_rx : int;
   wire_bytes_tx : int;
   wire_bytes_rx : int;
+  wire_dgrams_tx : int;
+      (** UDP datagrams sent (one per successful [sendto]), by the
+          shim thread and by every core; [wire_msgs_tx] over this is
+          the coalescing factor. *)
+  wire_dgrams_rx : int;  (** UDP datagrams received. *)
   wire_decode_errors : int;
   wire_shard_drops : int;
       (** Well-formed frames stamped for another shard group. *)

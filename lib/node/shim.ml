@@ -4,13 +4,16 @@
    coordination-free by construction).
 
    One shim owns one UDP socket. The send side is a [packer]: the
-   payload scratch, a one-frame staging buffer, the accumulating
-   datagram with its destination, the reused [sendto] bytes and the
-   packer's own sent-frame tallies. Each message is framed into those
-   reused buffers (no per-message string on the send path), and
-   consecutive frames to the same destination are coalesced into one
-   datagram of up to [max_datagram] bytes — a burst of replies to one
-   peer leaves as one [sendto], not one per message. A packer has one
+   payload scratch, a one-frame staging buffer, a small fixed table of
+   open datagrams (one per destination), the reused [sendto] bytes and
+   the packer's own sent-frame tallies. Each message is framed into
+   those reused buffers (no per-message string on the send path) and
+   appended to the open datagram for its destination, up to
+   [max_datagram] bytes; [flush] ships every open datagram. A
+   broadcast that goes r0, r1, r2, r0, ... thus leaves as one [sendto]
+   per replica per flush, not one per message. Frames to one
+   destination keep their order; order across destinations is not
+   kept (UDP never promised it). A packer has one
    owner. The shim's own packer drains the outbox: messages enqueued
    UNENCODED on a bounded MPSC mailbox by any thread ([send]) — a full
    mailbox drops the message, which is exactly UDP's contract, and
@@ -55,17 +58,28 @@ module Make (A : ARRANGEMENT) = struct
     reboot : unit -> unit;
   }
 
+  (* How many destinations a packer keeps a datagram open to at once.
+     A replica group is three or five peers and a node's replies go to
+     a handful of coordinators, so 8 covers one flush's fan-out in the
+     common shapes; a packer that meets a ninth destination ships
+     everything it holds and starts over (a spill, not a loss). *)
+  let open_slots = 8
+
   type packer = {
     p_sock : Unix.file_descr;
     scratch : Buffer.t;
     frame : Buffer.t;
-    dgram : Buffer.t;
-    mutable dgram_dst : Unix.sockaddr option;
-    mutable dgram_frames : int;
+    (* Open datagram [i < n_open]: its bytes, destination and frame
+       count. Preallocated, so packing a frame allocates nothing. *)
+    dgrams : Buffer.t array;
+    dsts : Unix.sockaddr array;
+    frames : int array;
+    mutable n_open : int;
     send_buf : Bytes.t;
     (* Tallies since the last [fold_tally]: plain ints, bumped only by
        the packer's owner. *)
     mutable sent_frames : int;
+    mutable sent_dgrams : int;
     mutable sent_bytes : int;
     mutable send_errors : int;
   }
@@ -90,11 +104,14 @@ module Make (A : ARRANGEMENT) = struct
       p_sock = sock;
       scratch = Buffer.create 512;
       frame = Buffer.create 512;
-      dgram = Buffer.create 2048;
-      dgram_dst = None;
-      dgram_frames = 0;
+      dgrams = Array.init open_slots (fun _ -> Buffer.create 2048);
+      (* A placeholder: only slots below [n_open] are ever read. *)
+      dsts = Array.make open_slots (Unix.ADDR_UNIX "");
+      frames = Array.make open_slots 0;
+      n_open = 0;
       send_buf = Bytes.create 65535;
       sent_frames = 0;
+      sent_dgrams = 0;
       sent_bytes = 0;
       send_errors = 0;
     }
@@ -156,58 +173,79 @@ module Make (A : ARRANGEMENT) = struct
   (* A full outbox dropped the message: UDP semantics, retransmission
      recovers. Nothing else to do. *)
 
-  (* Ship the accumulated datagram: blit into the reused send bytes
-     (no string extraction) and one [sendto] for every coalesced
-     frame in it. *)
-  let flush p =
-    (match p.dgram_dst with
-    | None -> ()
-    | Some dst -> (
-        let len = Buffer.length p.dgram in
-        Buffer.blit p.dgram 0 p.send_buf 0 len;
-        try
-          ignore (Unix.sendto p.p_sock p.send_buf 0 len [] dst : int);
-          p.sent_frames <- p.sent_frames + p.dgram_frames;
-          p.sent_bytes <- p.sent_bytes + len
-        with
-        | Unix.Unix_error (Unix.EMSGSIZE, _, _) ->
-            (* A datagram too large for the path MTU fails identically
-               on every retransmit: count it so the hang is
-               diagnosable (the pack-side guard caps at
-               [max_datagram]; this covers smaller-MTU paths). *)
-            p.send_errors <- p.send_errors + 1
-        | Unix.Unix_error (_, _, _) ->
-            (* Unreachable peer (ECONNREFUSED from a dead localhost
-               node, ENETUNREACH, ...): drop, like the network
-               would. *)
-            ()));
-    Buffer.clear p.dgram;
-    p.dgram_dst <- None;
-    p.dgram_frames <- 0
+  (* Ship open datagram [i], which holds at least one frame: blit into
+     the reused send bytes (no string extraction) and one [sendto] for
+     all the frames in it. The slot stays open to the same
+     destination, empty. *)
+  let ship p i =
+    let dgram = p.dgrams.(i) in
+    let len = Buffer.length dgram in
+    Buffer.blit dgram 0 p.send_buf 0 len;
+    (try
+       ignore (Unix.sendto p.p_sock p.send_buf 0 len [] p.dsts.(i) : int);
+       p.sent_frames <- p.sent_frames + p.frames.(i);
+       p.sent_dgrams <- p.sent_dgrams + 1;
+       p.sent_bytes <- p.sent_bytes + len
+     with
+    | Unix.Unix_error (Unix.EMSGSIZE, _, _) ->
+        (* A datagram too large for the path MTU fails identically on
+           every retransmit: count it so the hang is diagnosable (the
+           pack-side guard caps at [max_datagram]; this covers
+           smaller-MTU paths). *)
+        p.send_errors <- p.send_errors + 1
+    | Unix.Unix_error (_, _, _) ->
+        (* Unreachable peer (ECONNREFUSED from a dead localhost node,
+           ENETUNREACH, ...): drop, like the network would. *)
+        ());
+    Buffer.clear dgram;
+    p.frames.(i) <- 0
 
-  (* Encode one message into the staging buffer and pack it onto the
-     accumulating datagram, flushing first when the destination
-     changes or the datagram would overflow. *)
+  (* Ship every open datagram and close all the slots. *)
+  let flush p =
+    for i = 0 to p.n_open - 1 do
+      ship p i
+    done;
+    p.n_open <- 0
+
+  (* The open slot for [dst], or -1. A loop, not [Array.find_index]
+     with a closure, so the lookup allocates nothing. *)
+  let rec slot_of p dst i =
+    if i >= p.n_open then -1
+    else if p.dsts.(i) = dst then i
+    else slot_of p dst (i + 1)
+
+  (* Encode one message into the staging buffer and append it to the
+     open datagram for [dst]: opening one (after shipping them all if
+     the table is full), or shipping that one datagram first if the
+     frame would overflow it. *)
   let pack p ~dst msg =
     Buffer.clear p.frame;
     A.encode_into ~scratch:p.scratch ~out:p.frame msg;
     let flen = Buffer.length p.frame in
     if flen > max_datagram then p.send_errors <- p.send_errors + 1
     else begin
-      (match p.dgram_dst with
-      | Some d when d = dst && Buffer.length p.dgram + flen <= max_datagram ->
-          ()
-      | Some _ -> flush p
-      | None -> ());
-      p.dgram_dst <- Some dst;
-      p.dgram_frames <- p.dgram_frames + 1;
-      Buffer.add_buffer p.dgram p.frame
+      let i =
+        match slot_of p dst 0 with
+        | -1 ->
+            if p.n_open = open_slots then flush p;
+            let i = p.n_open in
+            p.dsts.(i) <- dst;
+            p.n_open <- i + 1;
+            i
+        | i ->
+            if Buffer.length p.dgrams.(i) + flen > max_datagram then ship p i;
+            i
+      in
+      p.frames.(i) <- p.frames.(i) + 1;
+      Buffer.add_buffer p.dgrams.(i) p.frame
     end
 
   let fold_tally p obs =
     Obs.note_wire_tx_burst obs ~msgs:p.sent_frames ~bytes:p.sent_bytes;
+    Obs.note_wire_dgrams_tx obs p.sent_dgrams;
     Obs.note_wire_send_errors obs p.send_errors;
     p.sent_frames <- 0;
+    p.sent_dgrams <- 0;
     p.sent_bytes <- 0;
     p.send_errors <- 0
 
@@ -252,6 +290,9 @@ module Make (A : ARRANGEMENT) = struct
              each at its offset. [decode_at] always advances, so this
              terminates on any input; a bad frame drops the rest of
              the datagram (framing cannot resynchronize mid-stream). *)
+          (match t.obs with
+          | Some obs -> Obs.note_wire_dgram_rx obs
+          | None -> ());
           let datagram = Bytes.sub_string t.recv_buf 0 len in
           let pos = ref 0 in
           let good = ref true in

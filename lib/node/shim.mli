@@ -11,12 +11,14 @@
     dropped, never fatal) and handed to [deliver].
 
     The message plane is batched: messages are framed into buffers a
-    {!Make.packer} owns and reuses, with consecutive same-destination
-    frames coalesced into one datagram (up to the UDP maximum) per
-    [sendto]; inbound datagrams are burst-decoded frame by frame at
-    offsets. The send fast path allocates no per-message strings. The
-    outbox consumer owns one packer; a node's cores own one each and
-    send their replies on the socket directly.
+    {!Make.packer} owns and reuses, which keeps one open datagram per
+    destination (up to the UDP maximum, a small fixed number of
+    destinations at once), so a flush is one [sendto] per peer however
+    the frames to different peers interleave; inbound datagrams are
+    burst-decoded frame by frame at offsets. The send fast path
+    allocates no per-message strings. The outbox consumer owns one
+    packer; a node's cores own one each and send their replies on the
+    socket directly.
 
     Two driving modes, never mixed on one shim:
     - {!Make.start} runs the loop on a background systhread
@@ -49,7 +51,7 @@ module Make (A : ARRANGEMENT) : sig
 
   type handlers = {
     deliver : src:Unix.sockaddr -> A.msg -> unit;
-        (** One decoded datagram. Runs on the loop thread; must not
+        (** One decoded frame. Runs on the loop thread; must not
             block (steer into mailboxes, answer, or drop). A raised
             exception is caught and counted under
             [wire.decode_errors] — it cannot kill the loop. *)
@@ -75,8 +77,8 @@ module Make (A : ARRANGEMENT) : sig
   (** Launch the background loop; it wakes at least every 50 µs, so a
       node whose cores park never leaves a CPU idle for long. [obs]
       receives the wire counters
-      ([wire.msgs_tx/rx], [wire.bytes_tx/rx], [wire.decode_errors],
-      [wire.send_errors]). *)
+      ([wire.msgs_tx/rx], [wire.bytes_tx/rx], [wire.dgrams_tx/rx],
+      [wire.decode_errors], [wire.send_errors]). *)
 
   val poll : t -> deliver:(src:Unix.sockaddr -> A.msg -> unit) -> int
   (** Inline mode: flush the outbox, then decode and deliver every
@@ -104,27 +106,35 @@ module Make (A : ARRANGEMENT) : sig
 
   type packer
   (** Flush-side state for one sender: payload scratch, frame staging
-      buffer, the datagram being coalesced with its destination, the
-      reused [sendto] bytes, and tallies of what it sent. Not
+      buffer, a fixed table of open datagrams with their destinations,
+      the reused [sendto] bytes, and tallies of what it sent. Not
       thread-safe: one owner at a time. *)
+
+  val open_slots : int
+  (** How many destinations a packer keeps a datagram open to at
+      once. *)
 
   val packer : t -> packer
   (** A fresh packer sending on this shim's socket — for a domain that
       answers on the socket directly instead of through the outbox. *)
 
   val pack : packer -> dst:Unix.sockaddr -> A.msg -> unit
-  (** Frame one message onto the packer's datagram, first sending the
-      datagram when [dst] differs or it would outgrow one UDP payload.
-      An oversized frame is dropped and tallied as a send error. *)
+  (** Frame one message onto the packer's open datagram for [dst].
+      Sends only that datagram first if the frame would outgrow one
+      UDP payload; sends every open datagram first if [dst] has none
+      and the table is full. Frames to one destination keep their
+      order. An oversized frame is dropped and tallied as a send
+      error, leaving the open datagrams as they were. Beyond what
+      the encoder allocates, packing allocates nothing. *)
 
   val flush : packer -> unit
-  (** Send the datagram being coalesced, if any. *)
+  (** Send every open datagram, one [sendto] each. *)
 
   val fold_tally : packer -> Mk_obs.Obs.t -> unit
-  (** Add the frames, bytes and send errors the packer sent since the
-      last fold to [wire.msgs_tx], [wire.bytes_tx] and
-      [wire.send_errors], and zero its tallies. Call from the owner,
-      or once the owner is quiescent. *)
+  (** Add the frames, datagrams, bytes and send errors the packer sent
+      since the last fold to [wire.msgs_tx], [wire.dgrams_tx],
+      [wire.bytes_tx] and [wire.send_errors], and zero its tallies.
+      Call from the owner, or once the owner is quiescent. *)
 
   val stop : t -> unit
   (** Stop the loop (joining the thread if one runs), flush the last

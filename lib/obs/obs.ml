@@ -28,6 +28,8 @@ type t = {
   wire_bytes_rx : Registry.counter;
   wire_msgs_tx : Registry.counter;
   wire_msgs_rx : Registry.counter;
+  wire_dgrams_tx : Registry.counter;
+  wire_dgrams_rx : Registry.counter;
   wire_decode_errors : Registry.counter;
   wire_send_errors : Registry.counter;
   wire_shard_drops : Registry.counter;
@@ -72,6 +74,8 @@ let create ?(trace = false) ~clock () =
     wire_bytes_rx = Registry.counter registry "wire.bytes_rx";
     wire_msgs_tx = Registry.counter registry "wire.msgs_tx";
     wire_msgs_rx = Registry.counter registry "wire.msgs_rx";
+    wire_dgrams_tx = Registry.counter registry "wire.dgrams_tx";
+    wire_dgrams_rx = Registry.counter registry "wire.dgrams_rx";
     wire_decode_errors = Registry.counter registry "wire.decode_errors";
     wire_send_errors = Registry.counter registry "wire.send_errors";
     wire_shard_drops = Registry.counter registry "wire.shard_drops";
@@ -135,6 +139,8 @@ let note_wire_rx t ~bytes =
   Registry.incr t.wire_msgs_rx;
   Registry.add t.wire_bytes_rx bytes
 
+let note_wire_dgrams_tx t n = Registry.add t.wire_dgrams_tx n
+let note_wire_dgram_rx t = Registry.incr t.wire_dgrams_rx
 let note_wire_decode_error t = Registry.incr t.wire_decode_errors
 let note_wire_send_errors t n = Registry.add t.wire_send_errors n
 let note_wire_shard_drop t = Registry.incr t.wire_shard_drops

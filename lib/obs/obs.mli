@@ -63,8 +63,18 @@ val note_wire_tx_burst : t -> msgs:int -> bytes:int -> unit
     frames, not datagrams. *)
 
 val note_wire_rx : t -> bytes:int -> unit
-(** One datagram received and decoded ([wire.msgs_rx]++,
-    [wire.bytes_rx] += datagram size). *)
+(** One frame received and decoded ([wire.msgs_rx]++,
+    [wire.bytes_rx] += frame size). A datagram can carry several
+    frames; the shim calls this once per frame. *)
+
+val note_wire_dgrams_tx : t -> int -> unit
+(** [n] datagrams left the socket, one per successful [sendto]
+    ([wire.dgrams_tx] += [n]) — folded with the packer's frame tally,
+    so [wire.msgs_tx / wire.dgrams_tx] is the coalescing factor. *)
+
+val note_wire_dgram_rx : t -> unit
+(** One datagram taken off the socket by [recvfrom]
+    ([wire.dgrams_rx]++), however many frames it carries. *)
 
 val note_wire_decode_error : t -> unit
 (** A datagram failed to decode, or carried ids a node cannot act on

@@ -571,6 +571,9 @@ let test_real_config_interprocedural () =
     && (not (List.mem "lib/meerkat/sharded.ml" cfg.Config.layering_allow))
     && List.mem "lib/durable/walcodec.ml" cfg.Config.pure_files
     && List.mem "lib/wire/wire.ml:unframe" cfg.Config.total_entries
+    (* The shim's per-frame decoder, and through it Wire.unframe_at,
+       which neither [unframe] nor [decode] reaches. *)
+    && List.mem "lib/wire/codec.ml:decode_shard_at" cfg.Config.total_entries
     && List.mem "lib/node/client_driver.ml:deliver" cfg.Config.total_entries
     && List.mem "lib/durable/walcodec.ml:read_records" cfg.Config.total_entries
     && List.mem "lib/durable/recover.ml:parse" cfg.Config.total_entries

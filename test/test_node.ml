@@ -321,20 +321,32 @@ let run_workload ~cluster driver_cfg =
   | Error v -> Alcotest.failf "not serializable: %a" Checker.pp_violation v);
   result
 
-(* A one-byte-length-prefixed string frame: just enough arrangement to
-   drive a shim without the protocol codec. *)
+(* A string frame behind a 3-byte big-endian length: just enough
+   arrangement to drive a shim without the protocol codec, and able to
+   express a frame larger than one datagram. *)
 module Txt = Mk_node.Shim.Make (struct
   type msg = string
 
   let encode_into ~scratch:_ ~out s =
-    Buffer.add_char out (Char.chr (String.length s));
+    let n = String.length s in
+    Buffer.add_char out (Char.chr ((n lsr 16) land 0xff));
+    Buffer.add_char out (Char.chr ((n lsr 8) land 0xff));
+    Buffer.add_char out (Char.chr (n land 0xff));
     Buffer.add_string out s
 
   let decode_at d ~pos =
-    let len = Char.code d.[pos] in
-    if pos + 1 + len > String.length d then
-      Error (Mk_wire.Wire.Truncated { need = pos + 1 + len; have = String.length d })
-    else Ok (String.sub d (pos + 1) len, pos + 1 + len)
+    let have = String.length d in
+    if pos + 3 > have then
+      Error (Mk_wire.Wire.Truncated { need = pos + 3; have })
+    else
+      let len =
+        (Char.code d.[pos] lsl 16)
+        lor (Char.code d.[pos + 1] lsl 8)
+        lor Char.code d.[pos + 2]
+      in
+      if pos + 3 + len > have then
+        Error (Mk_wire.Wire.Truncated { need = pos + 3 + len; have })
+      else Ok (String.sub d (pos + 3) len, pos + 3 + len)
 end)
 
 let with_txt f =
@@ -392,6 +404,120 @@ let test_wait_times_out () =
   let t0 = Unix.gettimeofday () in
   Alcotest.(check bool) "negative timeout" false (Txt.wait a ~timeout:(-1.0));
   Alcotest.(check bool) "returns at once" true (Unix.gettimeofday () -. t0 < 0.5)
+
+(* [n] bound shims, each counting into its own registry; all stopped
+   when [f] returns. *)
+let with_txts n f =
+  let nets =
+    List.init n (fun _ ->
+        match Txt.bind () with
+        | Error e -> Alcotest.failf "bind: %s" e
+        | Ok net ->
+            let obs = Mk_obs.Obs.create ~clock:(fun () -> 0.0) () in
+            Txt.set_obs net obs;
+            (net, obs))
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (net, _) -> Txt.stop net) nets)
+    (fun () -> f (Array.of_list nets))
+
+(* Poll every receiver until each holds [want] frames or 2 s pass:
+   each receiver's frames in arrival order. *)
+let collect rxs ~want =
+  let got = Array.map (fun _ -> ref []) rxs in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while
+    Array.exists (fun g -> List.length !g < want) got
+    && Unix.gettimeofday () < deadline
+  do
+    Array.iteri
+      (fun i (net, _) ->
+        ignore
+          (Txt.poll net ~deliver:(fun ~src:_ m -> got.(i) := m :: !(got.(i)))
+            : int))
+      rxs
+  done;
+  Array.map (fun g -> List.rev !g) got
+
+let dgrams_rx rxs =
+  Array.map (fun (_, obs) -> Mk_obs.Obs.counter_value obs "wire.dgrams_rx") rxs
+
+(* Pack [rounds] frames to each receiver, interleaved across them
+   (r0, r1, ..., r0, r1, ...), the shape of a Validate broadcast. *)
+let pack_interleaved p rxs ~rounds =
+  for k = 0 to rounds - 1 do
+    Array.iteri
+      (fun i (net, _) ->
+        Txt.pack p ~dst:(loopback net) (Printf.sprintf "r%d.%d" i k))
+      rxs
+  done
+
+let expected_frames rxs ~rounds =
+  Array.mapi (fun i _ -> List.init rounds (Printf.sprintf "r%d.%d" i)) rxs
+
+let test_packer_one_datagram_per_destination () =
+  (* Frames to three peers, interleaved, must leave as one datagram per
+     peer per flush — not one per frame, as a packer that coalesces
+     only consecutive same-destination frames would send — and reach
+     each peer in pack order. *)
+  with_txts 1 @@ fun tx ->
+  with_txts 3 @@ fun rxs ->
+  let net, obs = tx.(0) in
+  let p = Txt.packer net in
+  pack_interleaved p rxs ~rounds:5;
+  Txt.flush p;
+  Txt.fold_tally p obs;
+  let got = collect rxs ~want:5 in
+  Alcotest.(check (array (list string)))
+    "every frame, in pack order" (expected_frames rxs ~rounds:5) got;
+  Alcotest.(check (array int)) "one datagram per peer" [| 1; 1; 1 |]
+    (dgrams_rx rxs);
+  Alcotest.(check int) "frames tallied" 15
+    (Mk_obs.Obs.counter_value obs "wire.msgs_tx");
+  Alcotest.(check int) "datagrams tallied = datagrams received" 3
+    (Mk_obs.Obs.counter_value obs "wire.dgrams_tx")
+
+let test_packer_spills_past_its_table () =
+  (* More peers than the packer keeps datagrams open to: a new peer
+     finding the table full ships what is open and starts over. No
+     frame is lost and each peer still sees its frames in order. *)
+  with_txts 1 @@ fun tx ->
+  with_txts (Txt.open_slots + 2) @@ fun rxs ->
+  let net, obs = tx.(0) in
+  let p = Txt.packer net in
+  pack_interleaved p rxs ~rounds:3;
+  Txt.flush p;
+  Txt.fold_tally p obs;
+  let got = collect rxs ~want:3 in
+  Alcotest.(check (array (list string)))
+    "every frame, in pack order" (expected_frames rxs ~rounds:3) got;
+  Alcotest.(check int) "datagrams tallied = datagrams received"
+    (Array.fold_left ( + ) 0 (dgrams_rx rxs))
+    (Mk_obs.Obs.counter_value obs "wire.dgrams_tx");
+  Alcotest.(check int) "no send errors" 0
+    (Mk_obs.Obs.counter_value obs "wire.send_errors")
+
+let test_packer_oversized_frame_spares_open_datagrams () =
+  (* A frame larger than one datagram is dropped and counted once; the
+     datagrams already open to other peers (and to its own) still
+     leave whole at the next flush. *)
+  with_txts 1 @@ fun tx ->
+  with_txts 2 @@ fun rxs ->
+  let net, obs = tx.(0) in
+  let p = Txt.packer net in
+  pack_interleaved p rxs ~rounds:2;
+  Txt.pack p ~dst:(loopback (fst rxs.(0))) (String.make 70_000 'x');
+  Txt.flush p;
+  Txt.fold_tally p obs;
+  let got = collect rxs ~want:2 in
+  Alcotest.(check int) "one send error" 1
+    (Mk_obs.Obs.counter_value obs "wire.send_errors");
+  Alcotest.(check (array (list string)))
+    "open datagrams intact" (expected_frames rxs ~rounds:2) got;
+  Alcotest.(check (array int)) "one datagram per peer" [| 1; 1 |]
+    (dgrams_rx rxs);
+  Alcotest.(check int) "datagrams tallied = datagrams received" 2
+    (Mk_obs.Obs.counter_value obs "wire.dgrams_tx")
 
 let test_core_send_tallies ~cores () =
   (* Cores answer on the socket through their own packers; what they
@@ -1016,6 +1142,12 @@ let () =
           Alcotest.test_case "wait flushes, then wakes on a frame" `Quick
             test_wait_flushes_then_wakes;
           Alcotest.test_case "wait times out" `Quick test_wait_times_out;
+          Alcotest.test_case "packer: one datagram per destination" `Quick
+            test_packer_one_datagram_per_destination;
+          Alcotest.test_case "packer: spills past its table" `Quick
+            test_packer_spills_past_its_table;
+          Alcotest.test_case "packer: oversized frame spares the rest"
+            `Quick test_packer_oversized_frame_spares_open_datagrams;
         ] );
       ( "durable",
         [

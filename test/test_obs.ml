@@ -101,16 +101,22 @@ let test_wire_counters () =
       Alcotest.(check int) (n ^ " starts at 0") 0 (Obs.counter_value obs n))
     [
       "wire.msgs_tx"; "wire.msgs_rx"; "wire.bytes_tx"; "wire.bytes_rx";
-      "wire.decode_errors";
+      "wire.dgrams_tx"; "wire.dgrams_rx"; "wire.decode_errors";
     ];
   Obs.note_wire_tx obs ~bytes:40;
   Obs.note_wire_tx obs ~bytes:60;
   Obs.note_wire_rx obs ~bytes:25;
+  (* Frames and datagrams are counted apart: two frames coalesced into
+     one datagram are two msgs and one dgram. *)
+  Obs.note_wire_dgrams_tx obs 1;
+  Obs.note_wire_dgram_rx obs;
   Obs.note_wire_decode_error obs;
   Alcotest.(check int) "msgs_tx" 2 (Obs.counter_value obs "wire.msgs_tx");
   Alcotest.(check int) "bytes_tx" 100 (Obs.counter_value obs "wire.bytes_tx");
   Alcotest.(check int) "msgs_rx" 1 (Obs.counter_value obs "wire.msgs_rx");
   Alcotest.(check int) "bytes_rx" 25 (Obs.counter_value obs "wire.bytes_rx");
+  Alcotest.(check int) "dgrams_tx" 1 (Obs.counter_value obs "wire.dgrams_tx");
+  Alcotest.(check int) "dgrams_rx" 1 (Obs.counter_value obs "wire.dgrams_rx");
   Alcotest.(check int) "decode_errors" 1
     (Obs.counter_value obs "wire.decode_errors")
 
