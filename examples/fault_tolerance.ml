@@ -8,7 +8,8 @@ module Engine = Mk_sim.Engine
 module Intf = Mk_model.System_intf
 module Meerkat = Mk_meerkat.Sim_system
 module Replica = Mk_meerkat.Replica
-module Recovery = Mk_meerkat.Recovery
+module View_change = Mk_meerkat.View_change
+module Batch = Mk_meerkat.Batch
 module Quorum = Mk_meerkat.Quorum
 module Timestamp = Mk_clock.Timestamp
 module Txn = Mk_storage.Txn
@@ -74,8 +75,9 @@ let () =
   Format.printf "   %d/10 committed, %d on the fast path.@." !post
     ((Meerkat.counters sys).Intf.fast_path - fast_before);
 
-  (* --- Coordinator failure (§5.3.2), driven at the replica API level
-     so the message sequence is visible. --- *)
+  (* --- Coordinator failure (§5.3.2): the backup coordinator's
+     machine ({!View_change}) driven by hand, every message delivered
+     at once at the replica API, so the sequence is visible. --- *)
   say
     "A transaction coordinator dies mid-commit: it validated at replicas 0@.\
   \   and 1, then vanished without deciding.@.";
@@ -95,34 +97,48 @@ let () =
   say
     "Replica 1 notices the stalled transaction and starts a view change;@.\
   \   the view-1 backup coordinator polls a majority (Paxos-style prepare).@.";
-  let replies =
-    List.filter_map
-      (fun r ->
-        match Replica.handle_coord_change r ~core ~tid:orphan.Txn.tid ~view:1 with
-        | Some (`View_ok None) -> Some (Replica.id r, Recovery.No_record)
-        | Some (`View_ok (Some record)) -> Some (Replica.id r, Recovery.Record record)
-        | Some (`Stale _) | None -> None)
-      [ replicas.(0); replicas.(1); replicas.(2) ]
+  let vcs = View_change.create ~n:3 in
+  let acts = Batch.create () in
+  let acks = ref 0 and chosen = ref false in
+  let perform = function
+    | View_change.Coord_change { replica; observer; tid; view } -> (
+        match Replica.handle_coord_change replicas.(replica) ~core ~tid ~view with
+        | Some reply ->
+            View_change.coord_reply vcs ~tid ~observer ~view ~replica reply ~into:acts
+        | None -> ())
+    | View_change.Vc_accept { replica; observer; txn; ts; decision; view } -> (
+        if not !chosen then begin
+          chosen := true;
+          Format.printf
+            "   outcome selection says: %s (two VALIDATED-OK replies mean@."
+            (match decision with `Commit -> "COMMIT" | `Abort -> "ABORT");
+          Format.printf "   the fast path may already have committed — commit is the@.";
+          Format.printf "   only safe choice).@.";
+          say "The backup coordinator drives the slow path at view 1 and commits.@."
+        end;
+        match
+          Replica.handle_accept replicas.(replica) ~core ~txn ~ts ~decision ~view
+        with
+        | Some reply ->
+            if reply = `Accepted then incr acks;
+            View_change.accept_reply vcs ~tid:txn.Txn.tid ~observer ~view ~replica
+              reply ~into:acts
+        | None -> ())
+    | View_change.Write_back { txn; ts; commit; _ } ->
+        Format.printf "   accept acks: %d (need %d).@." !acks (Quorum.majority quorum);
+        Array.iter
+          (fun r -> ignore (Replica.handle_commit r ~core ~txn ~ts ~commit))
+          replicas
+    | View_change.Done _ -> ()
   in
-  let outcome = Recovery.choose ~quorum ~replies in
-  Format.printf "   outcome selection says: %s (two VALIDATED-OK replies mean@."
-    (match outcome with `Commit -> "COMMIT" | `Abort -> "ABORT");
-  Format.printf "   the fast path may already have committed — commit is the@.";
-  Format.printf "   only safe choice).@.";
-
-  say "The backup coordinator drives the slow path at view 1 and commits.@.";
-  let decision = (outcome :> [ `Commit | `Abort ]) in
-  let acks =
-    List.filter_map
-      (fun r -> Replica.handle_accept r ~core ~txn:orphan ~ts ~decision ~view:1)
-      [ replicas.(0); replicas.(1); replicas.(2) ]
-  in
-  Format.printf "   accept acks: %d (need %d).@." (List.length acks)
-    (Quorum.majority quorum);
-  List.iter
-    (fun r ->
-      ignore (Replica.handle_commit r ~core ~txn:orphan ~ts ~commit:(outcome = `Commit)))
-    [ replicas.(0); replicas.(1); replicas.(2) ];
+  (* View 1 belongs to replica 1 (view mod n). *)
+  View_change.start vcs ~observer:1
+    ~record:
+      { Mk_storage.Trecord.txn = orphan; ts; status = Txn.Validated_ok; view = 0;
+        accept_view = None }
+    ~view:1 ~rto:1.0 ~deadline:infinity ~now:0.0 ~into:acts;
+  (* Replies emit into the batch being iterated; iteration visits them. *)
+  Batch.iter perform acts;
   (match Meerkat.read_committed sys ~replica:2 ~key:50 with
   | Some v -> Format.printf "   key 50 = %d on every replica.@." v
   | None -> Format.printf "   key 50 missing!@.");

@@ -39,4 +39,11 @@ module Tid = struct
   let make ~seq ~client_id = { seq; client_id }
   let pp ppf t = Format.fprintf ppf "t%d.%d" t.client_id t.seq
   let to_string t = Format.asprintf "%a" pp t
+
+  module Table = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
 end

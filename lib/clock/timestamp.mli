@@ -40,4 +40,7 @@ module Tid : sig
   val make : seq:int -> client_id:int -> t
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
+
+  module Table : Hashtbl.S with type key = t
+  (** Tid-keyed hash tables over {!equal} and {!hash}. *)
 end

@@ -16,13 +16,6 @@ module Recover = Mk_durable.Recover
 module Checkpoint = Mk_durable.Checkpoint
 module Tid = Mk_clock.Timestamp.Tid
 
-module Tid_table = Hashtbl.Make (struct
-  type t = Tid.t
-
-  let equal = Tid.equal
-  let hash = Tid.hash
-end)
-
 type backend = Sim | Live
 
 type cfg = {
@@ -127,17 +120,17 @@ let check_durable ~cores ~replicas ~sources ~obligations ~note =
       (fun r rep ->
         let parsed = Recover.parse ~cores (sources r) in
         note parsed;
-        let committed_in_replay = Tid_table.create 256 in
+        let committed_in_replay = Tid.Table.create 256 in
         List.iter
           (fun ((_ : int), (v : Replica.record_view)) ->
             if v.status = Txn.Committed then
-              Tid_table.replace committed_in_replay v.txn.Txn.tid v.ts)
+              Tid.Table.replace committed_in_replay v.txn.Txn.tid v.ts)
           parsed.Recover.records;
         (if not (Replica.is_crashed rep) then
            List.iter
              (fun (_, (e : Mk_storage.Trecord.entry)) ->
                if e.status = Txn.Committed then
-                 match Tid_table.find_opt committed_in_replay e.txn.Txn.tid with
+                 match Tid.Table.find_opt committed_in_replay e.txn.Txn.tid with
                  | Some ts when Timestamp.compare ts e.ts = 0 -> ()
                  | Some _ ->
                      fail
@@ -158,7 +151,7 @@ let check_durable ~cores ~replicas ~sources ~obligations ~note =
       let held =
         Array.exists
           (fun tbl ->
-            match Tid_table.find_opt tbl tid with
+            match Tid.Table.find_opt tbl tid with
             | Some ts' -> Timestamp.compare ts' ts = 0
             | None -> false)
           replays
@@ -175,10 +168,10 @@ let check_durable ~cores ~replicas ~sources ~obligations ~note =
    end-of-run replays must still hold it. *)
 type obligations = {
   mutable ob_list : (Tid.t * Timestamp.t) list;
-  ob_seen : unit Tid_table.t;
+  ob_seen : unit Tid.Table.t;
 }
 
-let obligations_create () = { ob_list = []; ob_seen = Tid_table.create 64 }
+let obligations_create () = { ob_list = []; ob_seen = Tid.Table.create 64 }
 
 let obligations_capture ob replicas =
   Array.iter
@@ -188,9 +181,9 @@ let obligations_capture ob replicas =
           (fun (_, (e : Mk_storage.Trecord.entry)) ->
             if
               e.status = Txn.Committed
-              && not (Tid_table.mem ob.ob_seen e.txn.Txn.tid)
+              && not (Tid.Table.mem ob.ob_seen e.txn.Txn.tid)
             then begin
-              Tid_table.add ob.ob_seen e.txn.Txn.tid ();
+              Tid.Table.add ob.ob_seen e.txn.Txn.tid ();
               ob.ob_list <- (e.txn.Txn.tid, e.ts) :: ob.ob_list
             end)
           (Mk_storage.Trecord.entries (Replica.trecord rep)))

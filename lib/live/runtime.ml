@@ -32,15 +32,17 @@
    {!run} enforces that bound.
 
    Chaos mode ([config.chaos]): the same topology plus one monitor
-   domain hosting the transport-agnostic {!Mk_meerkat.Detector}. Every
-   cross-domain message routes through {!Link} (the wall-clock verdict
-   of the run's nemesis plan); server domains gain heartbeat agents
-   and trecord snapshots for the detector; the monitor injects the
-   plan's crashes, drives §5.3.2 view changes over the same mailboxes,
-   and runs §5.3.1 epoch changes under a freeze handshake. Chaos-mode
-   deadlock freedom is simpler and stricter: every chaos-path push is
-   a [try_push] whose failure counts as a link drop (retransmission
-   recovers it), so no chaos-mode producer ever blocks. The only
+   domain hosting the transport-agnostic {!Mk_meerkat.Detector} and
+   {!Mk_meerkat.View_change}. Every cross-domain message routes through
+   {!Link} (the wall-clock verdict of the run's nemesis plan); server
+   domains gain heartbeat agents and trecord snapshots for the
+   detector; the monitor injects the plan's crashes, carries the §5.3.2
+   view changes' messages over the same mailboxes, and runs §5.3.1
+   epoch changes ({!Mk_meerkat.Epoch.run_sync}) under a freeze
+   handshake. Chaos-mode deadlock freedom is simpler and stricter:
+   every chaos-path push is a [try_push] whose failure counts as a
+   link drop (retransmission recovers it), so no chaos-mode producer
+   ever blocks. The only
    blocking chaos push is a server's [Mon_frozen] ack, sent exactly
    when the monitor is draining its inbox waiting for it.
 
@@ -67,7 +69,7 @@ module Batch = Mk_meerkat.Batch
 module Protocol = Mk_meerkat.Protocol
 module Replica = Mk_meerkat.Replica
 module Detector = Mk_meerkat.Detector
-module Recovery = Mk_meerkat.Recovery
+module View_change = Mk_meerkat.View_change
 module Epoch = Mk_meerkat.Epoch
 module Workload = Mk_workload.Workload
 module Obs = Mk_obs.Obs
@@ -373,12 +375,14 @@ type mon_msg =
   | Mon_coord_reply of {
       tid : Tid.t;
       observer : int;
+      view : int;
       replica : int;
       reply : [ `View_ok of Replica.record_view option | `Stale of int ];
     }
   | Mon_accept_reply of {
       tid : Tid.t;
       observer : int;
+      view : int;
       replica : int;
       reply : [ `Accepted | `Stale of int | `Finalized of Txn.status ];
     }
@@ -608,7 +612,7 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
             | None -> ()
             | Some reply ->
                 reply_mon ~replica ~observer
-                  (Mon_coord_reply { tid; observer; replica; reply }))
+                  (Mon_coord_reply { tid; observer; view; replica; reply }))
         | Vc_accept { replica; observer; txn; ts; decision; view } -> (
             match
               Replica.handle_accept replicas.(replica) ~core ~txn ~ts ~decision
@@ -618,7 +622,7 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
             | Some reply ->
                 reply_mon ~replica ~observer
                   (Mon_accept_reply
-                     { tid = txn.Txn.tid; observer; replica; reply }))
+                     { tid = txn.Txn.tid; observer; view; replica; reply }))
         | Freeze ->
             (* The monitor is draining its inbox waiting for this ack,
                so the blocking push always completes; then park until
@@ -649,30 +653,6 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
 (* Monitor domain (chaos mode)                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Tid_table = Hashtbl.Make (struct
-  type t = Tid.t
-
-  let equal = Tid.equal
-  let hash = Tid.hash
-end)
-
-(* A §5.3.2 backup-coordinator view change in flight, driven by the
-   monitor over the server mailboxes — the wall-clock mirror of
-   [Sim_system.start_view_change]. *)
-type vc_machine = {
-  vc_observer : int;
-  vc_txn : Txn.t;
-  vc_ts : Timestamp.t;
-  vc_view : int;
-  vc_core : int;
-  vc_deadline : float;
-  vc_gathered : (int, Recovery.reply) Hashtbl.t;
-  mutable vc_chosen : [ `Commit | `Abort ] option;
-  vc_accept_from : bool array;
-  mutable vc_rto : float;
-  mutable vc_next_retry : float;
-}
-
 type mon_result = {
   m_epoch_changes : int;
   m_view_changes : int;
@@ -682,7 +662,6 @@ type mon_result = {
 let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
     ~mon_inbox ~controls ~link =
   let n = cfg.n_replicas in
-  let quorum = Quorum.create ~n in
   let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
   let dcfg = chaos.detector in
   let det = Detector.create ~cfg:dcfg ~n ~now:(wall_us ()) in
@@ -692,62 +671,45 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
   let ec_count = ref 0 in
   let vc_count = ref 0 in
   let fault_events = ref 0 in
-  let vcs : vc_machine Tid_table.t = Tid_table.create 16 in
+  let vcs = View_change.create ~n in
   let crashes = ref (Verdict.crashes chaos.plan) in
   let edges = ref (Verdict.window_edges chaos.plan) in
   let frozen_pending = ref 0 in
   let coords_pending = ref cfg.coordinators in
-  let to_server ~observer ~core msg ~dst =
-    Link.send link ~src:(Network.Replica observer) ~dst
-      ~push:(fun () -> ignore (Mailbox.try_push server_inboxes.(core) msg))
+  (* Recovery traffic for [tid] goes to the server domain owning its
+     trecord core; a crashed replica is sent nothing. *)
+  let to_server ~observer ~tid ~replica msg =
+    if not (Replica.is_crashed replicas.(replica)) then begin
+      let core = Tid.hash tid mod cfg.server_domains in
+      Link.send link ~src:(Network.Replica observer) ~dst:(Network.Replica replica)
+        ~push:(fun () -> ignore (Mailbox.try_push server_inboxes.(core) msg))
+    end
   in
-  let vc_abandon tid vc =
-    Tid_table.remove vcs tid;
-    Detector.view_change_finished det ~now:(wall_us ()) ~observer:vc.vc_observer
-      ~tid ~outcome:`Abandoned
+  (* The §5.3.2 view changes: {!View_change} decides; the monitor
+     carries its messages to the server domains over the link. The
+     scratch batch is never reentered: performing an action only
+     pushes to a server inbox. *)
+  let vc_acts : View_change.action Batch.t = Batch.create () in
+  let vc_perform = function
+    | View_change.Coord_change { replica; observer; tid; view } ->
+        to_server ~observer ~tid ~replica
+          (Coord_change { replica; observer; tid; view })
+    | View_change.Vc_accept { replica; observer; txn; ts; decision; view } ->
+        to_server ~observer ~tid:txn.Txn.tid ~replica
+          (Vc_accept { replica; observer; txn; ts; decision; view })
+    | View_change.Write_back { observer; txn; ts; commit } ->
+        for replica = 0 to n - 1 do
+          to_server ~observer ~tid:txn.Txn.tid ~replica
+            (Write_back { replica; txn; ts; commit })
+        done
+    | View_change.Done { tid; observer; outcome } ->
+        Detector.view_change_finished det ~now:(wall_us ()) ~observer ~tid ~outcome;
+        if outcome = `Finished then incr vc_count
   in
-  let vc_send_gather tid vc =
-    for r = 0 to n - 1 do
-      if
-        (not (Hashtbl.mem vc.vc_gathered r))
-        && not (Replica.is_crashed replicas.(r))
-      then
-        to_server ~observer:vc.vc_observer ~core:vc.vc_core
-          ~dst:(Network.Replica r)
-          (Coord_change
-             { replica = r; observer = vc.vc_observer; tid; view = vc.vc_view })
-    done
-  in
-  let vc_send_accepts tid vc decision =
-    ignore tid;
-    for r = 0 to n - 1 do
-      if (not vc.vc_accept_from.(r)) && not (Replica.is_crashed replicas.(r))
-      then
-        to_server ~observer:vc.vc_observer ~core:vc.vc_core
-          ~dst:(Network.Replica r)
-          (Vc_accept
-             {
-               replica = r;
-               observer = vc.vc_observer;
-               txn = vc.vc_txn;
-               ts = vc.vc_ts;
-               decision;
-               view = vc.vc_view;
-             })
-    done
-  in
-  (* Phase 3: write-back the chosen outcome everywhere. *)
-  let vc_finish tid vc ~commit =
-    Tid_table.remove vcs tid;
-    for r = 0 to n - 1 do
-      if not (Replica.is_crashed replicas.(r)) then
-        to_server ~observer:vc.vc_observer ~core:vc.vc_core
-          ~dst:(Network.Replica r)
-          (Write_back { replica = r; txn = vc.vc_txn; ts = vc.vc_ts; commit })
-    done;
-    Detector.view_change_finished det ~now:(wall_us ()) ~observer:vc.vc_observer
-      ~tid ~outcome:`Finished;
-    incr vc_count
+  let vc_feed f =
+    Batch.clear vc_acts;
+    f ~into:vc_acts;
+    Batch.iter vc_perform vc_acts
   in
   let handle_mon msg =
     match msg with
@@ -762,50 +724,10 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
         latest.(core) <- by_replica
     | Mon_frozen _ -> decr frozen_pending
     | Mon_coord_done -> decr coords_pending
-    | Mon_coord_reply { tid; observer; replica; reply } -> (
-        match Tid_table.find_opt vcs tid with
-        | Some vc when vc.vc_observer = observer && vc.vc_chosen = None -> (
-            match reply with
-            | `Stale _ ->
-                (* Another backup moved to a higher view; leave the
-                   transaction to it. *)
-                vc_abandon tid vc
-            | `View_ok record ->
-                if not (Hashtbl.mem vc.vc_gathered replica) then
-                  Hashtbl.replace vc.vc_gathered replica
-                    (match record with
-                    | None -> Recovery.No_record
-                    | Some v -> Recovery.Record v);
-                if Hashtbl.length vc.vc_gathered >= Quorum.majority quorum
-                then begin
-                  let replies =
-                    Hashtbl.fold (fun r v acc -> (r, v) :: acc) vc.vc_gathered []
-                  in
-                  let decision = Recovery.choose ~quorum ~replies in
-                  vc.vc_chosen <- Some decision;
-                  vc_send_accepts tid vc decision
-                end)
-        | Some _ | None -> ())
-    | Mon_accept_reply { tid; observer; replica; reply } -> (
-        match Tid_table.find_opt vcs tid with
-        | Some vc when vc.vc_observer = observer -> (
-            match reply with
-            | `Accepted -> (
-                if not vc.vc_accept_from.(replica) then begin
-                  vc.vc_accept_from.(replica) <- true;
-                  let acks =
-                    Array.fold_left
-                      (fun acc ok -> if ok then acc + 1 else acc)
-                      0 vc.vc_accept_from
-                  in
-                  if acks >= Quorum.majority quorum then
-                    match vc.vc_chosen with
-                    | Some decision -> vc_finish tid vc ~commit:(decision = `Commit)
-                    | None -> ()
-                end)
-            | `Finalized st -> vc_finish tid vc ~commit:(st = Txn.Committed)
-            | `Stale _ -> vc_abandon tid vc)
-        | Some _ | None -> ())
+    | Mon_coord_reply { tid; observer; view; replica; reply } ->
+        vc_feed (View_change.coord_reply vcs ~tid ~observer ~view ~replica reply)
+    | Mon_accept_reply { tid; observer; view; replica; reply } ->
+        vc_feed (View_change.accept_reply vcs ~tid ~observer ~view ~replica reply)
   in
   let drain_some () =
     match Mailbox.try_pop mon_inbox with
@@ -815,8 +737,8 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
     | None -> false
   in
   (* §5.3.1 under a freeze handshake: stop every server domain at one
-     instant, run the synchronous epoch change (the exact body of
-     [Sim_system.run_epoch_change]), hand the cores back. While the
+     instant, run the synchronous epoch change ({!Epoch.run_sync}, as
+     [Sim_system.run_epoch_change] does), hand the cores back. While the
      freeze tokens go out the monitor keeps draining its own inbox, so
      a server blocked pushing an ack can never deadlock it. *)
   let run_epoch_change ~recovering =
@@ -833,83 +755,17 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
     (* Every server domain is parked on its control mailbox: the
        replicas belong to the monitor alone (coordinator execute-phase
        reads go through the vstore's own shard locks and stay safe). *)
-    let healthy =
-      List.filter
-        (fun r ->
-          (not (Replica.is_crashed replicas.(r))) && not (List.mem r recovering))
-        (List.init n Fun.id)
-    in
-    let success =
-      if List.length healthy < Quorum.majority quorum then false
-      else begin
-        List.iter (fun id -> Replica.begin_recovery replicas.(id)) recovering;
-        let epoch =
-          1 + Array.fold_left (fun acc r -> max acc (Replica.epoch r)) 0 replicas
-        in
-        let reports =
-          List.filter_map
-            (fun r ->
-              match Replica.handle_epoch_change replicas.(r) ~epoch with
-              | None -> None
-              | Some _ ->
-                  Some
-                    {
-                      Epoch.replica = r;
-                      records = Replica.record_views replicas.(r);
-                    })
-            healthy
-        in
-        if List.length reports < Quorum.majority quorum then false
-        else begin
-          let merged = Epoch.merge ~quorum ~reports in
-          (* Healthy replicas install first so the snapshot sent to
-             the recovering replicas reflects every merged commit. *)
-          List.iter
-            (fun r ->
-              ignore
-                (Replica.handle_epoch_complete replicas.(r) ~epoch
-                   ~records:merged ~store:None))
-            healthy;
-          let snapshot =
-            match healthy with
-            | r :: _ -> Replica.store_snapshot replicas.(r)
-            | [] -> []
-          in
-          List.iter
-            (fun id ->
-              ignore
-                (Replica.handle_epoch_complete replicas.(id) ~epoch
-                   ~records:merged ~store:(Some snapshot)))
-            recovering;
-          true
-        end
-      end
-    in
+    let success = Epoch.run_sync replicas ~recovering in
     Array.iter (fun ctl -> Mailbox.push ctl ()) controls;
     Detector.epoch_change_finished det ~now:(wall_us ()) ~success ~recovering;
     if success then incr ec_count
   in
   let perform = function
     | Detector.Start_view_change { observer; record; view } ->
-        let tid = record.Trecord.txn.Txn.tid in
         let now = wall_us () in
-        let vc =
-          {
-            vc_observer = observer;
-            vc_txn = record.Trecord.txn;
-            vc_ts = record.Trecord.ts;
-            vc_view = view;
-            vc_core = Tid.hash tid mod cfg.server_domains;
-            vc_deadline = now +. dcfg.give_up_after;
-            vc_gathered = Hashtbl.create 8;
-            vc_chosen = None;
-            vc_accept_from = Array.make n false;
-            vc_rto = cfg.rto_us;
-            vc_next_retry = now +. cfg.rto_us;
-          }
-        in
-        Tid_table.replace vcs tid vc;
-        vc_send_gather tid vc
+        vc_feed
+          (View_change.start vcs ~observer ~record ~view ~rto:cfg.rto_us
+             ~deadline:(now +. dcfg.give_up_after) ~now)
     | Detector.Start_epoch_change { initiator = _; recovering } ->
         run_epoch_change ~recovering
   in
@@ -969,21 +825,6 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
       end
     done
   in
-  let vc_ticks now =
-    let expired = ref [] in
-    Tid_table.iter
-      (fun tid vc ->
-        if now > vc.vc_deadline then expired := (tid, vc) :: !expired
-        else if now >= vc.vc_next_retry then begin
-          vc.vc_rto <- vc.vc_rto *. 2.0;
-          vc.vc_next_retry <- now +. vc.vc_rto;
-          match vc.vc_chosen with
-          | Some decision -> vc_send_accepts tid vc decision
-          | None -> vc_send_gather tid vc
-        end)
-      vcs;
-    List.iter (fun (tid, vc) -> vc_abandon tid vc) !expired
-  in
   let stop_initiate_at = chaos.horizon_us +. (chaos.settle_us /. 2.0) in
   let end_at = chaos.horizon_us +. chaos.settle_us in
   let idle = ref 0 in
@@ -1005,7 +846,8 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
       drain 256;
       process_due now;
       if now < stop_initiate_at || !coords_pending > 0 then scan_tick now;
-      vc_ticks now;
+      if now >= View_change.next_due vcs then
+        vc_feed (View_change.fire_due vcs ~now);
       Link.flush link;
       if !progressed then idle := 0
       else begin
@@ -1016,10 +858,7 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
     end
   in
   main ();
-  (* Abandon anything still in flight so the detector state stays
-     consistent, and deliver the last stragglers off the wheel. *)
-  let leftover = Tid_table.fold (fun tid vc acc -> (tid, vc) :: acc) vcs [] in
-  List.iter (fun (tid, vc) -> vc_abandon tid vc) leftover;
+  (* Deliver the last stragglers off the wheel. *)
   Link.flush link;
   {
     m_epoch_changes = !ec_count;

@@ -28,13 +28,6 @@ module Timestamp = Mk_clock.Timestamp
 module Txn = Mk_storage.Txn
 module Trecord = Mk_storage.Trecord
 
-module Tid_table = Hashtbl.Make (struct
-  type t = Timestamp.Tid.t
-
-  let equal = Timestamp.Tid.equal
-  let hash = Timestamp.Tid.hash
-end)
-
 type cfg = {
   heartbeat_every : float;
   heartbeat_timeout : float;
@@ -74,10 +67,10 @@ type t = {
       (** Since when [p] has been reporting itself paused to [o]
           (NaN = not paused as far as [o] knows). *)
   self_paused_since : float array;
-  first_seen : float Tid_table.t array;
+  first_seen : float Timestamp.Tid.Table.t array;
       (** Per observer: when its scanner first saw each non-final
           record. *)
-  vc_inflight : unit Tid_table.t;
+  vc_inflight : unit Timestamp.Tid.Table.t;
       (** Transactions currently driven by a backup coordinator —
           shared across observers so scanners do not duel either. *)
   mutable ec_inflight : bool;
@@ -91,8 +84,8 @@ let create ~cfg ~n ~now =
     hb_last = Array.init n (fun _ -> Array.make n now);
     paused_since = Array.init n (fun _ -> Array.make n Float.nan);
     self_paused_since = Array.make n Float.nan;
-    first_seen = Array.init n (fun _ -> Tid_table.create 256);
-    vc_inflight = Tid_table.create 64;
+    first_seen = Array.init n (fun _ -> Timestamp.Tid.Table.create 256);
+    vc_inflight = Timestamp.Tid.Table.create 64;
     ec_inflight = false;
     ec_cooldown_until = 0.0;
   }
@@ -159,17 +152,17 @@ let scan t ~now ~observer:o ~paused ~available ~records ~recoverable ~into =
       (fun (e : Trecord.entry) ->
         let tid = e.txn.Txn.tid in
         match e.status with
-        | Txn.Committed | Txn.Aborted -> Tid_table.remove t.first_seen.(o) tid
+        | Txn.Committed | Txn.Aborted -> Timestamp.Tid.Table.remove t.first_seen.(o) tid
         | Txn.Validated_ok | Txn.Validated_abort | Txn.Accepted_commit
         | Txn.Accepted_abort -> begin
-            match Tid_table.find_opt t.first_seen.(o) tid with
-            | None -> Tid_table.add t.first_seen.(o) tid now
+            match Timestamp.Tid.Table.find_opt t.first_seen.(o) tid with
+            | None -> Timestamp.Tid.Table.add t.first_seen.(o) tid now
             | Some since ->
                 if
                   now -. since > t.cfg.stuck_timeout
-                  && not (Tid_table.mem t.vc_inflight tid)
+                  && not (Timestamp.Tid.Table.mem t.vc_inflight tid)
                 then begin
-                  Tid_table.replace t.vc_inflight tid ();
+                  Timestamp.Tid.Table.replace t.vc_inflight tid ();
                   (* The smallest view above the record's current one
                      that this replica proposes for: view v is owned by
                      replica (v mod n). *)
@@ -200,13 +193,13 @@ let epoch_change_finished t ~now ~success ~recovering =
       recovering
 
 let view_change_finished t ~now ~observer ~tid ~outcome =
-  Tid_table.remove t.vc_inflight tid;
+  Timestamp.Tid.Table.remove t.vc_inflight tid;
   match outcome with
-  | `Finished -> Tid_table.remove t.first_seen.(observer) tid
+  | `Finished -> Timestamp.Tid.Table.remove t.first_seen.(observer) tid
   | `Abandoned ->
       (* Restart the stuck clock: if the record is still not final the
          scanner will retry, at a higher view. *)
-      Tid_table.replace t.first_seen.(observer) tid now
+      Timestamp.Tid.Table.replace t.first_seen.(observer) tid now
 
-let view_change_inflight t tid = Tid_table.mem t.vc_inflight tid
+let view_change_inflight t tid = Timestamp.Tid.Table.mem t.vc_inflight tid
 let suspected t ~now ~observer = suspects t ~now observer

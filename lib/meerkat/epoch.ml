@@ -5,13 +5,6 @@ module Occ = Mk_storage.Occ
 
 type report = { replica : int; records : (int * Replica.record_view) list }
 
-module Tid_table = Hashtbl.Make (struct
-  type t = Timestamp.Tid.t
-
-  let equal = Timestamp.Tid.equal
-  let hash = Timestamp.Tid.hash
-end)
-
 (* All reports about one transaction, across replicas. *)
 type gathered = {
   core : int;
@@ -21,17 +14,17 @@ type gathered = {
 }
 
 let gather reports =
-  let table = Tid_table.create 1024 in
+  let table = Timestamp.Tid.Table.create 1024 in
   let order = ref [] in
   List.iter
     (fun report ->
       List.iter
         (fun (core, (v : Replica.record_view)) ->
-          match Tid_table.find_opt table v.txn.Txn.tid with
+          match Timestamp.Tid.Table.find_opt table v.txn.Txn.tid with
           | Some g -> g.views <- v :: g.views
           | None ->
               let g = { core; txn = v.txn; ts = v.ts; views = [ v ] } in
-              Tid_table.add table v.txn.Txn.tid g;
+              Timestamp.Tid.Table.add table v.txn.Txn.tid g;
               order := g :: !order)
         report.records)
     reports;
@@ -165,3 +158,46 @@ let merge ~quorum ~reports =
       let c = Timestamp.compare a.ts b.ts in
       if c <> 0 then c else Timestamp.Tid.compare a.txn.Txn.tid b.txn.Txn.tid)
     all
+
+let run_sync replicas ~recovering =
+  let quorum = Quorum.create ~n:(Array.length replicas) in
+  let healthy =
+    Array.to_list replicas
+    |> List.filter (fun r ->
+           (not (Replica.is_crashed r)) && not (List.mem (Replica.id r) recovering))
+  in
+  if List.length healthy < Quorum.majority quorum then false
+  else begin
+    List.iter (fun id -> Replica.begin_recovery replicas.(id)) recovering;
+    let epoch =
+      1 + Array.fold_left (fun acc r -> max acc (Replica.epoch r)) 0 replicas
+    in
+    let reports =
+      List.filter_map
+        (fun r ->
+          match Replica.handle_epoch_change r ~epoch with
+          | None -> None
+          | Some _ -> Some { replica = Replica.id r; records = Replica.record_views r })
+        healthy
+    in
+    if List.length reports < Quorum.majority quorum then false
+    else begin
+      let merged = merge ~quorum ~reports in
+      (* Healthy replicas install first so the snapshot sent to the
+         recovering replicas reflects every merged commit. *)
+      List.iter
+        (fun r ->
+          ignore (Replica.handle_epoch_complete r ~epoch ~records:merged ~store:None))
+        healthy;
+      let snapshot =
+        match healthy with r :: _ -> Replica.store_snapshot r | [] -> []
+      in
+      List.iter
+        (fun id ->
+          ignore
+            (Replica.handle_epoch_complete replicas.(id) ~epoch ~records:merged
+               ~store:(Some snapshot)))
+        recovering;
+      true
+    end
+  end

@@ -2,9 +2,12 @@
     recovery coordinator installs after polling a majority of
     replicas.
 
-    Pure logic — the driver that pauses replicas, collects reports and
-    distributes the result lives in {!Sim_system} (simulation) and in
-    the tests. Given reports from at least f+1 replicas, [merge]
+    [merge] is pure logic. {!run_sync} drives a whole change over a
+    replica array in one step (the simulator's test helper and the
+    live runtime, with its server domains frozen); the message-driven
+    drivers — {!Sim_system.trigger_epoch_change} and the cluster
+    node's loop thread — gather and distribute over their own
+    transports. Given reports from at least f+1 replicas, [merge]
     produces a trecord in which {e every} entry is final, applying the
     paper's rules in order:
 
@@ -32,3 +35,12 @@ val merge :
     counting, so a retransmitted report can not inflate the majority
     or fast-recovery tallies. The result preserves each record's core
     partition and is sorted by commit timestamp (deterministic). *)
+
+val run_sync : Replica.t array -> recovering:int list -> bool
+(** One synchronous epoch change over every replica, which nothing
+    else may touch meanwhile: the healthy replicas (neither crashed nor
+    in [recovering]) enter the next epoch and report, {!merge} folds a
+    majority of reports, the healthy replicas install the result, and
+    the [recovering] ones install it together with a store snapshot of
+    the first healthy replica. [false] (nothing installed) when fewer
+    than a majority are healthy or report. *)

@@ -16,8 +16,8 @@
     + otherwise no coordinator can have decided, and abort is safe.
 
     The chosen outcome must then be driven through the slow path
-    (accept at the new view, then commit) — {!Sim_system} does this in
-    simulation and the tests do it directly. *)
+    (accept at the new view, then commit) — {!View_change} does this
+    for all three backends. *)
 
 type reply = No_record | Record of Replica.record_view
 

@@ -380,51 +380,7 @@ let inflight_attempts t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.in
 
 (* --- Synchronous epoch change (test helper, §5.3.1). --- *)
 
-let run_epoch_change t ~recovering =
-  let healthy =
-    Array.to_list t.replicas
-    |> List.filter (fun r ->
-           (not (Replica.is_crashed r)) && not (List.mem (Replica.id r) recovering))
-  in
-  if List.length healthy < Quorum.majority t.quorum then false
-  else begin
-    List.iter (fun id -> Replica.begin_recovery t.replicas.(id)) recovering;
-    let epoch =
-      1 + Array.fold_left (fun acc r -> max acc (Replica.epoch r)) 0 t.replicas
-    in
-    let reports =
-      List.filter_map
-        (fun r ->
-          match Replica.handle_epoch_change r ~epoch with
-          | None -> None
-          | Some views ->
-              ignore views;
-              Some { Epoch.replica = Replica.id r; records = Replica.record_views r })
-        healthy
-    in
-    if List.length reports < Quorum.majority t.quorum then false
-    else begin
-      let merged = Epoch.merge ~quorum:t.quorum ~reports in
-      (* Healthy replicas install first so the snapshot sent to the
-         recovering replicas reflects every merged commit. *)
-      List.iter
-        (fun r ->
-          ignore (Replica.handle_epoch_complete r ~epoch ~records:merged ~store:None))
-        healthy;
-      let snapshot =
-        match healthy with
-        | r :: _ -> Replica.store_snapshot r
-        | [] -> []
-      in
-      List.iter
-        (fun id ->
-          ignore
-            (Replica.handle_epoch_complete t.replicas.(id) ~epoch ~records:merged
-               ~store:(Some snapshot)))
-        recovering;
-      true
-    end
-  end
+let run_epoch_change t ~recovering = Epoch.run_sync t.replicas ~recovering
 
 (* --- Message-driven epoch change (§5.3.1). ---
 
@@ -658,149 +614,6 @@ type detector_cfg = Detector.cfg = {
 
 let default_detector_cfg = Detector.default_cfg
 
-(* Backup-coordinator view change for one stuck record (§5.3.2),
-   initiated by replica [o] at [view] (both chosen by the detector). *)
-let start_view_change t ~cfg ~detector o (e : Mk_storage.Trecord.entry) ~view =
-  let n = Array.length t.replicas in
-  let tid = e.txn.Txn.tid in
-  let now () = Engine.now (engine t) in
-  let deadline = now () +. cfg.give_up_after in
-  let core_id = Timestamp.Tid.hash tid mod threads t in
-  let finished = ref false in
-  let abandon () =
-    if not !finished then begin
-      finished := true;
-      Detector.view_change_finished detector ~now:(now ()) ~observer:o ~tid
-        ~outcome:`Abandoned
-    end
-  in
-  (* Phase 3: write-back the chosen outcome everywhere. *)
-  let finish_commit ~commit =
-    if not !finished then begin
-      finished := true;
-      let nwrites = if commit then Array.length e.txn.Txn.write_set else 0 in
-      Array.iteri
-        (fun r replica ->
-          if not (Replica.is_crashed replica) then
-            Network.send_work_to_core (net t)
-              ~link:(Network.Replica o, Network.Replica r)
-              ~dst:(core t r core_id)
-              ~cost:(Costs.commit (costs t) ~nwrites)
-              (fun () ->
-                ignore
-                  (Replica.handle_commit replica ~core:core_id ~txn:e.txn ~ts:e.ts
-                     ~commit)))
-        t.replicas;
-      Detector.view_change_finished detector ~now:(now ()) ~observer:o ~tid
-        ~outcome:`Finished;
-      Obs.note_view_change (obs t)
-    end
-  in
-  (* Phase 2: accept the chosen decision at the new view. *)
-  let accept_from = Array.make n false in
-  let chosen = ref None in
-  let send_vc_accepts decision =
-    Array.iteri
-      (fun r replica ->
-        if (not (Replica.is_crashed replica)) && not accept_from.(r) then
-          Network.send_work_to_core (net t)
-            ~link:(Network.Replica o, Network.Replica r)
-            ~dst:(core t r core_id)
-            ~cost:(costs t).Costs.accept
-            (fun () ->
-              match
-                Replica.handle_accept replica ~core:core_id ~txn:e.txn ~ts:e.ts
-                  ~decision ~view
-              with
-              | None -> ()
-              | Some reply ->
-                  Network.send_to_client (net t)
-                    ~link:(Network.Replica r, Network.Replica o)
-                    (fun () ->
-                      if not !finished then begin
-                        match reply with
-                        | `Accepted ->
-                            if not accept_from.(r) then begin
-                              accept_from.(r) <- true;
-                              let acks =
-                                Array.fold_left
-                                  (fun acc ok -> if ok then acc + 1 else acc)
-                                  0 accept_from
-                              in
-                              if acks >= Quorum.majority t.quorum then
-                                finish_commit ~commit:(decision = `Commit)
-                            end
-                        | `Finalized st ->
-                            finish_commit ~commit:(st = Txn.Committed)
-                        | `Stale _ ->
-                            (* Another backup moved to a higher view;
-                               leave the transaction to it. *)
-                            abandon ()
-                      end)))
-      t.replicas
-  in
-  (* Phase 1: join the view at every replica and gather record state
-     (Paxos-prepare analogue). Replies are keyed by replica so a
-     duplicated reply cannot double-count — and {!Recovery.choose}
-     dedups again on its side. *)
-  let gathered : (int, Recovery.reply) Hashtbl.t = Hashtbl.create 8 in
-  let send_gather r =
-    let replica = t.replicas.(r) in
-    if not (Replica.is_crashed replica) then
-      Network.send_work_to_core (net t)
-        ~link:(Network.Replica o, Network.Replica r)
-        ~dst:(core t r core_id) ~cost:epoch_gather_base
-        (fun () ->
-          match Replica.handle_coord_change replica ~core:core_id ~tid ~view with
-          | None -> ()
-          | Some reply ->
-              Network.send_to_client (net t)
-                ~link:(Network.Replica r, Network.Replica o)
-                (fun () ->
-                  if (not !finished) && !chosen = None then begin
-                    match reply with
-                    | `Stale _ -> abandon ()
-                    | `View_ok record ->
-                        if not (Hashtbl.mem gathered r) then
-                          Hashtbl.replace gathered r
-                            (match record with
-                            | None -> Recovery.No_record
-                            | Some v -> Recovery.Record v);
-                        if Hashtbl.length gathered >= Quorum.majority t.quorum
-                        then begin
-                          let replies =
-                            Hashtbl.fold (fun r v acc -> (r, v) :: acc) gathered []
-                          in
-                          let decision =
-                            Recovery.choose ~quorum:t.quorum ~replies
-                          in
-                          chosen := Some decision;
-                          send_vc_accepts decision
-                        end
-                  end))
-  in
-  for r = 0 to n - 1 do
-    send_gather r
-  done;
-  (* Retransmit whichever phase is pending until the deadline, then
-     abandon (the scanner retries at a higher view). *)
-  let rec retry ~rto =
-    Engine.schedule (engine t) ~delay:rto (fun () ->
-        if not !finished then begin
-          if now () > deadline then abandon ()
-          else begin
-            (match !chosen with
-            | Some decision -> send_vc_accepts decision
-            | None ->
-                for r = 0 to n - 1 do
-                  if not (Hashtbl.mem gathered r) then send_gather r
-                done);
-            retry ~rto:(rto *. 2.0)
-          end
-        end)
-  in
-  retry ~rto:t.cluster.Cluster.rto
-
 let start_detectors ?(cfg = default_detector_cfg) t ~until () =
   let n = Array.length t.replicas in
   let now () = Engine.now (engine t) in
@@ -826,9 +639,81 @@ let start_detectors ?(cfg = default_detector_cfg) t ~until () =
       Engine.schedule (engine t) ~delay:cfg.heartbeat_every (fun () -> hb_loop r)
     end
   in
+  (* The §5.3.2 view changes: {!View_change} decides, this driver
+     carries its messages over the modelled network (skipping crashed
+     replicas) and arms one engine event per retry. *)
+  let vcs = View_change.create ~n in
+  let vc_pool : View_change.action Batch.Pool.t = Batch.Pool.create () in
+  (* One request from observer [o] to replica [r], on [tid]'s core; a
+     crashed replica is sent nothing, an answer travels back to [o]. *)
+  let vc_request ~o ~r ~tid ~cost handle answer =
+    let replica = t.replicas.(r) in
+    let core_id = Timestamp.Tid.hash tid mod threads t in
+    if not (Replica.is_crashed replica) then
+      Network.send_work_to_core (net t)
+        ~link:(Network.Replica o, Network.Replica r)
+        ~dst:(core t r core_id) ~cost (fun () ->
+          match handle replica ~core:core_id with
+          | None -> ()
+          | Some reply ->
+              Network.send_to_client (net t)
+                ~link:(Network.Replica r, Network.Replica o)
+                (fun () -> answer reply))
+  in
+  let rec vc_feed : 'a. (into:View_change.action Batch.t -> 'a) -> 'a =
+   fun f ->
+    Batch.Pool.with_batch vc_pool (fun into ->
+        let r = f ~into in
+        Batch.iter vc_perform into;
+        r)
+  and vc_perform = function
+    | View_change.Coord_change { replica = r; observer = o; tid; view } ->
+        vc_request ~o ~r ~tid ~cost:epoch_gather_base
+          (fun replica ~core -> Replica.handle_coord_change replica ~core ~tid ~view)
+          (fun reply ->
+            vc_feed
+              (View_change.coord_reply vcs ~tid ~observer:o ~view ~replica:r reply))
+    | View_change.Vc_accept { replica = r; observer = o; txn; ts; decision; view } ->
+        let tid = txn.Txn.tid in
+        vc_request ~o ~r ~tid ~cost:(costs t).Costs.accept
+          (fun replica ~core ->
+            Replica.handle_accept replica ~core ~txn ~ts ~decision ~view)
+          (fun reply ->
+            vc_feed
+              (View_change.accept_reply vcs ~tid ~observer:o ~view ~replica:r reply))
+    | View_change.Write_back { observer = o; txn; ts; commit } ->
+        let core_id = Timestamp.Tid.hash txn.Txn.tid mod threads t in
+        let nwrites = if commit then Array.length txn.Txn.write_set else 0 in
+        Array.iteri
+          (fun r replica ->
+            if not (Replica.is_crashed replica) then
+              Network.send_work_to_core (net t)
+                ~link:(Network.Replica o, Network.Replica r)
+                ~dst:(core t r core_id)
+                ~cost:(Costs.commit (costs t) ~nwrites)
+                (fun () ->
+                  ignore
+                    (Replica.handle_commit replica ~core:core_id ~txn ~ts ~commit)))
+          t.replicas
+    | View_change.Done { tid; observer; outcome } ->
+        Detector.view_change_finished detector ~now:(now ()) ~observer ~tid ~outcome;
+        if outcome = `Finished then Obs.note_view_change (obs t)
+  in
+  let rec vc_retry tid ~delay =
+    Engine.schedule (engine t) ~delay (fun () ->
+        match vc_feed (View_change.timer vcs ~now:(now ()) ~tid) with
+        | Some delay -> vc_retry tid ~delay
+        | None -> ())
+  in
   let perform = function
     | Detector.Start_view_change { observer; record; view } ->
-        start_view_change t ~cfg ~detector observer record ~view
+        let rto = t.cluster.Cluster.rto in
+        vc_feed
+          (View_change.start vcs ~observer ~record ~view ~rto
+             ~deadline:(now () +. cfg.give_up_after) ~now:(now ()));
+        (* Retransmit whichever phase is pending until the deadline,
+           then abandon (the scanner retries at a higher view). *)
+        vc_retry record.Mk_storage.Trecord.txn.Txn.tid ~delay:rto
     | Detector.Start_epoch_change { initiator = _; recovering } ->
         trigger_epoch_change ~max_rto:cfg.give_up_after t ~recovering
           ~on_complete:(fun ~success ->

@@ -182,7 +182,7 @@ val start_detectors : ?cfg:detector_cfg -> t -> until:float -> unit -> unit
 (** Arm the in-system failure detectors until simulated time [until]:
     per-replica heartbeats over the real (faulty) network feeding
     {!Detector}, whose actions drive §5.3.1 epoch changes and §5.3.2
-    view changes (through {!Recovery.choose}) for transactions whose
+    view changes (through {!View_change}) for transactions whose
     coordinator died. No recurring event is scheduled past [until], so
     [Engine.run] terminates. *)
 

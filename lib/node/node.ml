@@ -40,16 +40,17 @@
    core 0 right there, the others through their inboxes, answering
    over a control mailbox — so the loop thread never touches another
    core's live partition). Stuck records trigger the §5.3.2
-   backup-coordinator view change, driven entirely over the wire:
-   gather [Coord_change] from a majority, pick the safe outcome with
-   {!Recovery.choose}, [Vc_accept] at the new view, then broadcast the
-   [Write_back]. A peer that reboots and advertises itself paused is
-   [recoverable] (it heartbeats again), so the detector initiates the
-   §5.3.1 epoch change: freeze the local cores (core 0 inline, the
-   others through their inboxes), gather [Epoch_records] from a
-   majority, {!Epoch.merge}, install locally, then retransmit
-   [Epoch_install] (with a store snapshot to the recovering peers)
-   until every replica acks [Epoch_installed]. *)
+   backup-coordinator view change: the shared {!View_change} machine
+   decides (gather [Coord_change] from a majority, pick the safe
+   outcome with {!Recovery.choose}, [Vc_accept] at the new view, then
+   [Write_back]), and the loop thread carries its messages over the
+   wire and fires its retries from [tick]. A peer that reboots and
+   advertises itself paused is [recoverable] (it heartbeats again), so
+   the detector initiates the §5.3.1 epoch change: freeze the local
+   cores (core 0 inline, the others through their inboxes), gather
+   [Epoch_records] from a majority, {!Epoch.merge}, install locally,
+   then retransmit [Epoch_install] (with a store snapshot to the
+   recovering peers) until every replica acks [Epoch_installed]. *)
 
 module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
@@ -59,7 +60,7 @@ module Quorum = Mk_meerkat.Quorum
 module Batch = Mk_meerkat.Batch
 module Replica = Mk_meerkat.Replica
 module Detector = Mk_meerkat.Detector
-module Recovery = Mk_meerkat.Recovery
+module View_change = Mk_meerkat.View_change
 module Epoch = Mk_meerkat.Epoch
 module Codec = Mk_wire.Codec
 module Mailbox = Mk_live.Mailbox
@@ -413,14 +414,14 @@ let step t (core : core) ~report =
         | None -> ()
         | Some r ->
             reply src
-              (Codec.Coord_reply { observer; replica = me; tid; reply = r }))
+              (Codec.Coord_reply { observer; replica = me; tid; view; reply = r }))
     | Codec.Vc_accept { observer; txn; ts; decision; view } -> (
         match Replica.handle_accept replica ~core:index ~txn ~ts ~decision ~view with
         | None -> ()
         | Some r ->
             reply src
               (Codec.Vc_accept_reply
-                 { observer; replica = me; tid = txn.Txn.tid; reply = r }))
+                 { observer; replica = me; tid = txn.Txn.tid; view; reply = r }))
     | _ ->
         (* The steering layer only routes the five kinds above. *)
         ()
@@ -507,27 +508,6 @@ let core_loop t (core : core) inbox =
 (* Loop thread: steering, detector, view changes, epoch changes        *)
 (* ------------------------------------------------------------------ *)
 
-module Tid_table = Hashtbl.Make (struct
-  type t = Tid.t
-
-  let equal = Tid.equal
-  let hash = Tid.hash
-end)
-
-(* A §5.3.2 view change driven over the wire — the cross-process port
-   of the live runtime monitor's machine. *)
-type vc_machine = {
-  vc_txn : Txn.t;
-  vc_ts : Timestamp.t;
-  vc_view : int;
-  vc_deadline : float;
-  vc_gathered : (int, Recovery.reply) Hashtbl.t;
-  mutable vc_chosen : [ `Commit | `Abort ] option;
-  vc_accept_from : bool array;
-  mutable vc_rto : float;
-  mutable vc_next_retry : float;
-}
-
 (* A §5.3.1 epoch change driven over the wire. The node is either the
    initiator (its detector fired [Start_epoch_change]) or a peer
    answering one; concurrent initiators at the same epoch tie-break
@@ -584,7 +564,7 @@ let launch t ~cluster =
           dcfg
       in
       let latest = Array.make cfg.cores [] in
-      let vcs : vc_machine Tid_table.t = Tid_table.create 16 in
+      let vcs = View_change.create ~n in
       let next_hb = ref 0.0 in
       let next_scan = ref 0.0 in
       let next_push = ref 0.0 in
@@ -627,40 +607,33 @@ let launch t ~cluster =
         if core = 0 then step0 msg
         else Mailbox.push (snd t.spawned.(core - 1)) msg
       in
-      let vc_abandon det tid =
-        Tid_table.remove vcs tid;
-        Detector.view_change_finished det ~now:(Spawn.wall () *. 1e6)
-          ~observer:me ~tid ~outcome:`Abandoned
+      (* The §5.3.2 view changes this node proposes: {!View_change}
+         decides, the loop thread carries its messages over the wire.
+         The scratch batch is never reentered: performing an action
+         only sends datagrams. *)
+      let vc_acts : View_change.action Batch.t = Batch.create () in
+      let vc_perform = function
+        | View_change.Coord_change { replica; observer; tid; view } ->
+            (* Z7: the machine emits replica ids in [0, n) only. *)
+            send ~dst:(addrs.(replica) [@mk_lint.allow "Z7"])
+              (Codec.Coord_change { observer; tid; view })
+        | View_change.Vc_accept { replica; observer; txn; ts; decision; view } ->
+            send ~dst:(addrs.(replica) [@mk_lint.allow "Z7"])
+              (Codec.Vc_accept { observer; txn; ts; decision; view })
+        | View_change.Write_back { observer = _; txn; ts; commit } ->
+            broadcast (Codec.Write_back { txn; ts; commit })
+        | View_change.Done { tid; observer; outcome } -> (
+            match det with
+            | Some d ->
+                Detector.view_change_finished d ~now:(Spawn.wall () *. 1e6)
+                  ~observer ~tid ~outcome;
+                if outcome = `Finished then Obs.note_view_change t.obs
+            | None -> ())
       in
-      (* Z7: [r] ranges over 0..n-1 by construction in both senders, so
-         [addrs.(r)] cannot be out of bounds. *)
-      let[@mk_lint.allow "Z7"] vc_send_gather tid vc =
-        for r = 0 to n - 1 do
-          if not (Hashtbl.mem vc.vc_gathered r) then
-            send ~dst:addrs.(r)
-              (Codec.Coord_change { observer = me; tid; view = vc.vc_view })
-        done
-      in
-      let[@mk_lint.allow "Z7"] vc_send_accepts vc decision =
-        for r = 0 to n - 1 do
-          if not vc.vc_accept_from.(r) then
-            send ~dst:addrs.(r)
-              (Codec.Vc_accept
-                 {
-                   observer = me;
-                   txn = vc.vc_txn;
-                   ts = vc.vc_ts;
-                   decision;
-                   view = vc.vc_view;
-                 })
-        done
-      in
-      let vc_finish det tid vc ~commit =
-        Tid_table.remove vcs tid;
-        broadcast (Codec.Write_back { txn = vc.vc_txn; ts = vc.vc_ts; commit });
-        Detector.view_change_finished det ~now:(Spawn.wall () *. 1e6)
-          ~observer:me ~tid ~outcome:`Finished;
-        Obs.note_view_change t.obs
+      let vc_feed f =
+        Batch.clear vc_acts;
+        f ~into:vc_acts;
+        Batch.iter vc_perform vc_acts
       in
       (* --- §5.3.1 epoch-change machinery --------------------------- *)
       let store_rows_to_wire rows =
@@ -1061,8 +1034,9 @@ let launch t ~cluster =
       in
       (* Replica ids and core tags taken straight off the wire index
          detector, view-change and epoch-change arrays ([hb_last],
-         [vc_accept_from], [ec_installed_from], trecord partitions)
-         and count toward quorum majorities: one well-framed datagram
+         the view-change machine's per-replica tallies,
+         [ec_installed_from], trecord partitions) and count toward
+         quorum majorities: one well-framed datagram
          carrying an out-of-range id (hostile peer, misconfigured
          deployment, bit-flipped genuine frame) must be a counted drop
          like any other undecodable input — never an
@@ -1116,66 +1090,10 @@ let launch t ~cluster =
                     ~observer:me ~from_ ~paused
               | None -> ()
             end
-        | Codec.Coord_reply { observer; replica; tid; reply } -> (
-            match det with
-            | Some det when observer = me -> (
-                match Tid_table.find_opt vcs tid with
-                | Some vc when vc.vc_chosen = None -> (
-                    match reply with
-                    | `Stale _ ->
-                        (* A higher view took over; leave the record
-                           to it. *)
-                        vc_abandon det tid
-                    | `View_ok record ->
-                        if not (Hashtbl.mem vc.vc_gathered replica) then
-                          Hashtbl.replace vc.vc_gathered replica
-                            (match record with
-                            | None -> Recovery.No_record
-                            | Some v -> Recovery.Record v);
-                        if Hashtbl.length vc.vc_gathered >= Quorum.majority quorum
-                        then begin
-                          let replies =
-                            Hashtbl.fold
-                              (fun r v acc -> (r, v) :: acc)
-                              vc.vc_gathered []
-                          in
-                          let decision = Recovery.choose ~quorum ~replies in
-                          vc.vc_chosen <- Some decision;
-                          vc_send_accepts vc decision
-                        end)
-                | Some _ | None -> ())
-            | _ -> ())
-        | Codec.Vc_accept_reply { observer; replica; tid; reply } -> (
-            match det with
-            | Some det when observer = me -> (
-                match Tid_table.find_opt vcs tid with
-                | Some vc -> (
-                    match reply with
-                    | `Accepted -> (
-                        (* Z7: [replica] was range-checked against the
-                           cluster size by [wire_ids_ok] before the
-                           match. *)
-                        if
-                          not (vc.vc_accept_from.(replica) [@mk_lint.allow "Z7"])
-                        then begin
-                          ((vc.vc_accept_from.(replica) <- true)
-                          [@mk_lint.allow "Z7"]);
-                          let acks =
-                            Array.fold_left
-                              (fun acc ok -> if ok then acc + 1 else acc)
-                              0 vc.vc_accept_from
-                          in
-                          if acks >= Quorum.majority quorum then
-                            match vc.vc_chosen with
-                            | Some decision ->
-                                vc_finish det tid vc
-                                  ~commit:(decision = `Commit)
-                            | None -> ()
-                        end)
-                    | `Finalized st -> vc_finish det tid vc ~commit:(st = Txn.Committed)
-                    | `Stale _ -> vc_abandon det tid)
-                | None -> ())
-            | _ -> ())
+        | Codec.Coord_reply { observer; replica; tid; view; reply } ->
+            vc_feed (View_change.coord_reply vcs ~tid ~observer ~view ~replica reply)
+        | Codec.Vc_accept_reply { observer; replica; tid; view; reply } ->
+            vc_feed (View_change.accept_reply vcs ~tid ~observer ~view ~replica reply)
         | Codec.Epoch_change { initiator; epoch } ->
             ec_on_change ~initiator ~epoch
         | Codec.Epoch_records { replica; epoch; records } ->
@@ -1196,29 +1114,12 @@ let launch t ~cluster =
               | None -> []);
             ignore (Mailbox.try_push t.done_box () : bool)
       in
-      let perform = function
-        | Detector.Start_view_change { observer = _; record; view } ->
-            let tid = record.Trecord.txn.Txn.tid in
+      let perform (dc : Detector.cfg) = function
+        | Detector.Start_view_change { observer; record; view } ->
             let now = Spawn.wall () *. 1e6 in
-            let vc =
-              {
-                vc_txn = record.Trecord.txn;
-                vc_ts = record.Trecord.ts;
-                vc_view = view;
-                vc_deadline =
-                  (* Z7: [perform] only runs from [tick] under
-                     [Some det], and [det]/[dcfg] are both [Some] or
-                     both [None]. *)
-                  now +. (Option.get dcfg [@mk_lint.allow "Z7"]).Detector.give_up_after;
-                vc_gathered = Hashtbl.create 8;
-                vc_chosen = None;
-                vc_accept_from = Array.make n false;
-                vc_rto = cfg.rto_us;
-                vc_next_retry = now +. cfg.rto_us;
-              }
-            in
-            Tid_table.replace vcs tid vc;
-            vc_send_gather tid vc
+            vc_feed
+              (View_change.start vcs ~observer ~record ~view ~rto:cfg.rto_us
+                 ~deadline:(now +. dc.Detector.give_up_after) ~now)
         | Detector.Start_epoch_change { initiator = _; recovering } -> (
             match !ec with
             | Some _ -> () (* one machine at a time; the cooldown re-arms *)
@@ -1303,21 +1204,11 @@ let launch t ~cluster =
                   && now_us -. (hb_seen.(p) [@mk_lint.allow "Z7"])
                      <= dc.Detector.heartbeat_timeout)
                 ~into:det_acts;
-              Batch.iter perform det_acts
+              Batch.iter (perform dc) det_acts
             end;
-            let expired = ref [] in
-            Tid_table.iter
-              (fun tid vc ->
-                if now_us > vc.vc_deadline then expired := tid :: !expired
-                else if now_us >= vc.vc_next_retry then begin
-                  vc.vc_rto <- vc.vc_rto *. 2.0;
-                  vc.vc_next_retry <- now_us +. vc.vc_rto;
-                  match vc.vc_chosen with
-                  | Some decision -> vc_send_accepts vc decision
-                  | None -> vc_send_gather tid vc
-                end)
-              vcs;
-            List.iter (vc_abandon d) !expired);
+            (* Checked here so an idle tick allocates no closure. *)
+            if now_us >= View_change.next_due vcs then
+              vc_feed (View_change.fire_due vcs ~now:now_us));
         ec_tick now_us
       in
       t.phase <-

@@ -5,13 +5,6 @@ module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
 module Txn = Mk_storage.Txn
 
-module Tid_table = Hashtbl.Make (struct
-  type t = Tid.t
-
-  let equal = Tid.equal
-  let hash = Tid.hash
-end)
-
 type acc = {
   mutable ts : Timestamp.t;
   mutable subs : (int * Txn.t) list;
@@ -19,15 +12,15 @@ type acc = {
 }
 
 let merge ~router per_shard =
-  let table : acc Tid_table.t = Tid_table.create 256 in
+  let table : acc Tid.Table.t = Tid.Table.create 256 in
   let next_order = ref 0 in
   List.iter
     (fun (shard, history) ->
       List.iter
         (fun ((txn : Txn.t), ts) ->
-          match Tid_table.find_opt table txn.Txn.tid with
+          match Tid.Table.find_opt table txn.Txn.tid with
           | None ->
-              Tid_table.replace table txn.Txn.tid
+              Tid.Table.replace table txn.Txn.tid
                 { ts; subs = [ (shard, txn) ]; order = !next_order };
               incr next_order
           | Some acc ->
@@ -40,7 +33,7 @@ let merge ~router per_shard =
               acc.subs <- (shard, txn) :: acc.subs)
         history)
     per_shard;
-  Tid_table.fold (fun tid acc l -> (tid, acc) :: l) table []
+  Tid.Table.fold (fun tid acc l -> (tid, acc) :: l) table []
   |> List.sort (fun (_, a) (_, b) -> compare a.order b.order)
   |> List.map (fun (tid, acc) ->
          let reads, writes = Router.merge_sub router acc.subs in

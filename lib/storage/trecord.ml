@@ -9,13 +9,6 @@ type entry = {
   mutable accept_view : int option;
 }
 
-module Tid_table = Hashtbl.Make (struct
-  type t = Tid.t
-
-  let equal = Tid.equal
-  let hash = Tid.hash
-end)
-
 (* [pending.(c)] holds every entry of partition [c] added since it was
    last seen final — a superset of the partition's non-final entries,
    so [core_pending] costs O(recent + non-final) rather than a walk of
@@ -24,8 +17,8 @@ end)
    the last prune ([prune_at]), which keeps it proportional to the
    non-final set on backends that never ask. *)
 type t = {
-  partitions : entry Tid_table.t array;
-  pending : entry Tid_table.t array;
+  partitions : entry Tid.Table.t array;
+  pending : entry Tid.Table.t array;
   prune_at : int array;
 }
 
@@ -34,8 +27,8 @@ let min_prune = 1024
 let create ~cores =
   if cores <= 0 then invalid_arg "Trecord.create: cores must be positive";
   {
-    partitions = Array.init cores (fun _ -> Tid_table.create 256);
-    pending = Array.init cores (fun _ -> Tid_table.create 256);
+    partitions = Array.init cores (fun _ -> Tid.Table.create 256);
+    pending = Array.init cores (fun _ -> Tid.Table.create 256);
     prune_at = Array.make cores min_prune;
   }
 
@@ -56,60 +49,60 @@ let check_core t core =
 let find t ~core tid =
   check_core t core;
   Owner.check_partition ~core ~what:"find";
-  Tid_table.find_opt t.partitions.(core) tid
+  Tid.Table.find_opt t.partitions.(core) tid
 
 let prune t core =
   let p = t.pending.(core) in
-  Tid_table.filter_map_inplace
+  Tid.Table.filter_map_inplace
     (fun _ e -> if Txn.is_final e.status then None else Some e)
     p;
-  t.prune_at.(core) <- max min_prune (2 * Tid_table.length p)
+  t.prune_at.(core) <- max min_prune (2 * Tid.Table.length p)
 
 let add t ~core ~txn ~ts ~status =
   check_core t core;
   Owner.check_partition ~core ~what:"add";
   let entry = { txn; ts; status; view = 0; accept_view = None } in
-  Tid_table.replace t.partitions.(core) txn.Txn.tid entry;
+  Tid.Table.replace t.partitions.(core) txn.Txn.tid entry;
   let p = t.pending.(core) in
-  Tid_table.replace p txn.Txn.tid entry;
-  if Tid_table.length p > t.prune_at.(core) then prune t core;
+  Tid.Table.replace p txn.Txn.tid entry;
+  if Tid.Table.length p > t.prune_at.(core) then prune t core;
   entry
 
 let remove t ~core tid =
   check_core t core;
   Owner.check_partition ~core ~what:"remove";
-  Tid_table.remove t.partitions.(core) tid;
-  Tid_table.remove t.pending.(core) tid
+  Tid.Table.remove t.partitions.(core) tid;
+  Tid.Table.remove t.pending.(core) tid
 
-let size t = Array.fold_left (fun acc p -> acc + Tid_table.length p) 0 t.partitions
+let size t = Array.fold_left (fun acc p -> acc + Tid.Table.length p) 0 t.partitions
 
 let entries t =
   let acc = ref [] in
   Array.iteri
-    (fun core p -> Tid_table.iter (fun _ e -> acc := (core, e) :: !acc) p)
+    (fun core p -> Tid.Table.iter (fun _ e -> acc := (core, e) :: !acc) p)
     t.partitions;
   !acc
 
 let core_entries t ~core =
   check_core t core;
-  Tid_table.fold (fun _ e acc -> e :: acc) t.partitions.(core) []
+  Tid.Table.fold (fun _ e acc -> e :: acc) t.partitions.(core) []
 
 let core_pending t ~core =
   check_core t core;
   prune t core;
-  Tid_table.fold
+  Tid.Table.fold
     (fun _ e acc -> { e with ts = e.ts } :: acc)
     t.pending.(core) []
 
 let replace_all t pairs =
-  Array.iter Tid_table.reset t.partitions;
-  Array.iter Tid_table.reset t.pending;
+  Array.iter Tid.Table.reset t.partitions;
+  Array.iter Tid.Table.reset t.pending;
   List.iter
     (fun (core, e) ->
       check_core t core;
-      Tid_table.replace t.partitions.(core) e.txn.Txn.tid e;
+      Tid.Table.replace t.partitions.(core) e.txn.Txn.tid e;
       if not (Txn.is_final e.status) then
-        Tid_table.replace t.pending.(core) e.txn.Txn.tid e)
+        Tid.Table.replace t.pending.(core) e.txn.Txn.tid e)
     pairs
 
 let trim_finalized t ~before =
@@ -117,7 +110,7 @@ let trim_finalized t ~before =
   Array.iter
     (fun p ->
       let victims =
-        Tid_table.fold
+        Tid.Table.fold
           (fun tid e acc ->
             if Txn.is_final e.status && Mk_clock.Timestamp.compare e.ts before < 0
             then tid :: acc
@@ -126,7 +119,7 @@ let trim_finalized t ~before =
       in
       List.iter
         (fun tid ->
-          Tid_table.remove p tid;
+          Tid.Table.remove p tid;
           incr removed)
         victims)
     t.partitions;

@@ -73,6 +73,7 @@ type t =
       observer : int;
       replica : int;
       tid : Tid.t;
+      view : int;
       reply : coord_reply;
     }
   | Vc_accept of {
@@ -86,6 +87,7 @@ type t =
       observer : int;
       replica : int;
       tid : Tid.t;
+      view : int;
       reply : accept_reply;
     }
   (* server <-> server: §5.3.1 epoch change. [Epoch_installed] is the
@@ -369,10 +371,11 @@ let payload_into b msg =
       w_i64 b observer;
       w_tid b tid;
       w_i64 b view
-  | Coord_reply { observer; replica; tid; reply } ->
+  | Coord_reply { observer; replica; tid; view; reply } ->
       w_i64 b observer;
       w_i64 b replica;
       w_tid b tid;
+      w_i64 b view;
       w_coord_reply b reply
   | Vc_accept { observer; txn; ts; decision; view } ->
       w_i64 b observer;
@@ -380,10 +383,11 @@ let payload_into b msg =
       w_ts b ts;
       w_decision b decision;
       w_i64 b view
-  | Vc_accept_reply { observer; replica; tid; reply } ->
+  | Vc_accept_reply { observer; replica; tid; view; reply } ->
       w_i64 b observer;
       w_i64 b replica;
       w_tid b tid;
+      w_i64 b view;
       w_accept_reply b reply
   | Epoch_change { initiator; epoch } ->
       w_i64 b initiator;
@@ -478,8 +482,9 @@ let decode_payload ~kind c =
       let* observer = r_i64 c in
       let* replica = r_i64 c in
       let* tid = r_tid c in
+      let* view = r_i64 c in
       let* reply = r_coord_reply c in
-      Ok (Coord_reply { observer; replica; tid; reply })
+      Ok (Coord_reply { observer; replica; tid; view; reply })
   | 11 ->
       let* observer = r_i64 c in
       let* txn = r_txn c in
@@ -491,8 +496,9 @@ let decode_payload ~kind c =
       let* observer = r_i64 c in
       let* replica = r_i64 c in
       let* tid = r_tid c in
+      let* view = r_i64 c in
       let* reply = r_accept_reply c in
-      Ok (Vc_accept_reply { observer; replica; tid; reply })
+      Ok (Vc_accept_reply { observer; replica; tid; view; reply })
   | 13 ->
       let* initiator = r_i64 c in
       let* epoch = r_i64 c in
@@ -614,7 +620,7 @@ let equal a b =
       a.observer = b.observer && Tid.equal a.tid b.tid && a.view = b.view
   | Coord_reply a, Coord_reply b ->
       a.observer = b.observer && a.replica = b.replica
-      && Tid.equal a.tid b.tid
+      && Tid.equal a.tid b.tid && a.view = b.view
       && equal_coord_reply a.reply b.reply
   | Vc_accept a, Vc_accept b ->
       a.observer = b.observer
@@ -623,7 +629,7 @@ let equal a b =
       && a.decision = b.decision && a.view = b.view
   | Vc_accept_reply a, Vc_accept_reply b ->
       a.observer = b.observer && a.replica = b.replica
-      && Tid.equal a.tid b.tid
+      && Tid.equal a.tid b.tid && a.view = b.view
       && equal_accept_reply a.reply b.reply
   | Epoch_change a, Epoch_change b ->
       a.initiator = b.initiator && a.epoch = b.epoch
@@ -663,13 +669,14 @@ let pp ppf msg =
       Format.fprintf ppf "heartbeat[r%d%s]" from_ (if paused then " paused" else "")
   | Coord_change { observer; tid; view } ->
       Format.fprintf ppf "coord_change[o%d %a v%d]" observer Tid.pp tid view
-  | Coord_reply { observer; replica; tid; _ } ->
-      Format.fprintf ppf "coord_reply[o%d r%d %a]" observer replica Tid.pp tid
+  | Coord_reply { observer; replica; tid; view; _ } ->
+      Format.fprintf ppf "coord_reply[o%d r%d %a v%d]" observer replica Tid.pp tid
+        view
   | Vc_accept { observer; txn; view; _ } ->
       Format.fprintf ppf "vc_accept[o%d %a v%d]" observer Tid.pp txn.Txn.tid view
-  | Vc_accept_reply { observer; replica; tid; _ } ->
-      Format.fprintf ppf "vc_accept_reply[o%d r%d %a]" observer replica Tid.pp
-        tid
+  | Vc_accept_reply { observer; replica; tid; view; _ } ->
+      Format.fprintf ppf "vc_accept_reply[o%d r%d %a v%d]" observer replica
+        Tid.pp tid view
   | Epoch_change { initiator; epoch } ->
       Format.fprintf ppf "epoch_change[r%d e%d]" initiator epoch
   | Epoch_records { replica; epoch; records } ->

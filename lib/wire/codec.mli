@@ -90,6 +90,7 @@ type t =
       observer : int;
       replica : int;
       tid : Mk_clock.Timestamp.Tid.t;
+      view : int;  (** The [Coord_change] view this answers. *)
       reply : coord_reply;
     }
   | Vc_accept of {
@@ -103,6 +104,7 @@ type t =
       observer : int;
       replica : int;
       tid : Mk_clock.Timestamp.Tid.t;
+      view : int;  (** The [Vc_accept] view this answers. *)
       reply : accept_reply;
     }
   | Epoch_change of { initiator : int; epoch : int }

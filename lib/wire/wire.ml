@@ -179,8 +179,10 @@ let magic1 = 'K'
    can carry several shard groups and a node can refuse frames
    addressed to another group before touching the payload. Version 1
    frames (no shard field) are rejected as [Bad_version] — the cluster
-   is deployed as one unit, never mixed-version. *)
-let version = 2
+   is deployed as one unit, never mixed-version. Version 3: the
+   view-change replies ([Coord_reply], [Vc_accept_reply]) carry the
+   view they answer. *)
+let version = 3
 let header_bytes = 10
 let max_shard = 0xffff
 

@@ -88,7 +88,8 @@ val r_array :
 
 val version : int
 (** Current wire version, stamped into every frame header. Version 2
-    added the shard-group id; version 1 frames are rejected. *)
+    added the shard-group id; version 3 added the view to the
+    view-change replies. Frames of any other version are rejected. *)
 
 val header_bytes : int
 (** Frame header size: magic (2) + version (1) + kind (1) +

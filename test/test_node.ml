@@ -231,8 +231,10 @@ let test_cluster_survives_hostile_frames () =
   send (Codec.Heartbeat { from_ = 999; paused = false });
   send (Codec.Heartbeat { from_ = -1; paused = true });
   send
-    (Codec.Vc_accept_reply { observer = 0; replica = 4096; tid; reply = `Accepted });
-  send (Codec.Coord_reply { observer = 0; replica = -5; tid; reply = `Stale 3 });
+    (Codec.Vc_accept_reply
+       { observer = 0; replica = 4096; tid; view = 1; reply = `Accepted });
+  send
+    (Codec.Coord_reply { observer = 0; replica = -5; tid; view = 1; reply = `Stale 3 });
   raw "MK not a frame at all";
   Unix.close sock;
   (* Let the loop thread eat the poison before real load arrives. *)

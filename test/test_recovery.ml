@@ -1,11 +1,15 @@
-(* Coordinator recovery (§5.3.2): outcome selection and an end-to-end
-   backup-coordinator run over real replicas. *)
+(* Coordinator recovery (§5.3.2): outcome selection, the view-change
+   machine, and an end-to-end backup-coordinator run over real
+   replicas. *)
 
 module Timestamp = Mk_clock.Timestamp
 module Txn = Mk_storage.Txn
+module Trecord = Mk_storage.Trecord
 module Quorum = Mk_meerkat.Quorum
 module Replica = Mk_meerkat.Replica
 module Recovery = Mk_meerkat.Recovery
+module Batch = Mk_meerkat.Batch
+module View_change = Mk_meerkat.View_change
 
 let q3 = Quorum.create ~n:3
 let q5 = Quorum.create ~n:5
@@ -176,6 +180,180 @@ let test_reordered_replies_same_outcome () =
          ]
     = `Commit)
 
+(* --- The view-change machine, driven by hand: replies in, actions
+   out. Replica 1 proposes view 1 in a 3-replica group. --- *)
+
+let entry txn : Trecord.entry =
+  { txn; ts = ts 1.0; status = Txn.Validated_ok; view = 0; accept_view = None }
+
+let vc_txn = rmw ~seq:50 1
+let vc_tid = vc_txn.Txn.tid
+
+(* A fresh table with the change started at time 0 (rto 10, deadline
+   100); the start's [Coord_change]s are dropped. *)
+let started () =
+  let vcs = View_change.create ~n:3 in
+  let into = Batch.create () in
+  View_change.start vcs ~observer:1 ~record:(entry vc_txn) ~view:1 ~rto:10.0
+    ~deadline:100.0 ~now:0.0 ~into;
+  (vcs, into)
+
+(* One action per line, replica order kept. *)
+let show (a : View_change.action) =
+  match a with
+  | View_change.Coord_change { replica; observer; view; _ } ->
+      Printf.sprintf "coord_change r%d o%d v%d" replica observer view
+  | View_change.Vc_accept { replica; decision; view; _ } ->
+      Printf.sprintf "vc_accept r%d v%d %s" replica view
+        (match decision with `Commit -> "commit" | `Abort -> "abort")
+  | View_change.Write_back { commit; _ } ->
+      Printf.sprintf "write_back %s" (if commit then "commit" else "abort")
+  | View_change.Done { outcome; _ } ->
+      Printf.sprintf "done %s"
+        (match outcome with `Finished -> "finished" | `Abandoned -> "abandoned")
+
+(* The actions one call emits. *)
+let emitted into f =
+  Batch.clear into;
+  f ~into;
+  List.map show (Batch.to_list into)
+
+let check_emits what expected into f =
+  Alcotest.(check (list string)) what expected (emitted into f)
+
+let ok_reply ?(observer = 1) ?(view = 1) vcs replica =
+  View_change.coord_reply vcs ~tid:vc_tid ~observer ~view ~replica (`View_ok None)
+
+let accept ?(observer = 1) ?(view = 1) vcs replica reply =
+  View_change.accept_reply vcs ~tid:vc_tid ~observer ~view ~replica reply
+
+let accepts_abort =
+  [ "vc_accept r0 v1 abort"; "vc_accept r1 v1 abort"; "vc_accept r2 v1 abort" ]
+
+(* Gather replies 0 and 1 (no record anywhere: abort is chosen). *)
+let chosen () =
+  let vcs, into = started () in
+  check_emits "first reply" [] into (ok_reply vcs 0);
+  check_emits "majority chooses" accepts_abort into (ok_reply vcs 1);
+  (vcs, into)
+
+let test_vc_start_gathers () =
+  let vcs = View_change.create ~n:3 in
+  let into = Batch.create () in
+  check_emits "coord_change to every replica"
+    [ "coord_change r0 o1 v1"; "coord_change r1 o1 v1"; "coord_change r2 o1 v1" ]
+    into
+    (View_change.start vcs ~observer:1 ~record:(entry vc_txn) ~view:1 ~rto:10.0
+       ~deadline:100.0 ~now:0.0);
+  Alcotest.(check (float 0.0)) "first retry due at rto" 10.0 (View_change.next_due vcs)
+
+let test_vc_duplicates_count_once () =
+  let vcs, into = started () in
+  check_emits "first view_ok" [] into (ok_reply vcs 0);
+  check_emits "duplicate view_ok is no majority" [] into (ok_reply vcs 0);
+  check_emits "second replica completes the majority" accepts_abort into
+    (ok_reply vcs 1);
+  check_emits "first accepted" [] into (accept vcs 2 `Accepted);
+  check_emits "duplicate accepted is no majority" [] into (accept vcs 2 `Accepted);
+  check_emits "second replica finishes" [ "write_back abort"; "done finished" ] into
+    (accept vcs 0 `Accepted);
+  check_emits "late reply after the finish" [] into (accept vcs 1 `Accepted)
+
+let test_vc_stale_gather_abandons () =
+  let vcs, into = started () in
+  check_emits "view_ok" [] into (ok_reply vcs 0);
+  check_emits "stale abandons" [ "done abandoned" ] into
+    (View_change.coord_reply vcs ~tid:vc_tid ~observer:1 ~view:1 ~replica:2 (`Stale 4));
+  check_emits "later replies ignored" [] into (ok_reply vcs 1);
+  Alcotest.(check (option (float 0.0))) "no retry left" None
+    (View_change.timer vcs ~now:10.0 ~tid:vc_tid ~into)
+
+let test_vc_finalized_during_accept () =
+  let vcs, into = chosen () in
+  (* Abort was chosen, but a replica already learned the commit. *)
+  check_emits "finalized outcome wins" [ "write_back commit"; "done finished" ] into
+    (accept vcs 2 (`Finalized Txn.Committed))
+
+let test_vc_stale_accept_abandons () =
+  let vcs, into = chosen () in
+  check_emits "stale accept abandons" [ "done abandoned" ] into
+    (accept vcs 0 (`Stale 7))
+
+let test_vc_accept_before_choice_ignored () =
+  let vcs, into = started () in
+  check_emits "accept reply during the gather" [] into (accept vcs 0 `Accepted);
+  check_emits "finalized during the gather" [] into
+    (accept vcs 0 (`Finalized Txn.Committed));
+  ignore (emitted into (ok_reply vcs 0));
+  check_emits "the gather goes on" accepts_abort into (ok_reply vcs 1)
+
+let test_vc_retry_only_missing () =
+  let vcs, into = started () in
+  check_emits "view_ok from replica 1" [] into (ok_reply vcs 1);
+  check_emits "not due yet" [] into (fun ~into ->
+      Alcotest.(check (option (float 0.0))) "no re-arm" None
+        (View_change.timer vcs ~now:9.0 ~tid:vc_tid ~into));
+  check_emits "gather resent to the silent replicas"
+    [ "coord_change r0 o1 v1"; "coord_change r2 o1 v1" ]
+    into
+    (fun ~into ->
+      Alcotest.(check (option (float 0.0))) "backoff doubles" (Some 20.0)
+        (View_change.timer vcs ~now:10.0 ~tid:vc_tid ~into));
+  ignore (emitted into (ok_reply vcs 2));
+  check_emits "accepted from replica 2" [] into (accept vcs 2 `Accepted);
+  check_emits "accepts resent to the silent replicas"
+    [ "vc_accept r0 v1 abort"; "vc_accept r1 v1 abort" ]
+    into
+    (fun ~into ->
+      Alcotest.(check (option (float 0.0))) "backoff doubles again" (Some 40.0)
+        (View_change.timer vcs ~now:30.0 ~tid:vc_tid ~into))
+
+let test_vc_deadline_abandons () =
+  let vcs, into = started () in
+  let retry now ~into = ignore (View_change.timer vcs ~now ~tid:vc_tid ~into) in
+  ignore (emitted into (retry 10.0));
+  ignore (emitted into (retry 30.0));
+  ignore (emitted into (retry 70.0));
+  check_emits "retry past the deadline abandons" [ "done abandoned" ] into
+    (retry 150.0);
+  (* The wall-clock path: a tick past the deadline abandons even before
+     the next retry is due. *)
+  let vcs, into = started () in
+  check_emits "tick before anything is due" [] into (View_change.fire_due vcs ~now:5.0);
+  ignore (emitted into (View_change.fire_due vcs ~now:10.0));
+  Alcotest.(check bool)
+    "next due after the retry" true
+    (View_change.next_due vcs > 10.0);
+  check_emits "tick past the deadline abandons" [ "done abandoned" ] into
+    (View_change.fire_due vcs ~now:100.5);
+  check_emits "nothing left" [] into (View_change.fire_due vcs ~now:1000.0)
+
+let test_vc_out_of_range_replica_ignored () =
+  let vcs, into = started () in
+  check_emits "replica n" [] into (ok_reply vcs 3);
+  check_emits "negative replica" [] into (ok_reply vcs (-1));
+  check_emits "one real reply is no majority" [] into (ok_reply vcs 0);
+  check_emits "the second real one is" accepts_abort into (ok_reply vcs 1);
+  check_emits "out-of-range accept" [] into (accept vcs 7 `Accepted);
+  check_emits "out-of-range finalized" [] into
+    (accept vcs (-2) (`Finalized Txn.Committed));
+  check_emits "one real accept is no majority" [] into (accept vcs 0 `Accepted)
+
+let test_vc_foreign_reply_ignored () =
+  let vcs, into = started () in
+  check_emits "another observer's view_ok" [] into (ok_reply ~observer:2 vcs 0);
+  check_emits "another observer's stale" [] into
+    (View_change.coord_reply vcs ~tid:vc_tid ~observer:0 ~view:1 ~replica:0 (`Stale 9));
+  check_emits "another view's view_ok" [] into (ok_reply ~view:4 vcs 2);
+  check_emits "one counted reply is no majority" [] into (ok_reply vcs 0);
+  check_emits "the majority" accepts_abort into (ok_reply vcs 1);
+  check_emits "another observer's finalized" [] into
+    (accept ~observer:0 vcs 0 (`Finalized Txn.Committed));
+  check_emits "another view's accepted" [] into (accept ~view:4 vcs 0 `Accepted);
+  check_emits "another tid" [] into (fun ~into ->
+      View_change.accept_reply vcs ~tid:(rmw ~seq:51 1).Txn.tid ~observer:1 ~view:1
+        ~replica:0 `Accepted ~into)
+
 (* --- End-to-end: a backup coordinator finishes an orphaned
    transaction across three real replicas. --- *)
 
@@ -189,34 +367,42 @@ let make_cluster () =
     replicas;
   replicas
 
-(* Drive the full §5.3.2 procedure: prepare (coord-change) at a
-   majority, choose, accept at the new view, commit everywhere. *)
+(* Drive the full §5.3.2 procedure through the machine with every
+   message delivered at once: prepare (coord-change) at a majority,
+   choose, accept at the new view, commit everywhere. View [view]
+   belongs to replica [view mod 3]. *)
 let run_backup_coordinator replicas ~core ~txn ~ts:tstamp ~view =
-  let replies =
-    Array.to_list replicas
-    |> List.filter_map (fun r ->
-           match Replica.handle_coord_change r ~core ~tid:txn.Txn.tid ~view with
-           | Some (`View_ok None) -> Some (Replica.id r, Recovery.No_record)
-           | Some (`View_ok (Some record)) ->
-               Some (Replica.id r, Recovery.Record record)
-           | Some (`Stale _) | None -> None)
+  let vcs = View_change.create ~n:3 in
+  let into = Batch.create () in
+  let outcome = ref None and finished = ref false in
+  let perform = function
+    | View_change.Coord_change { replica; observer; tid; view } -> (
+        match Replica.handle_coord_change replicas.(replica) ~core ~tid ~view with
+        | Some reply ->
+            View_change.coord_reply vcs ~tid ~observer ~view ~replica reply ~into
+        | None -> ())
+    | View_change.Vc_accept { replica; observer; txn; ts; decision; view } -> (
+        match
+          Replica.handle_accept replicas.(replica) ~core ~txn ~ts ~decision ~view
+        with
+        | Some reply ->
+            View_change.accept_reply vcs ~tid:txn.Txn.tid ~observer ~view ~replica reply
+              ~into
+        | None -> ())
+    | View_change.Write_back { txn; ts; commit; _ } ->
+        outcome := Some (if commit then `Commit else `Abort);
+        Array.iter
+          (fun r -> ignore (Replica.handle_commit r ~core:0 ~txn ~ts ~commit))
+          replicas
+    | View_change.Done { outcome; _ } -> finished := outcome = `Finished
   in
-  let outcome = Recovery.choose ~quorum:q3 ~replies in
-  let decision = match outcome with `Commit -> `Commit | `Abort -> `Abort in
-  let acks =
-    Array.to_list replicas
-    |> List.filter_map (fun r ->
-           Replica.handle_accept r ~core ~txn ~ts:tstamp ~decision ~view)
-    |> List.filter (fun reply -> reply = `Accepted)
-  in
-  Alcotest.(check bool) "accept quorum" true (List.length acks >= Quorum.majority q3);
-  Array.iter
-    (fun r ->
-      ignore
-        (Replica.handle_commit r ~core:0 ~txn ~ts:tstamp
-           ~commit:(outcome = `Commit)))
-    replicas;
-  outcome
+  View_change.start vcs ~observer:(view mod 3)
+    ~record:{ (entry txn) with ts = tstamp }
+    ~view ~rto:1.0 ~deadline:infinity ~now:0.0 ~into;
+  (* Replies emit into the batch being iterated; iteration visits them. *)
+  Batch.iter perform into;
+  Alcotest.(check bool) "view change finished" true !finished;
+  match !outcome with Some o -> o | None -> Alcotest.fail "no write-back"
 
 let test_backup_finishes_validated_txn () =
   let replicas = make_cluster () in
@@ -314,6 +500,29 @@ let () =
             test_duplicates_do_not_reach_majority;
           Alcotest.test_case "reordered replies, same outcome" `Quick
             test_reordered_replies_same_outcome;
+        ] );
+      ( "view change",
+        [
+          Alcotest.test_case "start gathers from every replica" `Quick
+            test_vc_start_gathers;
+          Alcotest.test_case "duplicate view_ok and accepted count once" `Quick
+            test_vc_duplicates_count_once;
+          Alcotest.test_case "stale during the gather abandons" `Quick
+            test_vc_stale_gather_abandons;
+          Alcotest.test_case "finalized during the accept finishes" `Quick
+            test_vc_finalized_during_accept;
+          Alcotest.test_case "stale during the accept abandons" `Quick
+            test_vc_stale_accept_abandons;
+          Alcotest.test_case "accept replies before the choice ignored" `Quick
+            test_vc_accept_before_choice_ignored;
+          Alcotest.test_case "retry resends only to the silent" `Quick
+            test_vc_retry_only_missing;
+          Alcotest.test_case "expired deadline abandons" `Quick
+            test_vc_deadline_abandons;
+          Alcotest.test_case "out-of-range replica ignored" `Quick
+            test_vc_out_of_range_replica_ignored;
+          Alcotest.test_case "another observer or view ignored" `Quick
+            test_vc_foreign_reply_ignored;
         ] );
       ( "end-to-end",
         [

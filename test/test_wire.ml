@@ -145,6 +145,7 @@ let gen_msg rng k : Codec.t =
           observer = Random.State.int rng 7;
           replica = Random.State.int rng 7;
           tid = tid rng;
+          view = Random.State.int rng 10;
           reply = coord_reply rng;
         }
   | 10 ->
@@ -162,6 +163,7 @@ let gen_msg rng k : Codec.t =
           observer = Random.State.int rng 7;
           replica = Random.State.int rng 7;
           tid = tid rng;
+          view = Random.State.int rng 10;
           reply = accept_reply rng;
         }
   | 12 -> Epoch_change { initiator = Random.State.int rng 7; epoch = i rng }
@@ -262,7 +264,7 @@ let test_shard_header_layout () =
   Alcotest.(check int) "shard lo byte" 0x02 (Char.code s.[4]);
   Alcotest.(check int) "shard hi byte" 0x01 (Char.code s.[5]);
   Alcotest.(check int) "header bytes" 10 Wire.header_bytes;
-  Alcotest.(check int) "wire version" 2 Wire.version
+  Alcotest.(check int) "wire version" 3 Wire.version
 
 let test_shard_range_checked () =
   let rng = Random.State.make [| 0x5A4F |] in
