@@ -40,22 +40,21 @@ let encode_record { core; view } =
   Codec.w_record_view p view;
   frame (Buffer.contents p)
 
-(* One frame off the front of [s] at [pos]: the checksummed payload
-   and the total framed size, or [Error] on a torn/corrupt tail. *)
+(* The checksummed payload of the frame at [pos] (framed size: 8 +
+   its length), or [None] on a torn or corrupt tail. *)
 let read_frame s ~pos =
   let c = cursor ~pos s in
-  let* crc = r_u32 c in
-  let* payload = r_string c in
-  if Crc32.digest payload <> crc then Error (Malformed "crc mismatch")
-  else Ok (payload, 8 + String.length payload)
+  let crc = r_u32 c in
+  let payload = r_string c in
+  if Option.is_none (failed c) && Crc32.digest payload = crc then Some payload
+  else None
 
 let parse_record payload =
   let c = cursor payload in
-  let* core = r_i64 c in
-  let* view = Codec.r_record_view c in
-  if core < 0 then Error (Malformed "negative core")
-  else if remaining c > 0 then Error (Trailing (remaining c))
-  else Ok { core; view }
+  let core = r_i64 c in
+  let view = Codec.r_record_view c in
+  if core < 0 then fail c (Malformed "negative core");
+  finish c { core; view }
 
 type replay = { records : record list; valid_bytes : int; decode_errors : int }
 
@@ -71,15 +70,15 @@ let read_records ?(from = 0) s =
       if pos >= n then { records = List.rev acc; valid_bytes = pos; decode_errors = 0 }
       else
         match read_frame s ~pos with
-        | Error _ ->
+        | None ->
             (* Longest valid prefix: everything before [pos] replays,
                the torn or corrupt tail is dropped. *)
             { records = List.rev acc; valid_bytes = pos; decode_errors = 1 }
-        | Ok (payload, sz) -> (
+        | Some payload -> (
             match parse_record payload with
             | Error _ ->
                 { records = List.rev acc; valid_bytes = pos; decode_errors = 1 }
-            | Ok r -> go (r :: acc) (pos + sz))
+            | Ok r -> go (r :: acc) (pos + 8 + String.length payload))
     in
     go [] from
   end
@@ -106,32 +105,23 @@ let encode_snapshot { core; epoch; wal_cut; views; rows } =
 
 let parse_snapshot payload =
   let c = cursor payload in
-  let* core = r_i64 c in
-  let* epoch = r_i64 c in
-  let* wal_cut = r_i64 c in
-  let* views = r_list ~elt_min:Codec.record_view_min Codec.r_record_view c in
-  let* raw_rows = r_list ~elt_min:Codec.store_row_bytes Codec.r_store_row c in
+  let core = r_i64 c in
+  let epoch = r_i64 c in
+  let wal_cut = r_i64 c in
+  let views = r_list ~elt_min:Codec.record_view_min Codec.r_record_view c in
+  let rows =
+    r_list ~elt_min:Codec.store_row_bytes
+      (fun c ->
+        let r = Codec.r_store_row c in
+        (r.key, r.value, r.wts, r.rts))
+      c
+  in
   if core < 0 || epoch < 0 || wal_cut < 0 then
-    Error (Malformed "negative snapshot token")
-  else if remaining c > 0 then Error (Trailing (remaining c))
-  else
-    Ok
-      {
-        core;
-        epoch;
-        wal_cut;
-        views;
-        rows =
-          List.map
-            (fun (r : Codec.store_row) -> (r.key, r.value, r.wts, r.rts))
-            raw_rows;
-      }
+    fail c (Malformed "negative snapshot token");
+  finish c { core; epoch; wal_cut; views; rows }
 
 let read_snapshot s =
   match read_frame s ~pos:0 with
-  | Error _ -> None
-  | Ok (payload, sz) ->
-      if sz <> String.length s then None
-      else begin
-        match parse_snapshot payload with Error _ -> None | Ok snap -> Some snap
-      end
+  | Some payload when 8 + String.length payload = String.length s ->
+      Result.to_option (parse_snapshot payload)
+  | Some _ | None -> None

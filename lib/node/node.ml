@@ -1211,10 +1211,17 @@ let launch t ~cluster =
               vc_feed (View_change.fire_due vcs ~now:now_us));
         ec_tick now_us
       in
+      (* A spawned domain starts with the runtime's default minor heap,
+         not the launching domain's: carry the node process's size
+         (bin/meerkat_node.ml) over to every core. *)
+      let minor_heap_size = (Gc.get ()).minor_heap_size in
       t.phase <-
         Running
           (Array.map
-             (fun (core, inbox) -> Spawn.spawn (fun () -> core_loop t core inbox))
+             (fun (core, inbox) ->
+               Spawn.spawn (fun () ->
+                   Gc.set { (Gc.get ()) with minor_heap_size };
+                   core_loop t core inbox))
              t.spawned);
       Net.start t.net ~obs:t.obs
         { Net.deliver; tick; reboot = (fun () -> ()) };

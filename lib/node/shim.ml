@@ -24,7 +24,9 @@
 
    The receive side mirrors this: one reused receive buffer, and each
    datagram is burst-decoded frame by frame at offsets ([decode_at]),
-   so a coalesced datagram delivers every message it carries. A decode
+   in place — the decoder reads the buffer up to the datagram's length
+   and no further, with no copy of the datagram — so a coalesced
+   datagram delivers every message it carries. A decode
    failure is counted and drops the rest of that datagram (framing is
    not self-resynchronizing), never fatal — garbage on the port cannot
    take a node down.
@@ -48,7 +50,8 @@ module type ARRANGEMENT = sig
   type msg
 
   val encode_into : scratch:Buffer.t -> out:Buffer.t -> msg -> unit
-  val decode_at : string -> pos:int -> (msg * int, Mk_wire.Wire.error) result
+  val decode_at :
+    ?limit:int -> string -> pos:int -> (msg * int, Mk_wire.Wire.error) result
 end
 
 module Make (A : ARRANGEMENT) = struct
@@ -293,11 +296,17 @@ module Make (A : ARRANGEMENT) = struct
           (match t.obs with
           | Some obs -> Obs.note_wire_dgram_rx obs
           | None -> ());
-          let datagram = Bytes.sub_string t.recv_buf 0 len in
+          (* Decoded in place: the string view of [recv_buf] lives only
+             until the next [recvfrom], and no decoded message keeps a
+             reference into it (readers copy what they keep), so the
+             buffer may be overwritten once this datagram is walked.
+             [~limit:len] keeps the decoder off the stale bytes of
+             earlier, longer datagrams. *)
+          let datagram = Bytes.unsafe_to_string t.recv_buf in
           let pos = ref 0 in
           let good = ref true in
           while !good && !pos < len do
-            match A.decode_at datagram ~pos:!pos with
+            match A.decode_at ~limit:len datagram ~pos:!pos with
             | Ok (msg, next) ->
                 incr delivered;
                 (match t.obs with

@@ -40,10 +40,14 @@ module type ARRANGEMENT = sig
       [scratch] (see {!Mk_wire.Wire.frame_into}). [out] is not
       cleared: the shim coalesces several frames into one datagram. *)
 
-  val decode_at : string -> pos:int -> (msg * int, Mk_wire.Wire.error) result
+  val decode_at :
+    ?limit:int -> string -> pos:int -> (msg * int, Mk_wire.Wire.error) result
   (** Decode the frame starting at [pos] and return it with the offset
-      just past it (always [> pos]). Total: truncated or hostile
-      datagrams yield [Error], never an exception. *)
+      just past it (always [> pos]). The shim passes its reused receive
+      buffer with [limit] = the datagram's length: no byte at or past
+      [limit] may be read, and the message must not keep a reference
+      into the buffer. Total: truncated or hostile datagrams yield
+      [Error], never an exception. *)
 end
 
 module Make (A : ARRANGEMENT) : sig

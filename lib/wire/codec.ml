@@ -154,14 +154,18 @@ let kind_name = function
 (* Component codecs                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Readers run on a sticky-error cursor (see {!Wire.cursor}): each
+   returns a plain value, a dummy once the cursor is bad, and a bad tag
+   marks the cursor. [let] sequences the reads in wire order. *)
+
 let w_ts b (ts : Timestamp.t) =
   w_f64 b ts.time;
   w_i64 b ts.client_id
 
 let r_ts c =
-  let* time = r_f64 c in
-  let* client_id = r_i64 c in
-  Ok (Timestamp.make ~time ~client_id)
+  let time = r_f64 c in
+  let client_id = r_i64 c in
+  Timestamp.make ~time ~client_id
 
 let ts_bytes = 16
 
@@ -170,27 +174,27 @@ let w_tid b (tid : Tid.t) =
   w_i64 b tid.client_id
 
 let r_tid c =
-  let* seq = r_i64 c in
-  let* client_id = r_i64 c in
-  Ok (Tid.make ~seq ~client_id)
+  let seq = r_i64 c in
+  let client_id = r_i64 c in
+  Tid.make ~seq ~client_id
 
 let w_read_entry b (e : Txn.read_entry) =
   w_i64 b e.key;
   w_ts b e.wts
 
 let r_read_entry c =
-  let* key = r_i64 c in
-  let* wts = r_ts c in
-  Ok ({ key; wts } : Txn.read_entry)
+  let key = r_i64 c in
+  let wts = r_ts c in
+  ({ key; wts } : Txn.read_entry)
 
 let w_write_entry b (e : Txn.write_entry) =
   w_i64 b e.key;
   w_i64 b e.value
 
 let r_write_entry c =
-  let* key = r_i64 c in
-  let* value = r_i64 c in
-  Ok ({ key; value } : Txn.write_entry)
+  let key = r_i64 c in
+  let value = r_i64 c in
+  ({ key; value } : Txn.write_entry)
 
 let w_txn b (t : Txn.t) =
   w_tid b t.tid;
@@ -198,10 +202,10 @@ let w_txn b (t : Txn.t) =
   w_array w_write_entry b t.write_set
 
 let r_txn c =
-  let* tid = r_tid c in
-  let* read_set = r_array ~elt_min:(8 + ts_bytes) r_read_entry c in
-  let* write_set = r_array ~elt_min:16 r_write_entry c in
-  Ok { Txn.tid; read_set; write_set }
+  let tid = r_tid c in
+  let read_set = r_array ~elt_min:(8 + ts_bytes) r_read_entry c in
+  let write_set = r_array ~elt_min:16 r_write_entry c in
+  { Txn.tid; read_set; write_set }
 
 let status_tag = function
   | Txn.Validated_ok -> 0
@@ -213,25 +217,28 @@ let status_tag = function
 
 let w_status b st = w_u8 b (status_tag st)
 
+(* A bad tag marks the cursor and reads as [dummy]. *)
+let bad_tag c what n dummy =
+  fail c (Malformed (Printf.sprintf "%s tag %d" what n));
+  dummy
+
 let r_status c =
-  let* tag = r_u8 c in
-  match tag with
-  | 0 -> Ok Txn.Validated_ok
-  | 1 -> Ok Txn.Validated_abort
-  | 2 -> Ok Txn.Accepted_commit
-  | 3 -> Ok Txn.Accepted_abort
-  | 4 -> Ok Txn.Committed
-  | 5 -> Ok Txn.Aborted
-  | n -> Error (Malformed (Printf.sprintf "status tag %d" n))
+  match r_u8 c with
+  | 0 -> Txn.Validated_ok
+  | 1 -> Txn.Validated_abort
+  | 2 -> Txn.Accepted_commit
+  | 3 -> Txn.Accepted_abort
+  | 4 -> Txn.Committed
+  | 5 -> Txn.Aborted
+  | n -> bad_tag c "status" n Txn.Aborted
 
 let w_decision b (d : decision) = w_u8 b (match d with `Commit -> 0 | `Abort -> 1)
 
-let r_decision c =
-  let* tag = r_u8 c in
-  match tag with
-  | 0 -> Ok `Commit
-  | 1 -> Ok `Abort
-  | n -> Error (Malformed (Printf.sprintf "decision tag %d" n))
+let r_decision c : decision =
+  match r_u8 c with
+  | 0 -> `Commit
+  | 1 -> `Abort
+  | n -> bad_tag c "decision" n `Abort
 
 let w_accept_reply b (r : accept_reply) =
   match r with
@@ -243,17 +250,12 @@ let w_accept_reply b (r : accept_reply) =
       w_u8 b 2;
       w_status b st
 
-let r_accept_reply c : (accept_reply, error) result =
-  let* tag = r_u8 c in
-  match tag with
-  | 0 -> Ok `Accepted
-  | 1 ->
-      let* view = r_i64 c in
-      Ok (`Stale view)
-  | 2 ->
-      let* st = r_status c in
-      Ok (`Finalized st)
-  | n -> Error (Malformed (Printf.sprintf "accept-reply tag %d" n))
+let r_accept_reply c : accept_reply =
+  match r_u8 c with
+  | 0 -> `Accepted
+  | 1 -> `Stale (r_i64 c)
+  | 2 -> `Finalized (r_status c)
+  | n -> bad_tag c "accept-reply" n `Accepted
 
 let w_record_view b (v : Replica.record_view) =
   w_txn b v.txn;
@@ -263,12 +265,12 @@ let w_record_view b (v : Replica.record_view) =
   w_option w_i64 b v.accept_view
 
 let r_record_view c =
-  let* txn = r_txn c in
-  let* ts = r_ts c in
-  let* status = r_status c in
-  let* view = r_i64 c in
-  let* accept_view = r_option r_i64 c in
-  Ok { Replica.txn; ts; status; view; accept_view }
+  let txn = r_txn c in
+  let ts = r_ts c in
+  let status = r_status c in
+  let view = r_i64 c in
+  let accept_view = r_option r_i64 c in
+  { Replica.txn; ts; status; view; accept_view }
 
 (* tid (16) + empty sets (8) + ts (16) + status (1) + view (8) +
    option tag (1) *)
@@ -279,9 +281,9 @@ let w_core_record b (core, v) =
   w_record_view b v
 
 let r_core_record c =
-  let* core = r_i64 c in
-  let* v = r_record_view c in
-  Ok (core, v)
+  let core = r_i64 c in
+  let v = r_record_view c in
+  (core, v)
 
 let w_coord_reply b (r : coord_reply) =
   match r with
@@ -292,16 +294,11 @@ let w_coord_reply b (r : coord_reply) =
       w_u8 b 1;
       w_i64 b view
 
-let r_coord_reply c : (coord_reply, error) result =
-  let* tag = r_u8 c in
-  match tag with
-  | 0 ->
-      let* v = r_option r_record_view c in
-      Ok (`View_ok v)
-  | 1 ->
-      let* view = r_i64 c in
-      Ok (`Stale view)
-  | n -> Error (Malformed (Printf.sprintf "coord-reply tag %d" n))
+let r_coord_reply c : coord_reply =
+  match r_u8 c with
+  | 0 -> `View_ok (r_option r_record_view c)
+  | 1 -> `Stale (r_i64 c)
+  | n -> bad_tag c "coord-reply" n (`View_ok None)
 
 let w_store_row b r =
   w_i64 b r.key;
@@ -312,11 +309,11 @@ let w_store_row b r =
 let store_row_bytes = 16 + ts_bytes + ts_bytes
 
 let r_store_row c =
-  let* key = r_i64 c in
-  let* value = r_i64 c in
-  let* wts = r_ts c in
-  let* rts = r_ts c in
-  Ok { key; value; wts; rts }
+  let key = r_i64 c in
+  let value = r_i64 c in
+  let wts = r_ts c in
+  let rts = r_ts c in
+  { key; value; wts; rts }
 
 (* ------------------------------------------------------------------ *)
 (* Message codec                                                       *)
@@ -423,120 +420,127 @@ let encode_shard_into ~scratch ~out ~shard msg =
 let decode_payload ~kind c =
   match kind with
   | 1 ->
-      let* coord = r_i64 c in
-      let* slot = r_i64 c in
-      let* seq = r_i64 c in
-      let* key = r_i64 c in
-      Ok (Get { coord; slot; seq; key })
+      let coord = r_i64 c in
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let key = r_i64 c in
+      Get { coord; slot; seq; key }
   | 2 ->
-      let* slot = r_i64 c in
-      let* seq = r_i64 c in
-      let* replica = r_i64 c in
-      let* key = r_i64 c in
-      let* value = r_i64 c in
-      let* wts = r_ts c in
-      Ok (Get_reply { slot; seq; replica; key; value; wts })
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let replica = r_i64 c in
+      let key = r_i64 c in
+      let value = r_i64 c in
+      let wts = r_ts c in
+      Get_reply { slot; seq; replica; key; value; wts }
   | 3 ->
-      let* coord = r_i64 c in
-      let* slot = r_i64 c in
-      let* seq = r_i64 c in
-      let* txn = r_txn c in
-      let* ts = r_ts c in
-      Ok (Validate { coord; slot; seq; txn; ts })
+      let coord = r_i64 c in
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let txn = r_txn c in
+      let ts = r_ts c in
+      Validate { coord; slot; seq; txn; ts }
   | 4 ->
-      let* slot = r_i64 c in
-      let* seq = r_i64 c in
-      let* replica = r_i64 c in
-      let* status = r_status c in
-      Ok (Validated { slot; seq; replica; status })
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let replica = r_i64 c in
+      let status = r_status c in
+      Validated { slot; seq; replica; status }
   | 5 ->
-      let* coord = r_i64 c in
-      let* slot = r_i64 c in
-      let* seq = r_i64 c in
-      let* txn = r_txn c in
-      let* ts = r_ts c in
-      let* decision = r_decision c in
-      let* view = r_i64 c in
-      Ok (Accept { coord; slot; seq; txn; ts; decision; view })
+      let coord = r_i64 c in
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let txn = r_txn c in
+      let ts = r_ts c in
+      let decision = r_decision c in
+      let view = r_i64 c in
+      Accept { coord; slot; seq; txn; ts; decision; view }
   | 6 ->
-      let* slot = r_i64 c in
-      let* seq = r_i64 c in
-      let* replica = r_i64 c in
-      let* reply = r_accept_reply c in
-      Ok (Accepted { slot; seq; replica; reply })
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let replica = r_i64 c in
+      let reply = r_accept_reply c in
+      Accepted { slot; seq; replica; reply }
   | 7 ->
-      let* txn = r_txn c in
-      let* ts = r_ts c in
-      let* commit = r_bool c in
-      Ok (Write_back { txn; ts; commit })
+      let txn = r_txn c in
+      let ts = r_ts c in
+      let commit = r_bool c in
+      Write_back { txn; ts; commit }
   | 8 ->
-      let* from_ = r_i64 c in
-      let* paused = r_bool c in
-      Ok (Heartbeat { from_; paused })
+      let from_ = r_i64 c in
+      let paused = r_bool c in
+      Heartbeat { from_; paused }
   | 9 ->
-      let* observer = r_i64 c in
-      let* tid = r_tid c in
-      let* view = r_i64 c in
-      Ok (Coord_change { observer; tid; view })
+      let observer = r_i64 c in
+      let tid = r_tid c in
+      let view = r_i64 c in
+      Coord_change { observer; tid; view }
   | 10 ->
-      let* observer = r_i64 c in
-      let* replica = r_i64 c in
-      let* tid = r_tid c in
-      let* view = r_i64 c in
-      let* reply = r_coord_reply c in
-      Ok (Coord_reply { observer; replica; tid; view; reply })
+      let observer = r_i64 c in
+      let replica = r_i64 c in
+      let tid = r_tid c in
+      let view = r_i64 c in
+      let reply = r_coord_reply c in
+      Coord_reply { observer; replica; tid; view; reply }
   | 11 ->
-      let* observer = r_i64 c in
-      let* txn = r_txn c in
-      let* ts = r_ts c in
-      let* decision = r_decision c in
-      let* view = r_i64 c in
-      Ok (Vc_accept { observer; txn; ts; decision; view })
+      let observer = r_i64 c in
+      let txn = r_txn c in
+      let ts = r_ts c in
+      let decision = r_decision c in
+      let view = r_i64 c in
+      Vc_accept { observer; txn; ts; decision; view }
   | 12 ->
-      let* observer = r_i64 c in
-      let* replica = r_i64 c in
-      let* tid = r_tid c in
-      let* view = r_i64 c in
-      let* reply = r_accept_reply c in
-      Ok (Vc_accept_reply { observer; replica; tid; view; reply })
+      let observer = r_i64 c in
+      let replica = r_i64 c in
+      let tid = r_tid c in
+      let view = r_i64 c in
+      let reply = r_accept_reply c in
+      Vc_accept_reply { observer; replica; tid; view; reply }
   | 13 ->
-      let* initiator = r_i64 c in
-      let* epoch = r_i64 c in
-      Ok (Epoch_change { initiator; epoch })
+      let initiator = r_i64 c in
+      let epoch = r_i64 c in
+      Epoch_change { initiator; epoch }
   | 14 ->
-      let* replica = r_i64 c in
-      let* epoch = r_i64 c in
-      let* records = r_list ~elt_min:(8 + record_view_min) r_core_record c in
-      Ok (Epoch_records { replica; epoch; records })
+      let replica = r_i64 c in
+      let epoch = r_i64 c in
+      let records = r_list ~elt_min:(8 + record_view_min) r_core_record c in
+      Epoch_records { replica; epoch; records }
   | 15 ->
-      let* epoch = r_i64 c in
-      let* records = r_list ~elt_min:(8 + record_view_min) r_core_record c in
-      let* store = r_option (r_list ~elt_min:store_row_bytes r_store_row) c in
-      Ok (Epoch_install { epoch; records; store })
-  | 16 -> Ok Shutdown
+      let epoch = r_i64 c in
+      let records = r_list ~elt_min:(8 + record_view_min) r_core_record c in
+      let store = r_option (r_list ~elt_min:store_row_bytes r_store_row) c in
+      Epoch_install { epoch; records; store }
+  | 16 -> Shutdown
   | 17 ->
-      let* replica = r_i64 c in
-      let* epoch = r_i64 c in
-      Ok (Epoch_installed { replica; epoch })
-  | k -> Error (Unknown_kind k)
+      let replica = r_i64 c in
+      let epoch = r_i64 c in
+      Epoch_installed { replica; epoch }
+  | k ->
+      fail c (Unknown_kind k);
+      Shutdown
 
 let decode_shard s =
-  let* kind, shard, c = unframe s in
-  let* msg = decode_payload ~kind c in
-  if remaining c > 0 then Error (Trailing (remaining c)) else Ok (shard, msg)
+  let c = cursor s in
+  let kind, shard = unframe c in
+  let msg = decode_payload ~kind c in
+  finish c (shard, msg)
 
-let decode s =
-  let* _, msg = decode_shard s in
-  Ok msg
+let decode s = Result.map snd (decode_shard s)
 
-(* One frame out of a multi-frame datagram. [Trailing] here means junk
-   inside this frame's own payload; bytes after the frame belong to
-   the next one and are reported through [next]. *)
-let decode_shard_at s ~pos =
-  let* kind, shard, c, next = unframe_at s ~pos in
-  let* msg = decode_payload ~kind c in
-  if remaining c > 0 then Error (Trailing (remaining c))
-  else Ok ((shard, msg), next)
+(* One frame out of a multi-frame datagram, read in place: [limit]
+   ends the datagram inside a larger (reused) receive buffer, and
+   nothing past it is read. [Trailing] here means junk inside this
+   frame's own payload; bytes after the frame belong to the next one
+   and are reported through [next]. *)
+let decode_shard_at ?limit s ~pos =
+  let c = cursor ~pos ?limit s in
+  let kind, shard = unframe_at c in
+  let msg = decode_payload ~kind c in
+  match failed c with
+  | Some e -> Error e
+  | None ->
+      if remaining c > 0 then Error (Trailing (remaining c))
+      else Ok ((shard, msg), frame_end c)
 
 (* ------------------------------------------------------------------ *)
 (* Equality and printing (tests, debug)                                *)

@@ -152,10 +152,12 @@ val decode_shard : string -> (int * t, Wire.error) result
     raises. *)
 
 val decode_shard_at :
-  string -> pos:int -> ((int * t) * int, Wire.error) result
+  ?limit:int -> string -> pos:int -> ((int * t) * int, Wire.error) result
 (** Decode one frame of a multi-frame datagram starting at [pos],
     returning the message and the offset just past its frame (always
-    [> pos]). Total: never raises. *)
+    [> pos]). The datagram ends at [limit] (default: the string's
+    end): the socket shim decodes in place from its reused receive
+    buffer, and no byte past [limit] is read. Total: never raises. *)
 
 val equal : t -> t -> bool
 (** Structural equality via the dedicated [Timestamp]/[Tid]
@@ -171,31 +173,17 @@ val pp : Format.formatter -> t -> unit
     cluster frames — the durable layer's WAL records and snapshot
     files ({!Mk_durable.Walcodec}) reuse them so a record view is the
     same bytes on disk as inside an [Epoch_records] frame. Writers
-    append to a [Buffer.t]; readers are total over a {!Wire.cursor}. *)
-
-val w_ts : Buffer.t -> Mk_clock.Timestamp.t -> unit
-val r_ts : Wire.cursor -> (Mk_clock.Timestamp.t, Wire.error) result
-
-val ts_bytes : int
-(** Encoded size of a timestamp (16). *)
-
-val w_status : Buffer.t -> Mk_storage.Txn.status -> unit
-val r_status : Wire.cursor -> (Mk_storage.Txn.status, Wire.error) result
-
-val status_tag : Mk_storage.Txn.status -> int
-(** Stable wire tag (0–5) — doubles as a total order for
-    newest-status merges during recovery. *)
+    append to a [Buffer.t]; readers run on a {!Wire.cursor}, returning
+    a dummy once it is bad (a bad tag marks it). *)
 
 val w_record_view : Buffer.t -> Mk_meerkat.Replica.record_view -> unit
-
-val r_record_view :
-  Wire.cursor -> (Mk_meerkat.Replica.record_view, Wire.error) result
+val r_record_view : Wire.cursor -> Mk_meerkat.Replica.record_view
 
 val record_view_min : int
 (** Minimum encoded size of a record view (bounds hostile counts). *)
 
 val w_store_row : Buffer.t -> store_row -> unit
-val r_store_row : Wire.cursor -> (store_row, Wire.error) result
+val r_store_row : Wire.cursor -> store_row
 
 val store_row_bytes : int
 (** Encoded size of a store row (48). *)

@@ -1,7 +1,7 @@
 (* Byte-level wire primitives: deterministic little-endian writers
-   over a [Buffer.t] and a bounds-checked reader cursor whose every
-   operation is total — a truncated or hostile input yields [Error],
-   never an exception. The framing (magic, version, kind, length) and
+   over a [Buffer.t] and a bounds-checked, sticky-error reader cursor
+   whose every operation is total — a truncated or hostile input marks
+   the cursor bad and ends in [Error], never an exception. The framing (magic, version, kind, length) and
    the message payloads in {!Codec} are both built from these.
 
    Integers travel as fixed-width two's-complement (u8/u16/u32 for
@@ -76,96 +76,146 @@ let w_array w b xs =
 (* Reader cursor                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = { buf : string; mutable pos : int; limit : int }
+(* A sticky-error cursor: every reader checks its bytes against
+   [limit] and returns a plain value. The first failure marks the
+   cursor [bad] and keeps its error; from then on every read returns a
+   dummy and records nothing, so a decoder reads a whole frame without
+   a branch or an allocation per field and checks once, at the end
+   ({!finish}). *)
+type cursor = {
+  buf : string;
+  mutable pos : int;
+  mutable limit : int;
+  mutable bad : bool;
+  mutable err : error;  (** The first failure; meaningful once [bad]. *)
+}
 
-let cursor ?(pos = 0) ?limit buf =
-  let limit = match limit with Some l -> l | None -> String.length buf in
-  { buf; pos; limit }
-
-let remaining c = c.limit - c.pos
-let ( let* ) = Result.bind
-
-let take c n =
-  if n < 0 then Error (Malformed "negative length")
-  else if remaining c < n then Error (Truncated { need = n; have = remaining c })
-  else begin
-    let at = c.pos in
-    c.pos <- at + n;
-    Ok at
+let fail c e =
+  if not c.bad then begin
+    c.bad <- true;
+    c.err <- e
   end
 
-(* Z7: the reader primitives below index [c.buf] only at offsets that
-   [take] has just bounds-checked against [c.limit], so the raw
-   [String.get]/[String.sub]/[get_int64_le] accesses cannot raise. *)
+let cursor ?(pos = 0) ?limit buf =
+  let len = String.length buf in
+  let limit = match limit with Some l -> max 0 (min l len) | None -> len in
+  let c = { buf; pos; limit; bad = false; err = Trailing 0 } in
+  if pos < 0 then fail c (Malformed "negative position");
+  c
+
+let remaining c = c.limit - c.pos
+let failed c = if c.bad then Some c.err else None
+
+let finish c v =
+  if c.bad then Error c.err
+  else if c.pos < c.limit then Error (Trailing (c.limit - c.pos))
+  else Ok v
+
+(* The offset of the next [n] bytes, now consumed; or -1 once the
+   cursor is bad or fewer than [n] bytes are left before [limit].
+   Every reader indexes [c.buf] only at offsets this returned. *)
+let take c n =
+  if c.bad then -1
+  else
+    let have = c.limit - c.pos in
+    if have < n then begin
+      fail c (Truncated { need = n; have });
+      -1
+    end
+    else begin
+      let at = c.pos in
+      c.pos <- at + n;
+      at
+    end
+
+(* A u32 is a byte sequence: a short one fails at its first missing
+   byte (need 1, have 0), as reading it byte by byte would. *)
+let take_bytes c n =
+  if (not c.bad) && c.limit - c.pos < n then begin
+    c.pos <- c.limit;
+    take c 1
+  end
+  else take c n
+
+(* Z7: the readers below index [c.buf] only at offsets [take] has just
+   checked against [c.limit] (itself clamped to the string's length),
+   so the raw [String.get*] accesses cannot raise — and cannot see a
+   byte past [limit], such as a stale one in a reused receive
+   buffer. *)
 let[@mk_lint.allow "Z7"] r_u8 c =
-  let* at = take c 1 in
-  Ok (Char.code c.buf.[at])
+  let at = take c 1 in
+  if at < 0 then 0 else Char.code c.buf.[at]
 
-let r_u16 c =
-  let* lo = r_u8 c in
-  let* hi = r_u8 c in
-  Ok (lo lor (hi lsl 8))
-
-let r_u32 c =
-  let* lo = r_u16 c in
-  let* hi = r_u16 c in
-  Ok (lo lor (hi lsl 16))
+let[@mk_lint.allow "Z7"] r_u32 c =
+  let at = take_bytes c 4 in
+  if at < 0 then 0
+  else Int32.to_int (String.get_int32_le c.buf at) land 0xffff_ffff
 
 let[@mk_lint.allow "Z7"] r_i64 c =
-  let* at = take c 8 in
-  Ok (Int64.to_int (String.get_int64_le c.buf at))
+  let at = take c 8 in
+  if at < 0 then 0 else Int64.to_int (String.get_int64_le c.buf at)
 
 let[@mk_lint.allow "Z7"] r_f64 c =
-  let* at = take c 8 in
-  Ok (Int64.float_of_bits (String.get_int64_le c.buf at))
+  let at = take c 8 in
+  if at < 0 then 0.0 else Int64.float_of_bits (String.get_int64_le c.buf at)
 
 let r_bool c =
-  let* v = r_u8 c in
-  match v with
-  | 0 -> Ok false
-  | 1 -> Ok true
-  | n -> Error (Malformed (Printf.sprintf "bool byte %d" n))
+  match r_u8 c with
+  | 0 -> false
+  | 1 -> true
+  | n ->
+      fail c (Malformed (Printf.sprintf "bool byte %d" n));
+      false
 
 let[@mk_lint.allow "Z7"] r_string c =
-  let* len = r_u32 c in
-  let* at = take c len in
-  Ok (String.sub c.buf at len)
+  let len = r_u32 c in
+  let at = take c len in
+  if at < 0 then "" else String.sub c.buf at len
 
 let r_option r c =
-  let* tag = r_u8 c in
-  match tag with
-  | 0 -> Ok None
-  | 1 ->
-      let* v = r c in
-      Ok (Some v)
-  | n -> Error (Malformed (Printf.sprintf "option tag %d" n))
+  match r_u8 c with
+  | 0 -> None
+  | 1 -> Some (r c)
+  | n ->
+      fail c (Malformed (Printf.sprintf "option tag %d" n));
+      None
 
 (* A hostile count (e.g. 2^32 - 1) must fail fast, not allocate: every
    element occupies at least [elt_min] bytes, so any honest count is
    bounded by the bytes actually present. *)
-let r_seq ~elt_min r c =
-  let* count = r_u32 c in
+let r_count ~elt_min c =
+  let count = r_u32 c in
   let elt_min = max 1 elt_min in
-  if count > remaining c / elt_min then
-    Error
+  if count > remaining c / elt_min then begin
+    fail c
       (Malformed
          (Printf.sprintf "sequence count %d exceeds %d remaining bytes" count
-            (remaining c)))
-  else begin
-    let rec go acc i =
-      if i = count then Ok (List.rev acc)
-      else
-        let* v = r c in
-        go (v :: acc) (i + 1)
-    in
-    go [] 0
+            (remaining c)));
+    0
   end
+  else count
 
-let r_list ~elt_min r c = r_seq ~elt_min r c
+let r_list ~elt_min r c =
+  let rec go acc n =
+    if n = 0 then List.rev acc
+    else
+      let v = r c in
+      go (v :: acc) (n - 1)
+  in
+  go [] (r_count ~elt_min c)
 
-let r_array ~elt_min r c =
-  let* xs = r_seq ~elt_min r c in
-  Ok (Array.of_list xs)
+(* Straight into the array, in wire order. Z7: [a.(i)] indexes
+   [1, n) of an [n]-element array. *)
+let[@mk_lint.allow "Z7"] r_array ~elt_min r c =
+  let n = r_count ~elt_min c in
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (r c) in
+    for i = 1 to n - 1 do
+      a.(i) <- r c
+    done;
+    a
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -217,46 +267,44 @@ let frame_into ?(shard = 0) ~kind ~scratch ~out writer =
   add_header out ~kind ~shard ~len:(Buffer.length scratch);
   Buffer.add_buffer out scratch
 
-let unframe s =
-  let c = cursor s in
-  if remaining c < header_bytes then
-    Error (Truncated { need = header_bytes; have = remaining c })
-  else begin
-    let* m0 = r_u8 c in
-    let* m1 = r_u8 c in
-    if m0 <> Char.code magic0 || m1 <> Char.code magic1 then Error Bad_magic
-    else
-      let* v = r_u8 c in
-      if v <> version then Error (Bad_version v)
-      else
-        let* kind = r_u8 c in
-        let* shard = r_u16 c in
-        let* len = r_u32 c in
-        let* at = take c len in
-        if remaining c > 0 then Error (Trailing (remaining c))
-        else Ok (kind, shard, cursor ~pos:at ~limit:(at + len) s)
+(* Read the frame header at the cursor's position and narrow the
+   cursor to the frame's payload: afterwards reads run from the
+   payload's first byte to its last, and [frame_end] is the offset just
+   past the frame. [whole] is the one-frame input of {!unframe}: bytes
+   after the frame are [Trailing]. On a bad header the cursor is bad
+   and the result is [(0, 0)]. *)
+let header ~whole c =
+  if (not c.bad) && remaining c < header_bytes then begin
+    fail c (Truncated { need = header_bytes; have = remaining c });
+    (0, 0)
   end
+  else
+    (* Magic, version and kind: the header's first four bytes. *)
+    let mvk = r_u32 c in
+    if mvk land 0xffff <> Char.code magic0 lor (Char.code magic1 lsl 8) then begin
+      fail c Bad_magic;
+      (0, 0)
+    end
+    else
+      let v = (mvk lsr 16) land 0xff in
+      if v <> version then begin
+        fail c (Bad_version v);
+        (0, 0)
+      end
+      else
+        let kind = mvk lsr 24 in
+        let shard_lo = r_u8 c in
+        let shard = shard_lo lor (r_u8 c lsl 8) in
+        let len = r_u32 c in
+        let p = take c len in
+        if p < 0 then (0, 0)
+        else begin
+          if whole && c.pos < c.limit then fail c (Trailing (c.limit - c.pos));
+          c.pos <- p;
+          c.limit <- p + len;
+          (kind, shard)
+        end
 
-(* One frame out of a multi-frame datagram: like {!unframe} but bytes
-   after this frame are the next frame, not an error, so the caller
-   also gets the offset where it ends. [next] always advances past
-   [pos] (the header alone is [header_bytes]), so a decode-burst loop
-   over a hostile datagram terminates. *)
-let unframe_at s ~pos =
-  let c = cursor ~pos s in
-  if remaining c < header_bytes then
-    Error (Truncated { need = header_bytes; have = remaining c })
-  else begin
-    let* m0 = r_u8 c in
-    let* m1 = r_u8 c in
-    if m0 <> Char.code magic0 || m1 <> Char.code magic1 then Error Bad_magic
-    else
-      let* v = r_u8 c in
-      if v <> version then Error (Bad_version v)
-      else
-        let* kind = r_u8 c in
-        let* shard = r_u16 c in
-        let* len = r_u32 c in
-        let* at = take c len in
-        Ok (kind, shard, cursor ~pos:at ~limit:(at + len) s, at + len)
-  end
+let unframe c = header ~whole:true c
+let unframe_at c = header ~whole:false c
+let frame_end c = c.limit

@@ -1,9 +1,9 @@
 (** Byte-level wire primitives (DESIGN.md §11).
 
     Deterministic little-endian writers over a [Buffer.t], and a
-    bounds-checked reader cursor whose every operation is {e total}: a
-    truncated, oversized, or garbage input yields [Error _], never an
-    exception. {!Codec} builds every cross-process message from these;
+    bounds-checked, sticky-error reader cursor whose every operation
+    is {e total}: a truncated, oversized, or garbage input ends in
+    [Error _], never an exception. {!Codec} builds every cross-process message from these;
     the framing (magic ["MK"], version, kind tag, payload length) is
     here so a future TCP transport can reuse it unchanged. *)
 
@@ -16,7 +16,7 @@ type error =
   | Trailing of int  (** Well-formed frame followed by junk bytes. *)
   | Malformed of string
       (** Structurally impossible payload: hostile sequence count, bad
-          bool/option tag, negative length. *)
+          bool/option tag, negative cursor position. *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
@@ -47,42 +47,46 @@ val w_array : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a array -> unit
 (** {2 Reader cursor} *)
 
 type cursor
-(** A read position over an immutable string slice; reads advance it.
-    All readers are total. *)
+(** A read position over a string slice [\[pos, limit)], with a
+    sticky error: every reader checks its bytes against [limit] and
+    returns a plain value. The first failure (too few bytes, a bad
+    tag, a hostile count) marks the cursor bad and is kept; every
+    later read returns a dummy and records nothing. A decoder reads a
+    whole frame and then asks {!finish} once. Bytes past [limit] are
+    never read, so the string may be a reused receive buffer holding
+    stale bytes. *)
 
 val cursor : ?pos:int -> ?limit:int -> string -> cursor
+(** [limit] defaults to, and is clamped to, the string's length. *)
+
 val remaining : cursor -> int
 
-val ( let* ) :
-  ('a, error) result -> ('a -> ('b, error) result) -> ('b, error) result
-(** [Result.bind], for composing decoders. *)
+val failed : cursor -> error option
+(** The first failure, if the cursor is bad. *)
 
-val r_u8 : cursor -> (int, error) result
-val r_u16 : cursor -> (int, error) result
-val r_u32 : cursor -> (int, error) result
-val r_i64 : cursor -> (int, error) result
-val r_f64 : cursor -> (float, error) result
-val r_bool : cursor -> (bool, error) result
-val r_string : cursor -> (string, error) result
+val fail : cursor -> error -> unit
+(** Mark the cursor bad with [e], unless it already is. *)
 
-val r_option :
-  (cursor -> ('a, error) result) -> cursor -> ('a option, error) result
+val finish : cursor -> 'a -> ('a, error) result
+(** [Ok v] iff the cursor never failed and sits exactly at its limit;
+    the first failure otherwise, or [Trailing] for unread bytes. *)
 
-val r_list :
-  elt_min:int ->
-  (cursor -> ('a, error) result) ->
-  cursor ->
-  ('a list, error) result
+val r_u8 : cursor -> int
+val r_u32 : cursor -> int
+val r_i64 : cursor -> int
+val r_f64 : cursor -> float
+val r_bool : cursor -> bool
+val r_string : cursor -> string
+val r_option : (cursor -> 'a) -> cursor -> 'a option
+
+val r_list : elt_min:int -> (cursor -> 'a) -> cursor -> 'a list
 (** [elt_min] is the smallest possible encoding of one element; a
     count claiming more elements than the remaining bytes could hold
     fails as [Malformed] {e before} any allocation, so a hostile
     4-billion-element header cannot balloon memory. *)
 
-val r_array :
-  elt_min:int ->
-  (cursor -> ('a, error) result) ->
-  cursor ->
-  ('a array, error) result
+val r_array : elt_min:int -> (cursor -> 'a) -> cursor -> 'a array
+(** {!r_list} read straight into an array. *)
 
 (** {2 Framing} *)
 
@@ -116,15 +120,18 @@ val frame_into :
     cleared, so successive calls coalesce several frames into one
     datagram. Same shard validation as {!frame}. *)
 
-val unframe : string -> (int * int * cursor, error) result
-(** Validate magic/version, read the kind tag and shard id, and return
-    [(kind, shard, cursor)] with the cursor over exactly the payload.
-    The input must be exactly one frame ([Trailing] otherwise — a UDP
-    datagram carries one frame). *)
+val unframe : cursor -> int * int
+(** Validate the frame header at the cursor (magic, version), and
+    return [(kind, shard)] with the cursor narrowed to exactly the
+    payload. The input must end with this frame: bytes after it are
+    [Trailing] (a UDP datagram carries one frame). On a bad header the
+    cursor is bad and the result is [(0, 0)]. *)
 
-val unframe_at : string -> pos:int -> (int * int * cursor * int, error) result
-(** One frame out of a multi-frame datagram, starting at byte [pos]:
-    [(kind, shard, payload_cursor, next)] where [next] is the offset
-    just past this frame (always [> pos], so a burst-decode loop over
-    hostile input terminates). Unlike {!unframe}, bytes after the
-    frame are the next frame, never [Trailing]. *)
+val unframe_at : cursor -> int * int
+(** {!unframe} for one frame of a multi-frame datagram: bytes after
+    the frame are the next frame, never [Trailing]. *)
+
+val frame_end : cursor -> int
+(** After {!unframe_at}: the offset just past the frame (always past
+    the frame's start, so a burst-decode loop over hostile input
+    terminates). *)

@@ -284,7 +284,10 @@ let test_shim_counts_oversized_frames () =
     (* A frame of [n] filler bytes; decode consumes the rest of the
        datagram and reports its length. *)
     let encode_into ~scratch:_ ~out n = Buffer.add_string out (String.make n 'x')
-    let decode_at s ~pos = Ok (String.length s - pos, String.length s)
+
+    let decode_at ?limit s ~pos =
+      let len = Option.value limit ~default:(String.length s) in
+      Ok (len - pos, len)
   end) in
   match Big.bind () with
   | Error e -> Alcotest.failf "bind: %s" e
@@ -336,8 +339,8 @@ module Txt = Mk_node.Shim.Make (struct
     Buffer.add_char out (Char.chr (n land 0xff));
     Buffer.add_string out s
 
-  let decode_at d ~pos =
-    let have = String.length d in
+  let decode_at ?limit d ~pos =
+    let have = Option.value limit ~default:(String.length d) in
     if pos + 3 > have then
       Error (Mk_wire.Wire.Truncated { need = pos + 3; have })
     else

@@ -424,23 +424,198 @@ let test_hostile_count_bounded () =
   Wire.w_u32 b 0xFFFFFFFF;
   Wire.w_u8 b 1;
   let s = Buffer.contents b in
-  (match Wire.r_list ~elt_min:1 Wire.r_u8 (Wire.cursor s) with
+  let c = Wire.cursor s in
+  let xs = Wire.r_list ~elt_min:1 Wire.r_u8 c in
+  Alcotest.(check int) "no list element read" 0 (List.length xs);
+  (match Wire.finish c xs with
   | Error (Wire.Malformed _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.error_to_string e)
   | Ok _ -> Alcotest.fail "hostile count accepted");
-  match Wire.r_array ~elt_min:1 Wire.r_u8 (Wire.cursor s) with
+  let c = Wire.cursor s in
+  let xs = Wire.r_array ~elt_min:1 Wire.r_u8 c in
+  Alcotest.(check int) "no array element read" 0 (Array.length xs);
+  match Wire.finish c xs with
   | Error (Wire.Malformed _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.error_to_string e)
   | Ok _ -> Alcotest.fail "hostile array count accepted"
 
+(* --- in place: frames inside a larger, reused buffer --- *)
+
+let same_result a b =
+  match (a, b) with
+  | Ok ((s1, m1), n1), Ok ((s2, m2), n2) -> s1 = s2 && n1 = n2 && Codec.equal m1 m2
+  | Error e1, Error e2 -> e1 = e2
+  | _ -> false
+
+let show = function
+  | Ok ((_, m), next) -> Printf.sprintf "Ok %s next=%d" (Codec.kind_name m) next
+  | Error e -> "Error " ^ Wire.error_to_string e
+
+let test_stale_bytes_past_limit () =
+  (* A reused receive buffer holds, past the current datagram's
+     length, the tail of an earlier and longer one. Here the earlier
+     datagram is the whole frame and the current one a prefix of it:
+     the decoder must report the prefix [Truncated], exactly as for
+     the prefix alone, and never complete the frame from the stale
+     bytes. *)
+  let rng = Random.State.make [| 0x57A1E |] in
+  for k = 0 to n_kinds - 1 do
+    let m = gen_msg rng k in
+    let full = Codec.encode_shard ~shard:2 m in
+    let flen = String.length full in
+    for limit = 0 to flen - 1 do
+      let got = Codec.decode_shard_at ~limit full ~pos:0 in
+      let want =
+        if limit < Wire.header_bytes then
+          Wire.Truncated { need = Wire.header_bytes; have = limit }
+        else
+          Wire.Truncated
+            { need = flen - Wire.header_bytes; have = limit - Wire.header_bytes }
+      in
+      (match got with
+      | Error e when e = want -> ()
+      | r ->
+          Alcotest.failf "%s cut at %d over stale bytes: %s" (Codec.kind_name m)
+            limit (show r));
+      (* The same prefix with other bytes past the limit, and with
+         none at all, must give the same answer. *)
+      let junk = String.make (flen - limit) '\xa5' in
+      let other = String.sub full 0 limit ^ junk in
+      let alone = String.sub full 0 limit in
+      if not (same_result got (Codec.decode_shard_at ~limit other ~pos:0)) then
+        Alcotest.failf "%s cut at %d: stale bytes changed the result"
+          (Codec.kind_name m) limit;
+      if not (same_result got (Codec.decode_shard_at alone ~pos:0)) then
+        Alcotest.failf "%s cut at %d: differs from the prefix alone"
+          (Codec.kind_name m) limit
+    done;
+    (* The same inside a frame: a header claiming fewer payload bytes
+       than follow it. Every read past the claimed end must fail
+       as if those bytes were not there — a reader that indexed past
+       its limit would complete the message from them. *)
+    let plen = flen - Wire.header_bytes in
+    for claimed = 0 to plen - 1 do
+      let b = Bytes.of_string full in
+      Bytes.set_int32_le b 6 (Int32.of_int claimed);
+      let lying = Bytes.to_string b in
+      let got = Codec.decode_shard_at lying ~pos:0 in
+      let alone =
+        Codec.decode_shard_at
+          (String.sub lying 0 (Wire.header_bytes + claimed))
+          ~pos:0
+      in
+      match got with
+      | Error _ when same_result got alone -> ()
+      | r ->
+          Alcotest.failf "%s payload claimed %d of %d bytes: %s, alone %s"
+            (Codec.kind_name m) claimed plen (show r) (show alone)
+    done;
+    (* A second frame behind a complete one, cut by the limit: the
+       first decodes, the second is [Truncated]. *)
+    let two = full ^ full in
+    let limit = flen + (flen / 2) in
+    (match Codec.decode_shard_at ~limit two ~pos:0 with
+    | Ok ((2, m'), next) when next = flen && Codec.equal m m' -> ()
+    | r -> Alcotest.failf "%s first of two: %s" (Codec.kind_name m) (show r));
+    match Codec.decode_shard_at ~limit two ~pos:flen with
+    | Error (Wire.Truncated _) -> ()
+    | r -> Alcotest.failf "%s second of two: %s" (Codec.kind_name m) (show r)
+  done
+
+let test_byte_flip_fuzz_at_offset () =
+  (* A frame with one byte flipped, placed at a random offset inside a
+     larger buffer between junk bytes: decoding it there must give
+     exactly what decoding the same bytes alone gives — never an
+     exception, never a byte read outside [pos, limit). *)
+  let rng = Random.State.make [| 0x0FF5E7 |] in
+  for _ = 1 to 2000 do
+    let m = gen_msg rng (Random.State.int rng n_kinds) in
+    let s = Codec.encode_shard ~shard:(Random.State.int rng 4) m in
+    let flip = Random.State.int rng (String.length s) in
+    let flipped = corrupt s flip (Char.chr (Random.State.int rng 256)) in
+    let junk n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let pre = junk (1 + Random.State.int rng 40) in
+    let post = junk (Random.State.int rng 40) in
+    let pos = String.length pre in
+    let limit = pos + String.length flipped in
+    let buf = pre ^ flipped ^ post in
+    let alone = Codec.decode_shard_at flipped ~pos:0 in
+    match Codec.decode_shard_at ~limit buf ~pos with
+    | exception e ->
+        Alcotest.failf "decode at %d raised %s on %s with byte %d flipped" pos
+          (Printexc.to_string e) (Codec.kind_name m) flip
+    | r ->
+        let shifted =
+          match r with Ok (sm, next) -> Ok (sm, next - pos) | Error _ as e -> e
+        in
+        if not (same_result shifted alone) then
+          Alcotest.failf "%s byte %d flipped: %s at offset %d, %s alone"
+            (Codec.kind_name m) flip (show r) pos (show alone)
+  done
+
+(* --- allocation: decoding builds the message and little else --- *)
+
+let txn_4r2w =
+  let wts = Timestamp.make ~time:12.5 ~client_id:3 in
+  Txn.make
+    ~tid:(Timestamp.Tid.make ~seq:77 ~client_id:3)
+    ~read_set:(List.init 4 (fun k -> { Txn.key = k; wts }))
+    ~write_set:(List.init 2 (fun k -> { Txn.key = k; value = 100 + k }))
+
+let test_decode_alloc_budget () =
+  (* Minor words per decode, averaged over many runs, for the frames
+     of the transaction fast path, decoded as the shim does (with a
+     limit). The budgets leave room for the message itself and the
+     result tuple; a Result/closure chain per field would blow them. *)
+  let ts = Timestamp.make ~time:1.25 ~client_id:3 in
+  let cases : (string * int * Codec.t) list =
+    [
+      ("get", 32, Get { coord = 1; slot = 2; seq = 3; key = 4 });
+      ( "get_reply",
+        40,
+        Get_reply { slot = 2; seq = 3; replica = 1; key = 4; value = 5; wts = ts }
+      );
+      ( "validated",
+        32,
+        Validated { slot = 2; seq = 3; replica = 1; status = Txn.Validated_ok } );
+      ( "validate 4r/2w",
+        100,
+        Validate { coord = 1; slot = 2; seq = 3; txn = txn_4r2w; ts } );
+      ("write_back 4r/2w", 100, Write_back { txn = txn_4r2w; ts; commit = true });
+    ]
+  in
+  List.iter
+    (fun (what, budget, m) ->
+      let s = Codec.encode m in
+      let limit = String.length s in
+      (match Codec.decode_shard_at ~limit s ~pos:0 with
+      | Ok ((_, m'), _) when Codec.equal m m' -> ()
+      | r -> Alcotest.failf "%s: %s" what (show r));
+      let runs = 1000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to runs do
+        ignore (Sys.opaque_identity (Codec.decode_shard_at ~limit s ~pos:0))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int runs in
+      if words > float_of_int budget then
+        Alcotest.failf "%s: %.1f words per decode, budget %d" what words budget)
+    cases
+
 (* --- primitive round-trips --- *)
+
+(* Read one value off a fresh cursor over [s]; the cursor must then be
+   good and exactly consumed. *)
+let read1 r s =
+  let c = Wire.cursor s in
+  let v = r c in
+  Wire.finish c v
 
 let test_f64_exact_bits () =
   List.iter
     (fun f ->
       let b = Buffer.create 8 in
       Wire.w_f64 b f;
-      match Wire.r_f64 (Wire.cursor (Buffer.contents b)) with
+      match read1 Wire.r_f64 (Buffer.contents b) with
       | Ok f' ->
           Alcotest.(check int64) "f64 bits" (Int64.bits_of_float f)
             (Int64.bits_of_float f')
@@ -455,7 +630,7 @@ let test_u32_range () =
     (fun n ->
       let b = Buffer.create 4 in
       Wire.w_u32 b n;
-      match Wire.r_u32 (Wire.cursor (Buffer.contents b)) with
+      match read1 Wire.r_u32 (Buffer.contents b) with
       | Ok n' -> Alcotest.(check int) "u32" n n'
       | Error e -> Alcotest.failf "u32: %s" (Wire.error_to_string e))
     [ 0; 1; 0xFFFF; 0x10000; 0xFFFFFFFF ];
@@ -471,7 +646,7 @@ let test_i64_full_range () =
     (fun n ->
       let b = Buffer.create 8 in
       Wire.w_i64 b n;
-      match Wire.r_i64 (Wire.cursor (Buffer.contents b)) with
+      match read1 Wire.r_i64 (Buffer.contents b) with
       | Ok n' -> Alcotest.(check int) "i64" n n'
       | Error e -> Alcotest.failf "i64: %s" (Wire.error_to_string e))
     [ 0; 1; -1; 42; max_int; min_int ]
@@ -504,6 +679,15 @@ let () =
           Alcotest.test_case "random garbage" `Quick test_random_garbage;
           Alcotest.test_case "hostile count bounded" `Quick
             test_hostile_count_bounded;
+        ] );
+      ( "in place",
+        [
+          Alcotest.test_case "stale bytes past limit" `Quick
+            test_stale_bytes_past_limit;
+          Alcotest.test_case "byte-flip fuzz at offset" `Quick
+            test_byte_flip_fuzz_at_offset;
+          Alcotest.test_case "decode allocation budget" `Quick
+            test_decode_alloc_budget;
         ] );
       ( "primitives",
         [
