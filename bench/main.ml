@@ -1,5 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§6), plus ablations and micro-benchmarks.
+   paper's evaluation (§6), plus ablations, chaos and the shard sweep.
 
      dune exec bench/main.exe                 # everything, quick mode
      dune exec bench/main.exe -- --full       # longer windows, finer sweeps
@@ -676,265 +676,6 @@ let chaos mode =
   if !failures > 0 then say "%d run(s) FAILED an end-of-run invariant." !failures
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the hot code paths.                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro mode =
-  heading "Micro-benchmarks (bechamel, ns/op of real code paths)";
-  let open Bechamel in
-  let store = Mk_storage.Vstore.create () in
-  for key = 0 to 65535 do
-    Mk_storage.Vstore.load store ~key ~value:0
-  done;
-  let rng = Mk_util.Rng.create ~seed:mode.seed in
-  let zipf = Mk_workload.Zipf.create ~rng ~n:65536 ~theta:0.9 () in
-  let counter = ref 0 in
-  let next_int () =
-    counter := (!counter + 1) land 0xFFFF;
-    !counter
-  in
-  let ts_a = Mk_clock.Timestamp.make ~time:1.0 ~client_id:1 in
-  let ts_b = Mk_clock.Timestamp.make ~time:2.0 ~client_id:2 in
-  let trecord = Mk_storage.Trecord.create ~cores:8 in
-  let tests =
-    [
-      Test.make ~name:"occ-validate-commit-rmw"
-        (Staged.stage (fun () ->
-             let key = next_int () in
-             let e = Mk_storage.Vstore.find_exn store key in
-             let _, wts = Mk_storage.Vstore.read_versioned e in
-             let txn =
-               Mk_storage.Txn.make
-                 ~tid:(Mk_clock.Timestamp.Tid.make ~seq:(next_int ()) ~client_id:1)
-                 ~read_set:[ { key; wts } ]
-                 ~write_set:[ { key; value = 1 } ]
-             in
-             let stamp =
-               Mk_clock.Timestamp.make ~time:(float_of_int !counter) ~client_id:1
-             in
-             match Mk_storage.Occ.validate store txn ~ts:stamp with
-             | `Ok -> Mk_storage.Occ.finish store txn ~ts:stamp ~commit:true
-             | `Abort -> ()));
-      Test.make ~name:"vstore-versioned-read"
-        (Staged.stage (fun () ->
-             let e = Mk_storage.Vstore.find_exn store (next_int ()) in
-             ignore (Mk_storage.Vstore.read_versioned e)));
-      Test.make ~name:"zipf-sample-theta0.9"
-        (Staged.stage (fun () -> ignore (Mk_workload.Zipf.sample zipf)));
-      Test.make ~name:"timestamp-compare"
-        (Staged.stage (fun () -> ignore (Mk_clock.Timestamp.compare ts_a ts_b)));
-      Test.make ~name:"trecord-add-find-remove"
-        (Staged.stage (fun () ->
-             let tid = Mk_clock.Timestamp.Tid.make ~seq:(next_int ()) ~client_id:2 in
-             let txn = Mk_storage.Txn.make ~tid ~read_set:[] ~write_set:[] in
-             let core = Mk_storage.Trecord.partition_of_tid trecord tid in
-             ignore
-               (Mk_storage.Trecord.add trecord ~core ~txn ~ts:ts_a
-                  ~status:Mk_storage.Txn.Validated_ok);
-             ignore (Mk_storage.Trecord.find trecord ~core tid);
-             Mk_storage.Trecord.remove trecord ~core tid));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if mode.full then 1.0 else 0.25))
-      ~kde:None ()
-  in
-  let table = Table.create ~header:[ "benchmark"; "ns/op"; "r^2" ] in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols ->
-          let estimate =
-            match Analyze.OLS.estimates ols with
-            | Some (e :: _) -> Printf.sprintf "%.1f" e
-            | _ -> "-"
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols with
-            | Some r -> Printf.sprintf "%.3f" r
-            | None -> "-"
-          in
-          Table.add_row table [ name; estimate; r2 ])
-        results)
-    tests;
-  Table.print table;
-
-  say "";
-  say "Real-domains counter demonstration (this machine has %d core(s);"
-    (Domain.recommended_domain_count ());
-  say "the paper's effect needs several physical cores to show):";
-  let increments = if mode.full then 2_000_000 else 400_000 in
-  let domains = min 4 (max 2 (Domain.recommended_domain_count ())) in
-  let shared = Mk_multicore.Counter_bench.shared_atomic ~domains ~increments_per_domain:increments in
-  let sharded = Mk_multicore.Counter_bench.sharded ~domains ~increments_per_domain:increments in
-  say "  shared atomic counter: %.1f M increments/s (%d domains)"
-    (shared.Mk_multicore.Counter_bench.ops_per_second /. 1e6)
-    domains;
-  say "  per-domain counters:   %.1f M increments/s (%d domains)"
-    (sharded.Mk_multicore.Counter_bench.ops_per_second /. 1e6)
-    domains
-
-(* ------------------------------------------------------------------ *)
-(* Command line                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* Live: the protocol on real OCaml 5 domains, swept over server
-   domains.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike every experiment above, this one runs on the machine's real
-   cores: absolute numbers depend on the host (and on core count —
-   the sweep only scales when the hardware has cores to give it). The
-   committed history of every point is checked for one-copy
-   serializability, and the whole sweep lands in BENCH_live.json. *)
-let live mode =
-  heading "Live: Meerkat on real domains, 1..N server domains (YCSB-T)";
-  let max_domains = if mode.full then 8 else 4 in
-  let txns = if mode.full then 200 else 50 in
-  let table =
-    Table.create
-      ~header:
-        [ "domains"; "clients"; "committed"; "abort %"; "txn/s"; "p50 us";
-          "p99 us"; "slow"; "serializable" ]
-  in
-  let points =
-    List.map
-      (fun domains ->
-        let clients = 4 * domains in
-        let cfg =
-          {
-            Mk_live.Runtime.default_config with
-            server_domains = domains;
-            coordinators = 2;
-            clients;
-            (* Constant contention as the system scales: keyspace
-               proportional to cores, low Zipf skew (§6.2). *)
-            keys = 1024 * domains;
-            theta = 0.3;
-            txns_per_client = txns;
-            seed = mode.seed;
-          }
-        in
-        let r = Mk_live.Runtime.run cfg in
-        let serializable =
-          match Mk_harness.Checker.check r.Mk_live.Runtime.committed with
-          | Ok () -> true
-          | Error _ -> false
-        in
-        Table.add_row table
-          [
-            string_of_int domains;
-            string_of_int clients;
-            string_of_int r.Mk_live.Runtime.committed_count;
-            pct r.Mk_live.Runtime.abort_rate;
-            Printf.sprintf "%.0f" r.Mk_live.Runtime.throughput;
-            Printf.sprintf "%.0f" r.Mk_live.Runtime.p50_us;
-            Printf.sprintf "%.0f" r.Mk_live.Runtime.p99_us;
-            string_of_int r.Mk_live.Runtime.slow_path;
-            (if serializable then "yes" else "NO");
-          ];
-        (r, serializable))
-      (List.init max_domains (fun i -> i + 1))
-  in
-  Table.print table;
-  (* Open-loop latency sweep: a fixed topology offered a fixed
-     aggregate rate (the paper's load-latency methodology). Latency is
-     measured from each transaction's INTENDED launch instant, so the
-     points past saturation report the queueing delay honestly instead
-     of the closed-loop's self-throttled figures; [alloc_per_txn] rides
-     along as the allocation regression signal. *)
-  heading "Live: open-loop load-latency sweep (fixed offered rate)";
-  let ol_duration = if mode.full then 2.0 else 0.5 in
-  let ol_rates =
-    if mode.full then [ 4_000.0; 8_000.0; 16_000.0; 32_000.0; 48_000.0 ]
-    else [ 4_000.0; 16_000.0 ]
-  in
-  let ol_table =
-    Table.create
-      ~header:
-        [ "offered/s"; "committed"; "txn/s"; "p50 us"; "p99 us";
-          "alloc w/txn"; "serializable" ]
-  in
-  let ol_points =
-    List.map
-      (fun rate ->
-        let cfg =
-          {
-            Mk_live.Runtime.default_config with
-            server_domains = 2;
-            coordinators = 2;
-            clients = 8;
-            keys = 4096;
-            theta = 0.3;
-            duration = Some ol_duration;
-            offered_rate = Some rate;
-            seed = mode.seed;
-          }
-        in
-        let r = Mk_live.Runtime.run cfg in
-        let serializable =
-          match Mk_harness.Checker.check r.Mk_live.Runtime.committed with
-          | Ok () -> true
-          | Error _ -> false
-        in
-        Table.add_row ol_table
-          [
-            Printf.sprintf "%.0f" rate;
-            string_of_int r.Mk_live.Runtime.committed_count;
-            Printf.sprintf "%.0f" r.Mk_live.Runtime.throughput;
-            Printf.sprintf "%.0f" r.Mk_live.Runtime.p50_us;
-            Printf.sprintf "%.0f" r.Mk_live.Runtime.p99_us;
-            string_of_int r.Mk_live.Runtime.alloc_per_txn;
-            (if serializable then "yes" else "NO");
-          ];
-        (rate, r, serializable))
-      ol_rates
-  in
-  Table.print ol_table;
-  let body =
-    String.concat ",\n  "
-      (List.map
-         (fun (r, serializable) ->
-           Printf.sprintf "{\"serializable\": %b, \"report\": %s}" serializable
-             (Mk_live.Runtime.report_json r))
-         points)
-  in
-  let ol_body =
-    String.concat ",\n  "
-      (List.map
-         (fun (rate, r, serializable) ->
-           Printf.sprintf
-             "{\"offered_rate\": %.0f, \"serializable\": %b, \"report\": %s}"
-             rate serializable
-             (Mk_live.Runtime.report_json r))
-         ol_points)
-  in
-  (try
-     let oc = open_out "BENCH_live.json" in
-     Printf.fprintf oc
-       "{\"experiment\": \"live\", \"sweep\": [\n\
-       \  %s\n\
-        ], \"open_loop\": [\n\
-       \  %s\n\
-        ]}\n"
-       body ol_body;
-     close_out oc;
-     say "wrote BENCH_live.json"
-   with Sys_error msg -> Format.eprintf "cannot write BENCH_live.json: %s@." msg);
-  if List.exists (fun (_, s) -> not s) points then
-    failwith "live: serializability violation in a committed history";
-  if List.exists (fun (_, _, s) -> not s) ol_points then
-    failwith "live: serializability violation in an open-loop history"
-
-(* ------------------------------------------------------------------ *)
 (* Shard: goodput vs shard count x cross-shard ratio (sim backend).    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1072,6 +813,10 @@ let shard mode =
          "shard: goodput scaled only %.2fx from 1 to 4 shards at 10%% cross"
          ratio)
 
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+(* ------------------------------------------------------------------ *)
+
 let experiments =
   [
     ("fig1", fig1);
@@ -1088,8 +833,6 @@ let experiments =
     ("recovery", recovery);
     ("chaos", chaos);
     ("trace", trace_experiment);
-    ("micro", micro);
-    ("live", live);
     ("shard", shard);
   ]
 
@@ -1127,7 +870,7 @@ let () =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
            ~doc:"Experiments to run (default: all). One of: fig1, table1, table2, \
                  fig4, fig5, fig6a, fig6b, fig7a, fig7b, latency, ablation, recovery, \
-                 chaos, trace, micro.")
+                 chaos, trace, shard.")
   in
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Longer measurement windows and finer sweeps.")

@@ -4,14 +4,15 @@
    over real replicas connected by bounded MPSC mailboxes — for one or
    more seeds, prints a report per run, checks every committed history
    for one-copy serializability, and optionally writes the aggregate
-   as JSON. Exits non-zero on a serializability violation or when a
-   client's transactions went missing.
+   as JSON. Exits non-zero on a serializability violation, when a
+   client's transactions went missing or unanswered, or when a run
+   allocates past --max-alloc-per-txn. Every option applies at every
+   shard count; --nemesis needs --shards 1.
 
      dune exec bin/meerkat_live.exe -- --domains 4 --clients 16
      dune exec bin/meerkat_live.exe -- --seeds 8 --json BENCH_live.json *)
 
 module Runtime = Mk_live.Runtime
-module Multi = Mk_live.Multi
 module Checker = Mk_harness.Checker
 module Nemesis = Mk_fault.Nemesis
 
@@ -23,104 +24,18 @@ let parse_workload = function
       Error
         (`Msg (Printf.sprintf "unknown workload %S (ycsb-t, rmw-pair, retwis)" s))
 
-(* Multi-group path (--shards > 1): the fault-free Multi runner with
-   the cross-shard knob, checking the MERGED global history. *)
-let run_sharded shards cross domains replicas coordinators clients keys theta
-    workload txns duration seed nseeds no_check json =
-  let cfg =
-    {
-      Multi.default_config with
-      shards;
-      cross;
-      server_domains = domains;
-      n_replicas = replicas;
-      coordinators;
-      clients;
-      keys;
-      theta;
-      workload;
-      txns_per_client = txns;
-      duration;
-    }
-  in
-  let failures = ref 0 in
-  let reports =
-    List.map
-      (fun seed ->
-        let r = Multi.run { cfg with Multi.seed } in
-        Format.printf "seed %d:@.  %a@." seed Multi.pp_report r;
-        let expected = clients * txns in
-        if duration = None && r.Multi.committed_count + r.Multi.aborted <> expected
-        then begin
-          incr failures;
-          Format.printf "  LOST TRANSACTIONS: %d decided, %d submitted@."
-            (r.Multi.committed_count + r.Multi.aborted)
-            expected
-        end;
-        if r.Multi.acked <> r.Multi.submitted then begin
-          incr failures;
-          Format.printf "  UNANSWERED TRANSACTIONS: %d submitted, %d acked@."
-            r.Multi.submitted r.Multi.acked
-        end;
-        if not no_check then begin
-          match Checker.check r.Multi.history with
-          | Ok () ->
-              Format.printf "  merged history serializable: yes (%d commits, %d cross-shard txns)@."
-                r.Multi.committed_count r.Multi.cross_shard
-          | Error v ->
-              incr failures;
-              Format.printf "  SERIALIZABILITY VIOLATION: %a@." Checker.pp_violation v
-        end;
-        (seed, r))
-      (List.init nseeds (fun i -> seed + i))
-  in
-  (match json with
-  | None -> ()
-  | Some path -> (
-      let body =
-        String.concat ",\n  "
-          (List.map
-             (fun (seed, r) ->
-               Printf.sprintf "{\"seed\": %d, \"report\": %s}" seed
-                 (Multi.report_json r))
-             reports)
-      in
-      try
-        let oc = open_out path in
-        Printf.fprintf oc
-          "{\"experiment\": \"live-sharded\", \"runs\": [\n  %s\n]}\n" body;
-        close_out oc;
-        Format.printf "wrote %s@." path
-      with Sys_error msg -> Format.eprintf "meerkat_live: %s@." msg));
-  if !failures > 0 then begin
-    Format.printf "%d run(s) FAILED@." !failures;
-    exit 1
-  end
-
 let run shards cross domains replicas coordinators clients keys theta workload
     txns duration rate max_alloc nemesis seed nseeds no_check json =
   if shards < 1 then begin
     Format.eprintf "meerkat_live: --shards must be >= 1@.";
     exit 2
   end;
-  if shards > 1 then begin
-    if nemesis <> None then begin
-      Format.eprintf
-        "meerkat_live: --nemesis needs the single-group runtime (chaos is \
-         single-group by design; use meerkat_cluster --kill-node for \
-         multi-shard faults)@.";
-      exit 2
-    end;
-    if rate <> None || max_alloc <> None then begin
-      Format.eprintf
-        "meerkat_live: --rate and --max-alloc-per-txn need the single-group \
-         runtime (the multi-group driver is closed-loop)@.";
-      exit 2
-    end;
-    run_sharded shards cross domains replicas coordinators clients keys theta
-      workload txns duration seed nseeds no_check json
-  end
-  else
+  if shards > 1 && nemesis <> None then begin
+    Format.eprintf
+      "meerkat_live: --nemesis needs --shards 1 (chaos is single-group by \
+       design; use meerkat_cluster --kill-node for multi-shard faults)@.";
+    exit 2
+  end;
   let duration =
     (* A nemesis plan needs a horizon; default to one wall second. *)
     match (nemesis, duration) with
@@ -144,6 +59,8 @@ let run shards cross domains replicas coordinators clients keys theta workload
   let cfg =
     {
       Runtime.default_config with
+      shards;
+      cross;
       server_domains = domains;
       n_replicas = replicas;
       coordinators;
@@ -177,9 +94,16 @@ let run shards cross domains replicas coordinators clients keys theta workload
             (r.Runtime.committed_count + r.Runtime.aborted)
             expected
         end;
+        if r.Runtime.acked <> r.Runtime.submitted then begin
+          incr failures;
+          Format.printf "  UNANSWERED TRANSACTIONS: %d submitted, %d acked@."
+            r.Runtime.submitted r.Runtime.acked
+        end;
         if not no_check then begin
           match Checker.check r.Runtime.committed with
-          | Ok () -> Format.printf "  serializable: yes (%d commits)@." r.Runtime.committed_count
+          | Ok () ->
+              Format.printf "  serializable: yes (%d commits, %d cross-shard)@."
+                r.Runtime.committed_count r.Runtime.cross_shard
           | Error v ->
               incr failures;
               Format.printf "  SERIALIZABILITY VIOLATION: %a@." Checker.pp_violation v
@@ -232,10 +156,9 @@ let () =
   let shards =
     Arg.(value & opt int 1
          & info [ "shards"; "s" ]
-             ~doc:"Shard groups. With more than one, run the multi-group \
-                   deployment: independent replica groups per shard, \
-                   client-side cross-shard 2PC, and a merged-history \
-                   serializability check.")
+             ~doc:"Shard groups: independent replica groups, client-side \
+                   cross-shard 2PC, and a serializability check of the \
+                   merged history.")
   in
   let cross =
     Arg.(value & opt float 0.1

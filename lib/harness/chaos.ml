@@ -512,6 +512,7 @@ let run_live cfg =
     }
   in
   let r = Runtime.run rt_cfg in
+  let replicas = r.Runtime.groups.(0) in
   let obs = Obs.create ~clock:(fun () -> 0.0) () in
   Obs.note_wal_appends obs ~appends:r.Runtime.wal_appends
     ~bytes:r.Runtime.wal_bytes ~fsyncs:r.Runtime.wal_fsyncs;
@@ -523,7 +524,7 @@ let run_live cfg =
      [check_durable]); the deterministic sim backend covers the crash
      instant exactly. *)
   let durable =
-    check_durable ~cores:cfg.threads ~replicas:r.Runtime.replicas
+    check_durable ~cores:cfg.threads ~replicas
       ~sources:(fun replica ->
         Runtime.read_durable_sources ~dir:data_dir ~replica ~cores:cfg.threads)
       ~obligations:[]
@@ -532,16 +533,16 @@ let run_live cfg =
           ~records:p.Recover.replayed ~errors:p.Recover.decode_errors)
   in
   Runtime.remove_data_dir ~dir:data_dir
-    ~n_replicas:(Array.length r.Runtime.replicas) ~cores:cfg.threads;
+    ~n_replicas:(Array.length replicas) ~cores:cfg.threads;
   evaluate
     {
       raw_cfg = cfg;
-      raw_replicas = r.Runtime.replicas;
+      raw_replicas = replicas;
       raw_read_committed =
         (fun ~replica ~key ->
           match
             Mk_storage.Vstore.find
-              (Replica.vstore r.Runtime.replicas.(replica))
+              (Replica.vstore replicas.(replica))
               key
           with
           | None -> None

@@ -1,39 +1,46 @@
 (* The live runtime: the full Meerkat commit protocol on real OCaml 5
-   domains.
+   domains, for one shard group or many.
 
-   Topology: [server_domains] server domains and [coordinators]
-   coordinator domains, each owning one {!Mailbox}. Server domain [k]
-   hosts core [k] of every replica — a transaction steered to core [k]
-   (by [Tid.hash mod server_domains], the same steering the simulator
-   uses) has its validate/accept/write-back handled for all replicas
-   by that one domain, against each replica's own core-[k] trecord
-   partition. Coordinator domains run closed-loop clients driving the
-   extracted {!Mk_meerkat.Protocol} state machine — the exact code the
-   simulator executes — and translate its actions into mailbox pushes
-   instead of simulated sends.
+   Topology: per shard group, [server_domains] server domains; plus
+   [coordinators] coordinator domains shared by every group; each
+   domain owns one {!Mailbox}. Server domain [k] of a group hosts core
+   [k] of every replica of that group — a transaction steered to core
+   [k] (by [Tid.hash mod server_domains], the same steering the
+   simulator uses) has its validate/accept/write-back handled for all
+   replicas by that one domain, against each replica's own core-[k]
+   trecord partition. Coordinator domains run the clients: each holds
+   one {!Mk_meerkat.Attempts} table (the {!Mk_meerkat.Protocol} state
+   machine the simulator executes, one attempt per involved group) and
+   one {!Mk_shard.Driver} (the client-side cross-shard 2PC of paper
+   §5.2.4), and turns the table's broadcasts into mailbox pushes — the
+   same coordinator code as the cluster client. A one-group run is the
+   S = 1 case: every key lives in group 0, so each transaction is one
+   attempt, written back once it decides.
 
    Zero-coordination: the only cross-domain mutable state on the
    transaction fast path is the mailboxes themselves (and the
    storage layer's own sanctioned shard locks). Coordinators share
    nothing with each other — per-coordinator RNG, workload, Obs
-   handle, latency histogram, and committed list, merged only after
-   join.
+   handle, attempt table, latency histogram, and committed
+   sub-histories, merged only after join. Nothing is shared between
+   groups at all: the coordinator is the only cross-group party.
 
    Deadlock freedom: producers block (spin) on a full mailbox, so a
    cycle of full queues must not form. Server inboxes can fill — their
    producers (coordinators) keep draining their own inboxes only
    between pushes, but a server drains continuously unless *it* is
    blocked pushing a reply. Reply traffic is bounded: a coordinator
-   with [m] local clients has at most [m] undecided attempts, each
-   with at most one outstanding request per replica per retransmission
-   round, so a coordinator inbox of [coord_inbox] >= a few times
-   [m * n_replicas] can never be full when a server pushes — the
-   server never blocks, so every cycle contains a non-blocking node.
-   {!run} enforces that bound.
+   with [m] local clients has at most [m] transactions in flight, each
+   with at most one attempt per involved group and one outstanding
+   request per replica per retransmission round, so a coordinator
+   inbox of [coord_inbox] >= a few times [m * n_replicas * shards] can
+   never be full when a server pushes — the server never blocks, so
+   every cycle contains a non-blocking node. {!run} enforces that
+   bound.
 
-   Chaos mode ([config.chaos]): the same topology plus one monitor
-   domain hosting the transport-agnostic {!Mk_meerkat.Detector} and
-   {!Mk_meerkat.View_change}. Every cross-domain message routes through
+   Chaos mode ([config.chaos], one group only): the same topology plus
+   one monitor domain hosting the transport-agnostic
+   {!Mk_meerkat.Detector} and {!Mk_meerkat.View_change}. Every cross-domain message routes through
    {!Link} (the wall-clock verdict of the run's nemesis plan); server
    domains gain heartbeat agents and trecord snapshots for the
    detector; the monitor injects the plan's crashes, carries the §5.3.2
@@ -71,7 +78,10 @@ module Replica = Mk_meerkat.Replica
 module Detector = Mk_meerkat.Detector
 module View_change = Mk_meerkat.View_change
 module Epoch = Mk_meerkat.Epoch
+module Attempts = Mk_meerkat.Attempts
 module Workload = Mk_workload.Workload
+module Router = Mk_shard.Router
+module History = Mk_shard.History
 module Obs = Mk_obs.Obs
 module Span = Mk_obs.Span
 module Histogram = Mk_util.Histogram
@@ -93,6 +103,8 @@ type chaos = {
 }
 
 type config = {
+  shards : int;
+  policy : Router.policy;
   server_domains : int;
   n_replicas : int;
   coordinators : int;
@@ -100,6 +112,7 @@ type config = {
   keys : int;
   theta : float;
   workload : workload_kind;
+  cross : float;
   txns_per_client : int;
   duration : float option;
   offered_rate : float option;
@@ -114,6 +127,8 @@ type config = {
 
 let default_config =
   {
+    shards = 1;
+    policy = Router.Mod;
     server_domains = 2;
     n_replicas = 3;
     coordinators = 2;
@@ -121,6 +136,7 @@ let default_config =
     keys = 1024;
     theta = 0.6;
     workload = Ycsb_t;
+    cross = 0.1;
     txns_per_client = 50;
     duration = None;
     offered_rate = None;
@@ -205,12 +221,15 @@ let chaos_detector_cfg ~horizon_us =
   }
 
 type report = {
+  shards : int;
   server_domains : int;
   coordinators : int;
   clients : int;
   committed : (Txn.t * Timestamp.t) list;
+  sub_histories : (int * (Txn.t * Timestamp.t) list) list;
   committed_count : int;
   aborted : int;
+  cross_shard : int;
   fast_path : int;
   slow_path : int;
   retransmits : int;
@@ -235,70 +254,46 @@ type report = {
   gc_minor_words : int;
   gc_majors : int;
   alloc_per_txn : int;
-  replicas : Replica.t array;
+  groups : Replica.t array array;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Requests carry (coord, slot, seq) so the reply can be routed back to
-   the issuing attempt; [seq] is the client-local transaction sequence
-   number, so a late reply for a finished attempt can never be taken
-   for the current one.
+(* Requests carry (coord, id): [id] is the coordinator's {!Attempts}
+   id, unique across its clients and shard groups, so a late reply for
+   a finished attempt can never be taken for a live one. Requests need
+   no shard — each group has its own server inboxes — but replies share
+   the coordinator's inbox, so they name their group.
 
-   Fault-free runs use the mask-batched constructors: server domain [k]
-   hosts core [k] of EVERY replica, so a protocol broadcast lands in
-   one inbox regardless of fan-out — [Validates] carries a replica
-   bitmask instead of being pushed once per replica, and the server
-   answers with one [Validated_batch] whose statuses are packed four
-   bits per replica. One mailbox message per protocol round instead of
-   [n_replicas], with no per-replica envelope allocations. The packing
-   caps [n_replicas] at 15 (4-bit lanes in a 63-bit int); {!run}
-   enforces that. Chaos mode keeps the per-replica singleton messages:
-   the link faults each (coordinator, replica) pair independently, so
-   batching there would change which partial deliveries are possible. *)
+   One mailbox message per protocol broadcast: server domain [k] hosts
+   core [k] of EVERY replica of its group, so a broadcast lands in one
+   inbox regardless of fan-out. A request carries the replica bitmask
+   of {!Attempts.send}, and the server answers with one batch whose
+   statuses are packed four bits per replica — no per-replica envelope
+   allocations. The packing caps [n_replicas] at 15 (4-bit lanes in a
+   63-bit int); {!run} enforces that. Chaos mode sends single-bit masks
+   instead: the link faults each (coordinator, replica) pair
+   independently, so batching there would change which partial
+   deliveries are possible. *)
 type server_msg =
   | Validates of {
       mask : int;  (* bit r: validate at replica r *)
       coord : int;
-      slot : int;
-      seq : int;
+      id : int;
       txn : Txn.t;
       ts : Timestamp.t;
     }
   | Accepts of {
       mask : int;
       coord : int;
-      slot : int;
-      seq : int;
+      id : int;
       txn : Txn.t;
       ts : Timestamp.t;
       decision : [ `Commit | `Abort ];
-      view : int;
     }
   | Write_backs of { mask : int; txn : Txn.t; ts : Timestamp.t; commit : bool }
-  (* Per-replica singletons: chaos-mode traffic routed through the
-     per-pair {!Link}, plus the `Stale` accept reply fallback. *)
-  | Validate of {
-      replica : int;
-      coord : int;
-      slot : int;
-      seq : int;
-      txn : Txn.t;
-      ts : Timestamp.t;
-    }
-  | Accept of {
-      replica : int;
-      coord : int;
-      slot : int;
-      seq : int;
-      txn : Txn.t;
-      ts : Timestamp.t;
-      decision : [ `Commit | `Abort ];
-      view : int;
-    }
-  | Write_back of { replica : int; txn : Txn.t; ts : Timestamp.t; commit : bool }
   (* Chaos-mode recovery traffic (monitor-initiated, §5.3.2). *)
   | Coord_change of { replica : int; observer : int; tid : Tid.t; view : int }
   | Vc_accept of {
@@ -316,8 +311,7 @@ type server_msg =
    constant constructors, so a code always fits a lane; accept replies
    use code 0 for [`Accepted] and [1 + status] for [`Finalized] —
    [`Stale] carries an unbounded view number and falls back to a
-   singleton [Accepted] message (it only arises under view changes,
-   which chaos mode drives over the singleton path anyway). *)
+   singleton [Accepted] message (it only arises under view changes). *)
 let status_code : Txn.status -> int = function
   | Txn.Validated_ok -> 0
   | Txn.Validated_abort -> 1
@@ -339,28 +333,27 @@ let max_replicas_batched = 15
 
 type coord_msg =
   | Validated_batch of {
-      slot : int;
-      seq : int;
+      id : int;
+      shard : int;
       mask : int;  (* bit r: replica r's status is in lane r *)
       statuses : int;  (* 4 bits per replica: [status_code] *)
     }
   | Accepted_batch of {
-      slot : int;
-      seq : int;
+      id : int;
+      shard : int;
       mask : int;
       replies : int;  (* 4 bits per replica: 0 accepted, 1+s finalized *)
     }
-  | Validated of { slot : int; seq : int; replica : int; status : Txn.status }
   | Accepted of {
-      slot : int;
-      seq : int;
+      id : int;
+      shard : int;
       replica : int;
       reply : Protocol.accept_reply;
     }
   | Coord_kill of { until_us : float }
       (* Fail the coordinator process until the given wall time: it
          discards its inbox while down and resumes its attempts with
-         {!Protocol.Resume} on reboot. *)
+         {!Attempts.resume} on reboot. *)
 
 (* Everything the monitor domain learns arrives as one of these. *)
 type mon_msg =
@@ -403,14 +396,15 @@ type mon_msg =
    not fan-out. *)
 let server_drain_budget = 128
 
-(* One message, handled against every replica named in its mask. The
-   replies pack one 4-bit lane per replica and go back as a single
-   mailbox push (blocking, as before: {!run} sizes coordinator inboxes
-   so a server never blocks while a coordinator is blocked on it). *)
-let server_handle ~core ~replicas ~coord_inboxes ~stop msg =
+(* One request, handled against every replica named in its mask. The
+   answers pack one 4-bit lane per replica into a single reply for
+   [answer]: fault-free, one blocking mailbox push ({!run} sizes
+   coordinator inboxes so a server never blocks while a coordinator is
+   blocked on it); in chaos mode, {!answer_per_replica}. *)
+let server_handle ~shard ~core ~replicas ~answer ~stop msg =
   match msg with
   | Stop -> stop := true
-  | Validates { mask; coord; slot; seq; txn; ts } ->
+  | Validates { mask; coord; id; txn; ts } ->
       let rmask = ref 0 and statuses = ref 0 in
       let m = ref mask and r = ref 0 in
       while !m <> 0 do
@@ -424,15 +418,16 @@ let server_handle ~core ~replicas ~coord_inboxes ~stop msg =
         m := !m lsr 1
       done;
       if !rmask <> 0 then
-        Mailbox.push coord_inboxes.(coord)
-          (Validated_batch { slot; seq; mask = !rmask; statuses = !statuses })
-  | Accepts { mask; coord; slot; seq; txn; ts; decision; view } ->
+        answer coord
+          (Validated_batch { id; shard; mask = !rmask; statuses = !statuses })
+  | Accepts { mask; coord; id; txn; ts; decision } ->
       let rmask = ref 0 and packed = ref 0 in
       let m = ref mask and r = ref 0 in
       while !m <> 0 do
         (if !m land 1 = 1 then
            match
-             Replica.handle_accept replicas.(!r) ~core ~txn ~ts ~decision ~view
+             Replica.handle_accept replicas.(!r) ~core ~txn ~ts ~decision
+               ~view:0
            with
            | None -> ()
            | Some `Accepted -> rmask := !rmask lor (1 lsl !r)
@@ -441,15 +436,14 @@ let server_handle ~core ~replicas ~coord_inboxes ~stop msg =
                packed := !packed lor ((1 + status_code st) lsl (4 * !r))
            | Some (`Stale _ as reply) ->
                (* View numbers do not fit a lane; ship the straggler
-                  as a legacy singleton. *)
-               Mailbox.push coord_inboxes.(coord)
-                 (Accepted { slot; seq; replica = !r; reply }));
+                  as a singleton. *)
+               answer coord (Accepted { id; shard; replica = !r; reply }));
         incr r;
         m := !m lsr 1
       done;
       if !rmask <> 0 then
-        Mailbox.push coord_inboxes.(coord)
-          (Accepted_batch { slot; seq; mask = !rmask; replies = !packed })
+        answer coord
+          (Accepted_batch { id; shard; mask = !rmask; replies = !packed })
   | Write_backs { mask; txn; ts; commit } ->
       let m = ref mask and r = ref 0 in
       while !m <> 0 do
@@ -460,31 +454,14 @@ let server_handle ~core ~replicas ~coord_inboxes ~stop msg =
         incr r;
         m := !m lsr 1
       done
-  | Validate { replica; coord; slot; seq; txn; ts } -> (
-      match Replica.handle_validate replicas.(replica) ~core ~txn ~ts with
-      | None -> ()
-      | Some status ->
-          Mailbox.push coord_inboxes.(coord)
-            (Validated { slot; seq; replica; status }))
-  | Accept { replica; coord; slot; seq; txn; ts; decision; view } -> (
-      match
-        Replica.handle_accept replicas.(replica) ~core ~txn ~ts ~decision ~view
-      with
-      | None -> ()
-      | Some reply ->
-          Mailbox.push coord_inboxes.(coord)
-            (Accepted { slot; seq; replica; reply }))
-  | Write_back { replica; txn; ts; commit } ->
-      ignore
-        (Replica.handle_commit replicas.(replica) ~core ~txn ~ts ~commit
-          : unit option)
   | Coord_change _ | Vc_accept _ | Freeze ->
-      (* Monitor traffic never flows without a monitor. *)
+      (* Monitor traffic: {!server_chaos_loop} takes it first. *)
       ()
 
-let server_loop ~core ~replicas ~inbox ~coord_inboxes =
+let server_loop ~shard ~core ~replicas ~inbox ~coord_inboxes =
   let stop = ref false in
-  let handle = server_handle ~core ~replicas ~coord_inboxes ~stop in
+  let answer coord msg = Mailbox.push coord_inboxes.(coord) msg in
+  let handle = server_handle ~shard ~core ~replicas ~answer ~stop in
   while not !stop do
     if Mailbox.drain inbox ~max:server_drain_budget handle = 0 then
       (* Z8: this parking pop IS the drain loop's idle wait — the
@@ -493,7 +470,32 @@ let server_loop ~core ~replicas ~inbox ~coord_inboxes =
       handle (Mailbox.pop inbox [@mk_lint.allow "Z8"])
   done
 
-(* Chaos-mode server domain: the same handlers, polling instead of
+(* Chaos mode: the link faults each (replica, coordinator) pair on its
+   own, so a batched answer leaves as one single-lane message per
+   replica, each a [try_push] whose failure counts as a drop. *)
+let answer_per_replica link coord_inboxes coord msg =
+  let send replica m =
+    Link.send link ~src:(Network.Replica replica) ~dst:(Network.Client coord)
+      ~push:(fun () -> ignore (Mailbox.try_push coord_inboxes.(coord) m))
+  in
+  let lanes mask f =
+    for r = 0 to max_replicas_batched - 1 do
+      if mask land (1 lsl r) <> 0 then send r (f r)
+    done
+  in
+  let lane bits r = bits land (0xf lsl (4 * r)) in
+  match msg with
+  | Validated_batch { id; shard; mask; statuses } ->
+      lanes mask (fun r ->
+          Validated_batch
+            { id; shard; mask = 1 lsl r; statuses = lane statuses r })
+  | Accepted_batch { id; shard; mask; replies } ->
+      lanes mask (fun r ->
+          Accepted_batch { id; shard; mask = 1 lsl r; replies = lane replies r })
+  | Accepted { replica; _ } -> send replica msg
+  | Coord_kill _ -> ()
+
+(* Chaos-mode server domain: the same handler, polling instead of
    parking, with every outbound reply routed through the link, plus a
    heartbeat agent and a periodic trecord snapshot for the detector.
    On [Freeze] the domain acks and parks on its control mailbox until
@@ -509,10 +511,6 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
         /. float_of_int cfg.server_domains)
   in
   let next_snap = ref (dcfg.scan_every /. 2.0) in
-  let reply_coord ~replica ~coord msg =
-    Link.send link ~src:(Network.Replica replica) ~dst:(Network.Client coord)
-      ~push:(fun () -> ignore (Mailbox.try_push coord_inboxes.(coord) msg))
-  in
   let reply_mon ~replica ~observer msg =
     Link.send link ~src:(Network.Replica replica)
       ~dst:(Network.Replica observer)
@@ -550,61 +548,17 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
     ignore (Mailbox.try_push mon_inbox (Mon_records { core; records = !records }))
   in
   let stop = ref false in
+  let handle =
+    server_handle ~shard:0 ~core ~replicas
+      ~answer:(answer_per_replica link coord_inboxes)
+      ~stop
+  in
   let idle = ref 0 in
   while not !stop do
     match Mailbox.try_pop inbox with
     | Some msg -> (
         idle := 0;
         match msg with
-        | Stop -> stop := true
-        | Validates { mask; coord; slot; seq; txn; ts } ->
-            (* Chaos coordinators send per-replica singletons (the link
-               faults each pair independently), but handle a batch
-               correctly anyway: per-replica link-routed replies. *)
-            for r = 0 to n - 1 do
-              if mask land (1 lsl r) <> 0 then
-                match Replica.handle_validate replicas.(r) ~core ~txn ~ts with
-                | None -> ()
-                | Some status ->
-                    reply_coord ~replica:r ~coord
-                      (Validated { slot; seq; replica = r; status })
-            done
-        | Accepts { mask; coord; slot; seq; txn; ts; decision; view } ->
-            for r = 0 to n - 1 do
-              if mask land (1 lsl r) <> 0 then
-                match
-                  Replica.handle_accept replicas.(r) ~core ~txn ~ts ~decision
-                    ~view
-                with
-                | None -> ()
-                | Some reply ->
-                    reply_coord ~replica:r ~coord
-                      (Accepted { slot; seq; replica = r; reply })
-            done
-        | Write_backs { mask; txn; ts; commit } ->
-            for r = 0 to n - 1 do
-              if mask land (1 lsl r) <> 0 then
-                ignore
-                  (Replica.handle_commit replicas.(r) ~core ~txn ~ts ~commit
-                    : unit option)
-            done
-        | Validate { replica; coord; slot; seq; txn; ts } -> (
-            match Replica.handle_validate replicas.(replica) ~core ~txn ~ts with
-            | None -> ()
-            | Some status ->
-                reply_coord ~replica ~coord (Validated { slot; seq; replica; status }))
-        | Accept { replica; coord; slot; seq; txn; ts; decision; view } -> (
-            match
-              Replica.handle_accept replicas.(replica) ~core ~txn ~ts ~decision
-                ~view
-            with
-            | None -> ()
-            | Some reply ->
-                reply_coord ~replica ~coord (Accepted { slot; seq; replica; reply }))
-        | Write_back { replica; txn; ts; commit } ->
-            ignore
-              (Replica.handle_commit replicas.(replica) ~core ~txn ~ts ~commit
-                : unit option)
         | Coord_change { replica; observer; tid; view } -> (
             match
               Replica.handle_coord_change replicas.(replica) ~core ~tid ~view
@@ -628,7 +582,8 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
                so the blocking push always completes; then park until
                it hands the cores back. *)
             Mailbox.push mon_inbox (Mon_frozen { core });
-            ignore (Mailbox.pop control : unit))
+            ignore (Mailbox.pop control : unit)
+        | Validates _ | Accepts _ | Write_backs _ | Stop -> handle msg)
     | None ->
         (* Chatter runs until [Stop]: the monitor may still be driving
            recovery for a straggling coordinator past the settle
@@ -700,7 +655,7 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
     | View_change.Write_back { observer; txn; ts; commit } ->
         for replica = 0 to n - 1 do
           to_server ~observer ~tid:txn.Txn.tid ~replica
-            (Write_back { replica; txn; ts; commit })
+            (Write_backs { mask = 1 lsl replica; txn; ts; commit })
         done
     | View_change.Done { tid; observer; outcome } ->
         Detector.view_change_finished det ~now:(wall_us ()) ~observer ~tid ~outcome;
@@ -870,57 +825,154 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
 (* Coordinator domains                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type attempt = {
-  txn : Txn.t;
-  ts : Timestamp.t;
-  core : int;
-  att_seq : int;
-  proto : Protocol.t;
-  att_t0 : float;
-      (* Latency origin: the protocol start in closed-loop mode, the
-         INTENDED launch instant in open-loop mode — so a client that
-         fell behind its schedule reports the queueing delay it
-         actually imposed (no coordinated omission). *)
-  mutable timers : (Protocol.timer * float) list;  (* absolute µs deadlines *)
+(* One coordinator domain's view of the deployment, shared by its
+   per-group {!Live_group} handles. *)
+type coord = {
+  id : int;
+  groups : Replica.t array array;  (* .(shard).(replica) *)
+  wall : unit -> float;  (* wall µs since t0 *)
+  atts : Attempts.t;
 }
+
+(* The four GROUP operations of one shard group, as seen from one
+   coordinator domain. *)
+module Live_group = struct
+  type t = { shard : int; co : coord }
+
+  (* Execute-phase reads go straight to one replica's versioned store —
+     shared-memory gets stand in for the paper's closest-replica reads;
+     the vstore's shard locks make them safe from any domain. A crashed
+     replica answers nothing, so chaos runs fall back to its peers. *)
+  let execute_read g ~client ~key k =
+    let replicas = g.co.groups.(g.shard) in
+    let n = Array.length replicas in
+    let rec attempt i =
+      if i >= n then (0, Timestamp.zero)
+      else
+        match
+          Replica.handle_get replicas.((g.co.id + client + i) mod n) ~key
+        with
+        | Some v -> v
+        | None -> attempt (i + 1)
+    in
+    k (attempt 0)
+
+  let fresh_txn_stamp g ~client =
+    Attempts.mint g.co.atts ~client ~now:(g.co.wall ())
+
+  let prepare_txn g ~txn ~ts ~on_prepared =
+    Attempts.start g.co.atts ~now:(g.co.wall ()) ~shard:g.shard ~txn ~ts
+      ~on_decided:on_prepared
+
+  let finalize_txn g ~txn ~ts ~commit =
+    Attempts.finalize g.co.atts ~shard:g.shard ~txn ~ts ~commit
+end
+
+module Driver = Mk_shard.Driver.Make (Live_group)
+
+(* Requests of one transaction go to the same core of every replica of
+   its group: the core that owns the tid's trecord partition.
+   Fault-free, a broadcast is one blocking push; chaos mode gives each
+   replica its own single-bit message through the link, where a full
+   mailbox degrades to a link drop (retransmission recovers it). *)
+let sender (cfg : config) ~inboxes ~link ~coord =
+  let inbox ~shard (txn : Txn.t) =
+    inboxes.(shard).(Tid.hash txn.Txn.tid mod cfg.server_domains)
+  in
+  match link with
+  | None ->
+      {
+        Attempts.validate =
+          (fun ~shard ~mask ~id txn ts ->
+            Mailbox.push (inbox ~shard txn)
+              (Validates { mask; coord; id; txn; ts }));
+        accept =
+          (fun ~shard ~mask ~id txn ts decision ->
+            Mailbox.push (inbox ~shard txn)
+              (Accepts { mask; coord; id; txn; ts; decision }));
+        write_back =
+          (fun ~shard ~mask txn ts ~commit ->
+            Mailbox.push (inbox ~shard txn) (Write_backs { mask; txn; ts; commit }));
+      }
+  | Some l ->
+      let each ~shard txn mask msg =
+        for r = 0 to cfg.n_replicas - 1 do
+          if mask land (1 lsl r) <> 0 then
+            Link.send l ~src:(Network.Client coord) ~dst:(Network.Replica r)
+              ~push:(fun () ->
+                ignore (Mailbox.try_push (inbox ~shard txn) (msg (1 lsl r))))
+        done
+      in
+      {
+        Attempts.validate =
+          (fun ~shard ~mask ~id txn ts ->
+            each ~shard txn mask (fun mask -> Validates { mask; coord; id; txn; ts }));
+        accept =
+          (fun ~shard ~mask ~id txn ts decision ->
+            each ~shard txn mask (fun mask ->
+                Accepts { mask; coord; id; txn; ts; decision }));
+        write_back =
+          (fun ~shard ~mask txn ts ~commit ->
+            each ~shard txn mask (fun mask -> Write_backs { mask; txn; ts; commit }));
+      }
 
 type client = {
   cid : int;
-  slot : int;
-  mutable next_seq : int;
-  mutable last_time : float;
-  mutable done_txns : int;
+  mutable active : bool;
+  mutable submitted : int;
+  mutable acked : int;
   mutable next_launch : float;  (* open-loop: next scheduled launch (µs) *)
-  mutable active : attempt option;
 }
 
 type coord_result = {
-  c_committed : (Txn.t * Timestamp.t) list;
+  c_sub : (int * (Txn.t * Timestamp.t) list) list;
+  c_committed : int;
+  c_aborted : int;
+  c_cross : int;
+  c_fast : int;
+  c_slow : int;
   c_latencies : Histogram.t;
   c_obs : Obs.t;
   c_submitted : int;
   c_acked : int;
 }
 
-let coordinator (cfg : config) ~t0 ~replicas ~server_inboxes ~coord_inboxes
+let coordinator (cfg : config) ~t0 ~router ~groups ~inboxes ~coord_inboxes
     ~link ~mon_inbox ~coord_id =
   let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
-  (* The protocol doubles its retransmission interval on every retry —
-     free in virtual sim time, but on the wall clock an unlucky chaos
-     run would soon be retrying minutes apart. Cap the armed interval;
-     the doubled re-arm of a capped timer lands back on the cap. *)
-  let rto_cap = 8.0 *. cfg.rto_us in
   let obs = Obs.create ~clock:wall_us () in
   let lat = Histogram.create () in
-  let committed = ref [] in
   let inbox = coord_inboxes.(coord_id) in
-  let params =
-    {
-      Protocol.n_replicas = cfg.n_replicas;
-      quorum = Quorum.create ~n:cfg.n_replicas;
-      rto = cfg.rto_us;
-      grace = cfg.grace_us;
-    }
+  let span kind a ~start =
+    Obs.span obs kind ~tid:(Attempts.attempt_txn a).Txn.tid.client_id ~start ()
+  in
+  (* The table caps the armed retransmission interval at 8 x rto: the
+     protocol doubles it on every retry, free in virtual sim time, but
+     on the wall clock an unlucky chaos run would soon be retrying
+     minutes apart. *)
+  let atts =
+    Attempts.create
+      {
+        Protocol.n_replicas = cfg.n_replicas;
+        quorum = Quorum.create ~n:cfg.n_replicas;
+        rto = cfg.rto_us;
+        grace = cfg.grace_us;
+      }
+      ~send:(sender cfg ~inboxes ~link ~coord:coord_id)
+      ~on_validated:(fun a ->
+        span Span.Validate a ~start:(Protocol.started (Attempts.attempt_proto a)))
+      ~on_decided:(fun a ~commit ~fast ->
+        let proto = Attempts.attempt_proto a in
+        if fast then span Span.Fast_quorum a ~start:(Protocol.started proto)
+        else if not (Float.is_nan (Protocol.accept_started proto)) then
+          span Span.Slow_accept a ~start:(Protocol.accept_started proto);
+        Obs.note_decision obs ~committed:commit ~fast)
+      ~on_retransmit:(fun _ -> Obs.note_retransmit obs)
+  in
+  let co = { id = coord_id; groups; wall = wall_us; atts } in
+  let driver =
+    Driver.create ~router
+      ~groups:(Array.init cfg.shards (fun shard -> { Live_group.shard; co }))
   in
   let rng = Mk_util.Rng.create ~seed:(cfg.seed + (7919 * (coord_id + 1))) in
   let wl =
@@ -928,6 +980,20 @@ let coordinator (cfg : config) ~t0 ~replicas ~server_inboxes ~coord_inboxes
     | Ycsb_t -> Workload.ycsb_t ~rng ~keys:cfg.keys ~theta:cfg.theta
     | Rmw_pair -> Workload.rmw_pair ~rng ~keys:cfg.keys ~theta:cfg.theta
     | Retwis -> Workload.retwis ~rng ~keys:cfg.keys ~theta:cfg.theta
+  in
+  (* The locality knob assumes key-mod-shards placement. *)
+  if cfg.shards > 1 && cfg.policy = Router.Mod then
+    Workload.set_locality wl
+      (Some { Workload.shards = cfg.shards; cross = cfg.cross });
+  let spans_groups (req : Intf.txn_request) =
+    let s0 = ref (-1) and spans = ref false in
+    let see key =
+      let s = Router.shard_of_key router key in
+      if !s0 < 0 then s0 := s else if s <> !s0 then spans := true
+    in
+    Array.iter see req.Intf.reads;
+    Array.iter (fun (key, _) -> see key) req.Intf.writes;
+    !spans
   in
   (* Open-loop load: [offered_rate] is the AGGREGATE offered load in
      txn/s across all clients, so each client launches every
@@ -948,15 +1014,13 @@ let coordinator (cfg : config) ~t0 ~replicas ~server_inboxes ~coord_inboxes
   let local =
     List.init cfg.clients Fun.id
     |> List.filter (fun cid -> cid mod cfg.coordinators = coord_id)
-    |> List.mapi (fun slot cid ->
+    |> List.map (fun cid ->
            {
              cid;
-             slot;
-             next_seq = 0;
-             last_time = 0.0;
-             done_txns = 0;
+             active = false;
+             submitted = 0;
+             acked = 0;
              next_launch = first_launch cid;
-             active = None;
            })
     |> Array.of_list
   in
@@ -966,303 +1030,88 @@ let coordinator (cfg : config) ~t0 ~replicas ~server_inboxes ~coord_inboxes
   let quota_done ~now c =
     match deadline_us with
     | Some dl -> now >= dl
-    | None -> c.done_txns >= cfg.txns_per_client
+    | None -> c.submitted >= cfg.txns_per_client
+  in
+  let cross = ref 0 in
+  let start_txn c ~launch =
+    let req = Workload.next wl in
+    let is_cross = cfg.shards > 1 && spans_groups req in
+    let exec_start = wall_us () in
+    c.active <- true;
+    c.submitted <- c.submitted + 1;
+    Driver.submit driver ~client:c.cid ~reads:req.Intf.reads
+      ~writes:(fun _ -> req.Intf.writes)
+      ~on_done:(fun ~committed:_ ->
+        (* Latency origin: the stamp mint (the end of the execute
+           phase) in closed loop; the INTENDED launch instant in open
+           loop, so a client that fell behind its schedule reports the
+           queueing delay it actually imposed (no coordinated
+           omission). *)
+        let minted = Attempts.last_stamp atts ~client:c.cid in
+        if Array.length req.Intf.reads > 0 then
+          Obs.span obs Span.Execute ~tid:c.cid ~start:exec_start ~finish:minted
+            ();
+        let origin = match launch with Some l -> l | None -> minted in
+        Histogram.add lat (wall_us () -. origin);
+        if is_cross then incr cross;
+        c.active <- false;
+        c.acked <- c.acked + 1)
   in
   (* Fault injection: a killed coordinator process discards its inbox
      while down and replays nothing of it. *)
   let down_until_us = ref neg_infinity in
   let was_down = ref false in
-  (* Chaos mode routes every push through the link and degrades a full
-     mailbox to a link drop; fault-free mode keeps the lossless
-     blocking push. *)
-  let push_server core msg =
-    match link with
-    | None -> Mailbox.push server_inboxes.(core) msg
-    | Some _ -> ignore (Mailbox.try_push server_inboxes.(core) msg)
+  (* One cached clock read per loop iteration — and, while idling, one
+     per eight spins. Each [Unix.gettimeofday] boxes a float, so reading
+     the clock per message or per client made the clock itself the
+     dominant source of minor allocation on the fast path. Staleness is
+     bounded by a few spin iterations (under the 100 µs idle sleep, well
+     under the 5 ms fast-grace timer). *)
+  let last_now = ref (wall_us ()) in
+  let feed ~id ~shard event =
+    ignore (Attempts.reply atts ~now:!last_now ~id ~shard event : Attempts.reply)
   in
-  let send_server ~core ~replica msg =
-    Link.via link
-      ~src:(Network.Client coord_id)
-      ~dst:(Network.Replica replica)
-      ~push:(fun () -> push_server core msg)
+  (* One lane per replica. An earlier lane's reply may decide the
+     attempt; the table then answers the rest [Stale], exactly as the
+     remaining singleton messages would have been dropped on arrival. *)
+  let lanes ~id ~shard mask bits event =
+    let m = ref mask and r = ref 0 in
+    while !m <> 0 do
+      if !m land 1 = 1 then
+        feed ~id ~shard (event !r ((bits lsr (4 * !r)) land 0xf));
+      incr r;
+      m := !m lsr 1
+    done
   in
-  (* Execute-phase reads go straight to one replica's versioned store —
-     shared-memory gets stand in for the paper's closest-replica reads;
-     the vstore's shard locks make them safe from any domain. A crashed
-     replica answers nothing, so chaos runs fall back to its peers. *)
-  let read_key key =
-    let rec attempt i =
-      if i >= cfg.n_replicas then (0, Timestamp.zero)
-      else
-        match
-          Replica.handle_get replicas.((coord_id + i) mod cfg.n_replicas) ~key
-        with
-        | Some v -> v
-        | None -> attempt (i + 1)
-    in
-    attempt 0
-  in
-  let full_mask = (1 lsl cfg.n_replicas) - 1 in
-  let exec c att action =
-    match action with
-    | Protocol.Send_validates { only_missing } -> (
-        match link with
-        | None ->
-            (* Fault-free: the whole broadcast is one mailbox message —
-               server domain [att.core] hosts that core of every
-               replica, so a replica bitmask replaces the per-replica
-               envelope fan-out. *)
-            let mask =
-              if not only_missing then full_mask
-              else begin
-                let m = ref 0 in
-                for r = 0 to cfg.n_replicas - 1 do
-                  if Protocol.needs_validate att.proto r then
-                    m := !m lor (1 lsl r)
-                done;
-                !m
-              end
-            in
-            if mask <> 0 then
-              Mailbox.push server_inboxes.(att.core)
-                (Validates
-                   {
-                     mask;
-                     coord = coord_id;
-                     slot = c.slot;
-                     seq = att.att_seq;
-                     txn = att.txn;
-                     ts = att.ts;
-                   })
-        | Some _ ->
-            for r = 0 to cfg.n_replicas - 1 do
-              if (not only_missing) || Protocol.needs_validate att.proto r then
-                send_server ~core:att.core ~replica:r
-                  (Validate
-                     {
-                       replica = r;
-                       coord = coord_id;
-                       slot = c.slot;
-                       seq = att.att_seq;
-                       txn = att.txn;
-                       ts = att.ts;
-                     })
-            done)
-    | Protocol.Send_accepts { decision } -> (
-        match link with
-        | None ->
-            Mailbox.push server_inboxes.(att.core)
-              (Accepts
-                 {
-                   mask = full_mask;
-                   coord = coord_id;
-                   slot = c.slot;
-                   seq = att.att_seq;
-                   txn = att.txn;
-                   ts = att.ts;
-                   decision;
-                   view = 0;
-                 })
-        | Some _ ->
-            for r = 0 to cfg.n_replicas - 1 do
-              send_server ~core:att.core ~replica:r
-                (Accept
-                   {
-                     replica = r;
-                     coord = coord_id;
-                     slot = c.slot;
-                     seq = att.att_seq;
-                     txn = att.txn;
-                     ts = att.ts;
-                     decision;
-                     view = 0;
-                   })
-            done)
-    | Protocol.Arm_timer { timer; delay } ->
-        let timer, delay =
-          match timer with
-          | Protocol.Retransmit rto when rto > rto_cap ->
-              (Protocol.Retransmit rto_cap, Float.min delay rto_cap)
-          | _ -> (timer, delay)
-        in
-        att.timers <- (timer, wall_us () +. delay) :: att.timers
-    | Protocol.Note_validated ->
-        Obs.span obs Span.Validate ~tid:c.cid ~start:(Protocol.started att.proto)
-          ()
-    | Protocol.Note_decided { commit; fast } ->
-        let now = wall_us () in
-        Histogram.add lat (now -. att.att_t0);
-        if fast then
-          Obs.span obs Span.Fast_quorum ~tid:c.cid
-            ~start:(Protocol.started att.proto) ()
-        else if not (Float.is_nan (Protocol.accept_started att.proto)) then
-          Obs.span obs Span.Slow_accept ~tid:c.cid
-            ~start:(Protocol.accept_started att.proto) ();
-        Obs.note_decision obs ~committed:commit ~fast;
-        (* Asynchronous write phase (§5.2.3): fire and forget. *)
-        (match link with
-        | None ->
-            Mailbox.push server_inboxes.(att.core)
-              (Write_backs
-                 { mask = full_mask; txn = att.txn; ts = att.ts; commit })
-        | Some _ ->
-            for r = 0 to cfg.n_replicas - 1 do
-              send_server ~core:att.core ~replica:r
-                (Write_back { replica = r; txn = att.txn; ts = att.ts; commit })
-            done);
-        if commit then committed := (att.txn, att.ts) :: !committed
-  in
-  (* One scratch batch per coordinator domain: [exec] never reenters
-     [feed]/[start_txn] (decisions only unpark the client; the next
-     transaction starts from the main loop), so a single reused buffer
-     is safe and the protocol boundary allocates nothing per event. *)
-  let acts : Protocol.action Batch.t = Batch.create () in
-  let feed c att ~now event =
-    Batch.clear acts;
-    Protocol.handle att.proto ~now event ~into:acts;
-    Batch.iter (exec c att) acts;
-    if Protocol.decided att.proto then begin
-      c.active <- None;
-      c.done_txns <- c.done_txns + 1
-    end
-  in
-  let start_txn ?launch c =
-    let req = Workload.next wl in
-    let exec_start = wall_us () in
-    let read_set =
-      Array.to_list
-        (Array.map
-           (fun key ->
-             let _, wts = read_key key in
-             ({ key; wts } : Txn.read_entry))
-           req.Intf.reads)
-    in
-    let write_set =
-      List.map
-        (fun (key, value) -> ({ key; value } : Txn.write_entry))
-        (Array.to_list req.Intf.writes)
-    in
-    if Array.length req.Intf.reads > 0 then
-      Obs.span obs Span.Execute ~tid:c.cid ~start:exec_start ();
-    c.next_seq <- c.next_seq + 1;
-    let tid = Tid.make ~seq:c.next_seq ~client_id:c.cid in
-    let txn = Txn.make ~tid ~read_set ~write_set in
-    let now = wall_us () in
-    (* The proposed commit timestamp must strictly increase per client
-       even when the wall clock stalls within one microsecond. *)
-    let time = if now <= c.last_time then c.last_time +. 1e-3 else now in
-    c.last_time <- time;
-    let ts = Timestamp.make ~time ~client_id:c.cid in
-    let core = Tid.hash tid mod cfg.server_domains in
-    Batch.clear acts;
-    let proto = Protocol.start params ~now ~into:acts in
-    let att_t0 = match launch with Some l -> l | None -> now in
-    let att =
-      { txn; ts; core; att_seq = c.next_seq; proto; att_t0; timers = [] }
-    in
-    c.active <- Some att;
-    Batch.iter (exec c att) acts
-  in
-  let dispatch ~now msg =
+  let dispatch msg =
     match msg with
     | Coord_kill { until_us } ->
         down_until_us := Float.max !down_until_us until_us
-    | Validated_batch { slot; seq; mask; statuses } ->
-        (* One lane per replica; [c.active] is re-checked per lane
-           because an earlier lane's reply may decide the attempt —
-           the rest of the batch then drops, exactly as the remaining
-           singleton messages would have on arrival. *)
-        let c = local.(slot) in
-        let m = ref mask and r = ref 0 in
-        while !m <> 0 do
-          (if !m land 1 = 1 then
-             match c.active with
-             | Some att when att.att_seq = seq ->
-                 feed c att ~now
-                   (Protocol.Validate_reply
-                      {
-                        replica = !r;
-                        status = status_of_code ((statuses lsr (4 * !r)) land 0xf);
-                      })
-             | Some _ | None -> ());
-          incr r;
-          m := !m lsr 1
-        done
-    | Accepted_batch { slot; seq; mask; replies } ->
-        let c = local.(slot) in
-        let m = ref mask and r = ref 0 in
-        while !m <> 0 do
-          (if !m land 1 = 1 then
-             match c.active with
-             | Some att when att.att_seq = seq ->
-                 let code = (replies lsr (4 * !r)) land 0xf in
-                 let reply =
-                   if code = 0 then `Accepted
-                   else `Finalized (status_of_code (code - 1))
-                 in
-                 feed c att ~now (Protocol.Accept_reply { replica = !r; reply })
-             | Some _ | None -> ());
-          incr r;
-          m := !m lsr 1
-        done
-    | Validated { slot; seq; replica; status } -> (
-        let c = local.(slot) in
-        match c.active with
-        | Some att when att.att_seq = seq ->
-            feed c att ~now (Protocol.Validate_reply { replica; status })
-        | Some _ | None -> ())
-    | Accepted { slot; seq; replica; reply } -> (
-        let c = local.(slot) in
-        match c.active with
-        | Some att when att.att_seq = seq ->
-            feed c att ~now (Protocol.Accept_reply { replica; reply })
-        | Some _ | None -> ())
+    | Validated_batch { id; shard; mask; statuses } ->
+        lanes ~id ~shard mask statuses (fun replica code ->
+            Protocol.Validate_reply { replica; status = status_of_code code })
+    | Accepted_batch { id; shard; mask; replies } ->
+        lanes ~id ~shard mask replies (fun replica code ->
+            Protocol.Accept_reply
+              {
+                replica;
+                reply =
+                  (if code = 0 then `Accepted
+                   else `Finalized (status_of_code (code - 1)));
+              })
+    | Accepted { id; shard; replica; reply } ->
+        feed ~id ~shard (Protocol.Accept_reply { replica; reply })
   in
-  (* Cheap no-allocation probe so the common no-timer-due iteration
-     skips [List.partition] (two fresh lists plus a closure per call,
-     every spin, for every active client — pure garbage when nothing
-     is due, which is almost always). *)
-  let rec any_due now = function
-    | [] -> false
-    | (_, dl) :: rest -> dl <= now || any_due now rest
-  in
-  let fire_due_timers ~now c att =
-    if any_due now att.timers then begin
-      let due, pending =
-        List.partition (fun (_, dl) -> dl <= now) att.timers
-      in
-      att.timers <- pending;
-      List.iter
-        (fun (timer, _) ->
-          if not (Protocol.decided att.proto) then begin
-            (match timer with
-            | Protocol.Retransmit _ -> Obs.note_retransmit obs
-            | Protocol.Fast_grace -> ());
-            feed c att ~now (Protocol.Timer timer)
-          end)
-        due
-    end
-  in
-  let idle = ref 0 in
-  (* One cached clock read per loop iteration — and, while idling, one
-     per eight spins. The spin loop used to read the wall clock many
-     times per iteration (the per-message down check, [quota_done] and
-     [fire_due_timers] for every client), and each [Unix.gettimeofday]
-     boxes a float, which made the clock itself the dominant source of
-     minor allocation on the fast path. Staleness is bounded by a few
-     spin iterations (under the 100 µs idle sleep, well under the 5 ms
-     fast-grace timer); the latency-bearing reads ([start_txn] and the
-     [Note_decided] handler) still hit the clock directly. *)
-  let last_now = ref (wall_us ()) in
   let handle_msg msg =
     match msg with
-    | Coord_kill _ -> dispatch ~now:!last_now msg
+    | Coord_kill _ -> dispatch msg
     | _ when !last_now < !down_until_us ->
         (* Dead: the message is popped and lost, exactly what a
            crashed process does to its socket buffers. *)
         ()
-    | _ -> dispatch ~now:!last_now msg
+    | _ -> dispatch msg
   in
+  let idle = ref 0 in
   let rec loop () =
     if !idle = 0 || !idle land 7 = 0 then last_now := wall_us ();
     let got = Mailbox.drain inbox ~max:256 handle_msg in
@@ -1273,20 +1122,18 @@ let coordinator (cfg : config) ~t0 ~replicas ~server_inboxes ~coord_inboxes
       (* Down: no timers fire, no transactions start; the clients are
          not done, so the loop keeps draining (and discarding). *)
       was_down := true;
-      Array.iter
-        (fun c ->
-          if Option.is_some c.active || not (quota_done ~now c) then
-            all_done := false)
-        local
+      for i = 0 to Array.length local - 1 do
+        let c = local.(i) in
+        if c.active || not (quota_done ~now c) then all_done := false
+      done
     end
     else begin
       if !was_down then begin
         was_down := false;
         (* Reboot: whatever is still queued arrived while dead — drain
-           and discard it, then resume every interrupted attempt
-           (Protocol.Resume re-fetches whatever is missing). The kept
-           retransmission timers back this up if the resume sends are
-           themselves lost. *)
+           and discard it, then resume every interrupted attempt. The
+           kept retransmission timers back this up if the resume sends
+           are themselves lost. *)
         let rec purge () =
           match Mailbox.try_pop inbox with
           | Some (Coord_kill { until_us }) ->
@@ -1297,38 +1144,28 @@ let coordinator (cfg : config) ~t0 ~replicas ~server_inboxes ~coord_inboxes
         in
         purge ();
         last_now := wall_us ();
-        if !last_now >= !down_until_us then
-          Array.iter
-            (fun c ->
-              match c.active with
-              | Some att -> feed c att ~now:!last_now Protocol.Resume
-              | None -> ())
-            local
+        if !last_now >= !down_until_us then Attempts.resume atts ~now:!last_now
       end;
       let now = !last_now in
-      Array.iter
-        (fun c ->
-          (match c.active with
-          | Some att -> fire_due_timers ~now c att
-          | None ->
-              if not (quota_done ~now c) then
-                match launch_interval_us with
-                | None ->
-                    start_txn c;
-                    progressed := true
-                | Some interval ->
-                    (* Open loop: launch only at the scheduled instant;
-                       the intended instant (not [now]) is the latency
-                       origin and the schedule advances arithmetically
-                       from it. *)
-                    if now >= c.next_launch then begin
-                      start_txn c ~launch:c.next_launch;
-                      c.next_launch <- c.next_launch +. interval;
-                      progressed := true
-                    end);
-          if Option.is_some c.active || not (quota_done ~now c) then
-            all_done := false)
-        local
+      Attempts.fire_due atts ~now;
+      (* A plain loop, no closure: an idle spin allocates nothing. *)
+      for i = 0 to Array.length local - 1 do
+        let c = local.(i) in
+        (if (not c.active) && not (quota_done ~now c) then
+           match launch_interval_us with
+           | None ->
+               start_txn c ~launch:None;
+               progressed := true
+           | Some interval ->
+               (* Open loop: launch only at the scheduled instant; the
+                  schedule advances arithmetically from it. *)
+               if now >= c.next_launch then begin
+                 start_txn c ~launch:(Some c.next_launch);
+                 c.next_launch <- c.next_launch +. interval;
+                 progressed := true
+               end);
+        if c.active || not (quota_done ~now c) then all_done := false
+      done
     end;
     if not !all_done then begin
       (match link with Some l -> Link.flush l | None -> ());
@@ -1352,14 +1189,17 @@ let coordinator (cfg : config) ~t0 ~replicas ~server_inboxes ~coord_inboxes
       while not (Mailbox.try_push mi Mon_coord_done) do
         Spawn.relax ()
       done);
-  let submitted = Array.fold_left (fun acc c -> acc + c.next_seq) 0 local in
-  let acked = Array.fold_left (fun acc c -> acc + c.done_txns) 0 local in
   {
-    c_committed = !committed;
+    c_sub = Driver.sub_histories driver;
+    c_committed = Driver.committed driver;
+    c_aborted = Driver.aborted driver;
+    c_cross = !cross;
+    c_fast = Attempts.fast atts;
+    c_slow = Attempts.slow atts;
     c_latencies = lat;
     c_obs = obs;
-    c_submitted = submitted;
-    c_acked = acked;
+    c_submitted = Array.fold_left (fun acc c -> acc + c.submitted) 0 local;
+    c_acked = Array.fold_left (fun acc c -> acc + c.acked) 0 local;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1416,6 +1256,7 @@ let durable_hook ds ~dir ~cores ~replica rep (ev : Replica.durable_event) =
 (* ------------------------------------------------------------------ *)
 
 let run (cfg : config) : report =
+  if cfg.shards < 1 then invalid_arg "Runtime.run: shards must be >= 1";
   if cfg.server_domains < 1 then
     invalid_arg "Runtime.run: server_domains must be >= 1";
   if cfg.coordinators < 1 then
@@ -1429,20 +1270,29 @@ let run (cfg : config) : report =
          "Runtime.run: n_replicas must be <= %d (replica masks and 4-bit \
           status lanes pack into one immediate int)"
          max_replicas_batched);
+  if cfg.cross < 0.0 || cfg.cross > 1.0 then
+    invalid_arg "Runtime.run: cross must be in [0, 1]";
+  if cfg.shards > 1 && (Option.is_some cfg.chaos || Option.is_some cfg.durable)
+  then
+    invalid_arg
+      "Runtime.run: chaos and durability need shards = 1 (the cluster \
+       backend covers multi-shard faults)";
   (* The deadlock-freedom argument (see the header comment): a
      coordinator inbox must hold the worst-case burst of outstanding
-     replies, a few times local clients × replicas. Enforced, not just
+     replies, a few times local clients × replicas × shards (a client
+     holds one attempt per involved group). Enforced, not just
      documented — an undersized box can deadlock the whole topology. *)
   let local_clients =
     (cfg.clients + cfg.coordinators - 1) / cfg.coordinators
   in
-  let coord_inbox_floor = 4 * local_clients * cfg.n_replicas in
+  let coord_inbox_floor = 4 * local_clients * cfg.n_replicas * cfg.shards in
   if cfg.coord_inbox < coord_inbox_floor then
     invalid_arg
       (Printf.sprintf
          "Runtime.run: coord_inbox %d below the deadlock-freedom floor %d (4 \
-          x %d local clients x %d replicas)"
-         cfg.coord_inbox coord_inbox_floor local_clients cfg.n_replicas);
+          x %d local clients x %d replicas x %d shards)"
+         cfg.coord_inbox coord_inbox_floor local_clients cfg.n_replicas
+         cfg.shards);
   (match cfg.chaos with
   | Some _ when cfg.duration = None ->
       invalid_arg "Runtime.run: chaos runs need a duration (the horizon)"
@@ -1451,17 +1301,26 @@ let run (cfg : config) : report =
   | Some r when not (r > 0.0) ->
       invalid_arg "Runtime.run: offered_rate must be > 0"
   | _ -> ());
-  let quorum = Quorum.create ~n:cfg.n_replicas in
-  let replicas =
-    Array.init cfg.n_replicas (fun id ->
-        Replica.create ~id ~quorum ~cores:cfg.server_domains)
+  let router =
+    Router.create ~policy:cfg.policy ~shards:cfg.shards ~keys:cfg.keys ()
   in
-  Array.iter
-    (fun r ->
-      for key = 0 to cfg.keys - 1 do
-        Replica.load r ~key ~value:0
-      done)
-    replicas;
+  let quorum = Quorum.create ~n:cfg.n_replicas in
+  let groups =
+    Array.init cfg.shards (fun shard ->
+        let replicas =
+          Array.init cfg.n_replicas (fun id ->
+              Replica.create ~id ~quorum ~cores:cfg.server_domains)
+        in
+        Array.iter
+          (fun r ->
+            for key = 0 to max 1 (Router.local_keys router ~shard) - 1 do
+              Replica.load r ~key ~value:0
+            done)
+          replicas;
+        replicas)
+  in
+  (* Chaos and durability run one group: its replicas and inboxes. *)
+  let replicas = groups.(0) in
   let durable_state =
     match cfg.durable with
     | None -> None
@@ -1490,10 +1349,12 @@ let run (cfg : config) : report =
           replicas;
         Some ds
   in
-  let server_inboxes =
-    Array.init cfg.server_domains (fun _ ->
-        Mailbox.create ~capacity:cfg.server_inbox)
+  let inboxes =
+    Array.init cfg.shards (fun _ ->
+        Array.init cfg.server_domains (fun _ ->
+            Mailbox.create ~capacity:cfg.server_inbox))
   in
+  let server_inboxes = inboxes.(0) in
   let coord_inboxes =
     Array.init cfg.coordinators (fun _ ->
         Mailbox.create ~capacity:cfg.coord_inbox)
@@ -1522,16 +1383,19 @@ let run (cfg : config) : report =
         Array.init cfg.server_domains (fun _ -> Mailbox.create ~capacity:2)
   in
   let servers =
-    List.init cfg.server_domains (fun core ->
-        Spawn.spawn (fun () ->
-            match (cfg.chaos, link, mon_inbox) with
-            | Some ch, Some l, Some mi ->
-                server_chaos_loop cfg ~chaos:ch ~t0 ~core ~replicas
-                  ~inbox:server_inboxes.(core) ~coord_inboxes ~mon_inbox:mi
-                  ~control:controls.(core) ~link:l
-            | _ ->
-                server_loop ~core ~replicas ~inbox:server_inboxes.(core)
-                  ~coord_inboxes))
+    List.concat_map
+      (fun shard ->
+        List.init cfg.server_domains (fun core ->
+            Spawn.spawn (fun () ->
+                match (cfg.chaos, link, mon_inbox) with
+                | Some ch, Some l, Some mi ->
+                    server_chaos_loop cfg ~chaos:ch ~t0 ~core ~replicas
+                      ~inbox:server_inboxes.(core) ~coord_inboxes ~mon_inbox:mi
+                      ~control:controls.(core) ~link:l
+                | _ ->
+                    server_loop ~shard ~core ~replicas:groups.(shard)
+                      ~inbox:inboxes.(shard).(core) ~coord_inboxes)))
+      (List.init cfg.shards Fun.id)
   in
   let mon =
     match (cfg.chaos, link, mon_inbox) with
@@ -1545,7 +1409,7 @@ let run (cfg : config) : report =
   let coords =
     List.init cfg.coordinators (fun coord_id ->
         Spawn.spawn (fun () ->
-            coordinator cfg ~t0 ~replicas ~server_inboxes ~coord_inboxes ~link
+            coordinator cfg ~t0 ~router ~groups ~inboxes ~coord_inboxes ~link
               ~mon_inbox ~coord_id))
   in
   let results = List.map Spawn.join coords in
@@ -1556,7 +1420,7 @@ let run (cfg : config) : report =
      server drains everything and then exits: the final replica state
      is quiescent. *)
   (match link with Some l -> Link.flush l | None -> ());
-  Array.iter (fun inbox -> Mailbox.push inbox Stop) server_inboxes;
+  Array.iter (Array.iter (fun inbox -> Mailbox.push inbox Stop)) inboxes;
   List.iter Spawn.join servers;
   (* Every domain has joined: fold the per-domain durability tallies
      and close the logs (flushing any group-commit buffer) so the data
@@ -1579,17 +1443,24 @@ let run (cfg : config) : report =
     int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words)
   in
   let gc_majors = gc1.Gc.major_collections - gc0.Gc.major_collections in
-  let committed = List.concat_map (fun r -> r.c_committed) results in
-  let sum name =
-    List.fold_left (fun acc r -> acc + Obs.counter_value r.c_obs name) 0 results
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let sub_histories =
+    List.init cfg.shards (fun shard ->
+        (shard, List.concat_map (fun r -> List.assoc shard r.c_sub) results))
+  in
+  let committed =
+    (* One group's sub-history is already over global keys. *)
+    match sub_histories with
+    | [ (_, history) ] -> history
+    | _ -> History.merge ~router sub_histories
   in
   let lat =
     List.fold_left
       (fun acc r -> Histogram.merge acc r.c_latencies)
       (Histogram.create ()) results
   in
-  let committed_count = sum "txn.committed" in
-  let aborted = sum "txn.aborted" in
+  let committed_count = total (fun r -> r.c_committed) in
+  let aborted = total (fun r -> r.c_aborted) in
   let decided = committed_count + aborted in
   let alloc_per_txn =
     if committed_count = 0 then 0 else gc_minor_words / committed_count
@@ -1607,15 +1478,18 @@ let run (cfg : config) : report =
     match link with Some l -> Link.stats l | None -> (0, 0, 0)
   in
   {
+    shards = cfg.shards;
     server_domains = cfg.server_domains;
     coordinators = cfg.coordinators;
     clients = cfg.clients;
     committed;
+    sub_histories;
     committed_count;
     aborted;
-    fast_path = sum "txn.fast_path";
-    slow_path = sum "txn.slow_path";
-    retransmits = sum "net.retransmits";
+    cross_shard = total (fun r -> r.c_cross);
+    fast_path = total (fun r -> r.c_fast);
+    slow_path = total (fun r -> r.c_slow);
+    retransmits = total (fun r -> Obs.counter_value r.c_obs "net.retransmits");
     wall_seconds;
     throughput = float_of_int committed_count /. wall_seconds;
     abort_rate =
@@ -1623,8 +1497,8 @@ let run (cfg : config) : report =
        else float_of_int aborted /. float_of_int decided);
     p50_us = Histogram.percentile lat 50.0;
     p99_us = Histogram.percentile lat 99.0;
-    submitted = List.fold_left (fun acc r -> acc + r.c_submitted) 0 results;
-    acked = List.fold_left (fun acc r -> acc + r.c_acked) 0 results;
+    submitted = total (fun r -> r.c_submitted);
+    acked = total (fun r -> r.c_acked);
     epoch_changes =
       (match mon_result with Some m -> m.m_epoch_changes | None -> 0);
     view_changes =
@@ -1642,18 +1516,19 @@ let run (cfg : config) : report =
     gc_minor_words;
     gc_majors;
     alloc_per_txn;
-    replicas;
+    groups;
   }
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>servers=%d coordinators=%d clients=%d@,\
-     committed=%d aborted=%d (abort rate %.1f%%)@,\
+    "@[<v>shards=%d servers=%dx%d coordinators=%d clients=%d@,\
+     committed=%d aborted=%d (abort rate %.1f%%) cross-shard=%d@,\
      fast=%d slow=%d retransmits=%d@,\
      %.2f s wall, %.0f committed txn/s, latency p50=%.0f us p99=%.0f us@]"
-    r.server_domains r.coordinators r.clients r.committed_count r.aborted
-    (100.0 *. r.abort_rate) r.fast_path r.slow_path r.retransmits
-    r.wall_seconds r.throughput r.p50_us r.p99_us;
+    r.shards r.shards r.server_domains r.coordinators r.clients
+    r.committed_count r.aborted (100.0 *. r.abort_rate) r.cross_shard
+    r.fast_path r.slow_path r.retransmits r.wall_seconds r.throughput r.p50_us
+    r.p99_us;
   if r.fault_events > 0 || r.epoch_changes > 0 || r.view_changes > 0 then
     Format.fprintf ppf
       "@,chaos: %d fault events, %d epoch changes, %d view changes, link \
@@ -1668,18 +1543,19 @@ let pp_report ppf r =
 
 let report_json r =
   Printf.sprintf
-    "{\"server_domains\": %d, \"coordinators\": %d, \"clients\": %d, \
-     \"committed\": %d, \"aborted\": %d, \"abort_rate\": %.4f, \"fast_path\": \
-     %d, \"slow_path\": %d, \"retransmits\": %d, \"wall_seconds\": %.4f, \
-     \"throughput\": %.1f, \"p50_us\": %.1f, \"p99_us\": %.1f, \"submitted\": \
-     %d, \"acked\": %d, \"epoch_changes\": %d, \"view_changes\": %d, \
-     \"fault_events\": %d, \"link_dropped\": %d, \"link_duplicated\": %d, \
-     \"link_delayed\": %d, \"wal_appends\": %d, \"wal_bytes\": %d, \
-     \"wal_fsyncs\": %d, \"snapshots\": %d, \"gc_minor_words\": %d, \
-     \"gc_majors\": %d, \"alloc_per_txn\": %d}"
-    r.server_domains r.coordinators r.clients r.committed_count r.aborted
-    r.abort_rate r.fast_path r.slow_path r.retransmits r.wall_seconds
-    r.throughput r.p50_us r.p99_us r.submitted r.acked r.epoch_changes
-    r.view_changes r.fault_events r.link_dropped r.link_duplicated
-    r.link_delayed r.wal_appends r.wal_bytes r.wal_fsyncs r.snapshots
-    r.gc_minor_words r.gc_majors r.alloc_per_txn
+    "{\"shards\": %d, \"server_domains\": %d, \"coordinators\": %d, \
+     \"clients\": %d, \"committed\": %d, \"aborted\": %d, \"cross_shard\": \
+     %d, \"abort_rate\": %.4f, \"fast_path\": %d, \"slow_path\": %d, \
+     \"retransmits\": %d, \"wall_seconds\": %.4f, \"throughput\": %.1f, \
+     \"p50_us\": %.1f, \"p99_us\": %.1f, \"submitted\": %d, \"acked\": %d, \
+     \"epoch_changes\": %d, \"view_changes\": %d, \"fault_events\": %d, \
+     \"link_dropped\": %d, \"link_duplicated\": %d, \"link_delayed\": %d, \
+     \"wal_appends\": %d, \"wal_bytes\": %d, \"wal_fsyncs\": %d, \
+     \"snapshots\": %d, \"gc_minor_words\": %d, \"gc_majors\": %d, \
+     \"alloc_per_txn\": %d}"
+    r.shards r.server_domains r.coordinators r.clients r.committed_count
+    r.aborted r.cross_shard r.abort_rate r.fast_path r.slow_path r.retransmits
+    r.wall_seconds r.throughput r.p50_us r.p99_us r.submitted r.acked
+    r.epoch_changes r.view_changes r.fault_events r.link_dropped
+    r.link_duplicated r.link_delayed r.wal_appends r.wal_bytes r.wal_fsyncs
+    r.snapshots r.gc_minor_words r.gc_majors r.alloc_per_txn

@@ -1,21 +1,26 @@
 (** The live runtime: the full Meerkat commit protocol on real OCaml 5
     domains, driven by the same {!Mk_meerkat.Protocol} state machine as
-    the discrete-event simulator (DESIGN.md §9).
+    the discrete-event simulator (DESIGN.md §9), for one shard group or
+    many (§13).
 
-    Server domain [k] hosts core [k] of every replica (validate,
-    accept, and write-back against the core-[k] trecord partitions);
-    coordinator domains run closed-loop clients. All cross-domain
-    communication is a message through a bounded {!Mailbox} — the
-    transaction fast path shares no other mutable state between
-    domains beyond the storage layer's sanctioned shard locks.
+    Each shard group is a full single-group topology: server domain [k]
+    of a group hosts core [k] of every replica of that group (validate,
+    accept, and write-back against the core-[k] trecord partitions).
+    Coordinator domains run the clients, one {!Mk_meerkat.Attempts}
+    table and one {!Mk_shard.Driver} each, over every group — the same
+    attempt table and cross-shard 2PC driver as the cluster client. All
+    cross-domain communication is a message through a bounded
+    {!Mailbox} — the transaction fast path shares no other mutable
+    state between domains beyond the storage layer's sanctioned shard
+    locks.
 
-    With [config.chaos] set, the run additionally spawns one monitor
-    domain hosting the transport-agnostic {!Mk_meerkat.Detector},
-    routes every cross-domain message through a {!Link} applying the
-    nemesis plan, injects the plan's replica fail-stops and
-    coordinator kills, and drives real detector-initiated §5.3.2 view
-    changes and §5.3.1 epoch changes over the mailboxes (DESIGN.md
-    §10). *)
+    With [config.chaos] set (one group only), the run additionally
+    spawns one monitor domain hosting the transport-agnostic
+    {!Mk_meerkat.Detector}, routes every cross-domain message through a
+    {!Link} applying the nemesis plan, injects the plan's replica
+    fail-stops and coordinator kills, and drives real
+    detector-initiated §5.3.2 view changes and §5.3.1 epoch changes
+    over the mailboxes (DESIGN.md §10). *)
 
 type workload_kind = Ycsb_t | Rmw_pair | Retwis
 
@@ -45,13 +50,22 @@ type chaos = {
 }
 
 type config = {
-  server_domains : int;  (** Server domains; also cores per replica. *)
-  n_replicas : int;  (** Odd, >= 3. *)
+  shards : int;
+      (** Shard groups, each with its own replicas and server domains
+          (default 1). Above 1, [chaos] and [durable] must be [None]. *)
+  policy : Mk_shard.Router.policy;  (** Key placement over the groups. *)
+  server_domains : int;
+      (** Server domains per group; also cores per replica. *)
+  n_replicas : int;  (** Per group. Odd, >= 3. *)
   coordinators : int;  (** Coordinator domains. *)
-  clients : int;  (** Closed-loop clients, split round-robin. *)
-  keys : int;
+  clients : int;  (** Clients, split round-robin over the coordinators. *)
+  keys : int;  (** Global keyspace, spread over the groups. *)
   theta : float;  (** Zipf skew of the workload. *)
   workload : workload_kind;
+  cross : float;
+      (** Probability a multi-key transaction spans more than one group
+          ({!Mk_workload.Workload.locality}; applied only with
+          [shards > 1] under the Mod placement policy). *)
   txns_per_client : int;  (** Quota per client (ignored with [duration]). *)
   duration : float option;
       (** Wall seconds to keep submitting; overrides [txns_per_client].
@@ -72,11 +86,13 @@ type config = {
   coord_inbox : int;
       (** Coordinator mailbox capacity (power of two). Must exceed the
           coordinator's worst-case outstanding replies — at least 4 ×
-          its local clients × [n_replicas] — so servers never block
-          pushing replies (the deadlock-freedom argument in the
-          implementation). {!run} enforces this floor. *)
-  chaos : chaos option;  (** [None] = the fault-free fast path. *)
-  durable : durable option;  (** [None] = no persistence (the default). *)
+          its local clients × [n_replicas] × [shards] — so servers
+          never block pushing replies (the deadlock-freedom argument in
+          the implementation). {!run} enforces this floor. *)
+  chaos : chaos option;
+      (** [None] = the fault-free fast path. Needs [shards = 1]. *)
+  durable : durable option;
+      (** [None] = no persistence (the default). Needs [shards = 1]. *)
 }
 
 val default_config : config
@@ -89,15 +105,22 @@ val chaos_detector_cfg : horizon_us:float -> Mk_meerkat.Detector.cfg
     fire), give-up after horizon/2.5. *)
 
 type report = {
+  shards : int;
   server_domains : int;
   coordinators : int;
   clients : int;
   committed : (Mk_storage.Txn.t * Mk_clock.Timestamp.t) list;
-      (** Every acknowledged commit, across all coordinators — feed to
+      (** Every acknowledged commit, across all coordinators, as one
+          global history over global keys (merged with
+          {!Mk_shard.History.merge}) — feed to
           {!Mk_harness.Checker.check} for the serializability verdict. *)
-  committed_count : int;
+  sub_histories : (int * (Mk_storage.Txn.t * Mk_clock.Timestamp.t) list) list;
+      (** The same commits per group, over local keys, ascending by
+          shard. *)
+  committed_count : int;  (** Global transactions committed. *)
   aborted : int;
-  fast_path : int;
+  cross_shard : int;  (** Decided transactions that involved >1 group. *)
+  fast_path : int;  (** Per-group attempts, not global transactions. *)
   slow_path : int;
   retransmits : int;
   wall_seconds : float;
@@ -126,10 +149,10 @@ type report = {
   alloc_per_txn : int;
       (** [gc_minor_words / committed_count] — the figure the CI
           alloc-regression guard bounds. *)
-  replicas : Mk_meerkat.Replica.t array;
-      (** The run's replicas, quiescent after the join — the chaos
-          harness checks its agreement/bounded/available invariants
-          directly against them. *)
+  groups : Mk_meerkat.Replica.t array array;
+      (** The run's replicas, [.(shard).(replica)], quiescent after the
+          join — the chaos harness checks its agreement/bounded/available
+          invariants directly against group 0. *)
 }
 
 val run : config -> report
@@ -138,8 +161,9 @@ val run : config -> report
     observations. The replicas are quiescent when this returns: all
     write-backs are applied.
     @raise Invalid_argument on nonsensical sizes, an undersized
-    [coord_inbox] (below 4 × local clients × replicas), or a chaos
-    config without a duration (see {!config}). *)
+    [coord_inbox] (below 4 × local clients × replicas × shards), a
+    chaos config without a duration, or chaos or durability with
+    [shards > 1] (see {!config}). *)
 
 (** {2 Durable file layout}
 
@@ -166,4 +190,4 @@ val remove_data_dir : dir:string -> n_replicas:int -> cores:int -> unit
 val pp_report : Format.formatter -> report -> unit
 
 val report_json : report -> string
-(** One flat JSON object (no committed list), for [BENCH_live.json]. *)
+(** One flat JSON object (no histories). *)

@@ -1,24 +1,24 @@
 (* The client side's table of in-flight Protocol attempts, shared by
    every driver that runs the commit protocol over its own transport
-   (the cluster client's datagrams, the multi-group live runner's
-   mailboxes). Transport and time are injected, so this stays pure. *)
+   (the cluster client's datagrams, the live runtime's mailboxes).
+   Transport and time are injected, so this stays pure. *)
 
 module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
 module Txn = Mk_storage.Txn
 
 type send = {
-  validate : shard:int -> replica:int -> id:int -> Txn.t -> Timestamp.t -> unit;
+  validate : shard:int -> mask:int -> id:int -> Txn.t -> Timestamp.t -> unit;
   accept :
     shard:int ->
-    replica:int ->
+    mask:int ->
     id:int ->
     Txn.t ->
     Timestamp.t ->
     [ `Commit | `Abort ] ->
     unit;
   write_back :
-    shard:int -> replica:int -> Txn.t -> Timestamp.t -> commit:bool -> unit;
+    shard:int -> mask:int -> Txn.t -> Timestamp.t -> commit:bool -> unit;
 }
 
 type attempt = {
@@ -38,6 +38,7 @@ type stamp = { mutable seq : int; mutable last : float }
 
 type t = {
   params : Protocol.params;
+  full_mask : int;  (* bit r set for every replica r *)
   rto_cap : float;
   send : send;
   on_validated : attempt -> unit;
@@ -58,8 +59,11 @@ type t = {
 
 let create ?(on_validated = fun _ -> ()) ?(on_decided = fun _ ~commit:_ ~fast:_ -> ())
     ?(on_retransmit = fun _ -> ()) (params : Protocol.params) ~send =
+  if params.n_replicas >= Sys.int_size then
+    invalid_arg "Attempts.create: a replica set must fit one int mask";
   {
     params;
+    full_mask = (1 lsl params.n_replicas) - 1;
     rto_cap = 8.0 *. params.rto;
     send;
     on_validated;
@@ -95,14 +99,20 @@ let last_stamp t ~client =
 let exec t ~now a (action : Protocol.action) =
   match action with
   | Protocol.Send_validates { only_missing } ->
-      for replica = 0 to t.params.n_replicas - 1 do
-        if (not only_missing) || Protocol.needs_validate a.proto replica then
-          t.send.validate ~shard:a.shard ~replica ~id:a.id a.txn a.ts
-      done
+      let mask =
+        if not only_missing then t.full_mask
+        else begin
+          let m = ref 0 in
+          for replica = 0 to t.params.n_replicas - 1 do
+            if Protocol.needs_validate a.proto replica then
+              m := !m lor (1 lsl replica)
+          done;
+          !m
+        end
+      in
+      if mask <> 0 then t.send.validate ~shard:a.shard ~mask ~id:a.id a.txn a.ts
   | Protocol.Send_accepts { decision } ->
-      for replica = 0 to t.params.n_replicas - 1 do
-        t.send.accept ~shard:a.shard ~replica ~id:a.id a.txn a.ts decision
-      done
+      t.send.accept ~shard:a.shard ~mask:t.full_mask ~id:a.id a.txn a.ts decision
   | Protocol.Arm_timer { timer; delay } ->
       let timer, delay =
         match timer with
@@ -120,19 +130,32 @@ let exec t ~now a (action : Protocol.action) =
       t.on_decided a ~commit ~fast;
       a.k commit
 
+(* Run a rented batch's actions, then hand it back. Rented and returned
+   by hand, not through [with_batch], and indexed, not [Batch.iter], so
+   an event costs no closure; a raise in between only leaves the batch
+   to the collector. The bound is re-read each step (an action may emit
+   follow-ups), and [Batch.get] cannot raise below it (Z7). *)
+let perform t ~now a into =
+  let i = ref 0 in
+  while !i < Batch.length into do
+    exec t ~now a (Batch.get into !i [@mk_lint.allow "Z7"]);
+    incr i
+  done;
+  Batch.Pool.return t.pool into
+
 let feed t ~now a event =
-  Batch.Pool.with_batch t.pool (fun into ->
-      Protocol.handle a.proto ~now event ~into;
-      Batch.iter (exec t ~now a) into)
+  let into = Batch.Pool.rent t.pool in
+  Protocol.handle a.proto ~now event ~into;
+  perform t ~now a into
 
 let start t ~now ~shard ~txn ~ts ~on_decided =
   let id = t.next_id in
   t.next_id <- id + 1;
-  Batch.Pool.with_batch t.pool (fun into ->
-      let proto = Protocol.start t.params ~now ~into in
-      let a = { id; shard; txn; ts; proto; timers = []; k = on_decided } in
-      Hashtbl.replace t.live id a;
-      Batch.iter (exec t ~now a) into)
+  let into = Batch.Pool.rent t.pool in
+  let proto = Protocol.start t.params ~now ~into in
+  let a = { id; shard; txn; ts; proto; timers = []; k = on_decided } in
+  Hashtbl.replace t.live id a;
+  perform t ~now a into
 
 type reply = Fed | Stale | Misrouted
 
@@ -177,10 +200,16 @@ let fire_due t ~now =
 
 let next_due t = t.next_due
 
+let resume t ~now =
+  (* Collect first, as [fire_due] does; id order keeps the resends
+     deterministic. *)
+  Hashtbl.fold (fun _ a acc -> a :: acc) t.live []
+  |> List.sort (fun a b -> compare a.id b.id)
+  |> List.iter (fun a ->
+         if not (Protocol.decided a.proto) then feed t ~now a Protocol.Resume)
+
 let finalize t ~shard ~txn ~ts ~commit =
-  for replica = 0 to t.params.n_replicas - 1 do
-    t.send.write_back ~shard ~replica txn ts ~commit
-  done
+  t.send.write_back ~shard ~mask:t.full_mask txn ts ~commit
 
 let in_flight t = Hashtbl.length t.live
 let fast t = t.fast

@@ -25,14 +25,14 @@
 type send = {
   validate :
     shard:int ->
-    replica:int ->
+    mask:int ->
     id:int ->
     Mk_storage.Txn.t ->
     Mk_clock.Timestamp.t ->
     unit;
   accept :
     shard:int ->
-    replica:int ->
+    mask:int ->
     id:int ->
     Mk_storage.Txn.t ->
     Mk_clock.Timestamp.t ->
@@ -40,14 +40,18 @@ type send = {
     unit;
   write_back :
     shard:int ->
-    replica:int ->
+    mask:int ->
     Mk_storage.Txn.t ->
     Mk_clock.Timestamp.t ->
     commit:bool ->
     unit;
 }
-(** One request to one replica of one shard group. Replies must come
-    back carrying [id] and the answering group's [shard]. *)
+(** One protocol broadcast to the replicas of group [shard] whose bits
+    are set in [mask] (bit [r] = replica [r]; never [0]). A retransmitted
+    validation names only the replicas that have not answered; accepts
+    and write-backs name them all. A transport may carry the broadcast
+    as one message or walk the bits in ascending order. Replies must
+    come back carrying [id] and the answering group's [shard]. *)
 
 type attempt
 (** One per-shard validation attempt: a {!Protocol} run to its
@@ -68,7 +72,9 @@ val create :
   t
 (** An empty table. The optional hooks observe [Note_validated], each
     decision (before the attempt's own callback runs) and each
-    [Retransmit] expiry that is fed to a live attempt. *)
+    [Retransmit] expiry that is fed to a live attempt.
+    @raise Invalid_argument if the replica set does not fit an [int]
+    mask. *)
 
 val mint :
   t -> client:int -> now:float -> Mk_clock.Timestamp.Tid.t * Mk_clock.Timestamp.t
@@ -111,6 +117,12 @@ val next_due : t -> float
 (** A lower bound on the earliest armed deadline ([infinity] when no
     timer was ever armed); exact after a {!fire_due} that fired. *)
 
+val resume : t -> now:float -> unit
+(** Feed {!Protocol.Resume} once to every attempt in flight, in id
+    order: a coordinator back from a crash re-sends whatever each
+    attempt still misses. Decided attempts have left the table and are
+    not touched. *)
+
 val finalize :
   t ->
   shard:int ->
@@ -119,7 +131,7 @@ val finalize :
   commit:bool ->
   unit
 (** Send the write phase ([commit] = the global outcome) to every
-    replica of [shard]. *)
+    replica of [shard], as one full-mask broadcast. *)
 
 val in_flight : t -> int
 val fast : t -> int

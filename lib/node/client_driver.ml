@@ -214,27 +214,35 @@ type coord_result = {
   c_obs : Obs.t;
 }
 
-(* Z7 (the three send functions): [shard] comes from the router and
-   [replica] from the attempt table's [0, n) loops. *)
-let sender net ~addrs ~coord =
+(* Each broadcast walks its replica mask in ascending order: one
+   frame per named replica, in the order the packer coalesces them.
+   Z7: [shard] comes from the router and the mask's bits from the
+   attempt table's [0, n) replica set. *)
+let[@mk_lint.allow "Z7"] sender net ~addrs ~coord =
   {
     Attempts.validate =
-      (fun ~shard ~replica ~id txn ts ->
-        Net.send net
-          ~dst:(addrs.(shard).(replica) [@mk_lint.allow "Z7"])
-          (shard, Codec.Validate { coord; slot = id; seq = 0; txn; ts }));
+      (fun ~shard ~mask ~id txn ts ->
+        for replica = 0 to Array.length addrs.(shard) - 1 do
+          if mask land (1 lsl replica) <> 0 then
+            Net.send net ~dst:addrs.(shard).(replica)
+              (shard, Codec.Validate { coord; slot = id; seq = 0; txn; ts })
+        done);
     accept =
-      (fun ~shard ~replica ~id txn ts decision ->
-        Net.send net
-          ~dst:(addrs.(shard).(replica) [@mk_lint.allow "Z7"])
-          ( shard,
-            Codec.Accept { coord; slot = id; seq = 0; txn; ts; decision; view = 0 }
-          ));
+      (fun ~shard ~mask ~id txn ts decision ->
+        for replica = 0 to Array.length addrs.(shard) - 1 do
+          if mask land (1 lsl replica) <> 0 then
+            Net.send net ~dst:addrs.(shard).(replica)
+              ( shard,
+                Codec.Accept
+                  { coord; slot = id; seq = 0; txn; ts; decision; view = 0 } )
+        done);
     write_back =
-      (fun ~shard ~replica txn ts ~commit ->
-        Net.send net
-          ~dst:(addrs.(shard).(replica) [@mk_lint.allow "Z7"])
-          (shard, Codec.Write_back { txn; ts; commit }));
+      (fun ~shard ~mask txn ts ~commit ->
+        for replica = 0 to Array.length addrs.(shard) - 1 do
+          if mask land (1 lsl replica) <> 0 then
+            Net.send net ~dst:addrs.(shard).(replica)
+              (shard, Codec.Write_back { txn; ts; commit })
+        done);
   }
 
 let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =

@@ -69,24 +69,29 @@ let involved t (txn : Txn.t) =
   List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) seen [])
 
 let split t (txn : Txn.t) =
-  List.map
-    (fun shard ->
-      let read_set =
-        Array.to_list txn.Txn.read_set
-        |> List.filter_map (fun (r : Txn.read_entry) ->
-               if shard_of_key t r.key = shard then
-                 Some { r with Txn.key = local_key t r.key }
-               else None)
-      in
-      let write_set =
-        Array.to_list txn.Txn.write_set
-        |> List.filter_map (fun (w : Txn.write_entry) ->
-               if shard_of_key t w.key = shard then
-                 Some { w with Txn.key = local_key t w.key }
-               else None)
-      in
-      (shard, Txn.make ~tid:txn.Txn.tid ~read_set ~write_set))
-    (involved t txn)
+  if t.shards = 1 then
+    (* Local keys are the global keys: the transaction is its own
+       sub-transaction. *)
+    if Txn.nkeys txn = 0 then [] else [ (0, txn) ]
+  else
+    List.map
+      (fun shard ->
+        let read_set =
+          Array.to_list txn.Txn.read_set
+          |> List.filter_map (fun (r : Txn.read_entry) ->
+                 if shard_of_key t r.key = shard then
+                   Some { r with Txn.key = local_key t r.key }
+                 else None)
+        in
+        let write_set =
+          Array.to_list txn.Txn.write_set
+          |> List.filter_map (fun (w : Txn.write_entry) ->
+                 if shard_of_key t w.key = shard then
+                   Some { w with Txn.key = local_key t w.key }
+                 else None)
+        in
+        (shard, Txn.make ~tid:txn.Txn.tid ~read_set ~write_set))
+      (involved t txn)
 
 let merge_sub t subs =
   let reads =

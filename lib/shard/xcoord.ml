@@ -28,7 +28,7 @@ type phase =
   | Preparing of {
       ts : Timestamp.t;
       subs : (int * Txn.t) list;  (** Involved shards, ascending. *)
-      votes : (int, bool) Hashtbl.t;
+      mutable votes : (int * bool) list;  (** One per shard heard from. *)
     }
   | Decided of { committed : bool; involved : int list }
 
@@ -85,12 +85,15 @@ let handle t (ev : event) =
         else []
       end
   | Stamping, Stamped { tid; ts; writes } ->
-      let read_set = Array.to_list t.read_entries in
-      let write_set =
-        Array.to_list writes
-        |> List.map (fun (key, value) -> { Txn.key; value })
+      (* The read entries are final once stamping starts: the
+         transaction takes the array as it is. *)
+      let txn =
+        {
+          Txn.tid;
+          read_set = t.read_entries;
+          write_set = Array.map (fun (key, value) -> { Txn.key; value }) writes;
+        }
       in
-      let txn = Txn.make ~tid ~read_set ~write_set in
       let subs = Router.split t.router txn in
       if subs = [] then begin
         (* Nothing to validate anywhere: trivially committed. *)
@@ -98,27 +101,24 @@ let handle t (ev : event) =
         [ Done { committed = true; involved = [] } ]
       end
       else begin
-        t.phase <-
-          Preparing { ts; subs; votes = Hashtbl.create (List.length subs) };
+        t.phase <- Preparing { ts; subs; votes = [] };
         List.map (fun (shard, txn) -> Prepare { shard; txn; ts }) subs
       end
   | Preparing p, Prepared { shard; commit } ->
-      if
-        Hashtbl.mem p.votes shard
-        || not (List.mem_assoc shard p.subs)
+      if List.mem_assoc shard p.votes || not (List.mem_assoc shard p.subs)
       then []
       else begin
-        Hashtbl.replace p.votes shard commit;
-        if Hashtbl.length p.votes < List.length p.subs then []
+        p.votes <- (shard, commit) :: p.votes;
+        if List.compare_lengths p.votes p.subs < 0 then []
         else begin
-          let committed = Hashtbl.fold (fun _ v acc -> v && acc) p.votes true in
+          let committed = List.for_all snd p.votes in
           let involved = List.map fst p.subs in
           t.phase <- Decided { committed; involved };
-          List.map
-            (fun (shard, txn) ->
-              Finalize { shard; txn; ts = p.ts; commit = committed })
+          List.fold_right
+            (fun (shard, txn) acts ->
+              Finalize { shard; txn; ts = p.ts; commit = committed } :: acts)
             p.subs
-          @ [ Done { committed; involved } ]
+            [ Done { committed; involved } ]
         end
       end
   (* Late, duplicate or out-of-phase events: a lossy / duplicating

@@ -563,7 +563,7 @@ let test_real_config_interprocedural () =
     && List.mem "lib/shard/xcoord.ml" cfg.Config.pure_files
     && List.mem "lib/shard/history.ml" cfg.Config.pure_files
     (* The client side's attempt table, shared by the cluster client
-       and the live multi-group runner, is time-injected and
+       and the live runtime, is time-injected and
        transport-free. *)
     && List.mem "lib/meerkat/attempts.ml" cfg.Config.pure_files
     (* The absorbed sim-only sketch must not keep a stale escape

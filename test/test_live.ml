@@ -17,7 +17,6 @@ module Transport = Mk_net.Transport
 module Intf = Mk_model.System_intf
 module Sim = Mk_meerkat.Sim_system
 module Workload = Mk_workload.Workload
-module Multi = Mk_live.Multi
 
 (* --- mailbox --- *)
 
@@ -397,7 +396,7 @@ let test_live_single_domain () =
     (r.Runtime.committed_count + r.Runtime.aborted);
   check_serializable "single domain" r
 
-(* --- the multi-group runner (DESIGN.md §13) --- *)
+(* --- more than one shard group (DESIGN.md §13) --- *)
 
 let test_multi_cross_shard () =
   (* 2 shards x 3 replicas with half of the multi-key transactions
@@ -407,9 +406,9 @@ let test_multi_cross_shard () =
      serializable. *)
   let clients = 4 and txns = 20 in
   let r =
-    Multi.run
+    Runtime.run
       {
-        Multi.default_config with
+        Runtime.default_config with
         shards = 2;
         server_domains = 1;
         n_replicas = 3;
@@ -423,12 +422,12 @@ let test_multi_cross_shard () =
       }
   in
   let expected = clients * txns in
-  Alcotest.(check int) "decided" expected (r.Multi.committed_count + r.Multi.aborted);
-  Alcotest.(check int) "submitted" expected r.Multi.submitted;
-  Alcotest.(check int) "acked" expected r.Multi.acked;
+  Alcotest.(check int) "decided" expected (r.Runtime.committed_count + r.Runtime.aborted);
+  Alcotest.(check int) "submitted" expected r.Runtime.submitted;
+  Alcotest.(check int) "acked" expected r.Runtime.acked;
   Alcotest.(check bool) "some cross-shard transactions" true
-    (r.Multi.cross_shard > 0);
-  (match Checker.check r.Multi.history with
+    (r.Runtime.cross_shard > 0);
+  (match Checker.check r.Runtime.committed with
   | Ok () -> ()
   | Error v -> Alcotest.failf "merged history: %a" Checker.pp_violation v);
   List.iter
@@ -437,7 +436,37 @@ let test_multi_cross_shard () =
       | Ok () -> ()
       | Error v ->
           Alcotest.failf "shard %d sub-history: %a" shard Checker.pp_violation v)
-    r.Multi.sub_histories
+    r.Runtime.sub_histories
+
+(* Chaos and durability are single-group: asking for either with two
+   groups is refused before any domain is spawned. *)
+let test_multi_refuses_faults () =
+  let horizon_us = 100_000.0 in
+  let chaos =
+    {
+      Runtime.plan = { Nemesis.windows = []; crashes = [] };
+      detector = Runtime.chaos_detector_cfg ~horizon_us;
+      horizon_us;
+      settle_us = 50_000.0;
+    }
+  in
+  let sharded =
+    { (live_cfg 1) with Runtime.shards = 2; duration = Some (horizon_us /. 1e6) }
+  in
+  List.iter
+    (fun (what, cfg) ->
+      match Runtime.run cfg with
+      | _ -> Alcotest.failf "%s with shards = 2 accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("chaos", { sharded with Runtime.chaos = Some chaos });
+      ( "durable",
+        {
+          sharded with
+          Runtime.durable =
+            Some { Runtime.dir = "unused"; policy = Mk_durable.Wal.Every 8 };
+        } );
+    ]
 
 (* --- chaos on live domains --- *)
 
@@ -628,6 +657,8 @@ let () =
         [
           Alcotest.test_case "2 shards, cross-shard 2PC serializable" `Quick
             test_multi_cross_shard;
+          Alcotest.test_case "chaos or durable with 2 shards refused" `Quick
+            test_multi_refuses_faults;
         ] );
       ( "chaos",
         [

@@ -3,7 +3,6 @@
    interleaves domains, and the properties are scheduling-independent. *)
 
 module Par_occ = Mk_multicore.Par_occ
-module Counter_bench = Mk_multicore.Counter_bench
 module Checker = Mk_harness.Checker
 module Vstore = Mk_storage.Vstore
 
@@ -71,13 +70,6 @@ let test_single_domain_degenerate () =
   Alcotest.(check int) "no aborts" 0 report.Par_occ.aborted;
   Alcotest.(check int) "all commit" 300 (List.length report.Par_occ.committed)
 
-let test_counter_benches_count () =
-  let shared = Counter_bench.shared_atomic ~domains:2 ~increments_per_domain:50_000 in
-  Alcotest.(check int) "shared total" 100_000 shared.Counter_bench.increments;
-  Alcotest.(check bool) "ops/s positive" true (shared.Counter_bench.ops_per_second > 0.0);
-  let sharded = Counter_bench.sharded ~domains:2 ~increments_per_domain:50_000 in
-  Alcotest.(check int) "sharded total" 100_000 sharded.Counter_bench.increments
-
 let () =
   (* Arm the lock-discipline checker before any domain spawns; the
      par-occ matrix is exactly the workload it polices. *)
@@ -95,7 +87,4 @@ let () =
           Alcotest.test_case "single-domain degenerate" `Quick
             test_single_domain_degenerate;
         ] );
-      ( "counters",
-        [ Alcotest.test_case "both variants count correctly" `Quick test_counter_benches_count ]
-      );
     ]

@@ -575,17 +575,23 @@ let test_pool_with_batch_reentrant () =
 type sent = V of int * int * int | A of int * int * int | W of int * int
 
 (* 3 replicas, rto 100, so the Retransmit cap is 800. [sent] logs
-   every request (newest first); [decided] every decision callback. *)
+   every request (newest first), one entry per replica named in a
+   broadcast's mask; [decided] every decision callback. *)
 let attempt_table () =
   let sent = ref [] and decided = ref [] and retransmits = ref 0 in
+  let each mask f =
+    for replica = 0 to 2 do
+      if mask land (1 lsl replica) <> 0 then sent := f replica :: !sent
+    done
+  in
   let send =
     {
       Attempts.validate =
-        (fun ~shard ~replica ~id _ _ -> sent := V (shard, replica, id) :: !sent);
+        (fun ~shard ~mask ~id _ _ -> each mask (fun r -> V (shard, r, id)));
       accept =
-        (fun ~shard ~replica ~id _ _ _ -> sent := A (shard, replica, id) :: !sent);
+        (fun ~shard ~mask ~id _ _ _ -> each mask (fun r -> A (shard, r, id)));
       write_back =
-        (fun ~shard ~replica _ _ ~commit:_ -> sent := W (shard, replica) :: !sent);
+        (fun ~shard ~mask _ _ ~commit:_ -> each mask (fun r -> W (shard, r)));
     }
   in
   let params =
@@ -687,6 +693,39 @@ let test_attempts_due_check () =
   Alcotest.(check bool) "idle checks allocate nothing" true
     (Gc.minor_words () -. before < 100.0)
 
+let test_attempts_retransmit_names_missing () =
+  let t, start, sent, _, _ = attempt_table () in
+  start ~now:0.0 1;
+  ignore (Attempts.reply t ~now:1.0 ~id:0 ~shard:0 (ok ~replica:1) : Attempts.reply);
+  sent := [];
+  (* One reply of three is short of a majority: the expiry re-asks
+     only the two silent replicas. *)
+  Attempts.fire_due t ~now:100.0;
+  Alcotest.(check (list (pair int int))) "validates to replicas 0 and 2 only"
+    [ (0, 0); (2, 0) ]
+    (List.rev_map (function V (_, r, id) -> (r, id) | _ -> (-1, -1)) !sent)
+
+let test_attempts_resume () =
+  let t, start, sent, decided, _ = attempt_table () in
+  start ~now:0.0 1;
+  start ~now:0.0 2;
+  start ~now:0.0 3;
+  (* Attempt 1 decides; attempt 0 has heard from replica 0. *)
+  List.iter
+    (fun replica ->
+      ignore (Attempts.reply t ~now:1.0 ~id:1 ~shard:0 (ok ~replica) : Attempts.reply))
+    [ 0; 1; 2 ];
+  ignore (Attempts.reply t ~now:1.0 ~id:0 ~shard:0 (ok ~replica:0) : Attempts.reply);
+  Alcotest.(check (list (pair int bool))) "attempt 1 decided" [ (2, true) ] !decided;
+  sent := [];
+  Attempts.resume t ~now:50.0;
+  Alcotest.(check (list (pair int int)))
+    "each in-flight attempt resent its missing validates, once"
+    [ (0, 1); (0, 2); (2, 0); (2, 1); (2, 2) ]
+    (List.rev_map (function V (_, r, id) -> (id, r) | _ -> (-1, -1)) !sent);
+  Alcotest.(check int) "nothing new decided" 1 (List.length !decided);
+  Alcotest.(check int) "both still in flight" 2 (Attempts.in_flight t)
+
 let test_attempts_mint_monotone () =
   let t, _, _, _, _ = attempt_table () in
   let mint now = Attempts.mint t ~client:4 ~now in
@@ -767,6 +806,10 @@ let () =
             test_attempts_due_check;
           Alcotest.test_case "stamps strictly increase on a stalled clock"
             `Quick test_attempts_mint_monotone;
+          Alcotest.test_case "retransmit names only the silent replicas"
+            `Quick test_attempts_retransmit_names_missing;
+          Alcotest.test_case "resume feeds each in-flight attempt once" `Quick
+            test_attempts_resume;
         ] );
       ( "five-replicas",
         [
