@@ -34,21 +34,10 @@ let parse_port = function
       | Some p -> Error (`Msg (Printf.sprintf "port %d out of range" p))
       | None -> Error (`Msg (Printf.sprintf "bad port %S (number or auto)" s)))
 
-(* A node keeps ~75-80 words per transaction (trecord entries, store
-   versions), and promoting them through the remembered set is ~92-96%
-   of every node minor pause (OCaml runtime events, 3-node --cores 1
-   benchmark shape), so a pause grows with the transactions per minor
-   cycle. Once decoding stopped allocating, the default 256 Ki-word
-   heap held ~2.6x more of them: minor GCs per node fell from ~380 to
-   ~145 per 3 s, the median pause rose from ~340 to ~720 us and
-   client p99 by ~30%. At 64 Ki words (512 KB) the median pause is
-   ~260 us. Node.launch carries this size over to every core domain
-   it spawns. *)
-let minor_heap_words = 65_536
-
 let run me cluster_src port cores keys shard heartbeat_ms no_detector rto_ms
     data_dir fsync metrics =
-  Gc.set { (Gc.get ()) with minor_heap_size = minor_heap_words };
+  (* Node.launch carries this size over to every core domain. *)
+  Gc.set { (Gc.get ()) with minor_heap_size = Node.minor_heap_words };
   (* Bind before reading the config: with `--cluster -' the launcher
      needs our `port' line to finish assembling the config it will
      send us. *)

@@ -20,8 +20,8 @@
    Zero-coordination: the only cross-domain mutable state on the
    transaction fast path is the mailboxes themselves (and the
    storage layer's own sanctioned shard locks). Coordinators share
-   nothing with each other — per-coordinator RNG, workload, Obs
-   handle, attempt table, latency histogram, and committed
+   nothing with each other — per-coordinator RNG, workload,
+   retransmit count, attempt table, latency histogram, and committed
    sub-histories, merged only after join. Nothing is shared between
    groups at all: the coordinator is the only cross-group party.
 
@@ -82,8 +82,6 @@ module Attempts = Mk_meerkat.Attempts
 module Workload = Mk_workload.Workload
 module Router = Mk_shard.Router
 module History = Mk_shard.History
-module Obs = Mk_obs.Obs
-module Span = Mk_obs.Span
 module Histogram = Mk_util.Histogram
 module Wal = Mk_durable.Wal
 module Walcodec = Mk_durable.Walcodec
@@ -842,20 +840,25 @@ module Live_group = struct
   (* Execute-phase reads go straight to one replica's versioned store —
      shared-memory gets stand in for the paper's closest-replica reads;
      the vstore's shard locks make them safe from any domain. A crashed
-     replica answers nothing, so chaos runs fall back to its peers. *)
-  let execute_read g ~client ~key k =
+     replica answers nothing, so chaos runs fall back to its peers.
+     Each key is read on its own, in key order. *)
+  let execute_reads g ~client ~keys k =
     let replicas = g.co.groups.(g.shard) in
     let n = Array.length replicas in
-    let rec attempt i =
+    let rec attempt ~key i =
       if i >= n then (0, Timestamp.zero)
       else
         match
           Replica.handle_get replicas.((g.co.id + client + i) mod n) ~key
         with
         | Some v -> v
-        | None -> attempt (i + 1)
+        | None -> attempt ~key (i + 1)
     in
-    k (attempt 0)
+    Array.iteri
+      (fun i key ->
+        let value, wts = attempt ~key 0 in
+        k i value wts)
+      keys
 
   let fresh_txn_stamp g ~client =
     Attempts.mint g.co.atts ~client ~now:(g.co.wall ())
@@ -932,7 +935,7 @@ type coord_result = {
   c_fast : int;
   c_slow : int;
   c_latencies : Histogram.t;
-  c_obs : Obs.t;
+  c_retransmits : int;
   c_submitted : int;
   c_acked : int;
 }
@@ -940,12 +943,11 @@ type coord_result = {
 let coordinator (cfg : config) ~t0 ~router ~groups ~inboxes ~coord_inboxes
     ~link ~mon_inbox ~coord_id =
   let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
-  let obs = Obs.create ~clock:wall_us () in
   let lat = Histogram.create () in
+  (* The report reads only latencies, decision counts (from the
+     tables) and retransmissions: nothing else is recorded. *)
+  let retransmits = ref 0 in
   let inbox = coord_inboxes.(coord_id) in
-  let span kind a ~start =
-    Obs.span obs kind ~tid:(Attempts.attempt_txn a).Txn.tid.client_id ~start ()
-  in
   (* The table caps the armed retransmission interval at 8 x rto: the
      protocol doubles it on every retry, free in virtual sim time, but
      on the wall clock an unlucky chaos run would soon be retrying
@@ -959,15 +961,7 @@ let coordinator (cfg : config) ~t0 ~router ~groups ~inboxes ~coord_inboxes
         grace = cfg.grace_us;
       }
       ~send:(sender cfg ~inboxes ~link ~coord:coord_id)
-      ~on_validated:(fun a ->
-        span Span.Validate a ~start:(Protocol.started (Attempts.attempt_proto a)))
-      ~on_decided:(fun a ~commit ~fast ->
-        let proto = Attempts.attempt_proto a in
-        if fast then span Span.Fast_quorum a ~start:(Protocol.started proto)
-        else if not (Float.is_nan (Protocol.accept_started proto)) then
-          span Span.Slow_accept a ~start:(Protocol.accept_started proto);
-        Obs.note_decision obs ~committed:commit ~fast)
-      ~on_retransmit:(fun _ -> Obs.note_retransmit obs)
+      ~on_retransmit:(fun _ -> incr retransmits)
   in
   let co = { id = coord_id; groups; wall = wall_us; atts } in
   let driver =
@@ -1036,7 +1030,6 @@ let coordinator (cfg : config) ~t0 ~router ~groups ~inboxes ~coord_inboxes
   let start_txn c ~launch =
     let req = Workload.next wl in
     let is_cross = cfg.shards > 1 && spans_groups req in
-    let exec_start = wall_us () in
     c.active <- true;
     c.submitted <- c.submitted + 1;
     Driver.submit driver ~client:c.cid ~reads:req.Intf.reads
@@ -1048,9 +1041,6 @@ let coordinator (cfg : config) ~t0 ~router ~groups ~inboxes ~coord_inboxes
            queueing delay it actually imposed (no coordinated
            omission). *)
         let minted = Attempts.last_stamp atts ~client:c.cid in
-        if Array.length req.Intf.reads > 0 then
-          Obs.span obs Span.Execute ~tid:c.cid ~start:exec_start ~finish:minted
-            ();
         let origin = match launch with Some l -> l | None -> minted in
         Histogram.add lat (wall_us () -. origin);
         if is_cross then incr cross;
@@ -1197,7 +1187,7 @@ let coordinator (cfg : config) ~t0 ~router ~groups ~inboxes ~coord_inboxes
     c_fast = Attempts.fast atts;
     c_slow = Attempts.slow atts;
     c_latencies = lat;
-    c_obs = obs;
+    c_retransmits = !retransmits;
     c_submitted = Array.fold_left (fun acc c -> acc + c.submitted) 0 local;
     c_acked = Array.fold_left (fun acc c -> acc + c.acked) 0 local;
   }
@@ -1206,9 +1196,8 @@ let coordinator (cfg : config) ~t0 ~router ~groups ~inboxes ~coord_inboxes
 (* Durability wiring                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One tally row per server domain, folded after the join — the
-   registry counters in an Obs handle are plain ints, so the hot path
-   never shares a counter across domains. *)
+(* One tally row per server domain, folded after the join — plain
+   ints, so the hot path never shares a counter across domains. *)
 type wal_tally = {
   mutable t_appends : int;
   mutable t_bytes : int;
@@ -1465,15 +1454,6 @@ let run (cfg : config) : report =
   let alloc_per_txn =
     if committed_count = 0 then 0 else gc_minor_words / committed_count
   in
-  (* Fold the run's allocation footprint into an Obs handle so
-     [metrics_dump] and counter readers see it alongside the wire and
-     WAL counters (one handle is enough — the figures are whole-run,
-     not per-coordinator). *)
-  (match results with
-  | r :: _ ->
-      Obs.note_gc r.c_obs ~minor_words:gc_minor_words ~majors:gc_majors
-        ~per_txn:alloc_per_txn
-  | [] -> ());
   let link_dropped, link_duplicated, link_delayed =
     match link with Some l -> Link.stats l | None -> (0, 0, 0)
   in
@@ -1489,7 +1469,7 @@ let run (cfg : config) : report =
     cross_shard = total (fun r -> r.c_cross);
     fast_path = total (fun r -> r.c_fast);
     slow_path = total (fun r -> r.c_slow);
-    retransmits = total (fun r -> Obs.counter_value r.c_obs "net.retransmits");
+    retransmits = total (fun r -> r.c_retransmits);
     wall_seconds;
     throughput = float_of_int committed_count /. wall_seconds;
     abort_rate =

@@ -31,9 +31,6 @@ type attempt = {
   k : bool -> unit;
 }
 
-let attempt_txn a = a.txn
-let attempt_proto a = a.proto
-
 type stamp = { mutable seq : int; mutable last : float }
 
 type t = {
@@ -41,8 +38,6 @@ type t = {
   full_mask : int;  (* bit r set for every replica r *)
   rto_cap : float;
   send : send;
-  on_validated : attempt -> unit;
-  on_decided : attempt -> commit:bool -> fast:bool -> unit;
   on_retransmit : attempt -> unit;
   live : (int, attempt) Hashtbl.t;
   mutable next_id : int;
@@ -57,8 +52,7 @@ type t = {
   mutable slow : int;
 }
 
-let create ?(on_validated = fun _ -> ()) ?(on_decided = fun _ ~commit:_ ~fast:_ -> ())
-    ?(on_retransmit = fun _ -> ()) (params : Protocol.params) ~send =
+let create ?(on_retransmit = fun _ -> ()) (params : Protocol.params) ~send =
   if params.n_replicas >= Sys.int_size then
     invalid_arg "Attempts.create: a replica set must fit one int mask";
   {
@@ -66,8 +60,6 @@ let create ?(on_validated = fun _ -> ()) ?(on_decided = fun _ ~commit:_ ~fast:_ 
     full_mask = (1 lsl params.n_replicas) - 1;
     rto_cap = 8.0 *. params.rto;
     send;
-    on_validated;
-    on_decided;
     on_retransmit;
     live = Hashtbl.create 64;
     next_id = 0;
@@ -123,11 +115,10 @@ let exec t ~now a (action : Protocol.action) =
       let deadline = now +. delay in
       a.timers <- (timer, deadline) :: a.timers;
       if deadline < t.next_due then t.next_due <- deadline
-  | Protocol.Note_validated -> t.on_validated a
+  | Protocol.Note_validated -> ()
   | Protocol.Note_decided { commit; fast } ->
       if fast then t.fast <- t.fast + 1 else t.slow <- t.slow + 1;
       Hashtbl.remove t.live a.id;
-      t.on_decided a ~commit ~fast;
       a.k commit
 
 (* Run a rented batch's actions, then hand it back. Rented and returned

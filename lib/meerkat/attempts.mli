@@ -58,21 +58,11 @@ type attempt
     decision. The write phase is {e not} part of it — that is
     {!finalize}, issued once the caller knows the global outcome. *)
 
-val attempt_txn : attempt -> Mk_storage.Txn.t
-val attempt_proto : attempt -> Protocol.t
-
 type t
 
-val create :
-  ?on_validated:(attempt -> unit) ->
-  ?on_decided:(attempt -> commit:bool -> fast:bool -> unit) ->
-  ?on_retransmit:(attempt -> unit) ->
-  Protocol.params ->
-  send:send ->
-  t
-(** An empty table. The optional hooks observe [Note_validated], each
-    decision (before the attempt's own callback runs) and each
-    [Retransmit] expiry that is fed to a live attempt.
+val create : ?on_retransmit:(attempt -> unit) -> Protocol.params -> send:send -> t
+(** An empty table. The optional hook observes each [Retransmit]
+    expiry that is fed to a live attempt.
     @raise Invalid_argument if the replica set does not fit an [int]
     mask. *)
 

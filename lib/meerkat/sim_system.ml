@@ -283,10 +283,14 @@ let fresh_txn_stamp t ~client =
   let ctx = t.cluster.Cluster.clients.(client) in
   (Cluster.fresh_tid t.cluster ctx, Cluster.fresh_timestamp t.cluster ctx)
 
-let execute_read t ~client ~key k =
+let execute_reads t ~client ~keys k =
   let ctx = t.cluster.Cluster.clients.(client) in
   let read ~replica ~key = Replica.handle_get t.replicas.(replica) ~key in
-  Cluster.do_get t.cluster ctx ~key ~read ~alive:(alive t) k
+  Array.iteri
+    (fun i key ->
+      Cluster.do_get t.cluster ctx ~key ~read ~alive:(alive t)
+        (fun (value, wts) -> k i value wts))
+    keys
 
 let commit_txn t client ~read_set ~writes ~on_done =
   let tid = Cluster.fresh_tid t.cluster client in

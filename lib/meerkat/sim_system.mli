@@ -77,9 +77,15 @@ val fresh_txn_stamp :
 (** Mint a globally unique tid and proposed timestamp from the
     client's loosely synchronized clock. *)
 
-val execute_read :
-  t -> client:int -> key:int -> (int * Mk_clock.Timestamp.t -> unit) -> unit
-(** One execute-phase versioned GET (with retransmission). *)
+val execute_reads :
+  t ->
+  client:int ->
+  keys:int array ->
+  (int -> int -> Mk_clock.Timestamp.t -> unit) ->
+  unit
+(** The execute-phase versioned GETs of [keys] (with retransmission),
+    one simulated GET per key, issued in key order; [k i value wts]
+    answers [keys.(i)]. *)
 
 val prepare_txn :
   t ->

@@ -5,9 +5,11 @@
    Each coordinator domain owns one shim socket in inline mode for
    every group (a background socket thread would contend with the
    coordinator loop for the domain's runtime lock; inline polling
-   needs no coordination at all), its own RNG, workload, Obs handle
+   needs no coordination at all, and a send packs straight into the
+   socket's datagrams), its own RNG, workload, counters, read table
    and attempt table — coordinators share nothing, merged only after
-   join. The loop never spins or dozes: after a pass that delivered
+   join — and runs the node's minor heap ({!Node.minor_heap_words}).
+   The loop never spins or dozes: after a pass that delivered
    nothing it blocks in the shim's [wait] until the next frame, the
    earliest armed deadline (attempt timers, read retries) or a short
    cap. Wire v2 frames carry the group stamp: requests are stamped
@@ -17,18 +19,20 @@
    attempt it names is a counted drop.
 
    A transaction has two wire phases. The execute phase sends one
-   [Get] per read key to one replica of the key's group; on silence
-   past the get timeout it rotates to the next replica and resends
-   (UDP loss, a busy node, or a dead one all look the same — the
-   paper's closest-replica read with failover). The commit phase is
-   the paper's §5.2.4 client-side 2PC, shared with the other backends
-   through {!Mk_shard.Driver}: one {!Mk_meerkat.Protocol} attempt per
-   involved group, kept in a {!Mk_meerkat.Attempts} table, run to its
+   [Reads] frame per involved group, carrying every key the
+   transaction reads there, to one replica of that group, and gets
+   one [Read_replies] back; on silence past the get timeout the whole
+   batch rotates to the next replica and is resent (UDP loss, a busy
+   node, or a dead one all look the same — the paper's closest-replica
+   read with failover); {!Read_table} keeps one entry per batch. The
+   commit phase is the paper's §5.2.4 client-side 2PC, shared with the
+   other backends through {!Mk_shard.Driver}: one {!Mk_meerkat.Protocol}
+   attempt per involved group, kept in a {!Mk_meerkat.Attempts} table, run to its
    decision with the write-back withheld; the global outcome is the
    conjunction, and the write phase is broadcast only then. A
    single-group deployment is the one-shard case of the same code.
 
-   Routing is by coordinator-local ids — a read id for [Get]s and an
+   Routing is by coordinator-local ids — a batch id for [Reads] and an
    attempt id (carried in the frames' [slot] field) for validation
    attempts — both unique across clients and groups, so a stale reply
    for a finished read or attempt can never be taken for a live
@@ -44,7 +48,6 @@ module Codec = Mk_wire.Codec
 module Spawn = Mk_live.Spawn
 module Workload = Mk_workload.Workload
 module Obs = Mk_obs.Obs
-module Span = Mk_obs.Span
 module Histogram = Mk_util.Histogram
 module Router = Mk_shard.Router
 module History = Mk_shard.History
@@ -117,6 +120,7 @@ type result = {
   wire_dgrams_rx : int;
   wire_decode_errors : int;
   wire_shard_drops : int;
+  minor_heap_words : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -128,59 +132,29 @@ type result = {
    the loop needs is a frame or an armed deadline. *)
 let idle_cap_us = 5_000.0
 
-(* One outstanding execute-phase read of a local key against one
-   group, rotating replicas on timeout. *)
-type read = {
-  r_shard : int;
-  r_key : int;
-  mutable r_target : int;
-  mutable r_rto : float;
-  mutable r_retry_at : float;
-  r_k : int * Timestamp.t -> unit;
-}
-
 type coord = {
   id : int;
-  net : Net.t;
-  addrs : Unix.sockaddr array array;  (** [.(shard).(replica)]. *)
-  n : int;  (** Replicas per group (the same for every group). *)
   wall : unit -> float;
-  get_rto : float;
   atts : Attempts.t;
-  reads : (int, read) Hashtbl.t;
-  mutable next_rid : int;
-  mutable next_retry : float;  (** Lower bound on every [r_retry_at]. *)
+  reads : Read_table.t;
 }
 
-(* Z7: [r_shard] comes from the router, in [0, shards), and [r_target]
-   is kept in [0, n) — neither is ever read off the wire. *)
-let[@mk_lint.allow "Z7"] send_get co r ~rid =
-  Net.send co.net ~dst:co.addrs.(r.r_shard).(r.r_target)
-    (r.r_shard, Codec.Get { coord = co.id; slot = 0; seq = rid; key = r.r_key })
+(* Z7: [shard] comes from the router, in [0, shards), and [replica] is
+   kept in [0, n) by the read table — neither is ever read off the
+   wire. *)
+let[@mk_lint.allow "Z7"] send_reads net ~addrs ~coord ~shard ~replica ~rid keys =
+  Net.send net ~dst:addrs.(shard).(replica)
+    (shard, Codec.Reads { coord; slot = 0; seq = rid; keys })
 
 (* The four GROUP operations of one shard group, as seen from one
    coordinator's socket. *)
 module Sock_group = struct
   type t = { shard : int; co : coord }
 
-  let execute_read g ~client ~key k =
+  let execute_reads g ~client ~keys k =
     let co = g.co in
-    let rid = co.next_rid in
-    co.next_rid <- rid + 1;
-    let retry_at = co.wall () +. co.get_rto in
-    let r =
-      {
-        r_shard = g.shard;
-        r_key = key;
-        r_target = (client + co.id) mod co.n;
-        r_rto = co.get_rto;
-        r_retry_at = retry_at;
-        r_k = k;
-      }
-    in
-    Hashtbl.replace co.reads rid r;
-    if retry_at < co.next_retry then co.next_retry <- retry_at;
-    send_get co r ~rid
+    Read_table.issue co.reads ~now:(co.wall ()) ~shard:g.shard
+      ~target:(client + co.id) ~keys k
 
   let fresh_txn_stamp g ~client = Attempts.mint g.co.atts ~client ~now:(g.co.wall ())
 
@@ -212,6 +186,7 @@ type coord_result = {
   c_acked : int;
   c_lat : Histogram.t;
   c_obs : Obs.t;
+  c_minor_heap : int;
 }
 
 (* Each broadcast walks its replica mask in ascending order: one
@@ -246,7 +221,10 @@ let[@mk_lint.allow "Z7"] sender net ~addrs ~coord =
   }
 
 let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
+  Gc.set { (Gc.get ()) with minor_heap_size = Node.minor_heap_words };
   let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
+  (* The shim's wire counters and the retransmit count: what [result]
+     reports, and nothing else. *)
   let obs = Obs.create ~clock:wall_us () in
   let net =
     match Net.bind () with
@@ -256,9 +234,6 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
   Net.set_obs net obs;
   let shards = Array.length addrs in
   let n = Array.length addrs.(0) in
-  let span kind a ~start =
-    Obs.span obs kind ~tid:(Attempts.attempt_txn a).Txn.tid.client_id ~start ()
-  in
   let atts =
     Attempts.create
       {
@@ -268,30 +243,13 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
         grace = cfg.grace_us;
       }
       ~send:(sender net ~addrs ~coord:coord_id)
-      ~on_validated:(fun a ->
-        span Span.Validate a ~start:(Protocol.started (Attempts.attempt_proto a)))
-      ~on_decided:(fun a ~commit ~fast ->
-        let proto = Attempts.attempt_proto a in
-        if fast then span Span.Fast_quorum a ~start:(Protocol.started proto)
-        else if not (Float.is_nan (Protocol.accept_started proto)) then
-          span Span.Slow_accept a ~start:(Protocol.accept_started proto);
-        Obs.note_decision obs ~committed:commit ~fast)
       ~on_retransmit:(fun _ -> Obs.note_retransmit obs)
   in
-  let co =
-    {
-      id = coord_id;
-      net;
-      addrs;
-      n;
-      wall = wall_us;
-      get_rto = cfg.get_rto_us;
-      atts;
-      reads = Hashtbl.create 64;
-      next_rid = 0;
-      next_retry = infinity;
-    }
+  let reads =
+    Read_table.create ~n ~rto:cfg.get_rto_us ~rto_cap:(Attempts.rto_cap atts)
+      ~send:(send_reads net ~addrs ~coord:coord_id)
   in
+  let co = { id = coord_id; wall = wall_us; atts; reads } in
   let driver =
     Driver2pc.create ~router
       ~groups:(Array.init shards (fun shard -> { Sock_group.shard; co }))
@@ -320,7 +278,7 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
   in
   let lat = Histogram.create () in
   let cross = ref 0 in
-  let start_txn c ~now =
+  let start_txn c =
     let req = Workload.next wl in
     let is_cross = shards > 1 && Workload.spans ~shards req in
     c.active <- true;
@@ -331,7 +289,6 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
         (* Latency runs from the stamp mint (the end of the execute
            phase) to the global decision. *)
         let minted = Attempts.last_stamp atts ~client:c.cid in
-        Obs.span obs Span.Execute ~tid:c.cid ~start:now ~finish:minted ();
         Histogram.add lat (wall_us () -. minted);
         if is_cross then incr cross;
         c.active <- false;
@@ -346,16 +303,11 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
   in
   let deliver ~src:_ ((shard, msg) : int * Codec.t) =
     match msg with
-    | Codec.Get_reply { seq = rid; key; wts; value; _ } -> (
-        match Hashtbl.find_opt co.reads rid with
-        | Some r ->
-            if shard <> r.r_shard then Obs.note_wire_shard_drop obs
-            else if key <> r.r_key then drop_bad_ids ()
-            else begin
-              Hashtbl.remove co.reads rid;
-              r.r_k (value, wts)
-            end
-        | None -> ())
+    | Codec.Read_replies { seq = rid; values; wts; _ } -> (
+        match Read_table.reply reads ~rid ~shard ~values ~wts with
+        | Read_table.Misrouted -> Obs.note_wire_shard_drop obs
+        | Read_table.Malformed -> drop_bad_ids ()
+        | Read_table.Fed | Read_table.Stale -> ())
     | Codec.Validated { slot = id; replica; status; _ } ->
         if replica_ok replica then
           to_attempt ~id ~shard (Protocol.Validate_reply { replica; status })
@@ -368,36 +320,19 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
         (* Server-side or control traffic; not for a client socket. *)
         ()
   in
-  (* Rotate every overdue read to the next replica: loss, a busy node
-     and a dead one all look like silence. *)
-  let retry_reads ~now =
-    if now >= co.next_retry then begin
-      let due =
-        Hashtbl.fold
-          (fun rid r acc -> if now >= r.r_retry_at then (rid, r) :: acc else acc)
-          co.reads []
-      in
-      List.iter
-        (fun (rid, r) ->
-          r.r_target <- (r.r_target + 1) mod n;
-          r.r_rto <- Float.min (r.r_rto *. 2.0) (Attempts.rto_cap atts);
-          r.r_retry_at <- now +. r.r_rto;
-          Obs.note_retransmit obs;
-          send_get co r ~rid)
-        due;
-      co.next_retry <-
-        Hashtbl.fold (fun _ r m -> Float.min m r.r_retry_at) co.reads infinity
-    end
-  in
   let rec loop () =
     let delivered = Net.poll net ~deliver in
     let now = wall_us () in
-    retry_reads ~now;
+    (* Rotate every overdue read batch to the next replica: loss, a
+       busy node and a dead one all look like silence. *)
+    for _ = 1 to Read_table.retry_due reads ~now do
+      Obs.note_retransmit obs
+    done;
     Attempts.fire_due atts ~now;
     let all_done = ref true in
     for i = 0 to Array.length local - 1 do
       let c = local.(i) in
-      if (not c.active) && not (quota_done c ~now) then start_txn c ~now;
+      if (not c.active) && not (quota_done c ~now) then start_txn c;
       if c.active || not (quota_done c ~now) then all_done := false
     done;
     if not !all_done then begin
@@ -407,7 +342,7 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
            or the cap — whichever comes first. *)
         let until =
           Float.min (now +. idle_cap_us)
-            (Float.min (Attempts.next_due atts) co.next_retry)
+            (Float.min (Attempts.next_due atts) (Read_table.next_due reads))
         in
         ignore (Net.wait net ~timeout:((until -. now) /. 1e6) : bool)
       end;
@@ -427,6 +362,7 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
     c_acked = Array.fold_left (fun acc c -> acc + c.acked) 0 local;
     c_lat = lat;
     c_obs = obs;
+    c_minor_heap = (Gc.get ()).minor_heap_size;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -510,6 +446,8 @@ let run_groups (cfg : config) ~clusters =
           wire_dgrams_rx = sum "wire.dgrams_rx";
           wire_decode_errors = sum "wire.decode_errors";
           wire_shard_drops = sum "wire.shard_drops";
+          minor_heap_words =
+            List.fold_left (fun m r -> min m r.c_minor_heap) max_int results;
         }
 
 let run cfg ~cluster = run_groups cfg ~clusters:[| cluster |]

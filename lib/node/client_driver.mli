@@ -4,11 +4,14 @@
     (DESIGN.md §11, §13).
 
     Each coordinator domain owns one poll-mode shim socket serving
-    every group, its RNG, workload stream and attempt table
-    (coordinators share nothing; results merge after join). A
-    transaction first resolves its read set with one [Get] per key
-    against one replica of the key's group — rotating to the next on
-    timeout, the paper's closest-replica read with failover — then
+    every group, its RNG, workload stream, read table and attempt
+    table (coordinators share nothing; results merge after join), and
+    runs the node's minor heap ({!Node.minor_heap_words}). A
+    transaction first resolves its read set with one [Reads] frame per
+    involved group, carrying all its keys there, against one replica
+    of that group — the whole batch rotating to the next replica on
+    timeout, the paper's closest-replica read with failover
+    ({!Read_table}) — then
     commits through the client-side 2PC of {!Mk_shard.Driver}: one
     {!Mk_meerkat.Protocol} attempt per involved group, held in a
     {!Mk_meerkat.Attempts} table, decided without write-back; the
@@ -70,6 +73,8 @@ type result = {
   wire_dgrams_rx : int;  (** UDP datagrams received. *)
   wire_decode_errors : int;
   wire_shard_drops : int;
+  minor_heap_words : int;
+      (** The smallest minor heap (words) a coordinator domain ran. *)
 }
 
 val run_groups :

@@ -16,8 +16,10 @@
    and the loop thread does all the work. Every core runs the same
    [step] function and answers on the socket itself, through its own
    {!Shim} packer, to the datagram's source address — so a node never
-   needs to know where clients live. Execute-phase [Get]s are answered
-   inline on the loop thread and packed with core 0's replies: the
+   needs to know where clients live. Execute-phase reads ([Get], and
+   [Reads]: every key one transaction reads in this group, answered by
+   one [Read_replies]) are answered inline on the loop thread and
+   packed with core 0's replies: the
    vstore's shard locks make versioned reads safe from any domain,
    exactly as the live runtime's shared-memory reads.
 
@@ -190,7 +192,7 @@ type core = {
   packer : Net.packer;
       (** The core's reply sender; its tallies fold into [obs] at
           [wait], like the durability tallies. Core 0's also carries
-          the loop thread's [Get_reply]s. *)
+          the loop thread's [Get_reply]s and [Read_replies]. *)
   mutable frozen : int option;
       (** The epoch-change freeze generation in force, if any. *)
 }
@@ -270,6 +272,33 @@ let on_durable t (d : durable) (ev : Replica.durable_event) =
   | Replica.Installed { epoch } ->
       checkpoint_all d t.replica ~epoch ~wal_cut:(fun core ->
           Wal.length d.wals.(core))
+
+(* The versions of [keys], in key order — or [None] if the replica is
+   paused or crashed, which answers no read at all. Z7: [i] runs over
+   [0, n) of three [n]-element arrays. *)
+let[@mk_lint.allow "Z7"] read_versions replica keys =
+  let n = Array.length keys in
+  let values = Array.make n 0 and wts = Array.make n Timestamp.zero in
+  let answered = ref true in
+  for i = 0 to n - 1 do
+    match Replica.handle_get replica ~key:keys.(i) with
+    | Some (value, w) ->
+        values.(i) <- value;
+        wts.(i) <- w
+    | None -> answered := false
+  done;
+  if !answered then Some (values, wts) else None
+
+(* A node keeps ~75-80 words per transaction (trecord entries, store
+   versions), and promoting them through the remembered set is ~92-96%
+   of every node minor pause (OCaml runtime events, 3-node --cores 1
+   benchmark shape), so a pause grows with the transactions per minor
+   cycle. Once decoding stopped allocating, the default 256 Ki-word
+   heap held ~2.6x more of them: minor GCs per node fell from ~380 to
+   ~145 per 3 s, the median pause rose from ~340 to ~720 us and
+   client p99 by ~30%. At 64 Ki words (512 KB) the median pause is
+   ~260 us. The client's coordinator domains run the same size. *)
+let minor_heap_words = 65_536
 
 (* The socket is bound before the replica exists: with [--port auto]
    the launcher needs the port announcement to finish assembling the
@@ -1075,6 +1104,16 @@ let launch t ~cluster =
                 Net.pack t.core0.packer ~dst:src
                   ( cfg.shard,
                     Codec.Get_reply { slot; seq; replica = me; key; value; wts } ))
+        | Codec.Reads { slot; seq; keys; _ } -> (
+            (* One reply for the whole batch, or none at all from a
+               paused or crashed replica (the client rotates the batch
+               to the next replica on silence). *)
+            match read_versions t.replica keys with
+            | None -> ()
+            | Some (values, wts) ->
+                Net.pack t.core0.packer ~dst:src
+                  ( cfg.shard,
+                    Codec.Read_replies { slot; seq; replica = me; values; wts } ))
         | Codec.Validate { txn; _ } | Codec.Vc_accept { txn; _ } ->
             steer src msg txn.Txn.tid
         | Codec.Accept { txn; _ } | Codec.Write_back { txn; _ } ->
@@ -1102,7 +1141,8 @@ let launch t ~cluster =
             ec_on_install ~src ~epoch ~records ~store
         | Codec.Epoch_installed { replica; epoch } ->
             ec_on_installed ~replica ~epoch
-        | Codec.Get_reply _ | Codec.Validated _ | Codec.Accepted _ ->
+        | Codec.Get_reply _ | Codec.Read_replies _ | Codec.Validated _
+        | Codec.Accepted _ ->
             (* Client-side traffic; a server node is never its
                destination. *)
             ()
@@ -1223,8 +1263,7 @@ let launch t ~cluster =
                    Gc.set { (Gc.get ()) with minor_heap_size };
                    core_loop t core inbox))
              t.spawned);
-      Net.start t.net ~obs:t.obs
-        { Net.deliver; tick; reboot = (fun () -> ()) };
+      Net.start t.net ~obs:t.obs { Net.deliver; tick };
       Ok ()
 
 (* Route the local trigger through the wire path: the shim loop

@@ -142,6 +142,11 @@ val create : bound -> config -> n_replicas:int -> t
 
 val port : t -> int
 
+val minor_heap_words : int
+(** The minor heap a node process and each of its core domains run
+    (64 Ki words): a minor pause grows with the transactions one
+    cycle holds. {!Client_driver}'s coordinator domains use it too. *)
+
 val launch : t -> cluster:Cluster_config.t -> (unit, string) result
 (** Spawn the domains of cores [1 .. cores-1] (none at [cores = 1])
     and start the shim loop, which runs core 0. Errors if the cluster

@@ -14,10 +14,12 @@
    per replica per flush, not one per message. Frames to one
    destination keep their order; order across destinations is not
    kept (UDP never promised it). A packer has one
-   owner. The shim's own packer drains the outbox: messages enqueued
-   UNENCODED on a bounded MPSC mailbox by any thread ([send]) — a full
-   mailbox drops the message, which is exactly UDP's contract, and
-   retransmission recovers it. A node's cores each own another packer
+   owner. The shim's own packer drains the outbox: on a started shim,
+   messages enqueued UNENCODED on a bounded MPSC mailbox by any thread
+   ([send]) — a full mailbox drops the message, which is exactly UDP's
+   contract, and retransmission recovers it. A poll-mode shim has a
+   single owner and no loop thread, so its [send] packs straight into
+   that packer. A node's cores each own another packer
    on the same socket ({!packer}) and send their replies directly,
    with no hop through the outbox; every packer runs the
    same pack/coalesce/[sendto] code below.
@@ -58,7 +60,6 @@ module Make (A : ARRANGEMENT) = struct
   type handlers = {
     deliver : src:Unix.sockaddr -> A.msg -> unit;
     tick : now_us:float -> unit;
-    reboot : unit -> unit;
   }
 
   (* How many destinations a packer keeps a datagram open to at once.
@@ -94,6 +95,9 @@ module Make (A : ARRANGEMENT) = struct
     wake_wr : Unix.file_descr;
     outbox : (Unix.sockaddr * A.msg) Mailbox.t;
     stop : bool ref;
+    mutable threaded : bool;
+        (** Set by [start], before its thread exists: from then on
+            every [send] goes through the outbox. *)
     mutable thread : Thread.t option;
     mutable obs : Obs.t option;
     out : packer;  (** The outbox consumer's (loop thread, or poller). *)
@@ -142,6 +146,7 @@ module Make (A : ARRANGEMENT) = struct
         wake_wr;
         outbox = Mailbox.create ~capacity:outbox;
         stop = ref false;
+        threaded = false;
         thread = None;
         obs = None;
         out = new_packer sock;
@@ -160,21 +165,6 @@ module Make (A : ARRANGEMENT) = struct
      so retransmission can never recover it — reject it at pack time
      and count it, or the sender retries forever with no diagnostic. *)
   let max_datagram = 65507
-
-  let send t ~dst msg =
-    if Mailbox.try_push t.outbox (dst, msg) then
-      match t.thread with
-      | Some th when Thread.id th <> Thread.id (Thread.self ()) -> (
-          (* Wake a threaded loop blocked in select. EAGAIN means the
-             pipe already holds a pending wakeup; either way the loop
-             will see the message. The loop thread itself, and
-             poll-mode shims, have nobody to wake. *)
-          try ignore (Unix.write_substring t.wake_wr "w" 0 1 : int)
-          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
-      | Some _ | None -> ()
-
-  (* A full outbox dropped the message: UDP semantics, retransmission
-     recovers. Nothing else to do. *)
 
   (* Ship open datagram [i], which holds at least one frame: blit into
      the reused send bytes (no string extraction) and one [sendto] for
@@ -242,6 +232,25 @@ module Make (A : ARRANGEMENT) = struct
       p.frames.(i) <- p.frames.(i) + 1;
       Buffer.add_buffer p.dgrams.(i) p.frame
     end
+
+  (* A shim that was never started has one owner, the thread that
+     polls it: its sends pack straight into the outbox packer, which
+     [poll], [wait] and [stop] flush — no mailbox entry per message.
+     A started shim's loop thread owns that packer, so every other
+     sender goes through the outbox; a full outbox drops the message
+     (UDP semantics, retransmission recovers it). *)
+  let send t ~dst msg =
+    if not t.threaded then pack t.out ~dst msg
+    else if Mailbox.try_push t.outbox (dst, msg) then
+      match t.thread with
+      | Some th when Thread.id th <> Thread.id (Thread.self ()) -> (
+          (* Wake a threaded loop blocked in select. EAGAIN means the
+             pipe already holds a pending wakeup; either way the loop
+             will see the message. The loop thread itself has nobody
+             to wake. *)
+          try ignore (Unix.write_substring t.wake_wr "w" 0 1 : int)
+          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+      | Some _ | None -> ()
 
   let fold_tally p obs =
     Obs.note_wire_tx_burst obs ~msgs:p.sent_frames ~bytes:p.sent_bytes;
@@ -374,6 +383,7 @@ module Make (A : ARRANGEMENT) = struct
 
   let start t ?obs handlers =
     t.obs <- obs;
+    t.threaded <- true;
     t.thread <- Some (Thread.create (fun () -> loop t handlers) ())
 
   let set_obs t obs = t.obs <- Some obs

@@ -63,9 +63,6 @@ module Make (A : ARRANGEMENT) : sig
         (** Called once per loop iteration (at least every 50 µs)
             with the wall clock in µs — the hook for
             timers: heartbeats, detector scans, retransmissions. *)
-    reboot : unit -> unit;
-        (** Reserved for the WAL work: replay durable state before
-            the first delivery after a restart. Never called yet. *)
   }
 
   val bind : ?port:int -> ?outbox:int -> unit -> (t, string) result
@@ -100,13 +97,16 @@ module Make (A : ARRANGEMENT) : sig
       to {!start}). *)
 
   val send : t -> dst:Unix.sockaddr -> A.msg -> unit
-  (** Enqueue one message; never blocks and never encodes — framing
-      happens at flush time into the outbox packer. A full outbox
-      drops the message (UDP semantics); a frame too large for one UDP
-      datagram is dropped at flush and counted under
-      [wire.send_errors], since no retransmit could ever deliver it.
-      Any thread may call this; from a thread other than a running
-      loop's own it also wakes the loop. *)
+  (** Send one message; never blocks. On a shim that was never
+      {!start}ed (poll mode: one owner, no loop thread) it packs the
+      message straight into the outbox packer, which the next {!poll},
+      {!wait} or {!stop} flushes. On a started shim it enqueues the
+      message unencoded and framing happens at flush time on the loop
+      thread; a full outbox drops it (UDP semantics), and from a
+      thread other than the loop's own it also wakes the loop. Either
+      way a frame too large for one UDP datagram is dropped and
+      counted under [wire.send_errors], since no retransmit could
+      ever deliver it. *)
 
   type packer
   (** Flush-side state for one sender: payload scratch, frame staging

@@ -2,8 +2,8 @@
     translated onto any backend's per-shard group operations.
 
     Each backend exposes its groups through the four {!GROUP}
-    operations the cross-shard protocol needs — an execute-phase
-    versioned read, the global stamp mint, a validation phase run to a
+    operations the cross-shard protocol needs — the execute-phase
+    versioned reads of one group, the global stamp mint, a validation phase run to a
     decision without write-back, and the outcome write-back. The
     functor owns the translation loop and the bookkeeping every
     backend repeats (outcome counting, per-shard committed
@@ -16,9 +16,17 @@
 module type GROUP = sig
   type t
 
-  val execute_read :
-    t -> client:int -> key:int -> (int * Mk_clock.Timestamp.t -> unit) -> unit
-  (** One execute-phase versioned GET of a {e local} key. *)
+  val execute_reads :
+    t ->
+    client:int ->
+    keys:int array ->
+    (int -> int -> Mk_clock.Timestamp.t -> unit) ->
+    unit
+  (** The execute-phase versioned GETs of one transaction's {e local}
+      keys in this group, in request order (never empty): one call per
+      involved group, so a backend may carry them as one request. The
+      callback answers each key once, as [k i value wts] for
+      [keys.(i)], in any order. *)
 
   val fresh_txn_stamp :
     t -> client:int -> Mk_clock.Timestamp.Tid.t * Mk_clock.Timestamp.t

@@ -20,7 +20,7 @@ module Registry = Mk_obs.Registry
 module Driver = Mk_shard.Driver.Make (struct
   type t = Sim_system.t
 
-  let execute_read = Sim_system.execute_read
+  let execute_reads = Sim_system.execute_reads
   let fresh_txn_stamp = Sim_system.fresh_txn_stamp
   let prepare_txn = Sim_system.prepare_txn
   let finalize_txn = Sim_system.finalize_txn

@@ -1,7 +1,8 @@
 (* The cross-process message set and its binary codec.
 
    One constructor per message that crosses a process boundary in the
-   cluster backend: the transaction fast path (execute-phase reads,
+   cluster backend: the transaction fast path (execute-phase reads —
+   one [Get] per key, or one [Reads] per transaction and group —
    validate, slow-path accept, write-back), the failure detector's
    heartbeats, the §5.3.2 backup-coordinator view change, the §5.3.1
    epoch change (driven by the nodes since the WAL work gave a killed
@@ -54,6 +55,7 @@ type t =
       view : int;
     }
   | Write_back of { txn : Txn.t; ts : Timestamp.t; commit : bool }
+  | Reads of { coord : int; slot : int; seq : int; keys : int array }
   (* server -> client *)
   | Get_reply of {
       slot : int;
@@ -65,6 +67,13 @@ type t =
     }
   | Validated of { slot : int; seq : int; replica : int; status : Txn.status }
   | Accepted of { slot : int; seq : int; replica : int; reply : accept_reply }
+  | Read_replies of {
+      slot : int;
+      seq : int;
+      replica : int;
+      values : int array;
+      wts : Timestamp.t array;
+    }
   (* server <-> server: failure detector *)
   | Heartbeat of { from_ : int; paused : bool }
   (* server <-> server: §5.3.2 view change *)
@@ -130,6 +139,8 @@ let kind = function
   | Epoch_install _ -> 15
   | Shutdown -> 16
   | Epoch_installed _ -> 17
+  | Reads _ -> 18
+  | Read_replies _ -> 19
 
 let kind_name = function
   | Get _ -> "get"
@@ -149,6 +160,8 @@ let kind_name = function
   | Epoch_install _ -> "epoch_install"
   | Shutdown -> "shutdown"
   | Epoch_installed _ -> "epoch_installed"
+  | Reads _ -> "reads"
+  | Read_replies _ -> "read_replies"
 
 (* ------------------------------------------------------------------ *)
 (* Component codecs                                                    *)
@@ -400,6 +413,17 @@ let payload_into b msg =
   | Epoch_installed { replica; epoch } ->
       w_i64 b replica;
       w_i64 b epoch
+  | Reads { coord; slot; seq; keys } ->
+      w_i64 b coord;
+      w_i64 b slot;
+      w_i64 b seq;
+      w_array w_i64 b keys
+  | Read_replies { slot; seq; replica; values; wts } ->
+      w_i64 b slot;
+      w_i64 b seq;
+      w_i64 b replica;
+      w_array w_i64 b values;
+      w_array w_ts b wts
   | Shutdown -> ()
 
 let payload msg =
@@ -515,6 +539,19 @@ let decode_payload ~kind c =
       let replica = r_i64 c in
       let epoch = r_i64 c in
       Epoch_installed { replica; epoch }
+  | 18 ->
+      let coord = r_i64 c in
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let keys = r_array ~elt_min:8 r_i64 c in
+      Reads { coord; slot; seq; keys }
+  | 19 ->
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let replica = r_i64 c in
+      let values = r_array ~elt_min:8 r_i64 c in
+      let wts = r_array ~elt_min:ts_bytes r_ts c in
+      Read_replies { slot; seq; replica; values; wts }
   | k ->
       fail c (Unknown_kind k);
       Shutdown
@@ -649,6 +686,13 @@ let equal a b =
            a.store b.store
   | Epoch_installed a, Epoch_installed b ->
       a.replica = b.replica && a.epoch = b.epoch
+  | Reads a, Reads b ->
+      a.coord = b.coord && a.slot = b.slot && a.seq = b.seq && a.keys = b.keys
+  | Read_replies a, Read_replies b ->
+      a.slot = b.slot && a.seq = b.seq && a.replica = b.replica
+      && a.values = b.values
+      && Int.equal (Array.length a.wts) (Array.length b.wts)
+      && Array.for_all2 Timestamp.equal a.wts b.wts
   | Shutdown, Shutdown -> true
   | _ -> false
 
@@ -691,4 +735,8 @@ let pp ppf msg =
         (match store with Some _ -> " +store" | None -> "")
   | Epoch_installed { replica; epoch } ->
       Format.fprintf ppf "epoch_installed[r%d e%d]" replica epoch
+  | Reads { coord; slot; seq; keys } ->
+      Format.fprintf ppf "reads[c%d.%d#%d n=%d]" coord slot seq (Array.length keys)
+  | Read_replies { replica; values; _ } ->
+      Format.fprintf ppf "read_replies[r%d n=%d]" replica (Array.length values)
   | Shutdown -> Format.fprintf ppf "shutdown"

@@ -2,7 +2,7 @@
     boundary in the cluster backend (DESIGN.md §11).
 
     One constructor per wire message: the transaction fast path
-    (execute-phase {!t.Get}, {!t.Validate}, slow-path {!t.Accept},
+    (execute-phase {!t.Get} and {!t.Reads}, {!t.Validate}, slow-path {!t.Accept},
     asynchronous {!t.Write_back} — §5.2), the failure detector's
     {!t.Heartbeat} (§5.3), the backup-coordinator view change
     ({!t.Coord_change} / {!t.Vc_accept} and their replies — §5.3.2),
@@ -65,6 +65,11 @@ type t =
       ts : Mk_clock.Timestamp.t;
       commit : bool;
     }
+  | Reads of { coord : int; slot : int; seq : int; keys : int array }
+      (** Execute-phase versioned reads of several keys of one group,
+          all of one transaction, answered by one {!t.Read_replies}:
+          the client's read path (a [Get] per key is still answered,
+          for single-key probes). *)
   | Get_reply of {
       slot : int;
       seq : int;
@@ -80,6 +85,15 @@ type t =
       status : Mk_storage.Txn.status;
     }
   | Accepted of { slot : int; seq : int; replica : int; reply : accept_reply }
+  | Read_replies of {
+      slot : int;
+      seq : int;
+      replica : int;
+      values : int array;
+      wts : Mk_clock.Timestamp.t array;
+    }
+      (** The answer to a {!t.Reads}: [values.(i)] and [wts.(i)] are
+          the version of its [keys.(i)]. *)
   | Heartbeat of { from_ : int; paused : bool }
   | Coord_change of {
       observer : int;
@@ -124,7 +138,7 @@ type t =
   | Shutdown
 
 val kind : t -> int
-(** Stable frame tag (1–17); new kinds append, old tags never move. *)
+(** Stable frame tag (1–19); new kinds append, old tags never move. *)
 
 val kind_name : t -> string
 

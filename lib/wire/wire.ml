@@ -231,8 +231,9 @@ let magic1 = 'K'
    frames (no shard field) are rejected as [Bad_version] — the cluster
    is deployed as one unit, never mixed-version. Version 3: the
    view-change replies ([Coord_reply], [Vc_accept_reply]) carry the
-   view they answer. *)
-let version = 3
+   view they answer. Version 4: the multi-key execute-phase read
+   ([Reads] / [Read_replies], one frame per transaction and group). *)
+let version = 4
 let header_bytes = 10
 let max_shard = 0xffff
 

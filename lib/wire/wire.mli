@@ -93,7 +93,8 @@ val r_array : elt_min:int -> (cursor -> 'a) -> cursor -> 'a array
 val version : int
 (** Current wire version, stamped into every frame header. Version 2
     added the shard-group id; version 3 added the view to the
-    view-change replies. Frames of any other version are rejected. *)
+    view-change replies; version 4 added the multi-key read kinds.
+    Frames of any other version are rejected. *)
 
 val header_bytes : int
 (** Frame header size: magic (2) + version (1) + kind (1) +

@@ -83,7 +83,7 @@ let records rng =
     (Random.State.int rng 3)
     (fun _ -> (Random.State.int rng 1000, record_view rng))
 
-(* One random message of each of the 16 wire kinds. *)
+(* One random message of each of the 19 wire kinds. *)
 let gen_msg rng k : Codec.t =
   match k with
   | 0 -> Get { coord = i rng; slot = i rng; seq = i rng; key = i rng }
@@ -180,9 +180,28 @@ let gen_msg rng k : Codec.t =
                Some (List.init (Random.State.int rng 4) (fun _ -> store_row rng))
              else None);
         }
-  | _ -> Shutdown
+  | 15 -> Shutdown
+  | 16 -> Epoch_installed { replica = Random.State.int rng 7; epoch = i rng }
+  | 17 ->
+      Reads
+        {
+          coord = i rng;
+          slot = i rng;
+          seq = i rng;
+          keys = Array.init (Random.State.int rng 6) (fun _ -> i rng);
+        }
+  | _ ->
+      let n = Random.State.int rng 6 in
+      Read_replies
+        {
+          slot = i rng;
+          seq = i rng;
+          replica = Random.State.int rng 7;
+          values = Array.init n (fun _ -> i rng);
+          wts = Array.init n (fun _ -> ts rng);
+        }
 
-let n_kinds = 16
+let n_kinds = 19
 
 (* --- round-trip and determinism --- *)
 
@@ -209,7 +228,7 @@ let test_roundtrip_all_kinds () =
   done
 
 let test_kind_tags_stable () =
-  (* Frame tags are a wire contract: 1..16 in declaration order, and
+  (* Frame tags are a wire contract: 1..19, every kind its own, and
      byte 3 of every frame is the tag. *)
   let rng = Random.State.make [| 42 |] in
   let seen = Array.make (n_kinds + 1) false in
@@ -217,7 +236,7 @@ let test_kind_tags_stable () =
     let m = gen_msg rng k in
     let tag = Codec.kind m in
     Alcotest.(check bool)
-      (Codec.kind_name m ^ " tag in 1..16")
+      (Codec.kind_name m ^ " tag in 1..19")
       true
       (tag >= 1 && tag <= n_kinds && not seen.(tag));
     seen.(tag) <- true;
@@ -264,7 +283,7 @@ let test_shard_header_layout () =
   Alcotest.(check int) "shard lo byte" 0x02 (Char.code s.[4]);
   Alcotest.(check int) "shard hi byte" 0x01 (Char.code s.[5]);
   Alcotest.(check int) "header bytes" 10 Wire.header_bytes;
-  Alcotest.(check int) "wire version" 3 Wire.version
+  Alcotest.(check int) "wire version" 4 Wire.version
 
 let test_shard_range_checked () =
   let rng = Random.State.make [| 0x5A4F |] in
@@ -439,6 +458,53 @@ let test_hostile_count_bounded () =
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.error_to_string e)
   | Ok _ -> Alcotest.fail "hostile array count accepted"
 
+let test_hostile_read_counts () =
+  (* The two multi-key read frames each carry arrays whose counts come
+     off the wire: a count the frame's bytes cannot hold must fail as
+     [Malformed] before anything is allocated for it. *)
+  let frame ~kind payload =
+    let b = Buffer.create 64 in
+    payload b;
+    Wire.frame ~kind (Buffer.contents b)
+  in
+  let hostile = 0xFFFFFFFF in
+  let cases =
+    [
+      ( "reads keys",
+        frame ~kind:18 (fun b ->
+            List.iter (Wire.w_i64 b) [ 1; 2; 3 ];
+            Wire.w_u32 b hostile;
+            Wire.w_i64 b 4) );
+      ( "read_replies values",
+        frame ~kind:19 (fun b ->
+            List.iter (Wire.w_i64 b) [ 2; 3; 0 ];
+            Wire.w_u32 b hostile;
+            Wire.w_i64 b 5) );
+      ( "read_replies wts",
+        frame ~kind:19 (fun b ->
+            List.iter (Wire.w_i64 b) [ 2; 3; 0 ];
+            Wire.w_array Wire.w_i64 b [| 5 |];
+            Wire.w_u32 b hostile;
+            (* 16 bytes: room for one value, not for one timestamp. *)
+            Wire.w_i64 b 6;
+            Wire.w_i64 b 7) );
+      ( "read_replies wts, one short",
+        (* Two timestamps claimed, bytes for one and a half. *)
+        frame ~kind:19 (fun b ->
+            List.iter (Wire.w_i64 b) [ 2; 3; 0 ];
+            Wire.w_array Wire.w_i64 b [| 5; 6 |];
+            Wire.w_u32 b 2;
+            List.iter (Wire.w_i64 b) [ 7; 8; 9 ]) );
+    ]
+  in
+  List.iter
+    (fun (what, s) ->
+      match Codec.decode s with
+      | Error (Wire.Malformed _) -> ()
+      | Error e -> Alcotest.failf "%s: wrong error %s" what (Wire.error_to_string e)
+      | Ok m -> Alcotest.failf "%s: hostile count decoded as %s" what (Codec.kind_name m))
+    cases
+
 (* --- in place: frames inside a larger, reused buffer --- *)
 
 let same_result a b =
@@ -582,6 +648,16 @@ let test_decode_alloc_budget () =
         100,
         Validate { coord = 1; slot = 2; seq = 3; txn = txn_4r2w; ts } );
       ("write_back 4r/2w", 100, Write_back { txn = txn_4r2w; ts; commit = true });
+      ( "read_replies 4 keys",
+        64,
+        Read_replies
+          {
+            slot = 0;
+            seq = 3;
+            replica = 1;
+            values = [| 5; 6; 7; 8 |];
+            wts = Array.make 4 ts;
+          } );
     ]
   in
   List.iter
@@ -679,6 +755,8 @@ let () =
           Alcotest.test_case "random garbage" `Quick test_random_garbage;
           Alcotest.test_case "hostile count bounded" `Quick
             test_hostile_count_bounded;
+          Alcotest.test_case "hostile read counts" `Quick
+            test_hostile_read_counts;
         ] );
       ( "in place",
         [
