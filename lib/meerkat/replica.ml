@@ -48,9 +48,11 @@ type t = {
       (** Rebuilding after a crash: only an epoch install may unpause
           it, never {!resume}. *)
   stats : int array;
-  mutable durable_hook : durable_event -> unit;
-      (** Called with the same core-affinity as the handler that fired
-          it: [Finalized {core; _}] only from core [core]'s handlers,
+  mutable durable_hook : (durable_event -> unit) option;
+      (** [None] until {!set_durable_hook}: a replica without one
+          builds no event at all. Called with the same core-affinity
+          as the handler that fired it: [Finalized {core; _}] only
+          from core [core]'s handlers,
           [Installed _] only from the (paused) epoch-change driver —
           so a per-core WAL behind it has a single writer. *)
 }
@@ -79,10 +81,10 @@ let create ~id ~quorum ~cores =
     crashed = false;
     recovering = false;
     stats = Array.make (cores * stat_stride) 0;
-    durable_hook = ignore;
+    durable_hook = None;
   }
 
-let set_durable_hook t f = t.durable_hook <- f
+let set_durable_hook t f = t.durable_hook <- Some f
 
 let id t = t.id
 let cores t = t.ncores
@@ -186,7 +188,9 @@ let finalize_entry t ~core (entry : Trecord.entry) ~commit =
        need not track whether this replica's validation succeeded. *)
     Occ.abort_pending t.vstore entry.txn ~ts:entry.ts
   end;
-  t.durable_hook (Finalized { core; view = view_of_entry entry })
+  match t.durable_hook with
+  | Some hook -> hook (Finalized { core; view = view_of_entry entry })
+  | None -> ()
 
 let handle_commit t ~core ~txn ~ts ~commit =
   if t.crashed then None
@@ -271,7 +275,9 @@ let handle_epoch_complete t ~epoch ~records ~store =
       (Trecord.entries merged);
     t.paused <- false;
     t.recovering <- false;
-    t.durable_hook (Installed { epoch });
+    (match t.durable_hook with
+    | Some hook -> hook (Installed { epoch })
+    | None -> ());
     Some ()
   end
 

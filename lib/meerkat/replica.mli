@@ -67,7 +67,9 @@ val begin_recovery : t -> unit
 (** {2 Durability} *)
 
 val set_durable_hook : t -> (durable_event -> unit) -> unit
-(** Install the persistence callback (default: ignore). [Finalized
+(** Install the persistence callback (default: none, and then no
+    event is even built — a finalization on a replica without a hook
+    allocates no record view). [Finalized
     {core; _}] fires inside core [core]'s handler — same domain
     affinity as the trecord partition, so a per-core log behind the
     hook has a single writer; [Installed _] fires only from the

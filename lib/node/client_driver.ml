@@ -189,35 +189,25 @@ type coord_result = {
   c_minor_heap : int;
 }
 
-(* Each broadcast walks its replica mask in ascending order: one
-   frame per named replica, in the order the packer coalesces them.
-   Z7: [shard] comes from the router and the mask's bits from the
-   attempt table's [0, n) replica set. *)
+(* Each broadcast is one [send_mask]: the message is built and
+   encoded once, and its frame goes to every named replica in
+   ascending order, the order the packer coalesces them in.
+   Z7: [shard] comes from the router, never off the wire. *)
 let[@mk_lint.allow "Z7"] sender net ~addrs ~coord =
   {
     Attempts.validate =
       (fun ~shard ~mask ~id txn ts ->
-        for replica = 0 to Array.length addrs.(shard) - 1 do
-          if mask land (1 lsl replica) <> 0 then
-            Net.send net ~dst:addrs.(shard).(replica)
-              (shard, Codec.Validate { coord; slot = id; seq = 0; txn; ts })
-        done);
+        Net.send_mask net ~dsts:addrs.(shard) ~mask
+          (shard, Codec.Validate { coord; slot = id; seq = 0; txn; ts }));
     accept =
       (fun ~shard ~mask ~id txn ts decision ->
-        for replica = 0 to Array.length addrs.(shard) - 1 do
-          if mask land (1 lsl replica) <> 0 then
-            Net.send net ~dst:addrs.(shard).(replica)
-              ( shard,
-                Codec.Accept
-                  { coord; slot = id; seq = 0; txn; ts; decision; view = 0 } )
-        done);
+        Net.send_mask net ~dsts:addrs.(shard) ~mask
+          ( shard,
+            Codec.Accept { coord; slot = id; seq = 0; txn; ts; decision; view = 0 } ));
     write_back =
       (fun ~shard ~mask txn ts ~commit ->
-        for replica = 0 to Array.length addrs.(shard) - 1 do
-          if mask land (1 lsl replica) <> 0 then
-            Net.send net ~dst:addrs.(shard).(replica)
-              (shard, Codec.Write_back { txn; ts; commit })
-        done);
+        Net.send_mask net ~dsts:addrs.(shard) ~mask
+          (shard, Codec.Write_back { txn; ts; commit }));
   }
 
 let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =

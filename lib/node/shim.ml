@@ -19,7 +19,9 @@
    ([send]) — a full mailbox drops the message, which is exactly UDP's
    contract, and retransmission recovers it. A poll-mode shim has a
    single owner and no loop thread, so its [send] packs straight into
-   that packer. A node's cores each own another packer
+   that packer, and its [send_mask] encodes a broadcast once and
+   appends the one frame to every named destination's datagram. A
+   node's cores each own another packer
    on the same socket ({!packer}) and send their replies directly,
    with no hop through the outbox; every packer runs the
    same pack/coalesce/[sendto] code below.
@@ -207,31 +209,37 @@ module Make (A : ARRANGEMENT) = struct
     else if p.dsts.(i) = dst then i
     else slot_of p dst (i + 1)
 
-  (* Encode one message into the staging buffer and append it to the
-     open datagram for [dst]: opening one (after shipping them all if
-     the table is full), or shipping that one datagram first if the
-     frame would overflow it. *)
-  let pack p ~dst msg =
+  (* Encode one message into the staging buffer; its length. *)
+  let stage p msg =
     Buffer.clear p.frame;
     A.encode_into ~scratch:p.scratch ~out:p.frame msg;
-    let flen = Buffer.length p.frame in
+    Buffer.length p.frame
+
+  (* Append the staged frame ([flen] bytes, at most [max_datagram]) to
+     the open datagram for [dst]: opening one (after shipping them all
+     if the table is full), or shipping that one datagram first if the
+     frame would overflow it. Neither ship touches the staging buffer,
+     so one staged frame can go to several destinations. *)
+  let append p ~dst flen =
+    let i =
+      match slot_of p dst 0 with
+      | -1 ->
+          if p.n_open = open_slots then flush p;
+          let i = p.n_open in
+          p.dsts.(i) <- dst;
+          p.n_open <- i + 1;
+          i
+      | i ->
+          if Buffer.length p.dgrams.(i) + flen > max_datagram then ship p i;
+          i
+    in
+    p.frames.(i) <- p.frames.(i) + 1;
+    Buffer.add_buffer p.dgrams.(i) p.frame
+
+  let pack p ~dst msg =
+    let flen = stage p msg in
     if flen > max_datagram then p.send_errors <- p.send_errors + 1
-    else begin
-      let i =
-        match slot_of p dst 0 with
-        | -1 ->
-            if p.n_open = open_slots then flush p;
-            let i = p.n_open in
-            p.dsts.(i) <- dst;
-            p.n_open <- i + 1;
-            i
-        | i ->
-            if Buffer.length p.dgrams.(i) + flen > max_datagram then ship p i;
-            i
-      in
-      p.frames.(i) <- p.frames.(i) + 1;
-      Buffer.add_buffer p.dgrams.(i) p.frame
-    end
+    else append p ~dst flen
 
   (* A shim that was never started has one owner, the thread that
      polls it: its sends pack straight into the outbox packer, which
@@ -251,6 +259,29 @@ module Make (A : ARRANGEMENT) = struct
           try ignore (Unix.write_substring t.wake_wr "w" 0 1 : int)
           with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
       | Some _ | None -> ()
+
+  (* One broadcast: the destinations [dsts.(r)] whose bit [r] is set in
+     [mask], in ascending [r]. A poll-mode shim encodes the message
+     once and appends that one frame to each destination's datagram —
+     the bytes on the wire are exactly those of one [send] per
+     destination, in the same order. A started shim has no single
+     owner of its packer, so each destination goes through [send]. *)
+  let send_mask t ~dsts ~mask msg =
+    if not t.threaded then begin
+      if mask <> 0 then begin
+        let p = t.out in
+        let flen = stage p msg in
+        for r = 0 to Array.length dsts - 1 do
+          if mask land (1 lsl r) <> 0 then
+            if flen > max_datagram then p.send_errors <- p.send_errors + 1
+            else append p ~dst:dsts.(r) flen
+        done
+      end
+    end
+    else
+      for r = 0 to Array.length dsts - 1 do
+        if mask land (1 lsl r) <> 0 then send t ~dst:dsts.(r) msg
+      done
 
   let fold_tally p obs =
     Obs.note_wire_tx_burst obs ~msgs:p.sent_frames ~bytes:p.sent_bytes;

@@ -108,6 +108,15 @@ module Make (A : ARRANGEMENT) : sig
       counted under [wire.send_errors], since no retransmit could
       ever deliver it. *)
 
+  val send_mask : t -> dsts:Unix.sockaddr array -> mask:int -> A.msg -> unit
+  (** Broadcast one message to every [dsts.(r)] whose bit [r] is set
+      in [mask], in ascending [r]: the same frames and datagrams as
+      one {!send} per destination in that order. On a poll-mode shim
+      the message is encoded once, however many destinations it
+      goes to (an oversized frame counts one send error per
+      destination); a started shim falls back to one {!send} per
+      destination. *)
+
   type packer
   (** Flush-side state for one sender: payload scratch, frame staging
       buffer, a fixed table of open datagrams with their destinations,

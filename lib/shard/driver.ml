@@ -49,47 +49,15 @@ module Make (G : GROUP) = struct
   let shards t = Array.length t.groups
   let group t s = t.groups.(s)
 
-  let read_shard (a : Xcoord.action) =
-    match a with Xcoord.Read { shard; _ } -> shard | _ -> -1
-
-  (* Xcoord issues its reads in request order, all at once. Each
-     involved shard gets one batch, in the order the shards first
-     appear, holding that shard's keys in request order; a batch's
-     answer [i] is the read at [index.(i)]. *)
-  let rec issue_reads t ~client ~dispatch actions =
-    match actions with
-    | [] -> ()
-    | a :: rest when read_shard a < 0 -> issue_reads t ~client ~dispatch rest
-    | a :: _ ->
-        let shard = read_shard a in
-        let n =
-          List.fold_left
-            (fun n a -> if read_shard a = shard then n + 1 else n)
-            0 actions
-        in
-        let keys = Array.make n 0 and index = Array.make n 0 in
-        let j = ref 0 in
-        let others =
-          List.filter
-            (fun (a : Xcoord.action) ->
-              match a with
-              | Xcoord.Read r when r.shard = shard ->
-                  keys.(!j) <- r.key;
-                  index.(!j) <- r.index;
-                  incr j;
-                  false
-              | _ -> true)
-            actions
-        in
-        G.execute_reads t.groups.(shard) ~client ~keys (fun i value wts ->
-            dispatch (Xcoord.Read_done { index = index.(i); value; wts }));
-        issue_reads t ~client ~dispatch others
-
   let submit t ~client ~reads ~writes ~on_done =
     let m, actions = Xcoord.start ~router:t.router ~reads in
     let rec perform (a : Xcoord.action) =
       match a with
-      | Xcoord.Read _ -> ()
+      | Xcoord.Read { shard; keys; index } ->
+          (* One batch per involved shard; answer [i] is read
+             [index.(i)] of the request. *)
+          G.execute_reads t.groups.(shard) ~client ~keys (fun i value wts ->
+              dispatch (Xcoord.Read_done { index = index.(i); value; wts }))
       | Xcoord.Need_stamp ->
           let ws = writes (Xcoord.values m) in
           let tid, ts = G.fresh_txn_stamp t.groups.(0) ~client in
@@ -106,7 +74,6 @@ module Make (G : GROUP) = struct
           else t.aborted <- t.aborted + 1;
           on_done ~committed
     and dispatch ev = List.iter perform (Xcoord.handle m ev) in
-    issue_reads t ~client ~dispatch actions;
     List.iter perform actions
 
   let committed t = t.committed

@@ -11,7 +11,7 @@ module Timestamp = Mk_clock.Timestamp
 module Txn = Mk_storage.Txn
 
 type action =
-  | Read of { shard : int; key : int; index : int }
+  | Read of { shard : int; keys : int array; index : int array }
   | Need_stamp
   | Prepare of { shard : int; txn : Txn.t; ts : Timestamp.t }
   | Finalize of { shard : int; txn : Txn.t; ts : Timestamp.t; commit : bool }
@@ -36,10 +36,53 @@ type t = {
   router : Router.t;
   reads : int array;  (** Global keys, in request order. *)
   read_entries : Txn.read_entry array;
+      (** Slot [i] is {!unread} until read [i] answers. *)
   values : int array;
-  got : bool array;  (** Which read indices have answered. *)
   mutable phase : phase;
 }
+
+(* The placeholder of a read that has not answered yet, compared by
+   identity: one shared immutable record, so starting a transaction
+   builds no entry per key. *)
+let unread = { Txn.key = -1; wts = Timestamp.zero }
+
+(* One [Read] per involved shard, shards in first-appearance order,
+   keys in request order: a first pass maps every key and collects the
+   distinct shards, then one pass per shard gathers its keys. *)
+let per_shard_reads router reads =
+  let n = Array.length reads in
+  let shard_of = Array.make n 0 and local = Array.make n 0 in
+  let order = Array.make n 0 and counts = Array.make n 0 in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let s = Router.shard_of_key router reads.(i) in
+    shard_of.(i) <- s;
+    local.(i) <- Router.local_key router reads.(i);
+    let j = ref 0 in
+    while !j < !m && order.(!j) <> s do
+      incr j
+    done;
+    if !j = !m then begin
+      order.(!m) <- s;
+      incr m
+    end;
+    counts.(!j) <- counts.(!j) + 1
+  done;
+  let actions = ref [] in
+  for j = !m - 1 downto 0 do
+    let shard = order.(j) in
+    let keys = Array.make counts.(j) 0 and index = Array.make counts.(j) 0 in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if shard_of.(i) = shard then begin
+        keys.(!k) <- local.(i);
+        index.(!k) <- i;
+        incr k
+      end
+    done;
+    actions := Read { shard; keys; index } :: !actions
+  done;
+  !actions
 
 let start ~router ~reads =
   let n = Array.length reads in
@@ -47,10 +90,8 @@ let start ~router ~reads =
     {
       router;
       reads;
-      read_entries =
-        Array.map (fun key -> { Txn.key; wts = Timestamp.zero }) reads;
+      read_entries = Array.make n unread;
       values = Array.make n 0;
-      got = Array.make n false;
       phase = Executing { missing = n };
     }
   in
@@ -58,24 +99,20 @@ let start ~router ~reads =
     t.phase <- Stamping;
     (t, [ Need_stamp ])
   end
-  else
-    ( t,
-      List.init n (fun index ->
-          let key = reads.(index) in
-          Read
-            {
-              shard = Router.shard_of_key router key;
-              key = Router.local_key router key;
-              index;
-            }) )
+  else if Router.shards router = 1 then
+    (* One shard: local keys are the global keys, so the request's own
+       array is the batch and answer [i] is read [i]. *)
+    (t, [ Read { shard = 0; keys = reads; index = Array.init n Fun.id } ])
+  else (t, per_shard_reads router reads)
 
 let handle t (ev : event) =
   match (t.phase, ev) with
   | Executing e, Read_done { index; value; wts } ->
-      if index < 0 || index >= Array.length t.reads || t.got.(index) then []
+      if index < 0 || index >= Array.length t.reads
+         || t.read_entries.(index) != unread
+      then []
       else begin
-        t.got.(index) <- true;
-        t.read_entries.(index) <- { (t.read_entries.(index)) with Txn.wts };
+        t.read_entries.(index) <- { Txn.key = t.reads.(index); wts };
         t.values.(index) <- value;
         e.missing <- e.missing - 1;
         if e.missing = 0 then begin
@@ -125,8 +162,7 @@ let handle t (ev : event) =
      transport below must not be able to corrupt the vote. *)
   | (Executing _ | Stamping | Preparing _ | Decided _), _ -> []
 
-let values t = Array.copy t.values
-let read_set t = Array.to_list t.read_entries
+let values t = t.values
 
 let decided t = match t.phase with Decided _ -> true | _ -> false
 

@@ -4,8 +4,8 @@
     One value of type {!t} is the state machine of a single
     cross-shard commit attempt, in the action-list style of
     {!Mk_meerkat.Protocol}: it consumes shard replies and emits the
-    {!action}s a driver must perform — read a key from its owning
-    shard, mint the global stamp, run the validation phase in every
+    {!action}s a driver must perform — read each involved shard's
+    keys from it, mint the global stamp, run the validation phase in every
     involved shard in parallel, then write back everywhere with the
     global outcome. It knows nothing about transports or time: the
     sim drives it over simulated groups, the live runtime over
@@ -28,11 +28,16 @@
     timer-free, which is also what keeps it trivially pure (lint Z6). *)
 
 type action =
-  | Read of { shard : int; key : int; index : int }
-      (** Execute-phase read of local [key] against [shard]; answer
-          with [Read_done] carrying the same [index]. Reads are issued
-          in request order, all at once — owning shards serve them in
-          parallel. *)
+  | Read of { shard : int; keys : int array; index : int array }
+      (** Execute-phase reads of [shard]'s local [keys], one action
+          per involved shard: shards in the order they first appear
+          in the request, keys in request order. The answer for
+          [keys.(i)] is [Read_done] with [index = index.(i)], its
+          position in the request. All reads are issued at once —
+          owning shards serve them in parallel. With one shard the
+          batch is the request's own key array (local keys are the
+          global keys) and [index] is the identity. Neither array may
+          be mutated. *)
   | Need_stamp
       (** Every read value is in hand: the driver must mint the global
           tid + timestamp (one per transaction, shared by every
@@ -70,8 +75,9 @@ type t
 
 val start : router:Router.t -> reads:int array -> t * action list
 (** Begin a cross-shard attempt reading the given global keys:
-    returns the machine and the initial actions (one [Read] per key,
-    or [Need_stamp] immediately when there are none). *)
+    returns the machine and the initial actions (one [Read] per
+    involved shard, or [Need_stamp] immediately when there are no
+    reads). *)
 
 val handle : t -> event -> action list
 (** Feed one event; returns the actions to perform, in order. Events
@@ -83,10 +89,8 @@ val handle : t -> event -> action list
 val values : t -> int array
 (** The values the execute phase read, in request order — what an
     interactive transaction's write computation consumes. Only
-    meaningful once [Need_stamp] has been emitted. *)
-
-val read_set : t -> Mk_storage.Txn.read_entry list
-(** The accumulated global-key read set. *)
+    meaningful once [Need_stamp] has been emitted. The machine's own
+    array, not a copy: read it, never mutate it. *)
 
 val decided : t -> bool
 val committed : t -> bool

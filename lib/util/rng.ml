@@ -1,9 +1,13 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* xoshiro256** state: s0..s3 as four native-endian int64 words in one
+   32-byte buffer. Reading and writing them through the bytes
+   primitives keeps every step in unboxed registers — four mutable
+   [int64] record fields would box on every store. *)
+type t = Bytes.t
+
+(* The buffer is always exactly 32 bytes (made by [create] or [copy]),
+   so the offsets below are in range by construction. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64, used only to expand a seed into xoshiro state. *)
 let splitmix64 state =
@@ -16,48 +20,52 @@ let splitmix64 state =
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step. Inlined into each caller, so the result
+   stays unboxed unless the caller itself returns an [int64]. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 8 (logxor s1 s2);
+  set64 t 0 (logxor s0 s3);
+  set64 t 16 (logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let bits64 t = next t
+let copy = Bytes.copy
 
 let split t =
   (* Reseed a fresh generator from the parent's stream. *)
-  let seed = Int64.to_int (bits64 t) land max_int in
+  let seed = Int64.to_int (next t) land max_int in
   create ~seed
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is negligible for
      bounds far below 2^62, which covers all simulator uses. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
 let uniform t =
   (* 53 random bits mapped to [0, 1). *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v *. 0x1.0p-53
 
 let float t bound = uniform t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.to_int (next t) land 1 = 1
 
 let exponential t ~mean =
   let u = uniform t in

@@ -4,7 +4,11 @@
     produces the same event sequence. We therefore avoid the global
     [Random] state and thread explicit generators everywhere. The
     generator is xoshiro256** seeded via splitmix64, following the
-    reference implementation of Blackman and Vigna. *)
+    reference implementation of Blackman and Vigna.
+
+    The state lives in unboxed words: {!int} and {!bool} allocate
+    nothing, and {!uniform}, {!float} and {!exponential} only their
+    boxed float result. *)
 
 type t
 

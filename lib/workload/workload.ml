@@ -51,31 +51,48 @@ let make ?(rmw = false) ?locality ~name ~rng ~keys ~theta shapes =
     next_value = 1;
   }
 
+(* Plain loops, not closures: [next] runs once per transaction on
+   every backend's client path, and a closure or an [Array.exists]
+   callback per draw is most of what it would otherwise allocate. *)
 let pick_shape t =
   let u = Rng.uniform t.rng in
-  let rec find i =
-    if i = Array.length t.cumulative - 1 || u < t.cumulative.(i) then i
-    else find (i + 1)
-  in
-  find 0
+  let last = Array.length t.cumulative - 1 in
+  let i = ref 0 in
+  while !i < last && not (u < t.cumulative.(!i)) do
+    incr i
+  done;
+  !i
 
 (* Draw [count] distinct keys; resampling terminates because workloads
-   always use far fewer keys per transaction than the keyspace holds. *)
+   always use far fewer keys per transaction than the keyspace holds.
+   A duplicate is redrawn in place: one sample per attempt, so the
+   stream of draws does not depend on how duplicates are found. *)
 let distinct_keys t count =
   let chosen = Array.make count (-1) in
-  let rec draw i =
-    if i < count then begin
-      let key = Zipf.sample t.zipf in
-      let dup = Array.exists (fun k -> k = key) chosen in
-      if dup then draw i
-      else begin
-        chosen.(i) <- key;
-        draw (i + 1)
-      end
+  let i = ref 0 in
+  while !i < count do
+    let key = Zipf.sample t.zipf in
+    let j = ref 0 in
+    while !j < !i && chosen.(!j) <> key do
+      incr j
+    done;
+    if !j = !i then begin
+      chosen.(!i) <- key;
+      incr i
     end
-  in
-  draw 0;
+  done;
   chosen
+
+(* [(keys.(from + i), value + i)] for [i < count]: the write set. *)
+let writes_of keys ~from ~count ~value =
+  if count = 0 then [||]
+  else begin
+    let w = Array.make count (keys.(from), value) in
+    for i = 1 to count - 1 do
+      w.(i) <- (keys.(from + i), value + i)
+    done;
+    w
+  end
 
 (* --- Shard locality (the cross-shard knob, DESIGN.md §13). ---
 
@@ -155,16 +172,13 @@ let next t =
     (* Read-modify-write every key of the transaction. *)
     let keys = localize t (distinct_keys t ngets) in
     t.next_value <- value + ngets;
-    {
-      Intf.reads = keys;
-      writes = Array.mapi (fun i key -> (key, value + i)) keys;
-    }
+    { Intf.reads = keys; writes = writes_of keys ~from:0 ~count:ngets ~value }
   end
   else begin
     let keys = localize t (distinct_keys t (ngets + shape.puts)) in
     let reads = Array.sub keys 0 ngets in
     t.next_value <- value + shape.puts;
-    let writes = Array.init shape.puts (fun i -> (keys.(ngets + i), value + i)) in
+    let writes = writes_of keys ~from:ngets ~count:shape.puts ~value in
     { Intf.reads; writes }
   end
 

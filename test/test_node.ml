@@ -548,6 +548,144 @@ let test_packer_oversized_frame_spares_open_datagrams () =
   Alcotest.(check int) "datagrams tallied = datagrams received" 2
     (Mk_obs.Obs.counter_value obs "wire.dgrams_tx")
 
+(* Raw UDP receivers: the exact datagrams a shim sent, byte for
+   byte, with no decoder in between. *)
+let with_raw_sockets n f =
+  let socks =
+    Array.init n (fun _ ->
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+        Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        s)
+  in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Unix.close socks)
+    (fun () -> f socks)
+
+(* Every datagram that reaches [sock] until it stays quiet for
+   50 ms, in arrival order. *)
+let drain_raw sock =
+  let buf = Bytes.create 65535 in
+  let rec go acc =
+    match Unix.select [ sock ] [] [] 0.05 with
+    | [], _, _ -> List.rev acc
+    | _ ->
+        let len, _ = Unix.recvfrom sock buf 0 (Bytes.length buf) [] in
+        go (Bytes.sub_string buf 0 len :: acc)
+  in
+  go []
+
+(* How many frames the arrangement below has encoded. *)
+let counted_encodes = ref 0
+
+module Counted = Mk_node.Shim.Make (struct
+  type msg = string
+
+  let encode_into ~scratch:_ ~out s =
+    incr counted_encodes;
+    Buffer.add_char out (Char.chr (String.length s));
+    Buffer.add_string out s
+
+  let decode_at ?limit:_ _ ~pos:_ = Error (Mk_wire.Wire.Truncated { need = 0; have = 0 })
+end)
+
+let test_send_mask_matches_sends () =
+  (* One broadcast through [send_mask] must put exactly the bytes on
+     the wire that one [send] per named destination, in ascending
+     order, would: same frames, same coalescing into each peer's open
+     datagram. The broadcast is encoded once, however many peers it
+     names. *)
+  with_raw_sockets 3 @@ fun socks ->
+  let dsts = Array.map Unix.getsockname socks in
+  let capture ~broadcast =
+    match Counted.bind () with
+    | Error e -> Alcotest.failf "bind: %s" e
+    | Ok net ->
+        Fun.protect ~finally:(fun () -> Counted.stop net) @@ fun () ->
+        (* An open datagram to peer 1 already, then four broadcasts,
+           one of them to nobody. *)
+        Counted.send net ~dst:dsts.(1) "lead";
+        List.iter
+          (fun (mask, msg) -> broadcast net ~mask msg)
+          [ (0b111, "all"); (0b101, "ends"); (0, "none"); (0b010, "mid") ];
+        ignore (Counted.poll net ~deliver:(fun ~src:_ _ -> ()) : int);
+        Array.map drain_raw socks
+  in
+  let per_dst net ~mask msg =
+    Array.iteri
+      (fun r dst -> if mask land (1 lsl r) <> 0 then Counted.send net ~dst msg)
+      dsts
+  in
+  let expected = capture ~broadcast:per_dst in
+  counted_encodes := 0;
+  let got =
+    capture ~broadcast:(fun net ~mask msg -> Counted.send_mask net ~dsts ~mask msg)
+  in
+  Alcotest.(check (array (list string))) "datagrams byte-identical" expected got;
+  Alcotest.(check (array (list string)))
+    "one coalesced datagram per peer"
+    [|
+      [ "\003all\004ends" ];
+      [ "\004lead\003all\003mid" ];
+      [ "\003all\004ends" ];
+    |]
+    got;
+  (* "lead" plus one encode per non-empty broadcast: the empty mask
+     encodes nothing. *)
+  Alcotest.(check int) "one encode per broadcast" 4 !counted_encodes
+
+let test_send_mask_oversized_per_destination () =
+  (* A frame too large for any datagram is dropped; the drop counts
+     once per destination it was meant for, as [send]s would, and the
+     datagrams already open still leave. *)
+  with_txts 1 @@ fun tx ->
+  with_txts 3 @@ fun rxs ->
+  let net, obs = tx.(0) in
+  let dsts = Array.map (fun (rx, _) -> loopback rx) rxs in
+  Txt.send_mask net ~dsts ~mask:0b111 "before";
+  Txt.send_mask net ~dsts ~mask:0b101 (String.make 70_000 'x');
+  ignore (Txt.poll net ~deliver:(fun ~src:_ _ -> ()) : int);
+  Alcotest.(check int) "one send error per destination" 2
+    (Mk_obs.Obs.counter_value obs "wire.send_errors");
+  Alcotest.(check (array (list string)))
+    "open datagrams intact"
+    [| [ "before" ]; [ "before" ]; [ "before" ] |]
+    (collect rxs ~want:1)
+
+let test_send_mask_threaded_uses_outbox () =
+  (* A started shim's packer belongs to its loop thread, so a
+     broadcast from any other thread must go through the bounded
+     outbox, one entry per destination, like [send]. Hold the loop in
+     its tick while two 3-peer broadcasts meet a 4-entry outbox: four
+     frames fit and two drop. Packing into the loop's datagrams
+     directly would deliver all six (and race the loop thread). *)
+  match Txt.bind ~outbox:4 () with
+  | Error e -> Alcotest.failf "bind: %s" e
+  | Ok a ->
+      with_txts 3 @@ fun rxs ->
+      let dsts = Array.map (fun (rx, _) -> loopback rx) rxs in
+      let entered = ref false and release = ref false in
+      let tick ~now_us:_ =
+        entered := true;
+        while not !release do
+          Thread.delay 0.001
+        done
+      in
+      Txt.start a { Txt.deliver = (fun ~src:_ _ -> ()); tick };
+      Fun.protect ~finally:(fun () -> release := true; Txt.stop a) @@ fun () ->
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while (not !entered) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.001
+      done;
+      Alcotest.(check bool) "loop held in its tick" true !entered;
+      Txt.send_mask a ~dsts ~mask:0b111 "first";
+      Txt.send_mask a ~dsts ~mask:0b111 "second";
+      release := true;
+      let got = collect rxs ~want:2 in
+      Alcotest.(check (array (list string)))
+        "the outbox's four entries, in order"
+        [| [ "first"; "second" ]; [ "first" ]; [ "first" ] |]
+        got
+
 let test_core_send_tallies ~cores () =
   (* Cores answer on the socket through their own packers; what they
      send is counted per core and folded in at [wait]. Core 0's packer
@@ -1485,6 +1623,12 @@ let () =
             test_packer_spills_past_its_table;
           Alcotest.test_case "packer: oversized frame spares the rest"
             `Quick test_packer_oversized_frame_spares_open_datagrams;
+          Alcotest.test_case "send_mask: bytes of per-destination sends"
+            `Quick test_send_mask_matches_sends;
+          Alcotest.test_case "send_mask: oversized counted per destination"
+            `Quick test_send_mask_oversized_per_destination;
+          Alcotest.test_case "send_mask: a started shim uses the outbox"
+            `Quick test_send_mask_threaded_uses_outbox;
         ] );
       ( "durable",
         [

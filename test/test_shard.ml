@@ -118,10 +118,39 @@ let test_router_validation () =
 
 let router2 = Router.create ~shards:2 ~keys:16 ()
 
+(* Every read the actions ask for, as (shard, local key, request
+   index) triples in issue order. *)
 let read_actions actions =
-  List.filter_map
-    (function Xcoord.Read { shard; key; index } -> Some (shard, key, index) | _ -> None)
+  List.concat_map
+    (function
+      | Xcoord.Read { shard; keys; index } ->
+          List.init (Array.length keys) (fun i -> (shard, keys.(i), index.(i)))
+      | _ -> [])
     actions
+
+let read_batches actions =
+  List.filter_map
+    (function
+      | Xcoord.Read { shard; keys; index } -> Some (shard, keys, index)
+      | _ -> None)
+    actions
+
+let test_xcoord_one_read_per_shard () =
+  (* Keys 5, 2, 7, 4, 1 on 2 shards (mod): shard 1 appears first. *)
+  let reads = [| 5; 2; 7; 4; 1 |] in
+  let _, actions = Xcoord.start ~router:router2 ~reads in
+  Alcotest.(check (list (triple int (array int) (array int))))
+    "one batch per shard, first-appearance order, keys in request order"
+    [ (1, [| 2; 3; 0 |], [| 0; 2; 4 |]); (0, [| 1; 2 |], [| 1; 3 |]) ]
+    (read_batches actions);
+  (* One shard: the request's own array, identity index. *)
+  let router1 = Router.create ~shards:1 ~keys:16 () in
+  let _, actions = Xcoord.start ~router:router1 ~reads in
+  match actions with
+  | [ Xcoord.Read { shard = 0; keys; index } ] ->
+      Alcotest.(check bool) "request's key array reused" true (keys == reads);
+      Alcotest.(check (array int)) "identity index" [| 0; 1; 2; 3; 4 |] index
+  | _ -> Alcotest.fail "one shard: expected exactly one Read"
 
 let test_xcoord_happy_path () =
   (* Read keys 0 (shard 0) and 1 (shard 1), write both: full 2PC. *)
@@ -359,6 +388,8 @@ let () =
             test_xcoord_single_shard_and_empty;
           Alcotest.test_case "duplicates ignored" `Quick
             test_xcoord_duplicates_ignored;
+          Alcotest.test_case "one read action per shard" `Quick
+            test_xcoord_one_read_per_shard;
         ] );
       ( "history",
         [

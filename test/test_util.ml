@@ -65,6 +65,81 @@ let test_rng_copy_replays () =
   let b = Rng.bits64 snap in
   Alcotest.(check int64) "copy replays" a b
 
+(* The stream itself, pinned: every sim golden and seeded workload
+   rests on these exact outputs, so a change to the generator's state
+   layout must not move a single bit. *)
+let test_rng_pinned_streams () =
+  let first3 seed =
+    let r = Rng.create ~seed in
+    let a = Rng.bits64 r in
+    let b = Rng.bits64 r in
+    let c = Rng.bits64 r in
+    [ a; b; c ]
+  in
+  let check name seed expected =
+    Alcotest.(check (list int64)) name expected (first3 seed)
+  in
+  check "seed 0" 0
+    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L ];
+  check "seed 1" 1
+    [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L ];
+  check "seed 42" 42
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L ];
+  check "seed max_int" max_int
+    [ 7651040205805895144L; 8109190802567772668L; -9096090508748817784L ];
+  (* The derived draws consume the same stream. *)
+  let r = Rng.create ~seed:42 in
+  let i1 = Rng.int r 1000 in
+  let i2 = Rng.int r 1000 in
+  let i3 = Rng.int r 1000 in
+  Alcotest.(check (list int)) "int 1000, seed 42" [ 685; 775; 752 ] [ i1; i2; i3 ];
+  Alcotest.(check (float 0.0)) "uniform, seed 42" 0x1.d9715a8e0766cp-1 (Rng.uniform r);
+  Alcotest.(check bool) "bool, seed 42" false (Rng.bool r);
+  let r = Rng.create ~seed:0 in
+  ignore (Rng.int r 1000 : int);
+  ignore (Rng.int r 1000 : int);
+  ignore (Rng.int r 1000 : int);
+  Alcotest.(check (float 0.0)) "uniform, seed 0" 0x1.aa9653c498b4ap-2 (Rng.uniform r);
+  Alcotest.(check bool) "bool, seed 0" true (Rng.bool r)
+
+let test_rng_pinned_split_and_copy () =
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  let c1 = Rng.bits64 child in
+  let c2 = Rng.bits64 child in
+  Alcotest.(check (list int64)) "split child, seed 42"
+    [ -8150312660505607085L; 1184342940732292706L ]
+    [ c1; c2 ];
+  (* [split] consumed exactly one parent draw. *)
+  Alcotest.(check int64) "parent after split" 6990951692964543102L
+    (Rng.bits64 parent);
+  let r = Rng.create ~seed:7 in
+  ignore (Rng.bits64 r : int64);
+  let snap = Rng.copy r in
+  let d1 = Rng.bits64 snap in
+  let d2 = Rng.bits64 snap in
+  Alcotest.(check (list int64)) "copy, seed 7 after one draw"
+    [ 5142052590334782674L; -2958351167216911978L ]
+    [ d1; d2 ];
+  (* The copy is independent: the original still replays from where
+     the copy was taken. *)
+  let o1 = Rng.bits64 r in
+  let o2 = Rng.bits64 r in
+  Alcotest.(check (list int64)) "original unaffected by the copy" [ d1; d2 ] [ o1; o2 ]
+
+(* The per-draw fast path: [int] keeps the state and every step in
+   unboxed words, so it allocates nothing at all. *)
+let test_rng_int_allocates_nothing () =
+  let rng = Rng.create ~seed:3 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int rng 100
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "drew something" true (!acc > 0);
+  Alcotest.(check (float 0.0)) "words over 10 000 Rng.int calls" 0.0 words
+
 let test_rng_exponential_mean () =
   let rng = Rng.create ~seed:17 in
   let n = 100_000 in
@@ -225,6 +300,11 @@ let () =
           Alcotest.test_case "copy replays" `Quick test_rng_copy_replays;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "pinned split and copy" `Quick
+            test_rng_pinned_split_and_copy;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_allocates_nothing;
         ] );
       ( "heap",
         [
