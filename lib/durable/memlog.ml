@@ -8,7 +8,8 @@
 type t = { log : Buffer.t; mutable snap : string option }
 
 let create () = { log = Buffer.create 256; snap = None }
-let append t s = Buffer.add_string t.log s
+let append_frame t f =
+  Buffer.add_subbytes t.log (Walcodec.frame_bytes f) 0 (Walcodec.frame_length f)
 let log_contents t = Buffer.contents t.log
 let log_length t = Buffer.length t.log
 let set_snapshot t s = t.snap <- Some s

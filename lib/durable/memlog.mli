@@ -7,7 +7,8 @@
 type t
 
 val create : unit -> t
-val append : t -> string -> unit
+val append_frame : t -> Walcodec.framer -> unit
+(** Append the framer's current frame ({!Walcodec.encode_record_into}). *)
 
 val log_contents : t -> string
 (** Feed to {!Walcodec.read_records}. *)

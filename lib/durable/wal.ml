@@ -42,20 +42,19 @@ let open_log ~path ~policy =
 
 let length t = t.length
 
-let write_all fd s =
-  let n = String.length s in
+let write_all fd b n =
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
+    off := !off + Unix.write fd b !off (n - !off)
   done
 
 let fsync t =
   Unix.fsync t.fd;
   t.unsynced <- 0
 
-let append t s =
-  write_all t.fd s;
-  t.length <- t.length + String.length s;
+let append_bytes t b n =
+  write_all t.fd b n;
+  t.length <- t.length + n;
   t.unsynced <- t.unsynced + 1;
   match t.policy with
   | Always ->
@@ -68,6 +67,12 @@ let append t s =
       end
       else `Buffered
   | Never -> `Buffered
+
+let append_frame t f =
+  append_bytes t (Walcodec.frame_bytes f) (Walcodec.frame_length f)
+
+(* [Unix.write] only reads the bytes. *)
+let append t s = append_bytes t (Bytes.unsafe_of_string s) (String.length s)
 
 let sync t = if t.unsynced > 0 then fsync t
 

@@ -25,9 +25,14 @@ val open_log : path:string -> policy:policy -> t
 (** Open (creating if absent) for appending; existing bytes are kept
     and counted in {!length}. *)
 
-val append : t -> string -> [ `Synced | `Buffered ]
-(** Append one framed record and apply the fsync policy; says whether
+val append_frame : t -> Walcodec.framer -> [ `Synced | `Buffered ]
+(** Append the framer's current frame ({!Walcodec.encode_record_into})
+    straight from its buffer and apply the fsync policy; says whether
     this append carried an fsync (for the [wal.fsyncs] counter). *)
+
+val append : t -> string -> [ `Synced | `Buffered ]
+(** {!append_frame} for a frame already in a string
+    ({!Walcodec.encode_record}). *)
 
 val sync : t -> unit
 (** Flush the unsynced window now (end of run, or pre-snapshot). *)

@@ -10,6 +10,12 @@
    frame of the same shape whose payload is
    [i64 core][i64 epoch][i64 wal_cut][record_view list][store_row list].
 
+   A writer frames each record into its own reused {!framer}: the
+   payload is staged once, copied once to sit behind the header, and
+   checksummed where it lands. The reader checks each frame in place,
+   checksumming its region of the log and parsing from a cursor
+   narrowed to it, so replay copies no payload either.
+
    Everything here is pure (rule Z6) and the readers are total (rule
    Z7): a torn tail, a flipped bit, or outright garbage yields the
    longest valid prefix (log) or [None] (snapshot) — never an
@@ -25,32 +31,58 @@ open Wire
 
 type record = { core : int; view : Replica.record_view }
 
-(* Frame a payload: crc first so a torn write that only got the
-   header out still fails the checksum (the length prefix alone would
-   happily describe the missing bytes). *)
-let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  w_u32 b (Crc32.digest payload);
-  w_string b payload;
-  Buffer.contents b
+(* A frame is [crc][len][payload], crc first so a torn write that only
+   got the header out still fails the checksum (the length prefix alone
+   would happily describe the missing bytes). [seal p out] frames the
+   payload staged in [p] at the front of [out], which has room for it:
+   one copy of the payload, checksummed where it lands. *)
+let seal p out =
+  let len = Buffer.length p in
+  if len > 0xffff_ffff then invalid_arg "Walcodec: payload over 4 GiB";
+  Buffer.blit p 0 out 8 len;
+  (* The string view lives only for this call; [out] is not written
+     while it is read. *)
+  let crc = Crc32.digest_sub (Bytes.unsafe_to_string out) ~pos:8 ~len in
+  Bytes.set_int32_le out 0 (Int32.of_int crc);
+  Bytes.set_int32_le out 4 (Int32.of_int len)
 
-let encode_record { core; view } =
-  let p = Buffer.create 96 in
+type framer = { payload : Buffer.t; mutable out : Bytes.t; mutable len : int }
+
+let framer () = { payload = Buffer.create 256; out = Bytes.create 264; len = 0 }
+let frame_bytes f = f.out
+let frame_length f = f.len
+
+let encode_record_into f { core; view } =
+  let p = f.payload in
+  Buffer.clear p;
   w_i64 p core;
   Codec.w_record_view p view;
-  frame (Buffer.contents p)
+  let need = 8 + Buffer.length p in
+  if Bytes.length f.out < need then
+    f.out <- Bytes.create (max need (2 * Bytes.length f.out));
+  seal p f.out;
+  f.len <- need
 
-(* The checksummed payload of the frame at [pos] (framed size: 8 +
-   its length), or [None] on a torn or corrupt tail. *)
+let encode_record r =
+  let f = framer () in
+  encode_record_into f r;
+  Bytes.sub_string f.out 0 f.len
+
+(* The frame at [pos], checked in place: [Some len] if its payload is
+   the [len] bytes at [pos + 8] and their checksum matches, [None] on a
+   torn or corrupt tail. *)
 let read_frame s ~pos =
   let c = cursor ~pos s in
   let crc = r_u32 c in
-  let payload = r_string c in
-  if Option.is_none (failed c) && Crc32.digest payload = crc then Some payload
+  let len = r_u32 c in
+  if Option.is_none (failed c) && len <= remaining c
+     && Crc32.digest_sub s ~pos:(pos + 8) ~len = crc
+  then Some len
   else None
 
-let parse_record payload =
-  let c = cursor payload in
+(* Parse from a cursor narrowed to the payload's region of the log. *)
+let parse_record s ~pos ~len =
+  let c = cursor ~pos ~limit:(pos + len) s in
   let core = r_i64 c in
   let view = Codec.r_record_view c in
   if core < 0 then fail c (Malformed "negative core");
@@ -74,11 +106,11 @@ let read_records ?(from = 0) s =
             (* Longest valid prefix: everything before [pos] replays,
                the torn or corrupt tail is dropped. *)
             { records = List.rev acc; valid_bytes = pos; decode_errors = 1 }
-        | Some payload -> (
-            match parse_record payload with
+        | Some len -> (
+            match parse_record s ~pos:(pos + 8) ~len with
             | Error _ ->
                 { records = List.rev acc; valid_bytes = pos; decode_errors = 1 }
-            | Ok r -> go (r :: acc) (pos + 8 + String.length payload))
+            | Ok r -> go (r :: acc) (pos + 8 + len))
     in
     go [] from
   end
@@ -101,10 +133,12 @@ let encode_snapshot { core; epoch; wal_cut; views; rows } =
     (List.map
        (fun (key, value, wts, rts) -> { Codec.key; value; wts; rts })
        rows);
-  frame (Buffer.contents p)
+  let out = Bytes.create (8 + Buffer.length p) in
+  seal p out;
+  Bytes.unsafe_to_string out
 
-let parse_snapshot payload =
-  let c = cursor payload in
+let parse_snapshot s ~len =
+  let c = cursor ~pos:8 ~limit:(8 + len) s in
   let core = r_i64 c in
   let epoch = r_i64 c in
   let wal_cut = r_i64 c in
@@ -122,6 +156,6 @@ let parse_snapshot payload =
 
 let read_snapshot s =
   match read_frame s ~pos:0 with
-  | Some payload when 8 + String.length payload = String.length s ->
-      Result.to_option (parse_snapshot payload)
+  | Some len when 8 + len = String.length s ->
+      Result.to_option (parse_snapshot s ~len)
   | Some _ | None -> None

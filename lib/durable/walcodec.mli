@@ -11,8 +11,28 @@ type record = { core : int; view : Mk_meerkat.Replica.record_view }
 (** One WAL entry: a finalized (or installed) trecord view, tagged
     with the core whose partition owns it. *)
 
+type framer
+(** A reused frame buffer, one per WAL writer: {!encode_record_into}
+    stages the payload once, checksums it where it lands and leaves
+    [[crc][len][payload]] at the front of {!frame_bytes}. Not shared
+    between threads. *)
+
+val framer : unit -> framer
+
+val encode_record_into : framer -> record -> unit
+(** Frame one log entry into the framer, replacing its previous frame;
+    the same bytes as {!encode_record}. Append it with
+    {!Wal.append_frame} or {!Memlog.append_frame}. *)
+
+val frame_bytes : framer -> Bytes.t
+(** The framer's buffer; its first {!frame_length} bytes are the last
+    frame encoded into it, valid until the next {!encode_record_into}. *)
+
+val frame_length : framer -> int
+
 val encode_record : record -> string
-(** One framed log entry, ready to append. *)
+(** One framed log entry, ready to append: {!encode_record_into} on a
+    fresh framer, copied out. *)
 
 type replay = {
   records : record list;  (** The longest valid prefix, append order. *)
@@ -44,7 +64,8 @@ type snapshot = {
 
 val encode_snapshot : snapshot -> string
 (** A whole snapshot file: one CRC frame (written atomically via
-    {!Snapshot.write}'s tmp-and-rename). *)
+    {!Snapshot.write}'s tmp-and-rename). The staged payload is copied
+    once, into the returned string. *)
 
 val read_snapshot : string -> snapshot option
 (** Total; [None] on any corruption — recovery then falls back to

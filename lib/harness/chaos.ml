@@ -194,16 +194,20 @@ let obligations_list ob = ob.ob_list
 (* Durable device: one in-memory log + snapshot slot per (replica,
    core) — the same Walcodec bytes the cluster backend puts on disk,
    surviving the simulated fail-stop. The hooks touch no engine or
-   RNG state, so a Calm run stays bit-identical to one without them. *)
+   RNG state, so a Calm run stays bit-identical to one without them.
+   The sim steps every core on one thread, so one framer per replica
+   serves all of its logs. *)
 let install_memlog_hooks ~obs ~cores ~replicas ~memlogs =
   Array.iteri
     (fun r rep ->
+      let f = Walcodec.framer () in
       Replica.set_durable_hook rep (function
         | Replica.Finalized { core; view } ->
             if core >= 0 && core < cores then begin
-              let s = Walcodec.encode_record { Walcodec.core; view } in
-              Memlog.append memlogs.(r).(core) s;
-              Obs.note_wal_append obs ~bytes:(String.length s) ~synced:false
+              Walcodec.encode_record_into f { Walcodec.core; view };
+              Memlog.append_frame memlogs.(r).(core) f;
+              Obs.note_wal_append obs ~bytes:(Walcodec.frame_length f)
+                ~synced:false
             end
         | Replica.Installed { epoch } ->
             (* The merged epoch state supersedes the log: full per-core

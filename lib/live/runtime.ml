@@ -1206,6 +1206,7 @@ type wal_tally = {
 
 type durable_state = {
   d_wals : Wal.t array array;  (* .(replica).(core) *)
+  d_framers : Walcodec.framer array array;  (* one per WAL *)
   d_tallies : wal_tally array;  (* per server domain *)
   mutable d_snaps : int;  (* monitor-domain only (Installed) *)
   mutable d_snap_bytes : int;
@@ -1215,13 +1216,14 @@ let durable_hook ds ~dir ~cores ~replica rep (ev : Replica.durable_event) =
   match ev with
   | Replica.Finalized { core; view } ->
       if core >= 0 && core < Array.length ds.d_tallies then begin
-        let s = Walcodec.encode_record { Walcodec.core; view } in
+        let f = ds.d_framers.(replica).(core) in
+        Walcodec.encode_record_into f { Walcodec.core; view };
         let tally = ds.d_tallies.(core) in
-        (match Wal.append ds.d_wals.(replica).(core) s with
+        (match Wal.append_frame ds.d_wals.(replica).(core) f with
         | `Synced -> tally.t_fsyncs <- tally.t_fsyncs + 1
         | `Buffered -> ());
         tally.t_appends <- tally.t_appends + 1;
-        tally.t_bytes <- tally.t_bytes + String.length s
+        tally.t_bytes <- tally.t_bytes + Walcodec.frame_length f
       end
   | Replica.Installed { epoch } ->
       (* Monitor domain, every server domain parked: the merged state
@@ -1324,6 +1326,9 @@ let run (cfg : config) : report =
                       Wal.open_log
                         ~path:(durable_wal_path ~dir ~replica ~core)
                         ~policy));
+            d_framers =
+              Array.init cfg.n_replicas (fun _ ->
+                  Array.init cfg.server_domains (fun _ -> Walcodec.framer ()));
             d_tallies =
               Array.init cfg.server_domains (fun _ ->
                   { t_appends = 0; t_bytes = 0; t_fsyncs = 0 });

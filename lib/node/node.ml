@@ -182,7 +182,12 @@ type tally = {
   mutable t_last_bytes : int;  (** Its encoded size; 0 before the first. *)
 }
 
-type durable = { dir : string; wals : Wal.t array; tallies : tally array }
+type durable = {
+  dir : string;
+  wals : Wal.t array;
+  framers : Walcodec.framer array;  (** One per WAL, used by its writer. *)
+  tallies : tally array;
+}
 
 (* One trecord core's private state, owned by whoever steps it: a
    spawned core domain for cores [1 .. cores-1], the shim's loop
@@ -261,13 +266,14 @@ let on_durable t (d : durable) (ev : Replica.durable_event) =
   match ev with
   | Replica.Finalized { core; view } ->
       if core >= 0 && core < Array.length d.wals then begin
-        let s = Walcodec.encode_record { Walcodec.core; view } in
+        let f = d.framers.(core) in
+        Walcodec.encode_record_into f { Walcodec.core; view };
         let tally = d.tallies.(core) in
-        (match Wal.append d.wals.(core) s with
+        (match Wal.append_frame d.wals.(core) f with
         | `Synced -> tally.t_fsyncs <- tally.t_fsyncs + 1
         | `Buffered -> ());
         tally.t_appends <- tally.t_appends + 1;
-        tally.t_bytes <- tally.t_bytes + String.length s
+        tally.t_bytes <- tally.t_bytes + Walcodec.frame_length f
       end
   | Replica.Installed { epoch } ->
       checkpoint_all d t.replica ~epoch ~wal_cut:(fun core ->
@@ -358,6 +364,7 @@ let create (net : bound) (cfg : config) ~n_replicas =
             wals =
               Array.init cfg.cores (fun c ->
                   Wal.open_log ~path:(wal_path dir c) ~policy:cfg.fsync);
+            framers = Array.init cfg.cores (fun _ -> Walcodec.framer ());
             tallies =
               Array.init cfg.cores (fun _ ->
                   {

@@ -54,10 +54,12 @@ module Make (G : GROUP) = struct
     let rec perform (a : Xcoord.action) =
       match a with
       | Xcoord.Read { shard; keys; index } ->
-          (* One batch per involved shard; answer [i] is read
-             [index.(i)] of the request. *)
+          (* One batch and one callback per involved shard; answer [i]
+             is read [index.(i)] of the request ([i] itself with one
+             shard). *)
           G.execute_reads t.groups.(shard) ~client ~keys (fun i value wts ->
-              dispatch (Xcoord.Read_done { index = index.(i); value; wts }))
+              let index = match index with None -> i | Some ix -> ix.(i) in
+              List.iter perform (Xcoord.read_done m ~index ~value ~wts))
       | Xcoord.Need_stamp ->
           let ws = writes (Xcoord.values m) in
           let tid, ts = G.fresh_txn_stamp t.groups.(0) ~client in

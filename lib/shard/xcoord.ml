@@ -11,14 +11,13 @@ module Timestamp = Mk_clock.Timestamp
 module Txn = Mk_storage.Txn
 
 type action =
-  | Read of { shard : int; keys : int array; index : int array }
+  | Read of { shard : int; keys : int array; index : int array option }
   | Need_stamp
   | Prepare of { shard : int; txn : Txn.t; ts : Timestamp.t }
   | Finalize of { shard : int; txn : Txn.t; ts : Timestamp.t; commit : bool }
   | Done of { committed : bool; involved : int list }
 
 type event =
-  | Read_done of { index : int; value : int; wts : Timestamp.t }
   | Stamped of { tid : Timestamp.Tid.t; ts : Timestamp.t; writes : (int * int) array }
   | Prepared of { shard : int; commit : bool }
 
@@ -80,7 +79,7 @@ let per_shard_reads router reads =
         incr k
       end
     done;
-    actions := Read { shard; keys; index } :: !actions
+    actions := Read { shard; keys; index = Some index } :: !actions
   done;
   !actions
 
@@ -102,12 +101,12 @@ let start ~router ~reads =
   else if Router.shards router = 1 then
     (* One shard: local keys are the global keys, so the request's own
        array is the batch and answer [i] is read [i]. *)
-    (t, [ Read { shard = 0; keys = reads; index = Array.init n Fun.id } ])
+    (t, [ Read { shard = 0; keys = reads; index = None } ])
   else (t, per_shard_reads router reads)
 
-let handle t (ev : event) =
-  match (t.phase, ev) with
-  | Executing e, Read_done { index; value; wts } ->
+let read_done t ~index ~value ~wts =
+  match t.phase with
+  | Executing e ->
       if index < 0 || index >= Array.length t.reads
          || t.read_entries.(index) != unread
       then []
@@ -121,6 +120,11 @@ let handle t (ev : event) =
         end
         else []
       end
+  (* A late or duplicate read: the execute phase is over. *)
+  | Stamping | Preparing _ | Decided _ -> []
+
+let handle t (ev : event) =
+  match (t.phase, ev) with
   | Stamping, Stamped { tid; ts; writes } ->
       (* The read entries are final once stamping starts: the
          transaction takes the array as it is. *)

@@ -28,16 +28,16 @@
     timer-free, which is also what keeps it trivially pure (lint Z6). *)
 
 type action =
-  | Read of { shard : int; keys : int array; index : int array }
+  | Read of { shard : int; keys : int array; index : int array option }
       (** Execute-phase reads of [shard]'s local [keys], one action
           per involved shard: shards in the order they first appear
           in the request, keys in request order. The answer for
-          [keys.(i)] is [Read_done] with [index = index.(i)], its
+          [keys.(i)] is {!read_done} with [~index:index.(i)], its
           position in the request. All reads are issued at once —
           owning shards serve them in parallel. With one shard the
           batch is the request's own key array (local keys are the
-          global keys) and [index] is the identity. Neither array may
-          be mutated. *)
+          global keys) and [index] is [None]: answer [i] is read [i].
+          Neither array may be mutated. *)
   | Need_stamp
       (** Every read value is in hand: the driver must mint the global
           tid + timestamp (one per transaction, shared by every
@@ -60,7 +60,6 @@ type action =
           emitted — report to the application. Emitted exactly once. *)
 
 type event =
-  | Read_done of { index : int; value : int; wts : Mk_clock.Timestamp.t }
   | Stamped of {
       tid : Mk_clock.Timestamp.Tid.t;
       ts : Mk_clock.Timestamp.t;
@@ -79,10 +78,15 @@ val start : router:Router.t -> reads:int array -> t * action list
     involved shard, or [Need_stamp] immediately when there are no
     reads). *)
 
+val read_done :
+  t -> index:int -> value:int -> wts:Mk_clock.Timestamp.t -> action list
+(** Feed the answer to read [index] of the request (its position in
+    [reads]); returns [[Need_stamp]] once every read is in, else [[]].
+    Out-of-range, duplicate and late answers are ignored. *)
+
 val handle : t -> event -> action list
 (** Feed one event; returns the actions to perform, in order. Events
-    that no longer apply (late reads after the stamp, votes after the
-    decision) are ignored. *)
+    that no longer apply (votes after the decision) are ignored. *)
 
 (** {2 Introspection (used by drivers and tests)} *)
 

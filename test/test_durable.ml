@@ -56,6 +56,60 @@ let test_crc_detects_flips () =
       Alcotest.failf "byte flip at %d not detected" i
   done
 
+(* The bitwise CRC-32 the slicing-by-4 tables must agree with: one
+   polynomial step per bit, no table to get wrong. *)
+let crc_reference s =
+  let crc = ref 0xffff_ffff in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc := (!crc lsr 1) lxor (if !crc land 1 = 1 then 0xedb88320 else 0)
+      done)
+    s;
+  lnot !crc land 0xffff_ffff
+
+(* [n] bytes from the deterministic generator, seeded by [seed]. *)
+let lcg_string ~seed n =
+  let st = ref seed in
+  String.init n (fun _ ->
+      st := lcg !st;
+      Char.chr ((!st lsr 16) land 0xff))
+
+let test_crc_matches_reference () =
+  let agree what s =
+    let want = crc_reference s in
+    if Crc32.digest s <> want then
+      Alcotest.failf "%s (length %d): digest %08x, reference %08x" what
+        (String.length s) (Crc32.digest s) want
+  in
+  (* Every length through a few words: word loop, byte tail, both. *)
+  for n = 0 to 64 do
+    agree "every length" (lcg_string ~seed:n n)
+  done;
+  let st = ref 961 in
+  for i = 1 to 2000 do
+    st := lcg !st;
+    agree (Printf.sprintf "random #%d" i) (lcg_string ~seed:i (!st mod 301))
+  done;
+  agree "1 MiB" (lcg_string ~seed:7 (1 lsl 20));
+  (* A sub-range at every alignment: [digest_sub] is [digest] of the
+     copy. *)
+  let s = lcg_string ~seed:3 200 in
+  for pos = 1 to 8 do
+    List.iter
+      (fun len ->
+        let want = crc_reference (String.sub s pos len) in
+        let got = Crc32.digest_sub s ~pos ~len in
+        if got <> want then
+          Alcotest.failf "digest_sub ~pos:%d ~len:%d: %08x, reference %08x" pos
+            len got want)
+      [ 0; 1; 3; 4; 5; 31; 150; 200 - pos ]
+  done;
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Crc32.digest_sub: range outside the string") (fun () ->
+      ignore (Crc32.digest_sub s ~pos:199 ~len:2))
+
 (* --- codec roundtrips --- *)
 
 let sample_records =
@@ -113,6 +167,79 @@ let test_snapshot_roundtrip () =
       Alcotest.(check int) "views" (List.length sample_snapshot.views)
         (List.length s.views);
       Alcotest.(check int) "rows" 2 (List.length s.rows)
+
+(* One record and one snapshot with every optional part present, and
+   their frames as the bitwise-CRC encoder wrote them: the on-disk
+   format is pinned byte for byte. *)
+let fixed_view =
+  {
+    Replica.txn =
+      Txn.make
+        ~tid:(Tid.make ~seq:7 ~client_id:3)
+        ~read_set:
+          [ ({ key = 5; wts = Timestamp.make ~time:2.5 ~client_id:2 }
+              : Txn.read_entry) ]
+        ~write_set:[ ({ key = 5; value = 42 } : Txn.write_entry) ];
+    ts = Timestamp.make ~time:3.25 ~client_id:3;
+    status = Txn.Committed;
+    view = 2;
+    accept_view = Some 1;
+  }
+
+let fixed_record = { Walcodec.core = 1; view = fixed_view }
+
+let fixed_record_hex =
+  "e37e46576a000000010000000000000007000000000000000300000000000000010000000500000000000000000000000000044002000000000000000100000005000000000000002a000000000000000000000000000a400300000000000000040200000000000000010100000000000000"
+
+let fixed_snapshot =
+  {
+    Walcodec.core = 1;
+    epoch = 4;
+    wal_cut = 137;
+    views = [ fixed_view ];
+    rows =
+      [ (5, 42, Timestamp.make ~time:3.25 ~client_id:3,
+         Timestamp.make ~time:4.0 ~client_id:1) ];
+  }
+
+let fixed_snapshot_hex =
+  "b313705cb20000000100000000000000040000000000000089000000000000000100000007000000000000000300000000000000010000000500000000000000000000000000044002000000000000000100000005000000000000002a000000000000000000000000000a4003000000000000000402000000000000000101000000000000000100000005000000000000002a000000000000000000000000000a40030000000000000000000000000010400100000000000000"
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_frames_pinned () =
+  Alcotest.(check string) "record frame" fixed_record_hex
+    (hex (Walcodec.encode_record fixed_record));
+  Alcotest.(check string) "snapshot frame" fixed_snapshot_hex
+    (hex (Walcodec.encode_snapshot fixed_snapshot));
+  (* The in-place encoder leaves the same bytes, also in a framer that
+     grew for a longer frame before. *)
+  let f = Walcodec.framer () in
+  let long_txn =
+    Txn.make ~tid:(Tid.make ~seq:8 ~client_id:3) ~read_set:[]
+      ~write_set:(List.init 40 (fun key -> ({ key; value = key } : Txn.write_entry)))
+  in
+  Walcodec.encode_record_into f
+    { Walcodec.core = 0; view = { fixed_view with txn = long_txn } };
+  Walcodec.encode_record_into f fixed_record;
+  Alcotest.(check string) "framed in place" fixed_record_hex
+    (hex
+       (Bytes.sub_string (Walcodec.frame_bytes f) 0 (Walcodec.frame_length f)))
+
+let test_encode_into_allocation () =
+  let f = Walcodec.framer () in
+  let n = 1000 in
+  Walcodec.encode_record_into f fixed_record;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Walcodec.encode_record_into f fixed_record
+  done;
+  let per_record = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_record > 16.0 then
+    Alcotest.failf "encode_record_into allocates %.1f words per record (> 16)"
+      per_record
 
 (* --- torn-tail / bit-flip fuzzing (never raises, longest valid
    prefix, decode_errors counted) --- *)
@@ -231,9 +358,11 @@ let mk_replica () =
    snapshots every core. *)
 let with_memlogs r =
   let logs = Array.init cores (fun _ -> Memlog.create ()) in
+  let f = Walcodec.framer () in
   Replica.set_durable_hook r (function
     | Replica.Finalized { core; view } ->
-        Memlog.append logs.(core) (Walcodec.encode_record { core; view })
+        Walcodec.encode_record_into f { core; view };
+        Memlog.append_frame logs.(core) f
     | Replica.Installed { epoch } ->
         Array.iteri
           (fun k log ->
@@ -448,6 +577,30 @@ let test_wal_files () =
   Alcotest.(check int) "missing file reads empty" 0
     (String.length (Wal.read_file (Filename.concat dir "nope.wal")))
 
+(* The in-place writers put down exactly the frames [encode_record]
+   returns, on disk and in the sim's memory log. *)
+let test_append_frame_bytes () =
+  let dir = Runtime.fresh_data_dir ~tag:"test-durable" in
+  Fun.protect
+    ~finally:(fun () -> Runtime.remove_data_dir ~dir ~n_replicas:1 ~cores:1)
+  @@ fun () ->
+  let path = Runtime.durable_wal_path ~dir ~replica:0 ~core:0 in
+  let wal = Wal.open_log ~path ~policy:Wal.Never in
+  let mem = Memlog.create () in
+  let f = Walcodec.framer () in
+  List.iter
+    (fun r ->
+      Walcodec.encode_record_into f r;
+      ignore (Wal.append_frame wal f);
+      Memlog.append_frame mem f)
+    (sample_records @ [ fixed_record ]);
+  let want = log_image (sample_records @ [ fixed_record ]) in
+  Alcotest.(check int) "length counts bytes" (String.length want)
+    (Wal.length wal);
+  Wal.close wal;
+  Alcotest.(check string) "file bytes" want (Wal.read_file path);
+  Alcotest.(check string) "memlog bytes" want (Memlog.log_contents mem)
+
 let test_snapshot_files () =
   let dir = Runtime.fresh_data_dir ~tag:"test-durable" in
   Fun.protect
@@ -587,6 +740,11 @@ let () =
           Alcotest.test_case "crc detects flips" `Quick test_crc_detects_flips;
           Alcotest.test_case "record roundtrip" `Quick test_record_roundtrip;
           Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
+          Alcotest.test_case "crc matches bitwise reference" `Quick
+            test_crc_matches_reference;
+          Alcotest.test_case "frames pinned" `Quick test_frames_pinned;
+          Alcotest.test_case "encode into allocation" `Quick
+            test_encode_into_allocation;
         ] );
       ( "fuzz",
         [
@@ -620,6 +778,7 @@ let () =
           Alcotest.test_case "snapshot write leaves no tmp" `Quick
             test_snapshot_write_leaves_no_tmp;
           Alcotest.test_case "fsync policy parse" `Quick test_fsync_policy_parse;
+          Alcotest.test_case "append_frame bytes" `Quick test_append_frame_bytes;
         ] );
       ( "checkpoint",
         [

@@ -118,12 +118,18 @@ let test_router_validation () =
 
 let router2 = Router.create ~shards:2 ~keys:16 ()
 
+(* A batch's request positions: [None] is the one-shard identity. *)
+let positions keys = function
+  | Some index -> index
+  | None -> Array.init (Array.length keys) Fun.id
+
 (* Every read the actions ask for, as (shard, local key, request
    index) triples in issue order. *)
 let read_actions actions =
   List.concat_map
     (function
       | Xcoord.Read { shard; keys; index } ->
+          let index = positions keys index in
           List.init (Array.length keys) (fun i -> (shard, keys.(i), index.(i)))
       | _ -> [])
     actions
@@ -131,7 +137,8 @@ let read_actions actions =
 let read_batches actions =
   List.filter_map
     (function
-      | Xcoord.Read { shard; keys; index } -> Some (shard, keys, index)
+      | Xcoord.Read { shard; keys; index } ->
+          Some (shard, keys, positions keys index)
       | _ -> None)
     actions
 
@@ -143,14 +150,21 @@ let test_xcoord_one_read_per_shard () =
     "one batch per shard, first-appearance order, keys in request order"
     [ (1, [| 2; 3; 0 |], [| 0; 2; 4 |]); (0, [| 1; 2 |], [| 1; 3 |]) ]
     (read_batches actions);
-  (* One shard: the request's own array, identity index. *)
+  (* One shard: the request's own array and no index array — answer
+     [i] is read [i]. *)
   let router1 = Router.create ~shards:1 ~keys:16 () in
-  let _, actions = Xcoord.start ~router:router1 ~reads in
-  match actions with
+  let m, actions = Xcoord.start ~router:router1 ~reads in
+  (match actions with
   | [ Xcoord.Read { shard = 0; keys; index } ] ->
       Alcotest.(check bool) "request's key array reused" true (keys == reads);
-      Alcotest.(check (array int)) "identity index" [| 0; 1; 2; 3; 4 |] index
-  | _ -> Alcotest.fail "one shard: expected exactly one Read"
+      Alcotest.(check bool) "identity index, not built" true (index = None)
+  | _ -> Alcotest.fail "one shard: expected exactly one Read");
+  Array.iteri
+    (fun i key ->
+      ignore (Xcoord.read_done m ~index:i ~value:(10 * key) ~wts:(ts 1.0)))
+    reads;
+  Alcotest.(check (array int)) "answers land by position"
+    [| 50; 20; 70; 40; 10 |] (Xcoord.values m)
 
 let test_xcoord_happy_path () =
   (* Read keys 0 (shard 0) and 1 (shard 1), write both: full 2PC. *)
@@ -160,9 +174,9 @@ let test_xcoord_happy_path () =
     (read_actions actions);
   Alcotest.(check (list pass)) "no stamp yet" []
     (List.filter (function Xcoord.Need_stamp -> true | _ -> false) actions);
-  let a1 = Xcoord.handle m (Xcoord.Read_done { index = 0; value = 7; wts = ts 1.0 }) in
+  let a1 = Xcoord.read_done m ~index:0 ~value:7 ~wts:(ts 1.0) in
   Alcotest.(check int) "first read: no actions" 0 (List.length a1);
-  let a2 = Xcoord.handle m (Xcoord.Read_done { index = 1; value = 9; wts = ts 2.0 }) in
+  let a2 = Xcoord.read_done m ~index:1 ~value:9 ~wts:(ts 2.0) in
   (match a2 with
   | [ Xcoord.Need_stamp ] -> ()
   | _ -> Alcotest.fail "expected Need_stamp after last read");
@@ -249,14 +263,18 @@ let test_xcoord_single_shard_and_empty () =
 
 let test_xcoord_duplicates_ignored () =
   let m, _ = Xcoord.start ~router:router2 ~reads:[| 0 |] in
-  ignore (Xcoord.handle m (Xcoord.Read_done { index = 0; value = 1; wts = ts 1.0 }));
+  ignore (Xcoord.read_done m ~index:0 ~value:1 ~wts:(ts 1.0));
   (* A duplicate read answer must not advance anything. *)
   Alcotest.(check int) "dup read ignored" 0
-    (List.length
-       (Xcoord.handle m (Xcoord.Read_done { index = 0; value = 2; wts = ts 2.0 })));
+    (List.length (Xcoord.read_done m ~index:0 ~value:2 ~wts:(ts 2.0)));
+  Alcotest.(check int) "out-of-range read ignored" 0
+    (List.length (Xcoord.read_done m ~index:1 ~value:2 ~wts:(ts 2.0)));
   ignore
     (Xcoord.handle m
        (Xcoord.Stamped { tid = tid 5; ts = ts 3.0; writes = [| (0, 1); (1, 1) |] }));
+  Alcotest.(check int) "late read ignored" 0
+    (List.length (Xcoord.read_done m ~index:0 ~value:3 ~wts:(ts 3.0)));
+  Alcotest.(check (array int)) "first answer kept" [| 1 |] (Xcoord.values m);
   ignore (Xcoord.handle m (Xcoord.Prepared { shard = 0; commit = true }));
   (* Same shard voting twice must not complete the conjunction. *)
   Alcotest.(check int) "dup vote ignored" 0
