@@ -56,19 +56,25 @@ let check s ~what =
    multicore layer and the single-domain simulator share one mechanism. *)
 let actor : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let with_core core f =
-  if not !enabled then f ()
+let enter_core core =
+  if not !enabled then None
   else begin
     let prev = Domain.DLS.get actor in
     Domain.DLS.set actor (Some core);
-    match f () with
-    | r ->
-        Domain.DLS.set actor prev;
-        r
-    | exception e ->
-        Domain.DLS.set actor prev;
-        raise e
+    prev
   end
+
+let leave_core prev = if !enabled then Domain.DLS.set actor prev
+
+let with_core core f =
+  let prev = enter_core core in
+  match f () with
+  | r ->
+      leave_core prev;
+      r
+  | exception e ->
+      leave_core prev;
+      raise e
 
 let current_core () = if !enabled then Domain.DLS.get actor else None
 

@@ -4,7 +4,7 @@
     The static lint ([Mk_check_lint]) proves lexical properties; this
     module checks the runtime ones it cannot see: that the domain
     mutating a [Vstore] entry actually holds that entry's lock (or the
-    shard lock for table operations), and that a [Trecord] partition is
+    table lock for table operations), and that a [Trecord] partition is
     only touched by the core that owns it.
 
     Cost model (the [Mk_obs] tracing pattern): disabled — the default —
@@ -52,6 +52,15 @@ val check : slot -> what:string -> unit
 val with_core : int -> (unit -> 'a) -> 'a
 (** Run [f] with the ambient actor set to [core] (per-domain; nests and
     restores on exit). Identity when disabled. *)
+
+val enter_core : int -> int option
+(** {!with_core} without the closure, for handlers on an allocation
+    budget: set the ambient actor to [core] and return the previous
+    one, to be handed to {!leave_core} on every exit path. [None] and
+    no allocation when disabled. *)
+
+val leave_core : int option -> unit
+(** Restore the actor {!enter_core} returned. *)
 
 val current_core : unit -> int option
 (** Ambient actor, if any ([None] when disabled). *)

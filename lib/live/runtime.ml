@@ -19,7 +19,7 @@
 
    Zero-coordination: the only cross-domain mutable state on the
    transaction fast path is the mailboxes themselves (and the
-   storage layer's own sanctioned shard locks). Coordinators share
+   storage layer's own sanctioned entry locks). Coordinators share
    nothing with each other — per-coordinator RNG, workload,
    retransmit count, attempt table, latency histogram, and committed
    sub-histories, merged only after join. Nothing is shared between
@@ -707,7 +707,8 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
     done;
     (* Every server domain is parked on its control mailbox: the
        replicas belong to the monitor alone (coordinator execute-phase
-       reads go through the vstore's own shard locks and stay safe). *)
+       reads go through the vstore's key index and entry locks and stay
+       safe). *)
     let success = Epoch.run_sync replicas ~recovering in
     Array.iter (fun ctl -> Mailbox.push ctl ()) controls;
     Detector.epoch_change_finished det ~now:(wall_us ()) ~success ~recovering;
@@ -839,8 +840,9 @@ module Live_group = struct
 
   (* Execute-phase reads go straight to one replica's versioned store —
      shared-memory gets stand in for the paper's closest-replica reads;
-     the vstore's shard locks make them safe from any domain. A crashed
-     replica answers nothing, so chaos runs fall back to its peers.
+     the vstore's key index and entry locks make them safe from any
+     domain. A crashed replica answers nothing, so chaos runs fall back
+     to its peers.
      Each key is read on its own, in key order. *)
   let execute_reads g ~client ~keys k =
     let replicas = g.co.groups.(g.shard) in

@@ -94,6 +94,7 @@ let trecord t = t.trecord
 let epoch t = t.epoch
 let is_available t = (not t.crashed) && not t.paused
 let load t ~key ~value = Vstore.load t.vstore ~key ~value
+let publish t = Vstore.publish t.vstore
 
 let crash t =
   t.crashed <- true;
@@ -128,28 +129,65 @@ let handle_get t ~key =
     | None -> Some (0, Timestamp.zero)
   end
 
-(* The per-core handlers run under [Owner.with_core]: when the dynamic
-   checker is on, any touch of a foreign trecord partition inside the
-   handler body raises instead of silently breaking DAP. *)
+(* Z7 (allowlisted): [i] runs over [0, n) of two [n]-element arrays,
+   checked on entry. *)
+let read_into t src ~key ~values ~wts =
+  let n = Array.length values in
+  if not (Int.equal (Array.length wts) n) then
+    invalid_arg "Replica.read_into: arrays of different lengths";
+  if t.crashed || t.paused then false
+  else begin
+    for i = 0 to n - 1 do
+      let e = Vstore.lookup t.vstore (key src i) in
+      if e == Vstore.absent then begin
+        values.(i) <- 0;
+        wts.(i) <- Timestamp.zero
+      end
+      else begin
+        (* Field reads raise nothing: no exception path to unlock. *)
+        Vstore.lock e;
+        values.(i) <- e.value;
+        wts.(i) <- e.wts;
+        Vstore.unlock e
+      end
+    done;
+    true
+  end
+
+(* The per-core handlers run with [core] as the ambient actor
+   ([Owner.enter_core]/[leave_core], {!Mk_check.Owner.with_core}
+   without its closure): when the dynamic checker is on, any touch of
+   a foreign trecord partition inside the handler body raises instead
+   of silently breaking DAP. *)
+
+let validate_record t ~core ~txn ~ts =
+  match Trecord.find t.trecord ~core txn.Txn.tid with
+  | Some entry -> entry.status
+  | None ->
+      let status =
+        match Occ.validate t.vstore txn ~ts with
+        | `Ok ->
+            bump t ~core stat_ok;
+            Txn.Validated_ok
+        | `Abort ->
+            bump t ~core stat_abort;
+            Txn.Validated_abort
+      in
+      let (_ : Trecord.entry) = Trecord.add t.trecord ~core ~txn ~ts ~status in
+      status
 
 let handle_validate t ~core ~txn ~ts =
   if t.crashed || t.paused then None
-  else
-    Owner.with_core core (fun () ->
-        match Trecord.find t.trecord ~core txn.Txn.tid with
-        | Some entry -> Some entry.status
-        | None ->
-            let status =
-              match Occ.validate t.vstore txn ~ts with
-              | `Ok ->
-                  bump t ~core stat_ok;
-                  Txn.Validated_ok
-              | `Abort ->
-                  bump t ~core stat_abort;
-                  Txn.Validated_abort
-            in
-            let (_ : Trecord.entry) = Trecord.add t.trecord ~core ~txn ~ts ~status in
-            Some status)
+  else begin
+    let actor = Owner.enter_core core in
+    match validate_record t ~core ~txn ~ts with
+    | status ->
+        Owner.leave_core actor;
+        Some status
+    | exception e ->
+        Owner.leave_core actor;
+        raise e
+  end
 
 let handle_accept t ~core ~txn ~ts ~decision ~view =
   if t.crashed then None
@@ -192,20 +230,48 @@ let finalize_entry t ~core (entry : Trecord.entry) ~commit =
   | Some hook -> hook (Finalized { core; view = view_of_entry entry })
   | None -> ()
 
+(* A retransmitted write-back finds its record final already. *)
+let commit_entry t ~core (entry : Trecord.entry) ~commit =
+  if not (Txn.is_final entry.status) then finalize_entry t ~core entry ~commit
+
 let handle_commit t ~core ~txn ~ts ~commit =
   if t.crashed then None
-  else
-    Owner.with_core core (fun () ->
-        let entry =
-          match Trecord.find t.trecord ~core txn.Txn.tid with
-          | Some e -> e
-          | None -> Trecord.add t.trecord ~core ~txn ~ts ~status:Txn.Validated_abort
-        in
-        if Txn.is_final entry.status then Some () (* retransmission *)
-        else begin
-          finalize_entry t ~core entry ~commit;
-          Some ()
-        end)
+  else begin
+    let actor = Owner.enter_core core in
+    match
+      let entry =
+        match Trecord.find t.trecord ~core txn.Txn.tid with
+        | Some e -> e
+        | None -> Trecord.add t.trecord ~core ~txn ~ts ~status:Txn.Validated_abort
+      in
+      commit_entry t ~core entry ~commit
+    with
+    | () ->
+        Owner.leave_core actor;
+        Some ()
+    | exception e ->
+        Owner.leave_core actor;
+        raise e
+  end
+
+let handle_commit_held t ~core ~tid ~commit =
+  if t.crashed then true
+  else begin
+    let actor = Owner.enter_core core in
+    match
+      match Trecord.find t.trecord ~core tid with
+      | Some entry ->
+          commit_entry t ~core entry ~commit;
+          true
+      | None -> false
+    with
+    | held ->
+        Owner.leave_core actor;
+        held
+    | exception e ->
+        Owner.leave_core actor;
+        raise e
+  end
 
 let handle_coord_change t ~core ~tid ~view =
   if t.crashed then None
@@ -219,6 +285,14 @@ let handle_coord_change t ~core ~tid ~view =
               entry.view <- view;
               Some (`View_ok (Some (view_of_entry entry)))
             end)
+
+(* Install state-transfer rows: one bulk path, so the key index is
+   published once, after the last row. *)
+let set_rows store rows =
+  List.iter
+    (fun (key, value, wts, rts) -> Vstore.set_version store ~key ~value ~wts ~rts)
+    rows;
+  Vstore.publish store
 
 let handle_epoch_change t ~epoch =
   if t.crashed then None
@@ -244,14 +318,7 @@ let handle_epoch_complete t ~epoch ~records ~store =
     | None -> ()
     | Some rows ->
         let fresh = Vstore.create () in
-        List.iter
-          (fun (key, value, wts, rts) ->
-            let e = Vstore.find_or_create fresh key in
-            Vstore.with_entry e (fun e ->
-                Vstore.set_value e value;
-                Vstore.set_wts e wts;
-                Vstore.set_rts e rts))
-          rows;
+        set_rows fresh rows;
         t.vstore <- fresh);
     (* Adopt the merged trecord. Every entry in it is final
        (COMMITTED/ABORTED) by construction of the merge (§5.3.1); we
@@ -302,14 +369,7 @@ let resume t ~epoch =
 let restore t ~epoch ~records ~rows =
   t.epoch <- max t.epoch epoch;
   t.installed_epoch <- max t.installed_epoch epoch;
-  List.iter
-    (fun (key, value, wts, rts) ->
-      let e = Vstore.find_or_create t.vstore key in
-      Vstore.with_entry e (fun e ->
-          Vstore.set_value e value;
-          Vstore.set_wts e wts;
-          Vstore.set_rts e rts))
-    rows;
+  set_rows t.vstore rows;
   Vstore.clear_pending t.vstore;
   let pairs = List.map (fun (core, v) -> (core, entry_of_view v)) records in
   Trecord.replace_all t.trecord pairs;

@@ -45,6 +45,13 @@ val is_available : t -> bool
 (** Neither crashed nor paused for an epoch change. *)
 
 val load : t -> key:int -> value:int -> unit
+(** Pre-load one key; see {!Mk_storage.Vstore.load}. A load loop ends
+    with one {!publish}. *)
+
+val publish : t -> unit
+(** Publish the store's key index after a bulk load, so every loaded
+    key is found with no lock from then on
+    ({!Mk_storage.Vstore.publish}). *)
 
 (** {2 Failure injection} *)
 
@@ -95,6 +102,20 @@ val restore :
 val handle_get : t -> key:int -> (int * Mk_clock.Timestamp.t) option
 (** Versioned read for the execute phase. *)
 
+val read_into :
+  t ->
+  's ->
+  key:('s -> int -> int) ->
+  values:int array ->
+  wts:Mk_clock.Timestamp.t array ->
+  bool
+(** {!handle_get} for a batch of [n = Array.length values] keys, into
+    the caller's arrays: [values.(i)] and [wts.(i)] get the version of
+    key [key src i]. [false] (and the arrays unspecified) when the
+    replica answers no read at all — paused or crashed. Allocates
+    nothing.
+    @raise Invalid_argument if the two lengths differ. *)
+
 val handle_validate :
   t ->
   core:int ->
@@ -129,6 +150,14 @@ val handle_commit :
 (** Write phase (§5.2.3): finalize the record and, on commit, install
     the writes (Thomas write rule) and advance read timestamps.
     Idempotent. *)
+
+val handle_commit_held :
+  t -> core:int -> tid:Mk_clock.Timestamp.Tid.t -> commit:bool -> bool
+(** {!handle_commit} for a write-back whose record [core] already
+    holds, named by its tid alone: [true] if it was handled (the
+    record is held, or the replica is crashed and ignores it), [false]
+    if the record is missing and {!handle_commit} must be called with
+    the transaction. *)
 
 (** {2 Coordinator-recovery handlers (§5.3.2)} *)
 

@@ -291,27 +291,43 @@ let coordinator (cfg : config) ~router ~addrs ~t0 ~coord_id =
     | Attempts.Misrouted -> Obs.note_wire_shard_drop obs
     | Attempts.Fed | Attempts.Stale -> ()
   in
-  let deliver ~src:_ ((shard, msg) : int * Codec.t) =
-    match msg with
-    | Codec.Read_replies { seq = rid; values; wts; _ } -> (
-        match Read_table.reply reads ~rid ~shard ~values ~wts with
-        | Read_table.Misrouted -> Obs.note_wire_shard_drop obs
-        | Read_table.Malformed -> drop_bad_ids ()
-        | Read_table.Fed | Read_table.Stale -> ())
-    | Codec.Validated { slot = id; replica; status; _ } ->
-        if replica_ok replica then
-          to_attempt ~id ~shard (Protocol.Validate_reply { replica; status })
-        else drop_bad_ids ()
-    | Codec.Accepted { slot = id; replica; reply; _ } ->
-        if replica_ok replica then
-          to_attempt ~id ~shard (Protocol.Accept_reply { replica; reply })
-        else drop_bad_ids ()
-    | _ ->
-        (* Server-side or control traffic; not for a client socket. *)
-        ()
+  (* The three reply kinds are read straight off the shim's cursor,
+     field by field and the read values by index: no message is built
+     for them. Anything else is server-side or control traffic, not
+     for a client socket. *)
+  let ignore_frame () ~shard:_ _ = () in
+  let replies =
+    Codec.dispatcher
+      {
+        Codec.validated =
+          (fun () ~shard ~slot:id ~seq:_ ~replica status ->
+            if replica_ok replica then
+              to_attempt ~id ~shard (Protocol.Validate_reply { replica; status })
+            else drop_bad_ids ());
+        accepted =
+          (fun () ~shard ~slot:id ~seq:_ ~replica reply ->
+            if replica_ok replica then
+              to_attempt ~id ~shard (Protocol.Accept_reply { replica; reply })
+            else drop_bad_ids ());
+        read_replies =
+          (fun () ~shard ~slot:_ ~seq:rid ~replica:_ rs ->
+            match
+              Read_table.reply_with reads ~rid ~shard
+                ~n_values:(Codec.replies_count rs) ~n_wts:(Codec.replies_wts_count rs)
+                rs ~value:Codec.reply_value ~wts:Codec.reply_wts
+            with
+            | Read_table.Misrouted -> Obs.note_wire_shard_drop obs
+            | Read_table.Malformed -> drop_bad_ids ()
+            | Read_table.Fed | Read_table.Stale -> ());
+        reads = (fun () ~shard:_ ~coord:_ ~slot:_ ~seq:_ _ -> ());
+        held = (fun () _ -> false);
+        write_back_held = (fun () ~shard:_ _ ~commit:_ -> ());
+        other = ignore_frame;
+      }
   in
+  let deliver ~src:_ c = Codec.dispatch replies () c in
   let rec loop () =
-    let delivered = Net.poll net ~deliver in
+    let delivered = Net.poll_receiver net ~receive:deliver in
     let now = wall_us () in
     (* Rotate every overdue read batch to the next replica: loss, a
        busy node and a dead one all look like silence. *)

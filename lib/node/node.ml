@@ -20,7 +20,7 @@
    [Reads]: every key one transaction reads in this group, answered by
    one [Read_replies]) are answered inline on the loop thread and
    packed with core 0's replies: the
-   vstore's shard locks make versioned reads safe from any domain,
+   vstore's key index and entry locks make versioned reads safe from any domain,
    exactly as the live runtime's shared-memory reads.
 
    Durability (DESIGN.md §12): with [data_dir] set, every finalized
@@ -129,6 +129,9 @@ let detector_cfg ~heartbeat_ms =
 
 type core_msg =
   | Net_req of { src : Unix.sockaddr; msg : Codec.t }
+  | Net_commit of { tid : Tid.t; commit : bool }
+      (** A write-back for a record this core holds, named by its tid:
+          no transaction is decoded for it. *)
   | Core_freeze of { gen : int }
       (** Epoch change: stop touching the stores and ack [Frozen];
           drop protocol datagrams until the matching [Core_thaw]. *)
@@ -167,6 +170,8 @@ type stats = {
   wal_decode_errors : int;
   snapshots : int;
   core_snapshots : int list;
+  gc_minor_words : int;
+  gc_promoted_words : int;
 }
 
 (* Per-core durability tally: bumped only by whoever steps the owning
@@ -222,6 +227,8 @@ type t = {
   mutable core0_failure : (exn * Printexc.raw_backtrace) option;
       (** What core 0's step raised, if it did: core 0 is dead from
           then on, and {!wait} re-raises it. *)
+  mutable gc_at_launch : float * float;
+      (** Process minor and promoted words when {!launch} began. *)
 }
 
 let wal_path dir core = Filename.concat dir (Printf.sprintf "core%d.wal" core)
@@ -279,32 +286,30 @@ let on_durable t (d : durable) (ev : Replica.durable_event) =
       checkpoint_all d t.replica ~epoch ~wal_cut:(fun core ->
           Wal.length d.wals.(core))
 
-(* The versions of [keys], in key order — or [None] if the replica is
-   paused or crashed, which answers no read at all. Z7: [i] runs over
-   [0, n) of three [n]-element arrays. *)
-let[@mk_lint.allow "Z7"] read_versions replica keys =
-  let n = Array.length keys in
+(* The versions of a [Reads] frame's keys, in key order, read off the
+   receive cursor — or [None] if the replica is paused or crashed,
+   which answers no read at all. *)
+let read_versions replica keys =
+  let n = Codec.keys_count keys in
   let values = Array.make n 0 and wts = Array.make n Timestamp.zero in
-  let answered = ref true in
-  for i = 0 to n - 1 do
-    match Replica.handle_get replica ~key:keys.(i) with
-    | Some (value, w) ->
-        values.(i) <- value;
-        wts.(i) <- w
-    | None -> answered := false
-  done;
-  if !answered then Some (values, wts) else None
+  if Replica.read_into replica keys ~key:Codec.key_at ~values ~wts then
+    Some (values, wts)
+  else None
 
-(* A node keeps ~75-80 words per transaction (trecord entries, store
-   versions), and promoting them through the remembered set is ~92-96%
-   of every node minor pause (OCaml runtime events, 3-node --cores 1
+(* A node keeps ~70 words per transaction (trecord entries, store
+   versions), and promoting them through the remembered set is most of
+   every node minor pause (OCaml runtime events, 3-node --cores 1
    benchmark shape), so a pause grows with the transactions per minor
-   cycle. Once decoding stopped allocating, the default 256 Ki-word
-   heap held ~2.6x more of them: minor GCs per node fell from ~380 to
-   ~145 per 3 s, the median pause rose from ~340 to ~720 us and
-   client p99 by ~30%. At 64 Ki words (512 KB) the median pause is
-   ~260 us. The client's coordinator domains run the same size. *)
-let minor_heap_words = 65_536
+   cycle: the heap is sized in transactions, not bytes. When decoding
+   stopped allocating, the default 256 Ki-word heap held ~2.6x more of
+   them and client p99 rose ~30%; 64 Ki words restored the pause. Once
+   the key path and the hot frames stopped allocating too (~490 ->
+   ~170 words per transaction), 64 Ki words held ~2.8x more again: node
+   pause p50 ~175-200 -> ~420-450 us, client p99 ~585 -> ~825 us. At
+   24 Ki words (192 KB) a cycle holds as many transactions as before
+   and the pause p50 is ~170-175 us. The client's coordinator domains
+   run the same size. *)
+let minor_heap_words = 24_576
 
 (* The socket is bound before the replica exists: with [--port auto]
    the launcher needs the port announcement to finish assembling the
@@ -331,6 +336,7 @@ let create (net : bound) (cfg : config) ~n_replicas =
   for key = 0 to cfg.keys - 1 do
     Replica.load replica ~key ~value:0
   done;
+  Replica.publish replica;
   let obs = Obs.create ~clock:(fun () -> Spawn.wall () *. 1e6) () in
   let durable =
     match cfg.data_dir with
@@ -407,6 +413,7 @@ let create (net : bound) (cfg : config) ~n_replicas =
       phase = Idle;
       final_suspected = [];
       core0_failure = None;
+      gc_at_launch = (0.0, 0.0);
     }
   in
   (match durable with
@@ -464,7 +471,7 @@ let step t (core : core) ~report =
   in
   (* Durable checkpoint, written by the core that owns the data once
      its log has outgrown the last image: its own trecord partition,
-     its own vstore keys (the shard locks make the filtered scan
+     its own vstore keys (the table lock makes the filtered scan
      safe), its own log length — no cross-core coordination (ZCP). *)
   let checkpoint () =
     match t.durable with
@@ -483,19 +490,26 @@ let step t (core : core) ~report =
                     (Trecord.core_entries (Replica.trecord replica) ~core:index))
                ~rows:(Replica.store_snapshot replica))
   in
+  (* A write-back may append to this core's log and fsync it: replies
+     already packed leave first, not behind the disk. *)
+  let before_write_back () = if t.durable <> None then Net.flush packer in
   function
   | Net_req { src; msg } ->
       (* A frozen core drops protocol datagrams: the epoch change owns
          the stores; retransmission recovers, as for any other loss. *)
       if core.frozen = None then begin
-        (* A write-back may append to this core's log and fsync it:
-           replies already packed leave first, not behind the disk. *)
-        (match msg with
-        | Codec.Write_back _ when t.durable <> None -> Net.flush packer
-        | _ -> ());
+        (match msg with Codec.Write_back _ -> before_write_back () | _ -> ());
         handle src msg;
         (* Handling is the only way this core's log grows, so the
            suffix past the last cut stays bounded under any load. *)
+        checkpoint ()
+      end
+  | Net_commit { tid; commit } ->
+      if core.frozen = None then begin
+        before_write_back ();
+        (* The receive path saw the record held on this same thread,
+           with nothing stepped since: it is still held. *)
+        ignore (Replica.handle_commit_held replica ~core:index ~tid ~commit : bool);
         checkpoint ()
       end
   | Core_freeze { gen } ->
@@ -584,6 +598,10 @@ let launch t ~cluster =
   match Cluster_config.sockaddrs cluster with
   | Error _ as e -> e
   | Ok addrs ->
+      (* The process's words so far: this is its only domain yet, and
+         [Gc.minor_words] counts its minor heap in use, which nothing
+         has promoted. *)
+      t.gc_at_launch <- (Gc.minor_words (), (Gc.quick_stat ()).Gc.promoted_words);
       let cfg = t.cfg in
       let me = cfg.me in
       let n = Array.length cluster in
@@ -1093,13 +1111,20 @@ let launch t ~cluster =
         | Codec.Epoch_installed { replica; _ } -> replica_ok replica
         | _ -> true
       in
-      let deliver ~src ((shard, msg) : int * Codec.t) =
-        (* A frame stamped for another shard group is a counted drop
-           before the payload is acted on: the groups are independent
-           deployments that merely share a socket fabric, and a
-           crossed port must never inject traffic (or a phantom
-           quorum vote) into the wrong group. *)
-        if shard <> cfg.shard then Obs.note_wire_shard_drop t.obs
+      (* A frame stamped for another shard group is a counted drop
+         before the payload is acted on: the groups are independent
+         deployments that merely share a socket fabric, and a crossed
+         port must never inject traffic (or a phantom quorum vote) into
+         the wrong group. *)
+      let foreign shard =
+        if shard = cfg.shard then false
+        else begin
+          Obs.note_wire_shard_drop t.obs;
+          true
+        end
+      in
+      let on_message src ~shard (msg : Codec.t) =
+        if foreign shard then ()
         else if not (wire_ids_ok msg) then Obs.note_wire_decode_error t.obs
         else
         match msg with
@@ -1111,16 +1136,9 @@ let launch t ~cluster =
                 Net.pack t.core0.packer ~dst:src
                   ( cfg.shard,
                     Codec.Get_reply { slot; seq; replica = me; key; value; wts } ))
-        | Codec.Reads { slot; seq; keys; _ } -> (
-            (* One reply for the whole batch, or none at all from a
-               paused or crashed replica (the client rotates the batch
-               to the next replica on silence). *)
-            match read_versions t.replica keys with
-            | None -> ()
-            | Some (values, wts) ->
-                Net.pack t.core0.packer ~dst:src
-                  ( cfg.shard,
-                    Codec.Read_replies { slot; seq; replica = me; values; wts } ))
+        | Codec.Reads _ ->
+            (* Taken from the cursor ([frames] below), never built. *)
+            ()
         | Codec.Validate { txn; _ } | Codec.Vc_accept { txn; _ } ->
             steer src msg txn.Txn.tid
         | Codec.Accept { txn; _ } | Codec.Write_back { txn; _ } ->
@@ -1161,6 +1179,43 @@ let launch t ~cluster =
               | None -> []);
             ignore (Mailbox.try_push t.done_box () : bool)
       in
+      (* The receive path: the hot kinds straight from the shim's
+         cursor, everything else built as a message for [on_message].
+         Client-side kinds are only shard-checked, as [on_message]
+         would. *)
+      let client_kind _ ~shard ~slot:_ ~seq:_ ~replica:_ _ = ignore (foreign shard : bool) in
+      let frames =
+        Codec.dispatcher
+          {
+            Codec.validated = client_kind;
+            accepted = client_kind;
+            read_replies = client_kind;
+            reads =
+              (fun src ~shard ~coord:_ ~slot ~seq keys ->
+                if not (foreign shard) then
+                  (* One reply for the whole batch, or none at all from
+                     a paused or crashed replica (the client rotates
+                     the batch to the next replica on silence). *)
+                  match read_versions t.replica keys with
+                  | None -> ()
+                  | Some (values, wts) ->
+                      Net.pack t.core0.packer ~dst:src
+                        ( cfg.shard,
+                          Codec.Read_replies { slot; seq; replica = me; values; wts } ));
+            (* A write-back steered to core 0 whose record core 0 holds
+               is named by its tid alone; the others are built, and
+               those for cores 1.. cross their mailbox as before. *)
+            held =
+              (fun _ tid ->
+                Tid.hash tid mod cfg.cores = 0
+                && Trecord.mem (Replica.trecord t.replica) ~core:0 tid);
+            write_back_held =
+              (fun _ ~shard tid ~commit ->
+                if not (foreign shard) then step0 (Net_commit { tid; commit }));
+            other = on_message;
+          }
+      in
+      let deliver ~src c = Codec.dispatch frames src c in
       let perform (dc : Detector.cfg) = function
         | Detector.Start_view_change { observer; record; view } ->
             let now = Spawn.wall () *. 1e6 in
@@ -1270,7 +1325,7 @@ let launch t ~cluster =
                    Gc.set { (Gc.get ()) with minor_heap_size };
                    core_loop t core inbox))
              t.spawned);
-      Net.start t.net ~obs:t.obs { Net.deliver; tick };
+      Net.start_receiver t.net ~obs:t.obs ~tick deliver;
       Ok ()
 
 (* Route the local trigger through the wire path: the shim loop
@@ -1320,6 +1375,14 @@ let wait t =
         d.tallies;
       Array.iter Wal.close d.wals);
   let c name = Obs.counter_value t.obs name in
+  (* Every other domain has been joined and the loop thread stopped.
+     [Gc.quick_stat] counts a domain's words at its minor collections
+     and keeps a joined domain's, so one last collection folds in the
+     minor heap in use (its promotions count too): the counters then
+     hold the whole process. *)
+  Gc.minor ();
+  let gc = Gc.quick_stat () in
+  let minor0, promoted0 = t.gc_at_launch in
   {
     me = t.cfg.me;
     committed = Replica.committed t.replica;
@@ -1349,6 +1412,8 @@ let wait t =
       (match t.durable with
       | None -> []
       | Some d -> Array.to_list (Array.map (fun ta -> ta.t_snaps) d.tallies));
+    gc_minor_words = int_of_float (gc.Gc.minor_words -. minor0);
+    gc_promoted_words = int_of_float (gc.Gc.promoted_words -. promoted0);
   }
 
 let obs t = t.obs
@@ -1364,7 +1429,8 @@ let stats_json (s : stats) =
      \"wire_shard_drops\": %d, \"wire_send_errors\": %d, \
      \"wal_appends\": %d, \"wal_bytes\": %d, \"wal_fsyncs\": %d, \
      \"wal_replayed\": %d, \"wal_snapshots_used\": %d, \
-     \"wal_decode_errors\": %d, \"snapshots\": %d}"
+     \"wal_decode_errors\": %d, \"snapshots\": %d, \"gc_minor_words\": %d, \
+     \"gc_promoted_words\": %d}"
     s.me s.committed s.aborted s.validations_ok s.validations_abort
     s.view_changes s.epoch_changes
     (String.concat ", " (List.map string_of_int s.suspected))
@@ -1372,4 +1438,4 @@ let stats_json (s : stats) =
     s.wire_dgrams_tx s.wire_dgrams_rx s.wire_decode_errors s.wire_shard_drops
     s.wire_send_errors s.wal_appends s.wal_bytes
     s.wal_fsyncs s.wal_replayed s.wal_snapshots_used s.wal_decode_errors
-    s.snapshots
+    s.snapshots s.gc_minor_words s.gc_promoted_words

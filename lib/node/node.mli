@@ -8,7 +8,7 @@
     [Tid.hash mod cores], as everywhere else), and the node runs to
     completion. The shim's loop thread is core 0: it receives, and
     handles core 0's requests and execute-phase [Get]s right there
-    (the vstore's shard locks make the reads safe), packing the
+    (the vstore's key index and entry locks make the reads safe), packing the
     replies into core 0's shim packer and flushing it once per loop
     iteration. Cores [1 .. cores-1] run on [cores - 1] spawned
     domains; each drains its mailbox in bursts, parks on it when it is
@@ -122,6 +122,11 @@ type stats = {
       (** Snapshots written per core (element [c] for core [c]),
           including install and reboot-compaction images; [[]]
           without a data directory. *)
+  gc_minor_words : int;
+  gc_promoted_words : int;
+      (** Words the whole process allocated on, and promoted from,
+          the minor heaps of all its domains while it served: from
+          {!launch} (after the keys are loaded) to {!wait}'s return. *)
 }
 
 type bound
@@ -144,7 +149,7 @@ val port : t -> int
 
 val minor_heap_words : int
 (** The minor heap a node process and each of its core domains run
-    (64 Ki words): a minor pause grows with the transactions one
+    (24 Ki words): a minor pause grows with the transactions one
     cycle holds. {!Client_driver}'s coordinator domains use it too. *)
 
 val launch : t -> cluster:Cluster_config.t -> (unit, string) result

@@ -69,24 +69,28 @@ let issue t ~now ~shard ~target ~keys k =
 
 type reply = Fed | Stale | Misrouted | Malformed
 
-(* Z7: [i] runs over [0, len), and both arrays were just checked to
-   hold exactly [len] elements. *)
-let[@mk_lint.allow "Z7"] reply t ~rid ~shard ~values ~wts =
+(* Z7: [i] runs over [0, len), and the source was just checked to
+   hold exactly [len] values and [len] stamps. *)
+let reply_with t ~rid ~shard ~n_values ~n_wts src ~value ~wts =
   match Hashtbl.find t.table rid with
   | exception Not_found -> Stale
   | b ->
       let len = Array.length b.keys in
       if b.shard <> shard then Misrouted
-      else if
-        Array.length values <> len || not (Int.equal (Array.length wts) len)
-      then Malformed
+      else if n_values <> len || not (Int.equal n_wts len) then Malformed
       else begin
         Hashtbl.remove t.table rid;
         for i = 0 to len - 1 do
-          b.k (b.base + i) values.(i) wts.(i)
+          b.k (b.base + i) (value src i) (wts src i)
         done;
         Fed
       end
+
+let[@mk_lint.allow "Z7"] reply t ~rid ~shard ~values ~wts =
+  reply_with t ~rid ~shard ~n_values:(Array.length values)
+    ~n_wts:(Array.length wts) (values, wts)
+    ~value:(fun (values, _) i -> values.(i))
+    ~wts:(fun (_, wts) i -> wts.(i))
 
 let retry_due t ~now =
   if now < t.next_due then 0

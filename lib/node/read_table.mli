@@ -60,6 +60,21 @@ val reply :
     after the batch has left the table; the caller counts [Misrouted]
     and [Malformed] drops. *)
 
+val reply_with :
+  t ->
+  rid:int ->
+  shard:int ->
+  n_values:int ->
+  n_wts:int ->
+  's ->
+  value:('s -> int -> int) ->
+  wts:('s -> int -> Mk_clock.Timestamp.t) ->
+  reply
+(** {!reply} for a reply read by index, [n_values] values and [n_wts]
+    stamps: [value src i] and [wts src i] answer key [i]. The client
+    feeds a [Read_replies] frame through it straight from the receive
+    cursor ({!Mk_wire.Codec.replies}), building no arrays. *)
+
 val retry_due : t -> now:float -> int
 (** Rotate every batch whose deadline is [<= now] to the next replica
     of its group and resend it; returns how many were resent.

@@ -64,6 +64,8 @@ module Make (A : ARRANGEMENT) = struct
     tick : now_us:float -> unit;
   }
 
+  type receiver = src:Unix.sockaddr -> Mk_wire.Wire.cursor -> unit
+
   (* How many destinations a packer keeps a datagram open to at once.
      A replica group is three or five peers and a node's replies go to
      a handful of coordinators, so 8 covers one flush's fan-out in the
@@ -105,6 +107,9 @@ module Make (A : ARRANGEMENT) = struct
     out : packer;  (** The outbox consumer's (loop thread, or poller). *)
     (* Receive-side state, owned by the same consumer. *)
     recv_buf : Bytes.t;
+    cur : Mk_wire.Wire.cursor;
+        (** The one cursor over [recv_buf], re-aimed at each frame a
+            {!receiver} is handed. *)
     wake_buf : Bytes.t;
   }
 
@@ -141,6 +146,7 @@ module Make (A : ARRANGEMENT) = struct
       let wake_rd, wake_wr = Unix.pipe () in
       Unix.set_nonblock wake_rd;
       Unix.set_nonblock wake_wr;
+      let recv_buf = Bytes.create 65535 in
       {
         sock;
         port = bound;
@@ -152,7 +158,8 @@ module Make (A : ARRANGEMENT) = struct
         thread = None;
         obs = None;
         out = new_packer sock;
-        recv_buf = Bytes.create 65535;
+        recv_buf;
+        cur = Mk_wire.Wire.cursor (Bytes.unsafe_to_string recv_buf);
         wake_buf = Bytes.create 64;
       }
     with
@@ -301,12 +308,48 @@ module Make (A : ARRANGEMENT) = struct
     flush t.out;
     match t.obs with Some obs -> fold_tally t.out obs | None -> ()
 
-  let recv_burst t ~deliver =
-    let note_decode_error () =
-      match t.obs with
-      | Some obs -> Obs.note_wire_decode_error obs
-      | None -> ()
-    in
+  let note_decode_error t =
+    match t.obs with Some obs -> Obs.note_wire_decode_error obs | None -> ()
+
+  let note_rx t bytes =
+    match t.obs with Some obs -> Obs.note_wire_rx obs ~bytes | None -> ()
+
+  (* One frame of a datagram, [pos] into its [len] bytes: the offset
+     just past it, or -1 when it does not decode (counted) and the
+     rest of the datagram is dropped. A consumer that raises must not
+     kill the loop thread (a wedged node looks alive from outside): the
+     frame decoded but could not be acted on — count it with the other
+     unusable-input drops. *)
+  let msg_frame t deliver src datagram pos len =
+    match A.decode_at ~limit:len datagram ~pos with
+    | Ok (msg, next) ->
+        note_rx t (next - pos);
+        (try deliver ~src msg with _ -> note_decode_error t);
+        next
+    | Error _ ->
+        note_decode_error t;
+        -1
+
+  (* The same on the shim's cursor: [receive] reads the frame there and
+     acts only on one that decodes to its last byte, so the cursor says
+     afterwards whether it did. *)
+  let cursor_frame t (receive : receiver) src _datagram pos len =
+    let c = t.cur in
+    Mk_wire.Wire.reset c ~pos ~limit:len;
+    let raised = (try receive ~src c; false with _ -> true) in
+    if Mk_wire.Wire.failed c = None && Mk_wire.Wire.remaining c = 0 then begin
+      let next = Mk_wire.Wire.frame_end c in
+      note_rx t (next - pos);
+      if raised then note_decode_error t;
+      next
+    end
+    else begin
+      note_decode_error t;
+      -1
+    end
+
+  (* [frame] is [msg_frame] or [cursor_frame], [h] its consumer. *)
+  let recv_burst t frame h =
     let delivered = ref 0 in
     let attempts = ref 0 in
     let continue = ref true in
@@ -330,7 +373,7 @@ module Make (A : ARRANGEMENT) = struct
           continue := false
       | len, src ->
           (* One datagram, possibly several coalesced frames: decode
-             each at its offset. [decode_at] always advances, so this
+             each at its offset. A frame always advances, so this
              terminates on any input; a bad frame drops the rest of
              the datagram (framing cannot resynchronize mid-stream). *)
           (match t.obs with
@@ -340,34 +383,25 @@ module Make (A : ARRANGEMENT) = struct
              until the next [recvfrom], and no decoded message keeps a
              reference into it (readers copy what they keep), so the
              buffer may be overwritten once this datagram is walked.
-             [~limit:len] keeps the decoder off the stale bytes of
-             earlier, longer datagrams. *)
+             [len] keeps the decoder off the stale bytes of earlier,
+             longer datagrams. *)
           let datagram = Bytes.unsafe_to_string t.recv_buf in
           let pos = ref 0 in
-          let good = ref true in
-          while !good && !pos < len do
-            match A.decode_at ~limit:len datagram ~pos:!pos with
-            | Ok (msg, next) ->
-                incr delivered;
-                (match t.obs with
-                | Some obs -> Obs.note_wire_rx obs ~bytes:(next - !pos)
-                | None -> ());
-                pos := next;
-                (* A [deliver] that raises must not kill the loop
-                   thread (a wedged node looks alive from outside):
-                   the frame decoded but could not be acted on — count
-                   it with the other unusable-input drops. *)
-                (try deliver ~src msg with _ -> note_decode_error ())
-            | Error _ ->
-                note_decode_error ();
-                good := false
+          while !pos >= 0 && !pos < len do
+            let next = frame t h src datagram !pos len in
+            if next >= 0 then incr delivered;
+            pos := next
           done
     done;
     !delivered
 
   let poll t ~deliver =
     flush_outbox t;
-    recv_burst t ~deliver
+    recv_burst t msg_frame deliver
+
+  let poll_receiver t ~receive =
+    flush_outbox t;
+    recv_burst t cursor_frame receive
 
   let wait t ~timeout =
     flush_outbox t;
@@ -397,16 +431,15 @@ module Make (A : ARRANGEMENT) = struct
      steal at the level of busy-polling loops (EXPERIMENTS.md). *)
   let tick_every_s = 0.00005
 
-  let loop t handlers =
+  let loop t frame h tick =
     while not !(t.stop) do
       flush_outbox t;
       (match Unix.select [ t.sock; t.wake_rd ] [] [] tick_every_s with
       | readable, _, _ ->
           if List.memq t.wake_rd readable then drain_wake t;
-          if List.memq t.sock readable then
-            ignore (recv_burst t ~deliver:handlers.deliver : int)
+          if List.memq t.sock readable then ignore (recv_burst t frame h : int)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      handlers.tick ~now_us:(Mk_live.Spawn.wall () *. 1e6)
+      tick ~now_us:(Mk_live.Spawn.wall () *. 1e6)
     done;
     (* Final drain so shutdown-time sends (stats, acks) leave the
        box. *)
@@ -415,7 +448,13 @@ module Make (A : ARRANGEMENT) = struct
   let start t ?obs handlers =
     t.obs <- obs;
     t.threaded <- true;
-    t.thread <- Some (Thread.create (fun () -> loop t handlers) ())
+    t.thread <-
+      Some (Thread.create (fun () -> loop t msg_frame handlers.deliver handlers.tick) ())
+
+  let start_receiver t ?obs ~tick receive =
+    t.obs <- obs;
+    t.threaded <- true;
+    t.thread <- Some (Thread.create (fun () -> loop t cursor_frame receive tick) ())
 
   let set_obs t obs = t.obs <- Some obs
 

@@ -65,6 +65,18 @@ module Make (A : ARRANGEMENT) : sig
             timers: heartbeats, detector scans, retransmissions. *)
   }
 
+  type receiver = src:Unix.sockaddr -> Mk_wire.Wire.cursor -> unit
+  (** A consumer that reads each inbound frame itself, off the shim's
+      one reused cursor ({!start_receiver}, {!poll_receiver}): the
+      cursor is aimed at the frame's first byte and the datagram's
+      end; the receiver reads exactly that frame (e.g. with
+      {!Mk_wire.Codec.dispatch}) and acts only if it decodes to its
+      last byte. Afterwards the shim counts the frame and moves past
+      it if the cursor is neither failed nor short of the frame's end
+      ({!Mk_wire.Wire.frame_end}), and otherwise counts a decode error
+      and drops the rest of the datagram — the counters of the
+      [deliver] path. A raise is caught and counted as there. *)
+
   val bind : ?port:int -> ?outbox:int -> unit -> (t, string) result
   (** Create and bind the UDP socket. [port] defaults to 0 — bind an
       ephemeral port, reported by {!port} (the launcher handshake).
@@ -81,10 +93,18 @@ module Make (A : ARRANGEMENT) : sig
       ([wire.msgs_tx/rx], [wire.bytes_tx/rx], [wire.dgrams_tx/rx],
       [wire.decode_errors], [wire.send_errors]). *)
 
+  val start_receiver :
+    t -> ?obs:Mk_obs.Obs.t -> tick:(now_us:float -> unit) -> receiver -> unit
+  (** {!start} with a {!receiver} in place of [deliver]: no message is
+      built for a frame the receiver takes from the cursor. *)
+
   val poll : t -> deliver:(src:Unix.sockaddr -> A.msg -> unit) -> int
   (** Inline mode: flush the outbox, then decode and deliver every
       datagram currently readable (bounded burst); returns how many
       were delivered. The caller owns the loop and its timers. *)
+
+  val poll_receiver : t -> receive:receiver -> int
+  (** {!poll} with a {!receiver} in place of [deliver]. *)
 
   val wait : t -> timeout:float -> bool
   (** Inline mode's idle wait: flush the outbox, then block until a

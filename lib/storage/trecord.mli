@@ -37,6 +37,10 @@ val partition_of_tid : t -> Mk_clock.Timestamp.Tid.t -> int
 
 val find : t -> core:int -> Mk_clock.Timestamp.Tid.t -> entry option
 
+val mem : t -> core:int -> Mk_clock.Timestamp.Tid.t -> bool
+(** [find] without the option: whether the partition holds a record
+    for the tid. *)
+
 val add :
   t ->
   core:int ->

@@ -12,63 +12,97 @@ type entry = {
   mutable writers : Timestamp.Set.t;
 }
 
-type shard = {
-  table : (Txn.key, entry) Hashtbl.t;
-  shard_lock : Mutex.t;
-  shard_owner : Owner.slot;
-}
+(* The published key index: an open-addressed table of every entry
+   the tables held when it was built, with [absent] in the empty
+   slots. It is never written after [publish] builds it, so readers
+   on any domain probe it with no lock (Z3: no [Hashtbl] here). *)
+type index = { slots : entry array; imask : int; count : int }
 
-type t = { shards : shard array; mask : int }
+(* The entry of no key: fills the index's empty slots and answers
+   {!lookup} misses. Nobody locks or mutates it. *)
+let absent =
+  {
+    key = min_int;
+    lock = Mutex.create ();
+    owner = Owner.slot "vstore.absent";
+    value = 0;
+    wts = Timestamp.zero;
+    rts = Timestamp.zero;
+    readers = Timestamp.Set.empty;
+    writers = Timestamp.Set.empty;
+  }
+
+let empty_index = { slots = [| absent |]; imask = 0; count = 0 }
+
+(* [tables] are the store of record, partitioned as they always were
+   so {!iter} walks entries in the same order (checkpoint and Memlog
+   bytes depend on it). Every operation on them runs under the one
+   table lock; only a miss in the published index, a load and a walk
+   take it. *)
+type t = {
+  tables : (Txn.key, entry) Hashtbl.t array;
+  mask : int;
+  table_lock : Mutex.t;
+  table_owner : Owner.slot;
+  index : index Atomic.t;
+  mutable stored : int;  (** Entries in [tables]; under the lock. *)
+}
 
 let create ?(shards = 64) () =
   if shards <= 0 || shards land (shards - 1) <> 0 then
     invalid_arg "Vstore.create: shards must be a positive power of two";
   {
-    shards =
-      Array.init shards (fun i ->
-          {
-            table = Hashtbl.create 1024;
-            shard_lock = Mutex.create ();
-            shard_owner = Owner.slot (Printf.sprintf "vstore.shard[%d]" i);
-          });
+    tables = Array.init shards (fun _ -> Hashtbl.create 1024);
     mask = shards - 1;
+    table_lock = Mutex.create ();
+    table_owner = Owner.slot "vstore.tables";
+    index = Atomic.make empty_index;
+    stored = 0;
   }
 
-(* Finalize-style mix so adjacent keys land in different shards. *)
+(* Finalize-style mix so adjacent keys land in different partitions
+   and index slots. *)
 let hash_key k =
   let k = k * 0x9E3779B1 in
   (k lxor (k lsr 16)) land max_int
 
-let shard_of t key = t.shards.(hash_key key land t.mask)
+let table_of t key = t.tables.(hash_key key land t.mask)
 
-(* The only place the shard lock is taken: every table operation runs
-   inside [with_shard] (Z3), and the dynamic checker learns who holds
-   the lock so unguarded accesses fail loudly (Mk_check.Owner). *)
-let with_shard s f =
-  Mutex.lock s.shard_lock;
-  Owner.acquired s.shard_owner;
+(* The table lock (named [with_shard], the guard rule Z3 knows): every
+   table operation runs inside it, and the dynamic checker learns who
+   holds it so unguarded accesses fail loudly (Mk_check.Owner). *)
+let with_shard t f =
+  Mutex.lock t.table_lock;
+  Owner.acquired t.table_owner;
   match f () with
   | r ->
-      Owner.released s.shard_owner;
-      Mutex.unlock s.shard_lock;
+      Owner.released t.table_owner;
+      Mutex.unlock t.table_lock;
       r
   | exception e ->
-      Owner.released s.shard_owner;
-      Mutex.unlock s.shard_lock;
+      Owner.released t.table_owner;
+      Mutex.unlock t.table_lock;
       raise e
 
-(* Likewise for the per-key entry lock. *)
-let with_entry e f =
+(* The per-key entry lock, without a closure: [lock]/[unlock] bracket
+   each critical section of the OCC checks, and [with_entry] is the
+   same pair around a function for the cold paths. *)
+let lock e =
   Mutex.lock e.lock;
-  Owner.acquired e.owner;
+  Owner.acquired e.owner
+
+let unlock e =
+  Owner.released e.owner;
+  Mutex.unlock e.lock
+
+let with_entry e f =
+  lock e;
   match f e with
   | r ->
-      Owner.released e.owner;
-      Mutex.unlock e.lock;
+      unlock e;
       r
   | exception exn ->
-      Owner.released e.owner;
-      Mutex.unlock e.lock;
+      unlock e;
       raise exn
 
 (* Entry mutations go through these so the checker can assert, at the
@@ -105,43 +139,119 @@ let fresh_entry key value =
     writers = Timestamp.Set.empty;
   }
 
-let load t ~key ~value =
-  let s = shard_of t key in
-  with_shard s (fun () -> Hashtbl.replace s.table key (fresh_entry key value))
+(* Linear probing from the key's home slot; the table is at most half
+   full, so a probe ends at the key or at an [absent] slot. *)
+let rec probe slots imask key i =
+  let e = slots.(i) in
+  if e == absent || e.key = key then e else probe slots imask key ((i + 1) land imask)
 
-(* Readers take the shard lock too: a bare [Hashtbl.find_opt] races
-   with a concurrent resize in [load]/[find_or_create] under real
-   domains (the pre-fix bug this module is the regression site for). *)
+let indexed t key =
+  let ix = Atomic.get t.index in
+  probe ix.slots ix.imask key (hash_key key land ix.imask)
+
+(* The index only ever holds the tables' current entries (a load
+   that replaces a published entry withdraws the index first), so it
+   lags the tables by exactly the entries it lacks. *)
+let lag t = t.stored - (Atomic.get t.index).count
+
+(* Build the index of every entry in the tables and publish it.
+   O(entries), so the bulk paths call it once ({!publish}) and a miss
+   only when the index lags by a fraction of its size (below). Z3:
+   every caller holds the table lock (checked below). *)
+let[@mk_lint.allow "Z3"] rebuild t =
+  Owner.check t.table_owner ~what:"Vstore index rebuild";
+  let cap = ref 16 in
+  while !cap < 2 * t.stored do
+    cap := 2 * !cap
+  done;
+  let slots = Array.make !cap absent and imask = !cap - 1 in
+  Array.iter
+    (fun table ->
+      Hashtbl.iter
+        (fun key e ->
+          let rec place i =
+            if slots.(i) == absent then slots.(i) <- e
+            else place ((i + 1) land imask)
+          in
+          place (hash_key key land imask))
+        table)
+    t.tables;
+  Atomic.set t.index { slots; imask; count = t.stored }
+
+(* A miss republishes once the index lags the tables by more than an
+   eighth of its size: every key inserted one at a time costs O(1)
+   amortized, and a lagging key meanwhile answers from the tables
+   under the lock. *)
+let catch_up t = if lag t > (Atomic.get t.index).count / 8 then rebuild t
+
+let publish t = with_shard t (fun () -> if lag t > 0 then rebuild t)
+
+let load t ~key ~value =
+  with_shard t (fun () ->
+      let table = table_of t key in
+      if not (Hashtbl.mem table key) then t.stored <- t.stored + 1
+      else if indexed t key != absent then
+        (* The index holds the entry being replaced: withdraw it, so no
+           reader can reach the old version; the next miss or publish
+           rebuilds. *)
+        Atomic.set t.index empty_index;
+      Hashtbl.replace table key (fresh_entry key value))
+
+(* The slow half of a lookup: under the table lock, the entry the
+   tables hold (creating it with the zero version if [create]), or
+   [absent]; then, if [republish], the index catches up. *)
+let miss t key ~create ~republish =
+  with_shard t (fun () ->
+      let table = table_of t key in
+      let e =
+        match Hashtbl.find_opt table key with
+        | Some e -> e
+        | None when create ->
+            let e = fresh_entry key 0 in
+            Hashtbl.add table key e;
+            t.stored <- t.stored + 1;
+            e
+        | None -> absent
+      in
+      if republish then catch_up t;
+      e)
+
+let find_or_create t key =
+  let e = indexed t key in
+  if e != absent then e else miss t key ~create:true ~republish:true
+
+let lookup t key =
+  let e = indexed t key in
+  if e != absent then e else miss t key ~create:false ~republish:true
+
+let set_version t ~key ~value ~wts ~rts =
+  let e = indexed t key in
+  let e = if e != absent then e else miss t key ~create:true ~republish:false in
+  with_entry e (fun e ->
+      set_value e value;
+      set_wts e wts;
+      set_rts e rts)
+
 let find t key =
-  let s = shard_of t key in
-  with_shard s (fun () -> Hashtbl.find_opt s.table key)
+  let e = lookup t key in
+  if e == absent then None else Some e
 
 let find_exn t key =
   match find t key with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Vstore.find_exn: key %d not loaded" key)
 
-let find_or_create t key =
-  let s = shard_of t key in
-  with_shard s (fun () ->
-      match Hashtbl.find_opt s.table key with
-      | Some e -> e
-      | None ->
-          let e = fresh_entry key 0 in
-          Hashtbl.add s.table key e;
-          e)
+let size t = with_shard t (fun () -> t.stored)
 
-let size t =
-  Array.fold_left
-    (fun acc s -> acc + with_shard s (fun () -> Hashtbl.length s.table))
-    0 t.shards
-
-let read_versioned e = with_entry e (fun e -> (e.value, e.wts))
+let read_versioned e =
+  lock e;
+  let v = (e.value, e.wts) in
+  unlock e;
+  v
 
 let iter t f =
-  Array.iter
-    (fun s -> with_shard s (fun () -> Hashtbl.iter (fun _ e -> f e) s.table))
-    t.shards
+  with_shard t (fun () ->
+      Array.iter (fun table -> Hashtbl.iter (fun _ e -> f e) table) t.tables)
 
 let clear_pending t =
   iter t (fun e ->
@@ -158,15 +268,17 @@ let pending_counts t =
   (!readers, !writers)
 
 module For_testing = struct
-  (* The pre-fix shape of [find]: a table read that takes no shard
-     lock. Kept (never called by production code) so the dynamic
-     checker's ability to catch the original race stays demonstrable;
-     the static twin lives in test/lint_fixtures/. *)
+  (* The pre-fix shape of [find]: a read of the shared tables that
+     takes no lock. Kept (never called by production code) so the
+     dynamic checker's ability to catch the original race stays
+     demonstrable; the static twin lives in test/lint_fixtures/. *)
   let[@mk_lint.allow "Z3"] unguarded_find t key =
-    let s = shard_of t key in
-    Owner.check s.shard_owner ~what:"Hashtbl.find_opt (pre-fix Vstore.find shape)";
-    Hashtbl.find_opt s.table key
+    Owner.check t.table_owner ~what:"Hashtbl.find_opt (pre-fix Vstore.find shape)";
+    Hashtbl.find_opt (table_of t key) key
 
   (* An entry mutation that skips the entry lock. *)
   let unguarded_bump_rts e ts = set_rts e ts
+
+  let index_size t = (Atomic.get t.index).count
+  let holding_table_lock t f = with_shard t f
 end

@@ -441,6 +441,77 @@ let encode msg = encode_shard ~shard:0 msg
 let encode_shard_into ~scratch ~out ~shard msg =
   frame_into ~shard ~kind:(kind msg) ~scratch ~out (fun b -> payload_into b msg)
 
+(* ------------------------------------------------------------------ *)
+(* Hot kinds: dispatch straight from the cursor                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A window onto one of a frame's arrays, read by index while the frame
+   is handed to its consumer: [n] elements of [width] bytes from
+   offset [at] of [cur]. Each dispatcher owns its two views and re-aims
+   them per frame, so handing a frame over allocates nothing. *)
+type view = {
+  mutable cur : cursor;
+  mutable at : int;
+  mutable n : int;
+}
+
+type keys = view
+
+type replies = { values : view; stamps : view }
+
+let keys_count (k : keys) = k.n
+let key_at (k : keys) i = if i < 0 || i >= k.n then 0 else i64_at k.cur (k.at + (8 * i))
+let replies_count r = r.values.n
+let replies_wts_count r = r.stamps.n
+
+let reply_value r i =
+  let v = r.values in
+  if i < 0 || i >= v.n then 0 else i64_at v.cur (v.at + (8 * i))
+
+let reply_wts r i =
+  let v = r.stamps in
+  if i < 0 || i >= v.n then Timestamp.zero
+  else
+    let at = v.at + (ts_bytes * i) in
+    Timestamp.make ~time:(f64_at v.cur at) ~client_id:(i64_at v.cur (at + 8))
+
+(* Aim [v] at the next array of the frame: its count, then its
+   elements, skipped here and read later by index — the same bytes,
+   and the same hostile-count and truncation checks, as [r_array]. *)
+let r_view v ~width c =
+  let n = r_count ~elt_min:width c in
+  v.cur <- c;
+  v.n <- n;
+  v.at <- skip c (n * width)
+
+type 'a visitor = {
+  validated :
+    'a -> shard:int -> slot:int -> seq:int -> replica:int -> Txn.status -> unit;
+  accepted :
+    'a -> shard:int -> slot:int -> seq:int -> replica:int -> accept_reply -> unit;
+  read_replies :
+    'a -> shard:int -> slot:int -> seq:int -> replica:int -> replies -> unit;
+  reads : 'a -> shard:int -> coord:int -> slot:int -> seq:int -> keys -> unit;
+  held : 'a -> Tid.t -> bool;
+  write_back_held : 'a -> shard:int -> Tid.t -> commit:bool -> unit;
+  other : 'a -> shard:int -> t -> unit;
+}
+
+type 'a dispatcher = { visitor : 'a visitor; keys : view; replies : replies }
+
+let no_view () = { cur = cursor ""; at = 0; n = 0 }
+
+let dispatcher visitor =
+  { visitor; keys = no_view (); replies = { values = no_view (); stamps = no_view () } }
+
+(* A frame whose payload decoded to its last byte: only then is it
+   handed over. *)
+let complete c = failed c = None && remaining c = 0
+
+(* Any payload, built as a message: every kind for {!decode_shard_at},
+   the kinds {!dispatch} does not take from the cursor for it. The hot
+   kinds' fields below and in [dispatch_payload] are read by the same
+   readers in the same order (test_wire pins the two paths equal). *)
 let decode_payload ~kind c =
   match kind with
   | 1 ->
@@ -555,6 +626,65 @@ let decode_payload ~kind c =
   | k ->
       fail c (Unknown_kind k);
       Shutdown
+
+(* One payload of kind [kind]: exactly one of the visitor's handlers
+   runs, and only if the payload decodes to its last byte. The hot
+   kinds are read field by field off the cursor; a [Write_back] whose
+   record the consumer already [held] skips its transaction. Every
+   other kind — and a write-back for a record not held — is built as a
+   message for [other]. *)
+let dispatch_payload d x ~kind ~shard c =
+  let v = d.visitor in
+  match kind with
+  | 4 ->
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let replica = r_i64 c in
+      let status = r_status c in
+      if complete c then v.validated x ~shard ~slot ~seq ~replica status
+  | 6 ->
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let replica = r_i64 c in
+      let reply = r_accept_reply c in
+      if complete c then v.accepted x ~shard ~slot ~seq ~replica reply
+  | 18 ->
+      let coord = r_i64 c in
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      r_view d.keys ~width:8 c;
+      if complete c then v.reads x ~shard ~coord ~slot ~seq d.keys
+  | 19 ->
+      let slot = r_i64 c in
+      let seq = r_i64 c in
+      let replica = r_i64 c in
+      r_view d.replies.values ~width:8 c;
+      r_view d.replies.stamps ~width:ts_bytes c;
+      if complete c then v.read_replies x ~shard ~slot ~seq ~replica d.replies
+  | 7 ->
+      let start = position c in
+      let tid = r_tid c in
+      if failed c = None && v.held x tid then begin
+        (* The record's transaction and timestamp are already held:
+           check their bytes as [r_txn] and [r_ts] would, skip them. *)
+        ignore (skip c (r_count ~elt_min:(8 + ts_bytes) c * (8 + ts_bytes)) : int);
+        ignore (skip c (r_count ~elt_min:16 c * 16) : int);
+        ignore (skip c ts_bytes : int);
+        let commit = r_bool c in
+        if complete c then v.write_back_held x ~shard tid ~commit
+      end
+      else begin
+        seek c start;
+        let msg = decode_payload ~kind c in
+        if complete c then v.other x ~shard msg
+      end
+  | _ ->
+      let msg = decode_payload ~kind c in
+      if complete c then v.other x ~shard msg
+
+let dispatch d x c =
+  let kind = unframe_kind_at c in
+  if failed c = None then dispatch_payload d x ~kind ~shard:(frame_shard c) c
 
 let decode_shard s =
   let c = cursor s in

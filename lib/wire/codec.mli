@@ -173,6 +173,74 @@ val decode_shard_at :
     end): the socket shim decodes in place from its reused receive
     buffer, and no byte past [limit] is read. Total: never raises. *)
 
+(** {2 Hot kinds, straight from the cursor}
+
+    A receiver that handles one frame per call on a reused cursor
+    (the socket shim's) need not build a message for the frames it
+    sees most: {!dispatch} reads the header and payload off the cursor
+    and hands the fields of a [Validated], [Accepted], [Reads] or
+    [Read_replies] frame straight to a handler, arrays by index
+    through a view; a [Write_back] for a record the receiver already
+    holds arrives as its tid alone. Every other kind is built as a
+    message for [other]. The checks are {!decode_shard_at}'s, through
+    the same field readers — a handler runs only for a frame that
+    decodes to its last byte, and a frame that does not leaves the
+    cursor bad or short of its end, as {!decode_shard_at} would have
+    reported. *)
+
+type keys
+(** A [Reads] frame's keys, valid only while its handler runs. *)
+
+val keys_count : keys -> int
+val key_at : keys -> int -> int
+
+type replies
+(** A [Read_replies] frame's two arrays, valid only while its handler
+    runs. *)
+
+val replies_count : replies -> int
+(** Elements of the values array. *)
+
+val replies_wts_count : replies -> int
+(** Elements of the [wts] array (a well-formed reply has as many). *)
+
+val reply_value : replies -> int -> int
+val reply_wts : replies -> int -> Mk_clock.Timestamp.t
+(** Element [i] (0 outside the array, never a raise). *)
+
+type 'a visitor = {
+  validated :
+    'a -> shard:int -> slot:int -> seq:int -> replica:int -> Mk_storage.Txn.status -> unit;
+  accepted :
+    'a -> shard:int -> slot:int -> seq:int -> replica:int -> accept_reply -> unit;
+  read_replies :
+    'a -> shard:int -> slot:int -> seq:int -> replica:int -> replies -> unit;
+  reads : 'a -> shard:int -> coord:int -> slot:int -> seq:int -> keys -> unit;
+  held : 'a -> Mk_clock.Timestamp.Tid.t -> bool;
+      (** Asked of a [Write_back] before its transaction is read: whether
+          the receiver holds the record, so that the frame may arrive
+          as {!write_back_held}. No side effects: the frame may still
+          turn out malformed. *)
+  write_back_held :
+    'a -> shard:int -> Mk_clock.Timestamp.Tid.t -> commit:bool -> unit;
+  other : 'a -> shard:int -> t -> unit;
+}
+(** One handler per hot kind (each with the frame's shard stamp), and
+    [other] for every frame built as a message. *)
+
+type 'a dispatcher
+(** A visitor with its reusable array views. One owner at a time. *)
+
+val dispatcher : 'a visitor -> 'a dispatcher
+
+val dispatch : 'a dispatcher -> 'a -> Wire.cursor -> unit
+(** Decode the frame at the cursor and run at most one handler on it,
+    with [x] as its first argument. Afterwards the frame decoded iff
+    the cursor is not {!Wire.failed} and has no {!Wire.remaining}
+    bytes; {!Wire.frame_end} is then the offset past it. Allocates
+    nothing beyond what [other]'s messages and the handlers do. Total:
+    never raises on its own account. *)
+
 val equal : t -> t -> bool
 (** Structural equality via the dedicated [Timestamp]/[Tid]
     comparators (Z2-clean); the round-trip property in tests is

@@ -88,6 +88,7 @@ type cursor = {
   mutable limit : int;
   mutable bad : bool;
   mutable err : error;  (** The first failure; meaningful once [bad]. *)
+  mutable shard : int;  (** The last frame header's shard stamp. *)
 }
 
 let fail c e =
@@ -99,11 +100,22 @@ let fail c e =
 let cursor ?(pos = 0) ?limit buf =
   let len = String.length buf in
   let limit = match limit with Some l -> max 0 (min l len) | None -> len in
-  let c = { buf; pos; limit; bad = false; err = Trailing 0 } in
+  let c = { buf; pos; limit; bad = false; err = Trailing 0; shard = 0 } in
   if pos < 0 then fail c (Malformed "negative position");
   c
 
+let reset c ~pos ~limit =
+  c.pos <- pos;
+  c.limit <- max 0 (min limit (String.length c.buf));
+  c.bad <- false;
+  if pos < 0 then fail c (Malformed "negative position")
+
 let remaining c = c.limit - c.pos
+let position c = c.pos
+
+let seek c pos =
+  if (not c.bad) && pos >= 0 && pos <= c.pos then c.pos <- pos
+  else fail c (Malformed "seek past the read position")
 let failed c = if c.bad then Some c.err else None
 
 let finish c v =
@@ -158,6 +170,17 @@ let[@mk_lint.allow "Z7"] r_i64 c =
 let[@mk_lint.allow "Z7"] r_f64 c =
   let at = take c 8 in
   if at < 0 then 0.0 else Int64.float_of_bits (String.get_int64_le c.buf at)
+
+let skip c n = take_bytes c n
+
+(* Z7: a read at an offset [skip] returned, re-checked against the
+   cursor's window so a wrong offset reads as 0, never raises. *)
+let[@mk_lint.allow "Z7"] i64_at c at =
+  if at < 0 || at + 8 > c.limit then 0 else Int64.to_int (String.get_int64_le c.buf at)
+
+let[@mk_lint.allow "Z7"] f64_at c at =
+  if at < 0 || at + 8 > c.limit then 0.0
+  else Int64.float_of_bits (String.get_int64_le c.buf at)
 
 let r_bool c =
   match r_u8 c with
@@ -272,25 +295,27 @@ let frame_into ?(shard = 0) ~kind ~scratch ~out writer =
    cursor to the frame's payload: afterwards reads run from the
    payload's first byte to its last, and [frame_end] is the offset just
    past the frame. [whole] is the one-frame input of {!unframe}: bytes
-   after the frame are [Trailing]. On a bad header the cursor is bad
-   and the result is [(0, 0)]. *)
+   after the frame are [Trailing]. Returns the kind and keeps the shard
+   stamp in the cursor; on a bad header the cursor is bad and both
+   are 0. *)
 let header ~whole c =
+  c.shard <- 0;
   if (not c.bad) && remaining c < header_bytes then begin
     fail c (Truncated { need = header_bytes; have = remaining c });
-    (0, 0)
+    0
   end
   else
     (* Magic, version and kind: the header's first four bytes. *)
     let mvk = r_u32 c in
     if mvk land 0xffff <> Char.code magic0 lor (Char.code magic1 lsl 8) then begin
       fail c Bad_magic;
-      (0, 0)
+      0
     end
     else
       let v = (mvk lsr 16) land 0xff in
       if v <> version then begin
         fail c (Bad_version v);
-        (0, 0)
+        0
       end
       else
         let kind = mvk lsr 24 in
@@ -298,14 +323,23 @@ let header ~whole c =
         let shard = shard_lo lor (r_u8 c lsl 8) in
         let len = r_u32 c in
         let p = take c len in
-        if p < 0 then (0, 0)
+        if p < 0 then 0
         else begin
           if whole && c.pos < c.limit then fail c (Trailing (c.limit - c.pos));
           c.pos <- p;
           c.limit <- p + len;
-          (kind, shard)
+          c.shard <- shard;
+          kind
         end
 
-let unframe c = header ~whole:true c
-let unframe_at c = header ~whole:false c
+let unframe c =
+  let kind = header ~whole:true c in
+  (kind, c.shard)
+
+let unframe_at c =
+  let kind = header ~whole:false c in
+  (kind, c.shard)
+
+let unframe_kind_at c = header ~whole:false c
+let frame_shard c = c.shard
 let frame_end c = c.limit

@@ -59,7 +59,28 @@ type cursor
 val cursor : ?pos:int -> ?limit:int -> string -> cursor
 (** [limit] defaults to, and is clamped to, the string's length. *)
 
+val reset : cursor -> pos:int -> limit:int -> unit
+(** Re-aim the cursor at [\[pos, limit)] of the same string and clear
+    its error ([limit] clamped as in {!cursor}): one cursor serves every
+    frame of every datagram a reused receive buffer holds. *)
+
 val remaining : cursor -> int
+
+val position : cursor -> int
+(** The offset of the next byte to read. *)
+
+val seek : cursor -> int -> unit
+(** Move back to an earlier {!position} (to re-read a field); any
+    other offset marks the cursor bad. *)
+
+val skip : cursor -> int -> int
+(** Consume [n] bytes without reading them and return their offset,
+    or -1 (the cursor marked bad) if fewer remain. *)
+
+val i64_at : cursor -> int -> int
+val f64_at : cursor -> int -> float
+(** Read at an offset {!skip} returned; an offset outside the cursor's
+    window reads as 0, never raises. *)
 
 val failed : cursor -> error option
 (** The first failure, if the cursor is bad. *)
@@ -87,6 +108,11 @@ val r_list : elt_min:int -> (cursor -> 'a) -> cursor -> 'a list
 
 val r_array : elt_min:int -> (cursor -> 'a) -> cursor -> 'a array
 (** {!r_list} read straight into an array. *)
+
+val r_count : elt_min:int -> cursor -> int
+(** The element count that opens an {!r_list} or {!r_array}, with the
+    same hostile-count check: a count the remaining bytes cannot hold
+    at [elt_min] each marks the cursor bad and reads as 0. *)
 
 (** {2 Framing} *)
 
@@ -131,6 +157,14 @@ val unframe : cursor -> int * int
 val unframe_at : cursor -> int * int
 (** {!unframe} for one frame of a multi-frame datagram: bytes after
     the frame are the next frame, never [Trailing]. *)
+
+val unframe_kind_at : cursor -> int
+(** {!unframe_at} without the pair (no allocation): the kind, with the
+    shard stamp left for {!frame_shard}. *)
+
+val frame_shard : cursor -> int
+(** The shard stamp of the frame header the cursor last read (0 after
+    a bad one). *)
 
 val frame_end : cursor -> int
 (** After {!unframe_at}: the offset just past the frame (always past

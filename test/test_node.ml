@@ -190,8 +190,10 @@ let test_cluster_serializable ~cores () =
   let stats = Array.map Node.wait nodes in
   Alcotest.(check int) "every client got every answer" result.Driver.submitted
     result.Driver.acked;
-  Alcotest.(check int) "coordinator domains run the node's minor heap" 65_536
-    result.Driver.minor_heap_words;
+  Alcotest.(check int) "coordinator domains run the node's minor heap"
+    Node.minor_heap_words result.Driver.minor_heap_words;
+  Alcotest.(check bool) "not the runtime's default" true
+    (Node.minor_heap_words <> 262_144);
   Alcotest.(check int) "90 transactions resolved" 90
     (result.Driver.committed_count + result.Driver.aborted);
   Alcotest.(check bool) "some commits" true (result.Driver.committed_count > 0);
@@ -1364,6 +1366,94 @@ let test_reads_match_gets ~cores () =
   | l -> Alcotest.failf "%d Read_replies for one Reads" (List.length l));
   Alcotest.(check int) "clean wire" 0 stats.(0).Node.wire_decode_errors
 
+let test_write_back_finalizes_every_core ~cores () =
+  (* Records validated on every core are finalized by their
+     write-backs, however the frame reaches its core: core 0 takes a
+     write-back for a record it holds straight off the receive cursor
+     (by tid, no transaction built), and at [cores >= 2] core 1's
+     cross its mailbox as a built message. Every replica must end with
+     each record committed in its own core's partition, and the
+     written values installed. *)
+  let keys = 16 in
+  let bound, cluster = bind_cluster 3 in
+  let nodes = launch_cluster ~cores ~keys bound cluster in
+  let n_txns = 12 in
+  let txns =
+    List.init n_txns (fun i ->
+        let txn =
+          Txn.make
+            ~tid:(Tid.make ~seq:(i + 1) ~client_id:5)
+            ~read_set:[]
+            ~write_set:[ { Txn.key = i; value = 300 + i } ]
+        in
+        (txn, Timestamp.make ~time:(float_of_int (i + 1)) ~client_id:5))
+  in
+  let core_of (txn : Txn.t) = Tid.hash txn.tid mod cores in
+  for core = 0 to cores - 1 do
+    if not (List.exists (fun (txn, _) -> core_of txn = core) txns) then
+      Alcotest.failf "no transaction steered to core %d" core
+  done;
+  let written () =
+    with_raw_client @@ fun sock ->
+    List.iteri
+      (fun key _ ->
+        for r = 0 to 2 do
+          send_to sock cluster r (Codec.Get { coord = 0; slot = r; seq = key; key })
+        done)
+      txns;
+    let got = receive sock ~want:(3 * n_txns) ~timeout:0.5 in
+    List.length got = 3 * n_txns
+    && List.for_all
+         (function Codec.Get_reply { key; value; _ } -> value = 300 + key | _ -> false)
+         got
+  in
+  with_raw_client (fun sock ->
+      List.iteri
+        (fun i (txn, ts) ->
+          for r = 0 to 2 do
+            send_to sock cluster r (Codec.Validate { coord = 0; slot = i; seq = 0; txn; ts })
+          done)
+        txns;
+      let validated = receive sock ~want:(3 * n_txns) ~timeout:2.0 in
+      Alcotest.(check int) "every replica validated every transaction" (3 * n_txns)
+        (List.length
+           (List.filter
+              (function
+                | Codec.Validated { status = Txn.Validated_ok; _ } -> true | _ -> false)
+              validated));
+      List.iter
+        (fun (txn, ts) ->
+          for r = 0 to 2 do
+            send_to sock cluster r (Codec.Write_back { txn; ts; commit = true })
+          done)
+        txns);
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  while (not (written ())) && Unix.gettimeofday () < deadline do
+    ()
+  done;
+  Array.iter Node.shutdown nodes;
+  let stats = Array.map Node.wait nodes in
+  Array.iteri
+    (fun r node ->
+      Alcotest.(check int) (Printf.sprintf "node%d committed" r) n_txns
+        stats.(r).Node.committed;
+      let tr = Replica.trecord (Node.replica node) in
+      List.iter
+        (fun ((txn : Txn.t), _) ->
+          match Mk_storage.Trecord.find tr ~core:(core_of txn) txn.tid with
+          | Some e ->
+              Alcotest.(check bool)
+                (Printf.sprintf "node%d: %s committed on core %d" r
+                   (Tid.to_string txn.tid) (core_of txn))
+                true (e.status = Txn.Committed)
+          | None ->
+              Alcotest.failf "node%d: %s missing from core %d" r (Tid.to_string txn.tid)
+                (core_of txn))
+        txns;
+      Alcotest.(check int) (Printf.sprintf "node%d clean wire" r) 0
+        stats.(r).Node.wire_decode_errors)
+    nodes
+
 let test_reads_paused_and_misstamped () =
   (* A paused replica answers no Reads at all (the client rotates on
      the silence), and a Reads stamped for another shard is a counted
@@ -1581,6 +1671,8 @@ let () =
             (test_reads_match_gets ~cores:2);
           Alcotest.test_case "Reads: paused silent, misstamped dropped" `Quick
             test_reads_paused_and_misstamped;
+          Alcotest.test_case "write-back finalizes every core's records" `Quick
+            (test_write_back_finalizes_every_core ~cores:2);
         ] );
       (* The benchmark's node shape: one domain, core 0 on the loop
          thread, no core inbox at all. *)
@@ -1600,6 +1692,8 @@ let () =
             test_superseded_epoch_changes;
           Alcotest.test_case "core 0 raise fails wait" `Quick
             (test_core0_raise_fails_wait ~cores:1);
+          Alcotest.test_case "write-back finalizes every core's records" `Quick
+            (test_write_back_finalizes_every_core ~cores:1);
         ] );
       ( "read table",
         [

@@ -332,6 +332,58 @@ let test_store_snapshot_roundtrip () =
   | Some (1, _) -> ()
   | _ -> Alcotest.fail "snapshot did not carry the committed value"
 
+let test_handlers_allocation_budget () =
+  (* Minor words for one 4-read/2-write transaction's validate and
+     commit on one core, over a loaded 1 024-key store, in the style of
+     test_workload's budget for [Workload.next]. What stays is per
+     transaction: the trecord entry and its table cell, the pending
+     reader/writer set nodes, the handlers' option results: 44 words
+     (48 under MK_CHECK, which allocates the ambient actor), where
+     closures per key took 225. A closure or an option per key, or a
+     lookup that allocates, blows it. *)
+  let keys = 1024 in
+  let r = Replica.create ~id:0 ~quorum:q3 ~cores:1 in
+  for key = 0 to keys - 1 do
+    Replica.load r ~key ~value:0
+  done;
+  Replica.publish r;
+  let runs = 20_000 in
+  (* Built up front, disjoint key sets in turn, increasing timestamps:
+     every transaction validates and commits. *)
+  let wts = Array.make keys Timestamp.zero in
+  let batch =
+    Array.init runs (fun i ->
+        let base = 6 * i mod (keys - 6) in
+        let stamp = ts (float_of_int (i + 1)) in
+        let t =
+          txn ~seq:(i + 1)
+            ~reads:(List.init 4 (fun k -> (base + k, wts.(base + k))))
+            ~writes:[ (base + 4, i); (base + 5, i) ]
+            ()
+        in
+        wts.(base + 4) <- stamp;
+        wts.(base + 5) <- stamp;
+        (t, stamp))
+  in
+  let step (t, stamp) =
+    (match Replica.handle_validate r ~core:0 ~txn:t ~ts:stamp with
+    | Some Txn.Validated_ok -> ()
+    | _ -> Alcotest.fail "validation failed");
+    ignore (Replica.handle_commit r ~core:0 ~txn:t ~ts:stamp ~commit:true : unit option)
+  in
+  (* The first transactions grow the trecord's tables; then measure. *)
+  for i = 0 to 999 do
+    step batch.(i)
+  done;
+  let before = Gc.minor_words () in
+  for i = 1000 to runs - 1 do
+    step batch.(i)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int (runs - 1000) in
+  Alcotest.(check int) "every transaction committed" runs (Replica.committed r);
+  if words > 56.0 then
+    Alcotest.failf "validate + commit: %.1f words per transaction (budget 56)" words
+
 let () =
   Alcotest.run "replica"
     [
@@ -347,6 +399,8 @@ let () =
             test_commit_unknown_txn_applies;
           Alcotest.test_case "commit idempotent" `Quick test_commit_idempotent;
           Alcotest.test_case "abort cleans pending" `Quick test_abort_cleans_pending;
+          Alcotest.test_case "validate+commit allocation budget" `Quick
+            test_handlers_allocation_budget;
         ] );
       ( "views",
         [

@@ -372,6 +372,92 @@ let test_timestamp_tiebreak_in_occ () =
      conflicts with the pending a and must abort. *)
   check_outcome "b aborts" true (Occ.validate store b ~ts:(ts_c 1.0 2) = `Abort)
 
+let test_vstore_lookup_takes_no_lock () =
+  (* Once published, a loaded key is found with no lock at all: every
+     lookup path runs while this thread holds the table lock, which a
+     relock would refuse. A key the index lacks does take the lock. *)
+  let store = loaded_store 64 in
+  Vstore.publish store;
+  Alcotest.(check int) "published" 64 (Vstore.For_testing.index_size store);
+  Vstore.For_testing.holding_table_lock store (fun () ->
+      for key = 0 to 63 do
+        Alcotest.(check int) "find_or_create" key (Vstore.find_or_create store key).key;
+        Alcotest.(check int) "lookup" key (Vstore.lookup store key).key;
+        Alcotest.(check bool) "find" true (Vstore.find store key <> None)
+      done;
+      match Vstore.find_or_create store 64 with
+      | _ -> Alcotest.fail "a new key was created without the table lock"
+      | exception Sys_error _ -> ());
+  (* Created one by one, new keys join the index in amortized batches;
+     published, every one is lock-free too. *)
+  for key = 64 to 1023 do
+    ignore (Vstore.find_or_create store key : Vstore.entry)
+  done;
+  Vstore.publish store;
+  Vstore.For_testing.holding_table_lock store (fun () ->
+      for key = 0 to 1023 do
+        Alcotest.(check int) "after growth" key (Vstore.lookup store key).key
+      done);
+  Alcotest.(check bool) "a missing key is absent" true
+    (Vstore.lookup store 5000 == Vstore.absent)
+
+let test_vstore_racing_creators () =
+  (* Two domains that race [find_or_create] on one new key must get the
+     physically same entry, or a write could land in an orphan. *)
+  for round = 1 to 100 do
+    let store = loaded_store 64 in
+    Vstore.publish store;
+    let key = 1000 + round in
+    let ready = Atomic.make 0 in
+    let create () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      Vstore.find_or_create store key
+    in
+    let d = Domain.spawn create in
+    let mine = create () in
+    let theirs = Domain.join d in
+    if mine != theirs then Alcotest.failf "round %d: two entries for key %d" round key;
+    Alcotest.(check int) "one entry more" 65 (Vstore.size store);
+    Alcotest.(check bool) "the stored one" true (Vstore.find_exn store key == mine)
+  done
+
+let test_store_snapshot_order_pinned () =
+  (* Checkpoint images and Memlog bytes list the store in [Vstore.iter]
+     order, so that order is pinned: these rows, in this order, are what
+     the store printed before it gained the published index (loads,
+     keys created by a commit, a reload after publishing). *)
+  let module Replica = Mk_meerkat.Replica in
+  let r = Replica.create ~id:0 ~quorum:(Mk_meerkat.Quorum.create ~n:3) ~cores:2 in
+  for key = 0 to 39 do
+    Replica.load r ~key ~value:0
+  done;
+  Replica.publish r;
+  let t =
+    txn ~reads:[ (7, Timestamp.zero) ] ~writes:[ (500, 5); (250, 2); (7, 1) ] ()
+  in
+  ignore (Replica.handle_validate r ~core:1 ~txn:t ~ts:(ts 1.0) : Txn.status option);
+  ignore (Replica.handle_commit r ~core:1 ~txn:t ~ts:(ts 1.0) ~commit:true : unit option);
+  Replica.load r ~key:3 ~value:33;
+  let rows = List.map (fun (k, v, _, _) -> (k, v)) (Replica.store_snapshot r) in
+  Alcotest.(check (list (pair int int)))
+    "rows in iter order"
+    [
+      (30, 0); (19, 0); (38, 0); (11, 0); (33, 0); (250, 2); (3, 33); (8, 0);
+      (27, 0); (22, 0); (17, 0); (500, 5); (13, 0); (24, 0); (6, 0); (36, 0);
+      (16, 0); (14, 0); (35, 0); (25, 0); (5, 0); (15, 0); (34, 0); (23, 0);
+      (4, 0); (31, 0); (26, 0); (12, 0); (18, 0); (7, 1); (37, 0); (32, 0);
+      (28, 0); (2, 0); (9, 0); (21, 0); (1, 0); (29, 0); (39, 0); (20, 0);
+      (10, 0); (0, 0);
+    ]
+    rows;
+  (* The reload replaced a published entry: lookups see the new one. *)
+  match Replica.handle_get r ~key:3 with
+  | Some (33, _) -> ()
+  | _ -> Alcotest.fail "reloaded key reads its old version"
+
 let () =
   Alcotest.run "storage"
     [
@@ -388,6 +474,12 @@ let () =
           Alcotest.test_case "load and find" `Quick test_vstore_load_find;
           Alcotest.test_case "find_or_create" `Quick test_vstore_find_or_create;
           Alcotest.test_case "clear_pending" `Quick test_vstore_clear_pending;
+          Alcotest.test_case "lookup takes no lock" `Quick
+            test_vstore_lookup_takes_no_lock;
+          Alcotest.test_case "racing creators share an entry" `Quick
+            test_vstore_racing_creators;
+          Alcotest.test_case "store_snapshot order pinned" `Quick
+            test_store_snapshot_order_pinned;
         ] );
       ( "occ-reads",
         [

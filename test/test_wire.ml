@@ -677,6 +677,193 @@ let test_decode_alloc_budget () =
         Alcotest.failf "%s: %.1f words per decode, budget %d" what words budget)
     cases
 
+(* --- hot kinds straight from the cursor --- *)
+
+(* What one [Codec.dispatch] handed over: a rebuilt message (the hot
+   kinds' fields, read by index for the arrays), or a held write-back's
+   tid and commit flag. *)
+type handed = Msg of int * Codec.t | Held of int * Timestamp.Tid.t * bool
+
+let recorder ~held =
+  let got = ref [] in
+  let put h = got := h :: !got in
+  let visitor =
+    {
+      Codec.validated =
+        (fun () ~shard ~slot ~seq ~replica status ->
+          put (Msg (shard, Validated { slot; seq; replica; status })));
+      accepted =
+        (fun () ~shard ~slot ~seq ~replica reply ->
+          put (Msg (shard, Accepted { slot; seq; replica; reply })));
+      read_replies =
+        (fun () ~shard ~slot ~seq ~replica rs ->
+          put
+            (Msg
+               ( shard,
+                 Read_replies
+                   {
+                     slot;
+                     seq;
+                     replica;
+                     values = Array.init (Codec.replies_count rs) (Codec.reply_value rs);
+                     wts = Array.init (Codec.replies_wts_count rs) (Codec.reply_wts rs);
+                   } )));
+      reads =
+        (fun () ~shard ~coord ~slot ~seq keys ->
+          put
+            (Msg
+               ( shard,
+                 Reads
+                   { coord; slot; seq; keys = Array.init (Codec.keys_count keys) (Codec.key_at keys) }
+               )));
+      held = (fun () _ -> held);
+      write_back_held = (fun () ~shard tid ~commit -> put (Held (shard, tid, commit)));
+      other = (fun () ~shard m -> put (Msg (shard, m)));
+    }
+  in
+  (Codec.dispatcher visitor, got)
+
+(* Dispatch the frame at [pos] of [s] (up to [limit]) on a fresh
+   cursor: what was handed over, and the offset past the frame if it
+   decoded. *)
+let dispatch_at ~held ?limit s ~pos =
+  let d, got = recorder ~held in
+  let c = Wire.cursor ~pos ?limit s in
+  Codec.dispatch d () c;
+  let ok = Wire.failed c = None && Wire.remaining c = 0 in
+  (!got, if ok then Some (Wire.frame_end c) else None)
+
+(* [dispatch] agrees with [decode_shard_at]: a frame that decodes is
+   handed over once, as the same message (a held write-back as its
+   tid and commit flag), and ends at the same offset; one that does
+   not decode hands nothing over and leaves the cursor bad or short. *)
+let agrees ~held ?limit s ~pos =
+  match (Codec.decode_shard_at ?limit s ~pos, dispatch_at ~held ?limit s ~pos) with
+  | Ok ((shard, m), next), ([ Msg (shard', m') ], Some next') ->
+      shard = shard' && next = next' && Codec.equal m m'
+      && not (held && Codec.kind m = 7)
+  | Ok ((shard, Write_back { txn; commit; _ }), next), ([ Held (shard', tid, commit') ], Some next')
+    ->
+      held && shard = shard' && next = next'
+      && Timestamp.Tid.equal txn.Txn.tid tid
+      && commit = commit'
+  | Error _, ([], None) -> true
+  | _ -> false
+
+let test_dispatch_matches_decode () =
+  let rng = Random.State.make [| 0xD15 |] in
+  for round = 1 to 20 do
+    for k = 0 to n_kinds - 1 do
+      let m = gen_msg rng k in
+      let s = Codec.encode_shard ~shard:(round mod 3) m in
+      List.iter
+        (fun held ->
+          if not (agrees ~held s ~pos:0) then
+            Alcotest.failf "%s (held %b): dispatch differs from decode" (Codec.kind_name m)
+              held)
+        [ false; true ]
+    done
+  done
+
+let test_dispatch_hostile () =
+  (* Every truncation and single-byte flip of every kind, at an offset
+     inside a larger buffer with stale bytes past the limit: the hot
+     path accepts and refuses exactly what the message decoder does. *)
+  let rng = Random.State.make [| 0xBAD |] in
+  for k = 0 to n_kinds - 1 do
+    let m = gen_msg rng k in
+    let frame = Codec.encode_shard ~shard:1 m in
+    let len = String.length frame in
+    let buf = "junk" ^ frame ^ frame in
+    for cut = 0 to len do
+      List.iter
+        (fun held ->
+          if not (agrees ~held buf ~pos:4 ~limit:(4 + cut)) then
+            Alcotest.failf "%s cut at %d (held %b)" (Codec.kind_name m) cut held)
+        [ false; true ]
+    done;
+    for at = 0 to len - 1 do
+      let b = Bytes.of_string buf in
+      Bytes.set b (4 + at) (Char.chr (Random.State.int rng 256));
+      let b = Bytes.to_string b in
+      List.iter
+        (fun held ->
+          if not (agrees ~held b ~pos:4 ~limit:(4 + len)) then
+            Alcotest.failf "%s flipped at %d (held %b)" (Codec.kind_name m) at held)
+        [ false; true ]
+    done;
+    (* A payload that decodes with bytes to spare inside its frame is
+       [Trailing]: nothing is handed over. *)
+    let padded = Bytes.of_string (frame ^ "pad") in
+    Bytes.set_int32_le padded 6
+      (Int32.of_int (len - Wire.header_bytes + String.length "pad"));
+    List.iter
+      (fun held ->
+        if not (agrees ~held (Bytes.to_string padded) ~pos:0) then
+          Alcotest.failf "%s padded (held %b)" (Codec.kind_name m) held)
+      [ false; true ]
+  done
+
+let test_dispatch_alloc_budget () =
+  (* On a reused cursor and dispatcher, as the shim and its consumers
+     run them: a [Validated] is handed over with no allocation at all,
+     a [Read_replies] read by value costs nothing either, and a
+     write-back for a held record builds its tid (3 words) but no
+     transaction. *)
+  let ts = Timestamp.make ~time:1.25 ~client_id:3 in
+  let sink = ref 0 in
+  let built = ref 0 in
+  let d =
+    Codec.dispatcher
+      {
+        Codec.validated = (fun () ~shard:_ ~slot ~seq:_ ~replica:_ _ -> sink := !sink + slot);
+        accepted = (fun () ~shard:_ ~slot:_ ~seq:_ ~replica:_ _ -> ());
+        read_replies =
+          (fun () ~shard:_ ~slot:_ ~seq:_ ~replica:_ rs ->
+            for i = 0 to Codec.replies_count rs - 1 do
+              sink := !sink + Codec.reply_value rs i
+            done);
+        reads = (fun () ~shard:_ ~coord:_ ~slot:_ ~seq:_ _ -> ());
+        held = (fun () _ -> true);
+        write_back_held = (fun () ~shard:_ _ ~commit:_ -> incr sink);
+        other = (fun () ~shard:_ _ -> incr built);
+      }
+  in
+  let cases =
+    [
+      ( "validated",
+        0,
+        Codec.Validated { slot = 2; seq = 3; replica = 1; status = Txn.Validated_ok } );
+      ( "read_replies 4 keys, values",
+        0,
+        Codec.Read_replies
+          { slot = 0; seq = 3; replica = 1; values = [| 5; 6; 7; 8 |]; wts = Array.make 4 ts }
+      );
+      ("held write_back 4r/2w", 3, Codec.Write_back { txn = txn_4r2w; ts; commit = true });
+    ]
+  in
+  List.iter
+    (fun (what, budget, m) ->
+      let s = Codec.encode m in
+      let limit = String.length s in
+      let c = Wire.cursor s in
+      let once () =
+        Wire.reset c ~pos:0 ~limit;
+        Codec.dispatch d () c
+      in
+      once ();
+      let runs = 1000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to runs do
+        once ()
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int runs in
+      if Wire.failed c <> None then Alcotest.failf "%s: did not decode" what;
+      if words > float_of_int budget then
+        Alcotest.failf "%s: %.1f words per dispatch, budget %d" what words budget)
+    cases;
+  Alcotest.(check int) "no message built" 0 !built
+
 (* --- primitive round-trips --- *)
 
 (* Read one value off a fresh cursor over [s]; the cursor must then be
@@ -766,6 +953,15 @@ let () =
             test_byte_flip_fuzz_at_offset;
           Alcotest.test_case "decode allocation budget" `Quick
             test_decode_alloc_budget;
+        ] );
+      ( "hot kinds",
+        [
+          Alcotest.test_case "dispatch = decode, every kind" `Quick
+            test_dispatch_matches_decode;
+          Alcotest.test_case "dispatch refuses what decode refuses" `Quick
+            test_dispatch_hostile;
+          Alcotest.test_case "dispatch allocation budget" `Quick
+            test_dispatch_alloc_budget;
         ] );
       ( "primitives",
         [
