@@ -1,5 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§6), plus ablations, chaos and the shard sweep.
+   paper's evaluation (§6), plus ablations and the shard sweep.
 
      dune exec bench/main.exe                 # everything, quick mode
      dune exec bench/main.exe -- --full       # longer windows, finer sweeps
@@ -24,9 +24,6 @@ type mode = {
   seed : int;
   trace : string option;  (** [--trace FILE]: Chrome-trace output path. *)
   metrics : bool;  (** [--metrics]: print the metrics registry dump. *)
-  nemesis : Mk_fault.Nemesis.profile option;
-      (** [--nemesis PROFILE]: restrict the chaos experiment to one profile. *)
-  nemesis_seed : int option;  (** [--nemesis-seed N]: chaos seed base. *)
 }
 
 let say fmt = Format.printf (fmt ^^ "@.")
@@ -629,53 +626,6 @@ let trace_experiment mode =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Chaos: the Jepsen-style nemesis matrix with detector-driven
-   recovery, summarized as a table.                                    *)
-(* ------------------------------------------------------------------ *)
-
-let chaos mode =
-  heading "Chaos: nemesis fault-injection matrix (detector-driven recovery)";
-  say "Every fault is injected by the seeded nemesis; every epoch change and";
-  say "view change is initiated by the in-system failure detectors.";
-  let module Chaos = Mk_harness.Chaos in
-  let module Nemesis = Mk_fault.Nemesis in
-  let profiles =
-    match mode.nemesis with Some p -> [ p ] | None -> Nemesis.all
-  in
-  let base = Option.value mode.nemesis_seed ~default:mode.seed in
-  let seeds =
-    List.init (if mode.full then 8 else 2) (fun i -> base + i)
-  in
-  let table =
-    Table.create
-      ~header:
-        [ "profile"; "seed"; "commits"; "aborts"; "dup/delay/drop"; "ec"; "vc";
-          "invariants" ]
-  in
-  let failures = ref 0 in
-  List.iter
-    (fun (r : Chaos.report) ->
-      if not (Chaos.passed r) then begin
-        incr failures;
-        Format.printf "%a@." Chaos.pp_report r
-      end;
-      Table.add_row table
-        [
-          Nemesis.to_string r.Chaos.r_cfg.Chaos.profile;
-          string_of_int r.Chaos.r_cfg.Chaos.seed;
-          string_of_int r.Chaos.committed_acks;
-          string_of_int r.Chaos.aborted_acks;
-          Printf.sprintf "%d/%d/%d" r.Chaos.duplicated r.Chaos.delayed
-            r.Chaos.dropped;
-          string_of_int r.Chaos.epoch_changes;
-          string_of_int r.Chaos.view_changes;
-          (if Chaos.passed r then "all ok" else "FAILED");
-        ])
-    (Chaos.matrix ~seeds ~profiles ~cfg:Chaos.default_cfg);
-  Table.print table;
-  if !failures > 0 then say "%d run(s) FAILED an end-of-run invariant." !failures
-
-(* ------------------------------------------------------------------ *)
 (* Shard: goodput vs shard count x cross-shard ratio (sim backend).    *)
 (* ------------------------------------------------------------------ *)
 
@@ -831,23 +781,18 @@ let experiments =
     ("latency", latency);
     ("ablation", ablation);
     ("recovery", recovery);
-    ("chaos", chaos);
     ("trace", trace_experiment);
     ("shard", shard);
   ]
 
-let run_experiments names full seed trace metrics nemesis nemesis_seed =
-  let mode = { full; seed; trace; metrics; nemesis; nemesis_seed } in
+let run_experiments names full seed trace metrics =
+  let mode = { full; seed; trace; metrics } in
   let names =
     if names <> [] then names
     else if trace <> None || metrics then
       (* [--trace FILE] / [--metrics] with no experiment names: run just
          the instrumented trace experiment. *)
       [ "trace" ]
-    else if nemesis <> None || nemesis_seed <> None then
-      (* [--nemesis] / [--nemesis-seed] with no experiment names: run
-         just the chaos matrix. *)
-      [ "chaos" ]
     else List.map fst experiments
   in
   let t0 = Unix.gettimeofday () in
@@ -870,7 +815,7 @@ let () =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
            ~doc:"Experiments to run (default: all). One of: fig1, table1, table2, \
                  fig4, fig5, fig6a, fig6b, fig7a, fig7b, latency, ablation, recovery, \
-                 chaos, trace, shard.")
+                 trace, shard.")
   in
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Longer measurement windows and finer sweeps.")
@@ -892,38 +837,8 @@ let () =
                    histograms) after the instrumented run; implies the 'trace' \
                    experiment when no experiment names are given.")
   in
-  let nemesis =
-    let profile_conv =
-      Arg.conv
-        ( (fun s ->
-            match Mk_fault.Nemesis.of_string s with
-            | Some p -> Ok p
-            | None ->
-                Error
-                  (`Msg
-                     (Printf.sprintf "unknown nemesis profile %S; known: %s" s
-                        (String.concat ", "
-                           (List.map Mk_fault.Nemesis.to_string
-                              Mk_fault.Nemesis.all)))) ),
-          fun ppf p -> Format.pp_print_string ppf (Mk_fault.Nemesis.to_string p) )
-    in
-    Arg.(value & opt (some profile_conv) None
-         & info [ "nemesis" ] ~docv:"PROFILE"
-             ~doc:"Restrict the chaos experiment to one nemesis profile (calm, \
-                   dup, reorder, partition, crash-replica, crash-coordinator, \
-                   combo); implies the 'chaos' experiment when no experiment \
-                   names are given.")
-  in
-  let nemesis_seed =
-    Arg.(value & opt (some int) None
-         & info [ "nemesis-seed" ]
-             ~doc:"Base seed for the chaos experiment's seed range (default: \
-                   --seed); implies the 'chaos' experiment when no experiment \
-                   names are given.")
-  in
   let term =
-    Term.(const run_experiments $ names $ full $ seed $ trace $ metrics $ nemesis
-          $ nemesis_seed)
+    Term.(const run_experiments $ names $ full $ seed $ trace $ metrics)
   in
   let info =
     Cmd.info "meerkat-bench"

@@ -1,5 +1,3 @@
-type row = int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t
-
 let due ~log_len ~cut ~last_bytes = log_len - cut > last_bytes
 
 let image ~cores ~core ~epoch ~wal_cut ~views ~rows : Walcodec.snapshot =
@@ -8,7 +6,7 @@ let image ~cores ~core ~epoch ~wal_cut ~views ~rows : Walcodec.snapshot =
     epoch;
     wal_cut;
     views = List.filter_map (fun (c, v) -> if c = core then Some v else None) views;
-    rows = List.filter (fun ((k, _, _, _) : row) -> k mod cores = core) rows;
+    rows = List.filter (fun { Mk_meerkat.Replica.key; _ } -> key mod cores = core) rows;
   }
 
 let images ~cores ~epoch ~wal_cut ~views ~rows =

@@ -12,9 +12,6 @@
     and a run of [H] transactions writes [O(log H)] snapshots per core
     (the state, and so the threshold, grows with every one). *)
 
-type row = int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t
-(** A (key, value, wts, rts) vstore row. *)
-
 val due : log_len:int -> cut:int -> last_bytes:int -> bool
 (** [log_len - cut > last_bytes]: the log suffix a reboot would replay
     has outgrown the last snapshot image ([last_bytes = 0] when there
@@ -26,7 +23,7 @@ val image :
   epoch:int ->
   wal_cut:int ->
   views:(int * Mk_meerkat.Replica.record_view) list ->
-  rows:row list ->
+  rows:Mk_meerkat.Replica.store_row list ->
   Walcodec.snapshot
 (** Core [core]'s snapshot: the [views] tagged with [core] and the
     [rows] whose key it owns ([key mod cores = core]), in their given
@@ -38,7 +35,7 @@ val images :
   epoch:int ->
   wal_cut:(int -> int) ->
   views:(int * Mk_meerkat.Replica.record_view) list ->
-  rows:row list ->
+  rows:Mk_meerkat.Replica.store_row list ->
   Walcodec.snapshot array
 (** Every core's {!image} of one whole-replica state (an epoch install
     or a reboot compaction), element [c] cutting at [wal_cut c]. *)

@@ -27,7 +27,7 @@ type source = { snap : string option; log : string }
 type parsed = {
   epoch : int;
   records : (int * Replica.record_view) list;
-  rows : (int * int * Timestamp.t * Timestamp.t) list;
+  rows : Replica.store_row list;
   replayed : int;
   snapshots_used : int;
   decode_errors : int;
@@ -75,19 +75,16 @@ let merge_records tagged =
 (* One row per key: value and write timestamp from the newest-written
    row, read timestamp the maximum seen (conservative for OCC). *)
 let merge_rows rows =
-  let cmp (k1, _, _, _) (k2, _, _, _) = compare (k1 : int) k2 in
+  let cmp (a : Replica.store_row) (b : Replica.store_row) = Int.compare a.key b.key in
   let sorted = List.stable_sort cmp rows in
   List.rev
     (List.fold_left
-       (fun acc ((k, _, w, r) as row) ->
+       (fun acc (row : Replica.store_row) ->
          match acc with
-         | ((pk, _, _, pr) as prev) :: rest when pk = k ->
-             let kk, vv, ww, _ =
-               let _, _, pw, _ = prev in
-               if Timestamp.compare w pw > 0 then row else prev
-             in
-             let rmax = if Timestamp.compare r pr > 0 then r else pr in
-             (kk, vv, ww, rmax) :: rest
+         | (prev : Replica.store_row) :: rest when prev.key = row.key ->
+             let newer = Timestamp.compare row.wts prev.wts > 0 in
+             let rts = if Timestamp.compare row.rts prev.rts > 0 then row.rts else prev.rts in
+             { (if newer then row else prev) with rts } :: rest
          | _ -> row :: acc)
        [] sorted)
 

@@ -16,8 +16,7 @@ type parsed = {
   records : (int * Mk_meerkat.Replica.record_view) list;
       (** Merged (core, view) pairs: newest status per (core, tid),
           final statuses never regressed. *)
-  rows :
-    (int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t) list;
+  rows : Mk_meerkat.Replica.store_row list;
       (** Merged vstore rows, one per key (newest write wins). *)
   replayed : int;  (** Log records replayed past the snapshot cuts. *)
   snapshots_used : int;

@@ -120,7 +120,7 @@ type snapshot = {
   epoch : int;
   wal_cut : int;
   views : Replica.record_view list;
-  rows : (int * int * Timestamp.t * Timestamp.t) list;
+  rows : Replica.store_row list;
 }
 
 let encode_snapshot { core; epoch; wal_cut; views; rows } =
@@ -129,10 +129,7 @@ let encode_snapshot { core; epoch; wal_cut; views; rows } =
   w_i64 p epoch;
   w_i64 p wal_cut;
   w_list Codec.w_record_view p views;
-  w_list Codec.w_store_row p
-    (List.map
-       (fun (key, value, wts, rts) -> { Codec.key; value; wts; rts })
-       rows);
+  w_list Codec.w_store_row p rows;
   let out = Bytes.create (8 + Buffer.length p) in
   seal p out;
   Bytes.unsafe_to_string out
@@ -143,13 +140,7 @@ let parse_snapshot s ~len =
   let epoch = r_i64 c in
   let wal_cut = r_i64 c in
   let views = r_list ~elt_min:Codec.record_view_min Codec.r_record_view c in
-  let rows =
-    r_list ~elt_min:Codec.store_row_bytes
-      (fun c ->
-        let r = Codec.r_store_row c in
-        (r.key, r.value, r.wts, r.rts))
-      c
-  in
+  let rows = r_list ~elt_min:Codec.store_row_bytes Codec.r_store_row c in
   if core < 0 || epoch < 0 || wal_cut < 0 then
     fail c (Malformed "negative snapshot token");
   finish c { core; epoch; wal_cut; views; rows }

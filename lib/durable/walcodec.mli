@@ -57,9 +57,8 @@ type snapshot = {
           and views below. *)
   views : Mk_meerkat.Replica.record_view list;
       (** This core's trecord partition. *)
-  rows :
-    (int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t) list;
-      (** (key, value, wts, rts) vstore rows owned by this core. *)
+  rows : Mk_meerkat.Replica.store_row list;
+      (** The vstore rows owned by this core. *)
 }
 
 val encode_snapshot : snapshot -> string

@@ -5,9 +5,10 @@
     [merge] is pure logic. {!run_sync} drives a whole change over a
     replica array in one step (the simulator's test helper and the
     live runtime, with its server domains frozen); the message-driven
-    drivers — {!Sim_system.trigger_epoch_change} and the cluster
-    node's loop thread — gather and distribute over their own
-    transports. Given reports from at least f+1 replicas, [merge]
+    drivers gather and distribute over their own transports — the
+    simulator's cost-modelled {!Sim_system.trigger_epoch_change}, and
+    {!Epoch_change}, the pure machine the cluster node's loop thread
+    drives. Given reports from at least f+1 replicas, [merge]
     produces a trecord in which {e every} entry is final, applying the
     paper's rules in order:
 

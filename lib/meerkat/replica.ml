@@ -13,6 +13,8 @@ type record_view = {
   accept_view : int option;
 }
 
+type store_row = { key : int; value : int; wts : Timestamp.t; rts : Timestamp.t }
+
 type durable_event =
   | Finalized of { core : int; view : record_view }
   | Installed of { epoch : int }
@@ -290,7 +292,7 @@ let handle_coord_change t ~core ~tid ~view =
    published once, after the last row. *)
 let set_rows store rows =
   List.iter
-    (fun (key, value, wts, rts) -> Vstore.set_version store ~key ~value ~wts ~rts)
+    (fun { key; value; wts; rts } -> Vstore.set_version store ~key ~value ~wts ~rts)
     rows;
   Vstore.publish store
 
@@ -390,11 +392,15 @@ let restore t ~epoch ~records ~rows =
 let store_snapshot t =
   let acc = ref [] in
   Vstore.iter t.vstore (fun e ->
-      acc := (e.Vstore.key, e.Vstore.value, e.Vstore.wts, e.Vstore.rts) :: !acc);
+      let { Vstore.key; value; wts; rts; _ } = e in
+      acc := { key; value; wts; rts } :: !acc);
   !acc
 
 let record_views t =
   List.map (fun (core, e) -> (core, view_of_entry e)) (Trecord.entries t.trecord)
+
+let core_record_views t ~core =
+  List.map (fun e -> (core, view_of_entry e)) (Trecord.core_entries t.trecord ~core)
 
 let trim_record t ~before = Trecord.trim_finalized t.trecord ~before
 

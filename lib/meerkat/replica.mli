@@ -25,6 +25,15 @@ type record_view = {
   accept_view : int option;
 }
 
+(** One versioned key of the store: the row a state transfer
+    ({!store_snapshot}), a snapshot file and a reboot restore carry. *)
+type store_row = {
+  key : int;
+  value : int;
+  wts : Mk_clock.Timestamp.t;
+  rts : Mk_clock.Timestamp.t;
+}
+
 (** What a durability layer must persist: every record finalization
     (the paper's acked commits/aborts — the WAL append) and every
     completed epoch install (the snapshot point: the merged state
@@ -86,7 +95,7 @@ val restore :
   t ->
   epoch:int ->
   records:(int * record_view) list ->
-  rows:(int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t) list ->
+  rows:store_row list ->
   unit
 (** Reboot-time restore from stable storage: install the vstore [rows],
     adopt [records] (non-final views are kept verbatim), re-apply
@@ -182,7 +191,7 @@ val handle_epoch_complete :
   t ->
   epoch:int ->
   records:(int * record_view) list ->
-  store:(int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t) list option ->
+  store:store_row list option ->
   unit option
 (** Adopt the merged trecord (pairs of core id and record), apply every
     committed transaction it contains, optionally restore a vstore
@@ -198,12 +207,15 @@ val resume : t -> epoch:int -> unit option
     crash ({!begin_recovery}) — such a replica may only be readmitted
     by a merge. *)
 
-val store_snapshot : t -> (int * int * Mk_clock.Timestamp.t * Mk_clock.Timestamp.t) list
-(** (key, value, wts, rts) rows for state transfer to a recovering
-    replica. *)
+val store_snapshot : t -> store_row list
+(** Every key's row, for state transfer to a recovering replica and
+    for checkpoint images. *)
 
 val record_views : t -> (int * record_view) list
 (** Snapshot of the whole trecord as [(core, view)] pairs. *)
+
+val core_record_views : t -> core:int -> (int * record_view) list
+(** {!record_views} of core [core]'s partition alone. *)
 
 val trim_record : t -> before:Mk_clock.Timestamp.t -> int
 (** Checkpoint-style trecord truncation (see

@@ -48,11 +48,14 @@
    [Write_back]), and the loop thread carries its messages over the
    wire and fires its retries from [tick]. A peer that reboots and
    advertises itself paused is [recoverable] (it heartbeats again), so
-   the detector initiates the §5.3.1 epoch change: freeze the local
-   cores (core 0 inline, the others through their inboxes), gather
+   the detector initiates the §5.3.1 epoch change. The shared
+   {!Epoch_change} machine decides it (freeze the local cores, gather
    [Epoch_records] from a majority, {!Epoch.merge}, install locally,
-   then retransmit [Epoch_install] (with a store snapshot to the
-   recovering peers) until every replica acks [Epoch_installed]. *)
+   then retransmit [Epoch_install], with a store snapshot to the
+   recovering peers, until every replica acks [Epoch_installed]); the
+   loop thread only carries its messages over the wire, its freezes
+   and thaws to the cores (core 0 inline, the others through their
+   inboxes), and fires its retries from [tick]. *)
 
 module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
@@ -64,6 +67,7 @@ module Replica = Mk_meerkat.Replica
 module Detector = Mk_meerkat.Detector
 module View_change = Mk_meerkat.View_change
 module Epoch = Mk_meerkat.Epoch
+module Epoch_change = Mk_meerkat.Epoch_change
 module Codec = Mk_wire.Codec
 module Mailbox = Mk_live.Mailbox
 module Spawn = Mk_live.Spawn
@@ -233,15 +237,6 @@ type t = {
 
 let wal_path dir core = Filename.concat dir (Printf.sprintf "core%d.wal" core)
 let snap_path dir core = Filename.concat dir (Printf.sprintf "core%d.snap" core)
-
-let view_of_entry (e : Trecord.entry) : Replica.record_view =
-  {
-    txn = e.Trecord.txn;
-    ts = e.Trecord.ts;
-    status = e.Trecord.status;
-    view = e.Trecord.view;
-    accept_view = e.Trecord.accept_view;
-  }
 
 (* Write one core's image and make it the checkpoint that core's
    log-growth trigger measures against. Called by the owning core, or
@@ -484,10 +479,7 @@ let step t (core : core) ~report =
           write_checkpoint d
             (Checkpoint.image ~cores:t.cfg.cores ~core:index
                ~epoch:(Replica.epoch replica) ~wal_cut:log_len
-               ~views:
-                 (List.map
-                    (fun e -> (index, view_of_entry e))
-                    (Trecord.core_entries (Replica.trecord replica) ~core:index))
+               ~views:(Replica.core_record_views replica ~core:index)
                ~rows:(Replica.store_snapshot replica))
   in
   (* A write-back may append to this core's log and fsync it: replies
@@ -558,42 +550,6 @@ let core_loop t (core : core) inbox =
 (* Loop thread: steering, detector, view changes, epoch changes        *)
 (* ------------------------------------------------------------------ *)
 
-(* A §5.3.1 epoch change driven over the wire. The node is either the
-   initiator (its detector fired [Start_epoch_change]) or a peer
-   answering one; concurrent initiators at the same epoch tie-break
-   to the lowest replica id. Both roles first freeze the local cores
-   — the loop thread may only read or rebuild the stores once every
-   core has acked [Frozen]. *)
-type ec_role =
-  | Ec_initiator of {
-      ec_recovering : int list;
-      ec_gathered : (int, (int * Replica.record_view) list) Hashtbl.t;
-      mutable ec_merged : (int * Replica.record_view) list option;
-      mutable ec_store : Codec.store_row list;
-          (** Post-install state-transfer rows for the recovering. *)
-      ec_installed_from : bool array;
-    }
-  | Ec_peer of {
-      mutable ec_from : Unix.sockaddr;  (** Where records and acks go. *)
-      mutable ec_rank : int;
-          (** Initiator id for the tie-break; [max_int] when the
-              machine was created by an [Epoch_install] alone. *)
-      mutable ec_sent_records : bool;
-      mutable ec_pending :
-        ((int * Replica.record_view) list * Codec.store_row list option) option;
-          (** An install that arrived before every core was frozen. *)
-    }
-
-type ec_machine = {
-  ec_epoch : int;
-  ec_gen : int;  (** Freeze generation: thaws only match their gen. *)
-  ec_frozen : bool array;
-  ec_deadline : float;
-  mutable ec_rto : float;
-  mutable ec_next_retry : float;
-  mutable ec_role : ec_role;
-}
-
 let launch t ~cluster =
   match Cluster_config.sockaddrs cluster with
   | Error _ as e -> e
@@ -629,11 +585,6 @@ let launch t ~cluster =
       (* Scratch batch for the detector's scan-tick emissions — the
          loop thread owns it, and [perform] never reenters [scan]. *)
       let det_acts : Detector.action Batch.t = Batch.create () in
-      let ec : ec_machine option ref = ref None in
-      let ec_gen = ref 0 in
-      (* Mirror of the replica's installed epoch, for dedup-acking
-         retransmitted installs without touching the stores. *)
-      let installed_epoch = ref (Replica.epoch t.replica) in
       (* Core 0 runs on this thread: its [Records] and [Frozen] wait
          here for the next [drain_ctl], like the other cores' do in
          [ctl_inbox] — never handled from inside the step that made
@@ -689,387 +640,54 @@ let launch t ~cluster =
         f ~into:vc_acts;
         Batch.iter vc_perform vc_acts
       in
-      (* --- §5.3.1 epoch-change machinery --------------------------- *)
-      let store_rows_to_wire rows =
-        List.map
-          (fun (key, value, wts, rts) -> { Codec.key; value; wts; rts })
-          rows
-      in
-      let store_rows_of_wire rows =
-        List.map
-          (fun (r : Codec.store_row) -> (r.Codec.key, r.value, r.wts, r.rts))
-          rows
-      in
-      let ec_all_frozen m = Array.for_all (fun b -> b) m.ec_frozen in
-      let freeze_core core gen = control core (Core_freeze { gen }) in
-      let ec_thaw m =
-        for core = 0 to cfg.cores - 1 do
-          control core (Core_thaw { gen = m.ec_gen })
-        done
-      in
-      let ec_new ~epoch ~role =
-        incr ec_gen;
-        let now = Spawn.wall () *. 1e6 in
-        let deadline =
-          match dcfg with
-          | Some d -> now +. d.Detector.give_up_after
-          | None -> now +. (40.0 *. cfg.rto_us)
-        in
-        let m =
+      (* The §5.3.1 epoch change: {!Epoch_change} decides, the loop
+         thread carries its messages over the wire and its freezes and
+         thaws to the cores. Performing an action never reenters the
+         machine: core 0's [Frozen] waits in [core0_ctl]. *)
+      let r = t.replica in
+      let ec =
+        Epoch_change.create ~me ~n ~cores:cfg.cores ~quorum ~rto:cfg.rto_us
+          ~give_up_after:
+            (match dcfg with
+            | Some d -> d.Detector.give_up_after
+            | None -> 40.0 *. cfg.rto_us)
+          ~epoch:(Replica.epoch r)
+          ~addr:(fun p ->
+            (* Z7: the machine names replica ids in [0, n) only. *)
+            addrs.(p) [@mk_lint.allow "Z7"])
           {
-            ec_epoch = epoch;
-            ec_gen = !ec_gen;
-            ec_frozen = Array.make cfg.cores false;
-            ec_deadline = deadline;
-            ec_rto = cfg.rto_us;
-            ec_next_retry = now +. cfg.rto_us;
-            ec_role = role;
+            Epoch_change.handle_epoch_change = Replica.handle_epoch_change r;
+            record_views = (fun () -> Replica.record_views r);
+            handle_epoch_complete = Replica.handle_epoch_complete r;
+            store_snapshot = (fun () -> Replica.store_snapshot r);
+            resume = Replica.resume r;
+            merge = (fun reports -> Epoch.merge ~quorum ~reports);
           }
-        in
-        ec := Some m;
-        for core = 0 to cfg.cores - 1 do
-          freeze_core core m.ec_gen
-        done;
-        m
       in
-      let ec_finish ~success ~recovering =
-        ec := None;
-        (match det with
-        | Some d ->
-            Detector.epoch_change_finished d ~now:(Spawn.wall () *. 1e6)
-              ~success ~recovering
-        | None -> ());
-        if success then Obs.note_epoch_change t.obs
+      let ec_acts : Unix.sockaddr Epoch_change.action Batch.t = Batch.create () in
+      let ec_perform : Unix.sockaddr Epoch_change.action -> unit = function
+        | Change { dst; epoch } ->
+            send ~dst (Codec.Epoch_change { initiator = me; epoch })
+        | Records { dst; epoch; records } ->
+            send ~dst (Codec.Epoch_records { replica = me; epoch; records })
+        | Install { dst; epoch; records; store } ->
+            send ~dst (Codec.Epoch_install { epoch; records; store })
+        | Installed { dst; epoch } ->
+            send ~dst (Codec.Epoch_installed { replica = me; epoch })
+        | Freeze { core; gen } -> control core (Core_freeze { gen })
+        | Thaw { core; gen } -> control core (Core_thaw { gen })
+        | Finished { success; recovering } ->
+            Option.iter
+              (fun d ->
+                Detector.epoch_change_finished d ~now:(Spawn.wall () *. 1e6) ~success
+                  ~recovering)
+              det;
+            if success then Obs.note_epoch_change t.obs
       in
-      (* Rebuild the local replica from the merged trecord (and an
-         optional store snapshot). Cores must be frozen: this mutates
-         every partition. Completing the install fires the durable
-         [Installed] hook, which checkpoints all cores. *)
-      let ec_install_local ~epoch ~records ~store =
-        match Replica.handle_epoch_complete t.replica ~epoch ~records ~store with
-        | Some () ->
-            if epoch > !installed_epoch then installed_epoch := epoch;
-            true
-        | None -> false
-      in
-      let ec_broadcast_change m =
-        Array.iteri
-          (fun p addr ->
-            if p <> me then
-              send ~dst:addr
-                (Codec.Epoch_change { initiator = me; epoch = m.ec_epoch }))
-          addrs
-      in
-      let ec_send_installs m r =
-        match r with
-        | Ec_initiator
-            { ec_merged = Some records; ec_store; ec_installed_from; ec_recovering; _ }
-          ->
-            Array.iteri
-              (fun p addr ->
-                (* Z7: [p] ranges over 0..n-1 by construction. *)
-                if p <> me && not (ec_installed_from.(p) [@mk_lint.allow "Z7"])
-                then
-                  let store =
-                    if List.mem p ec_recovering then Some ec_store else None
-                  in
-                  send ~dst:addr
-                    (Codec.Epoch_install { epoch = m.ec_epoch; records; store }))
-              addrs
-        | Ec_initiator _ | Ec_peer _ -> ()
-      in
-      let ec_try_merge m =
-        match m.ec_role with
-        | Ec_initiator r
-          when r.ec_merged = None
-               && Hashtbl.length r.ec_gathered >= Quorum.majority quorum ->
-            let reports =
-              Hashtbl.fold
-                (fun replica records acc -> { Epoch.replica; records } :: acc)
-                r.ec_gathered []
-            in
-            (* Z7 (lib/meerkat/epoch.ml): [merge] is guarded — the
-               table holds >= majority distinct replica ids. *)
-            let merged = Epoch.merge ~quorum ~reports in
-            if ec_install_local ~epoch:m.ec_epoch ~records:merged ~store:None
-            then begin
-              r.ec_merged <- Some merged;
-              r.ec_store <-
-                store_rows_to_wire (Replica.store_snapshot t.replica);
-              (* Z7: [me] < n, checked in [launch]'s prologue. *)
-              (r.ec_installed_from.(me) <- true) [@mk_lint.allow "Z7"];
-              ec_thaw m;
-              ec_send_installs m m.ec_role
-            end
-            else begin
-              (* Our own replica refused the install — a newer epoch
-                 beat this machine. Abandon; the winner completes. *)
-              ec_thaw m;
-              ec_finish ~success:false ~recovering:r.ec_recovering
-            end
-        | Ec_initiator _ | Ec_peer _ -> ()
-      in
-      let ec_peer_report m =
-        match m.ec_role with
-        | Ec_peer p ->
-            (* [None] just means the replica already entered this epoch
-               (a duplicate [Epoch_change]); the records are valid
-               either way — the cores are frozen. *)
-            ignore
-              (Replica.handle_epoch_change t.replica ~epoch:m.ec_epoch
-                : Replica.record_view list option);
-            p.ec_sent_records <- true;
-            send ~dst:p.ec_from
-              (Codec.Epoch_records
-                 {
-                   replica = me;
-                   epoch = m.ec_epoch;
-                   records = Replica.record_views t.replica;
-                 })
-        | Ec_initiator _ -> ()
-      in
-      let ec_peer_install m ~records ~store =
-        let store = Option.map store_rows_of_wire store in
-        let ack_to =
-          match m.ec_role with
-          | Ec_peer p -> Some p.ec_from
-          | Ec_initiator _ -> None
-        in
-        let installed =
-          ec_install_local ~epoch:m.ec_epoch ~records ~store
-        in
-        (match ack_to with
-        | Some dst when installed ->
-            send ~dst (Codec.Epoch_installed { replica = me; epoch = m.ec_epoch })
-        | _ -> ());
-        (* Installed or refused (a newer epoch won): either way this
-           machine is done. *)
-        ec_thaw m;
-        ec := None
-      in
-      let ec_on_frozen m =
-        match m.ec_role with
-        | Ec_initiator r ->
-            (* Pause the replica at the new epoch, contribute our own
-               report, and poll the peers. *)
-            ignore
-              (Replica.handle_epoch_change t.replica ~epoch:m.ec_epoch
-                : Replica.record_view list option);
-            Hashtbl.replace r.ec_gathered me (Replica.record_views t.replica);
-            ec_broadcast_change m;
-            ec_try_merge m
-        | Ec_peer p -> (
-            match p.ec_pending with
-            | Some (records, store) -> ec_peer_install m ~records ~store
-            | None -> ec_peer_report m)
-      in
-      let ec_start_peer ~initiator ~epoch =
-        (* Z7: [initiator] was range-checked by [wire_ids_ok]. *)
-        let from = addrs.(initiator) [@mk_lint.allow "Z7"] in
-        ignore
-          (ec_new ~epoch
-             ~role:
-               (Ec_peer
-                  {
-                    ec_from = from;
-                    ec_rank = initiator;
-                    ec_sent_records = false;
-                    ec_pending = None;
-                  })
-            : ec_machine)
-      in
-      let ec_on_change ~initiator ~epoch =
-        if epoch > !installed_epoch && initiator <> me then
-          match !ec with
-          | None -> ec_start_peer ~initiator ~epoch
-          | Some m when m.ec_epoch > epoch -> ()
-          | Some m when m.ec_epoch = epoch -> (
-              match m.ec_role with
-              | Ec_initiator r ->
-                  if initiator < me then begin
-                    (* Tie-break: the lower id drives this epoch; turn
-                       into its peer. The cores stay frozen under the
-                       same generation. *)
-                    m.ec_role <-
-                      Ec_peer
-                        {
-                          (* Z7: range-checked by [wire_ids_ok]. *)
-                          ec_from = (addrs.(initiator) [@mk_lint.allow "Z7"]);
-                          ec_rank = initiator;
-                          ec_sent_records = false;
-                          ec_pending = None;
-                        };
-                    (match det with
-                    | Some d ->
-                        Detector.epoch_change_finished d
-                          ~now:(Spawn.wall () *. 1e6)
-                          ~success:false ~recovering:r.ec_recovering
-                    | None -> ());
-                    if ec_all_frozen m then ec_peer_report m
-                  end
-              | Ec_peer p ->
-                  if initiator < p.ec_rank then begin
-                    p.ec_rank <- initiator;
-                    (* Z7: range-checked by [wire_ids_ok]. *)
-                    p.ec_from <- (addrs.(initiator) [@mk_lint.allow "Z7"]);
-                    if ec_all_frozen m then ec_peer_report m
-                  end
-                  else if initiator = p.ec_rank && p.ec_sent_records then
-                    (* Duplicate change: our report was lost. *)
-                    ec_peer_report m)
-          | Some m ->
-              (* A newer epoch supersedes the machine in flight. *)
-              (match m.ec_role with
-              | Ec_initiator r ->
-                  (match det with
-                  | Some d ->
-                      Detector.epoch_change_finished d
-                        ~now:(Spawn.wall () *. 1e6)
-                        ~success:false ~recovering:r.ec_recovering
-                  | None -> ())
-              | Ec_peer _ -> ());
-              ec_start_peer ~initiator ~epoch
-      in
-      let ec_on_records ~replica ~epoch ~records =
-        match !ec with
-        | Some m when m.ec_epoch = epoch -> (
-            match m.ec_role with
-            | Ec_initiator r when r.ec_merged = None ->
-                if not (Hashtbl.mem r.ec_gathered replica) then begin
-                  Hashtbl.replace r.ec_gathered replica records;
-                  ec_try_merge m
-                end
-            | Ec_initiator _ | Ec_peer _ -> ())
-        | Some _ | None -> ()
-      in
-      let ec_on_install ~src ~epoch ~records ~store =
-        if epoch <= !installed_epoch then
-          (* Already installed (a retransmit): just re-ack. *)
-          send ~dst:src (Codec.Epoch_installed { replica = me; epoch })
-        else
-          match !ec with
-          | Some m when m.ec_epoch = epoch -> (
-              match m.ec_role with
-              | Ec_peer p ->
-                  if ec_all_frozen m then ec_peer_install m ~records ~store
-                  else p.ec_pending <- Some (records, store)
-              | Ec_initiator r ->
-                  (* A rival initiator won the race to a majority;
-                     adopt its merge once our cores are frozen. *)
-                  if ec_all_frozen m then begin
-                    let store = Option.map store_rows_of_wire store in
-                    if ec_install_local ~epoch ~records ~store then
-                      send ~dst:src
-                        (Codec.Epoch_installed { replica = me; epoch });
-                    ec_thaw m;
-                    ec_finish ~success:false ~recovering:r.ec_recovering
-                  end)
-          | Some _ -> ()
-          | None ->
-              (* We never saw the [Epoch_change] (loss or reorder):
-                 freeze and install once the cores ack. *)
-              incr ec_gen;
-              let now = Spawn.wall () *. 1e6 in
-              let deadline =
-                match dcfg with
-                | Some d -> now +. d.Detector.give_up_after
-                | None -> now +. (40.0 *. cfg.rto_us)
-              in
-              let m =
-                {
-                  ec_epoch = epoch;
-                  ec_gen = !ec_gen;
-                  ec_frozen = Array.make cfg.cores false;
-                  ec_deadline = deadline;
-                  ec_rto = cfg.rto_us;
-                  ec_next_retry = now +. cfg.rto_us;
-                  ec_role =
-                    Ec_peer
-                      {
-                        ec_from = src;
-                        ec_rank = max_int;
-                        ec_sent_records = false;
-                        ec_pending = Some (records, store);
-                      };
-                }
-              in
-              ec := Some m;
-              for core = 0 to cfg.cores - 1 do
-                freeze_core core m.ec_gen
-              done
-      in
-      let ec_on_installed ~replica ~epoch =
-        match !ec with
-        | Some m when m.ec_epoch = epoch -> (
-            match m.ec_role with
-            | Ec_initiator ({ ec_merged = Some _; _ } as r) ->
-                (* Z7: [replica] was range-checked by [wire_ids_ok]. *)
-                (r.ec_installed_from.(replica) <- true) [@mk_lint.allow "Z7"];
-                if Array.for_all (fun b -> b) r.ec_installed_from then
-                  ec_finish ~success:true ~recovering:r.ec_recovering
-            | Ec_initiator _ | Ec_peer _ -> ())
-        | Some _ | None -> ()
-      in
-      let ec_core_frozen ~core ~gen =
-        match !ec with
-        | Some m
-          when m.ec_gen = gen && core >= 0 && core < cfg.cores
-               (* Z7: in-range by the guard on the same line. *)
-               && not (m.ec_frozen.(core) [@mk_lint.allow "Z7"]) ->
-            (m.ec_frozen.(core) <- true) [@mk_lint.allow "Z7"];
-            if ec_all_frozen m then ec_on_frozen m
-        | _ -> ()
-      in
-      let ec_tick now_us =
-        match !ec with
-        | None -> ()
-        | Some m ->
-            if now_us > m.ec_deadline then begin
-              match m.ec_role with
-              | Ec_initiator r ->
-                  let ok =
-                    r.ec_merged <> None
-                    && List.for_all
-                         (fun p ->
-                           p >= 0 && p < n
-                           (* Z7: in-range by the guard. *)
-                           && (r.ec_installed_from.(p) [@mk_lint.allow "Z7"]))
-                         r.ec_recovering
-                  in
-                  if r.ec_merged = None then begin
-                    (* Never reached a majority. Resume at the epoch
-                       with our own records (non-final ones included)
-                       so the replica does not stay paused behind an
-                       abandoned change. *)
-                    ignore (Replica.resume t.replica ~epoch:m.ec_epoch : unit option);
-                    ec_thaw m
-                  end;
-                  ec_finish ~success:ok ~recovering:r.ec_recovering
-              | Ec_peer _ ->
-                  (* The install never arrived. Resume from our own
-                     records — any record the missed merge finalized
-                     is repaired later by the §5.3.2 view-change
-                     path. A replica rebuilding after a reboot stays
-                     paused: only a merge may readmit it. *)
-                  ignore (Replica.resume t.replica ~epoch:m.ec_epoch : unit option);
-                  ec_thaw m;
-                  ec := None
-            end
-            else if now_us >= m.ec_next_retry then begin
-              m.ec_rto <- m.ec_rto *. 2.0;
-              m.ec_next_retry <- now_us +. m.ec_rto;
-              if not (ec_all_frozen m) then
-                Array.iteri
-                  (fun core frozen ->
-                    if not frozen then freeze_core core m.ec_gen)
-                  m.ec_frozen
-              else
-                match m.ec_role with
-                | Ec_initiator r ->
-                    if r.ec_merged = None then ec_broadcast_change m
-                    else ec_send_installs m m.ec_role
-                | Ec_peer p -> if p.ec_sent_records then ec_peer_report m
-            end
+      let ec_feed f =
+        Batch.clear ec_acts;
+        f ~into:ec_acts;
+        Batch.iter ec_perform ec_acts
       in
       (* ------------------------------------------------------------- *)
       (* Core 0's requests run to completion right here; the others
@@ -1089,7 +707,8 @@ let launch t ~cluster =
       (* Replica ids and core tags taken straight off the wire index
          detector, view-change and epoch-change arrays ([hb_last],
          the view-change machine's per-replica tallies,
-         [ec_installed_from], trecord partitions) and count toward
+         the epoch-change machine's per-replica table, trecord
+         partitions) and count toward
          quorum majorities: one well-framed datagram
          carrying an out-of-range id (hostile peer, misconfigured
          deployment, bit-flipped genuine frame) must be a counted drop
@@ -1159,13 +778,16 @@ let launch t ~cluster =
         | Codec.Vc_accept_reply { observer; replica; tid; view; reply } ->
             vc_feed (View_change.accept_reply vcs ~tid ~observer ~view ~replica reply)
         | Codec.Epoch_change { initiator; epoch } ->
-            ec_on_change ~initiator ~epoch
+            ec_feed
+              (Epoch_change.on_change ec ~initiator ~epoch ~now:(Spawn.wall () *. 1e6))
         | Codec.Epoch_records { replica; epoch; records } ->
-            ec_on_records ~replica ~epoch ~records
+            ec_feed (Epoch_change.on_records ec ~replica ~epoch ~records)
         | Codec.Epoch_install { epoch; records; store } ->
-            ec_on_install ~src ~epoch ~records ~store
+            ec_feed
+              (Epoch_change.on_install ec ~src ~epoch ~records ~store
+                 ~now:(Spawn.wall () *. 1e6))
         | Codec.Epoch_installed { replica; epoch } ->
-            ec_on_installed ~replica ~epoch
+            ec_feed (Epoch_change.on_installed ec ~replica ~epoch)
         | Codec.Get_reply _ | Codec.Read_replies _ | Codec.Validated _
         | Codec.Accepted _ ->
             (* Client-side traffic; a server node is never its
@@ -1222,23 +844,10 @@ let launch t ~cluster =
             vc_feed
               (View_change.start vcs ~observer ~record ~view ~rto:cfg.rto_us
                  ~deadline:(now +. dc.Detector.give_up_after) ~now)
-        | Detector.Start_epoch_change { initiator = _; recovering } -> (
-            match !ec with
-            | Some _ -> () (* one machine at a time; the cooldown re-arms *)
-            | None ->
-                let epoch = Replica.epoch t.replica + 1 in
-                ignore
-                  (ec_new ~epoch
-                     ~role:
-                       (Ec_initiator
-                          {
-                            ec_recovering = recovering;
-                            ec_gathered = Hashtbl.create 8;
-                            ec_merged = None;
-                            ec_store = [];
-                            ec_installed_from = Array.make n false;
-                          })
-                    : ec_machine))
+        | Detector.Start_epoch_change { initiator = _; recovering } ->
+            ec_feed
+              (Epoch_change.start ec ~epoch:(Replica.epoch t.replica + 1) ~recovering
+                 ~now:(Spawn.wall () *. 1e6))
       in
       let on_ctl = function
         | Records { core; entries } ->
@@ -1246,7 +855,7 @@ let launch t ~cluster =
                stamp their own 0..cores-1 index — never from the
                wire. *)
             (latest.(core) <- entries) [@mk_lint.allow "Z7"]
-        | Frozen { core; gen } -> ec_core_frozen ~core ~gen
+        | Frozen { core; gen } -> ec_feed (Epoch_change.core_frozen ec ~core ~gen)
       in
       let rec drain_ctl () =
         match Queue.take_opt core0_ctl with
@@ -1311,7 +920,8 @@ let launch t ~cluster =
             (* Checked here so an idle tick allocates no closure. *)
             if now_us >= View_change.next_due vcs then
               vc_feed (View_change.fire_due vcs ~now:now_us));
-        ec_tick now_us
+        if now_us >= Epoch_change.next_due ec then
+          ec_feed (Epoch_change.fire_due ec ~now:now_us)
       in
       (* A spawned domain starts with the runtime's default minor heap,
          not the launching domain's: carry the node process's size

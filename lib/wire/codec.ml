@@ -28,7 +28,7 @@ type accept_reply =
 
 type coord_reply = [ `View_ok of Replica.record_view option | `Stale of int ]
 
-type store_row = {
+type store_row = Mk_meerkat.Replica.store_row = {
   key : int;
   value : int;
   wts : Timestamp.t;

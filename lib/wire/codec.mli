@@ -31,14 +31,14 @@ type coord_reply =
   [ `View_ok of Mk_meerkat.Replica.record_view option | `Stale of int ]
 (** = the reply type of {!Mk_meerkat.Replica.handle_coord_change}. *)
 
-type store_row = {
+type store_row = Mk_meerkat.Replica.store_row = {
   key : int;
   value : int;
   wts : Mk_clock.Timestamp.t;
   rts : Mk_clock.Timestamp.t;
 }
-(** One row of {!Mk_meerkat.Replica.store_snapshot} (state transfer to
-    a recovering replica). *)
+(** = {!Mk_meerkat.Replica.store_row}: state transfer to a recovering
+    replica and snapshot files carry the store's own rows. *)
 
 type t =
   | Get of { coord : int; slot : int; seq : int; key : int }

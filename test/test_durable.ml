@@ -154,7 +154,11 @@ let sample_snapshot =
     epoch = 3;
     wal_cut = 420;
     views = List.map (fun r -> r.Walcodec.view) sample_records;
-    rows = [ (1, 10, ts 1.0, ts 2.0); (3, 30, ts 3.0, ts 3.0) ];
+    rows =
+      [
+        { key = 1; value = 10; wts = ts 1.0; rts = ts 2.0 };
+        { key = 3; value = 30; wts = ts 3.0; rts = ts 3.0 };
+      ];
   }
 
 let test_snapshot_roundtrip () =
@@ -198,8 +202,14 @@ let fixed_snapshot =
     wal_cut = 137;
     views = [ fixed_view ];
     rows =
-      [ (5, 42, Timestamp.make ~time:3.25 ~client_id:3,
-         Timestamp.make ~time:4.0 ~client_id:1) ];
+      [
+        {
+          key = 5;
+          value = 42;
+          wts = Timestamp.make ~time:3.25 ~client_id:3;
+          rts = Timestamp.make ~time:4.0 ~client_id:1;
+        };
+      ];
   }
 
 let fixed_snapshot_hex =
@@ -372,7 +382,7 @@ let with_memlogs r =
             in
             let rows =
               Replica.store_snapshot r
-              |> List.filter (fun (key, _, _, _) -> key mod cores = k)
+              |> List.filter (fun (row : Replica.store_row) -> row.key mod cores = k)
             in
             Memlog.set_snapshot log
               (Walcodec.encode_snapshot
@@ -390,7 +400,7 @@ let snapshot_now r logs =
       in
       let rows =
         Replica.store_snapshot r
-        |> List.filter (fun (key, _, _, _) -> key mod cores = k)
+        |> List.filter (fun (row : Replica.store_row) -> row.key mod cores = k)
       in
       Memlog.set_snapshot log
         (Walcodec.encode_snapshot
@@ -427,11 +437,13 @@ let committed_seqs (p : Recover.parsed) =
          if v.status = Txn.Committed then Some v.txn.tid.seq else None)
   |> List.sort_uniq compare
 
-let row_equal (k1, v1, w1, r1) (k2, v2, w2, r2) =
-  k1 = k2 && v1 = v2 && Timestamp.compare w1 w2 = 0 && Timestamp.compare r1 r2 = 0
+let row_equal (a : Replica.store_row) (b : Replica.store_row) =
+  a.key = b.key && a.value = b.value
+  && Timestamp.compare a.wts b.wts = 0
+  && Timestamp.compare a.rts b.rts = 0
 
 let rows_equal a b =
-  let sort = List.sort (fun (k1, _, _, _) (k2, _, _, _) -> compare k1 k2) in
+  let sort = List.sort (fun (a : Replica.store_row) b -> compare a.key b.key) in
   List.length a = List.length b && List.for_all2 row_equal (sort a) (sort b)
 
 let test_snapshot_plus_suffix () =
@@ -683,7 +695,10 @@ let test_checkpoint_images () =
   let views =
     List.map (fun (r : Walcodec.record) -> (r.core, r.view)) sample_records
   in
-  let rows = List.init 7 (fun k -> (k, k * 10, ts 1.0, ts 1.0)) in
+  let rows =
+    List.init 7 (fun key ->
+        { Replica.key; value = key * 10; wts = ts 1.0; rts = ts 1.0 })
+  in
   let imgs =
     Checkpoint.images ~cores ~epoch:4 ~wal_cut:(fun c -> 100 + c) ~views ~rows
   in
@@ -705,7 +720,7 @@ let test_checkpoint_images () =
         mine img.views;
       Alcotest.(check (list int)) "rows this core owns"
         (List.filter (fun k -> k mod cores = c) (List.init 7 Fun.id))
-        (List.map (fun (k, _, _, _) -> k) img.rows);
+        (List.map (fun (r : Replica.store_row) -> r.key) img.rows);
       (* A core's own partition alone gives the same image. *)
       let own = List.filter (fun (c', _) -> c' = c) views in
       Alcotest.(check string) "partition-only input, same bytes"

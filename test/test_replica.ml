@@ -240,7 +240,12 @@ let test_epoch_complete_with_snapshot_restores () =
   Replica.crash r;
   Replica.begin_recovery r;
   Alcotest.(check bool) "up but paused" false (Replica.is_available r);
-  let store = [ (0, 7, ts 1.0, ts 2.0); (1, 8, ts 3.0, Timestamp.zero) ] in
+  let store =
+    [
+      { Replica.key = 0; value = 7; wts = ts 1.0; rts = ts 2.0 };
+      { key = 1; value = 8; wts = ts 3.0; rts = Timestamp.zero };
+    ]
+  in
   Alcotest.(check bool) "complete ok" true
     (Replica.handle_epoch_complete r ~epoch:2 ~records:[] ~store:(Some store) = Some ());
   Alcotest.(check bool) "available" true (Replica.is_available r);

@@ -441,7 +441,9 @@ let test_store_snapshot_order_pinned () =
   ignore (Replica.handle_validate r ~core:1 ~txn:t ~ts:(ts 1.0) : Txn.status option);
   ignore (Replica.handle_commit r ~core:1 ~txn:t ~ts:(ts 1.0) ~commit:true : unit option);
   Replica.load r ~key:3 ~value:33;
-  let rows = List.map (fun (k, v, _, _) -> (k, v)) (Replica.store_snapshot r) in
+  let rows =
+    List.map (fun (r : Replica.store_row) -> (r.key, r.value)) (Replica.store_snapshot r)
+  in
   Alcotest.(check (list (pair int int)))
     "rows in iter order"
     [
