@@ -19,12 +19,7 @@ module Runner = Mk_harness.Runner
 module KV = Mk_kvbench.Kv_system
 module Table = Mk_util.Table
 
-type mode = {
-  full : bool;
-  seed : int;
-  trace : string option;  (** [--trace FILE]: Chrome-trace output path. *)
-  metrics : bool;  (** [--metrics]: print the metrics registry dump. *)
-}
+type mode = { full : bool; seed : int }
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
@@ -557,75 +552,6 @@ let recovery mode =
     (!change_done /. 1e3) (!change_done -. 4_000.0)
 
 (* ------------------------------------------------------------------ *)
-(* Trace: one instrumented Meerkat window, exported as a Chrome trace. *)
-(* ------------------------------------------------------------------ *)
-
-(* Run Meerkat with tracing on under conditions that exercise every
-   lifecycle phase: a lossy transport forces retransmissions, and a
-   replica crash mid-window forces the slow path (n=3, so the fast
-   quorum of 3 is unreachable afterwards); before the crash the fast
-   path dominates. *)
-let trace_experiment mode =
-  heading "Trace: Meerkat lifecycle phases under drops + a replica crash";
-  let threads = 8 in
-  let config =
-    {
-      Cluster.default_config with
-      threads;
-      n_clients = 4 * threads;
-      keys = 2048 * threads;
-      transport = Transport.with_drop Transport.erpc 0.05;
-      seed = mode.seed;
-    }
-  in
-  let engine = Engine.create ~seed:mode.seed () in
-  let obs =
-    Mk_obs.Obs.create ~trace:true ~clock:(fun () -> Engine.now engine) ()
-  in
-  let sys = Mk_meerkat.Sim_system.create ~obs engine config in
-  let packed =
-    Intf.Packed
-      ( (module struct
-          type t = Mk_meerkat.Sim_system.t
-
-          let name = Mk_meerkat.Sim_system.name
-          let threads = Mk_meerkat.Sim_system.threads
-          let submit = Mk_meerkat.Sim_system.submit
-          let obs = Mk_meerkat.Sim_system.obs
-        end),
-        sys )
-  in
-  let warmup = 300.0 in
-  let measure = if mode.full then 3000.0 else 1500.0 in
-  Engine.schedule_at engine (warmup +. (measure /. 2.0)) (fun () ->
-      Mk_meerkat.Sim_system.crash_replica sys 2);
-  let wl =
-    Workload.ycsb_t
-      ~rng:(Mk_util.Rng.create ~seed:(mode.seed + 7919))
-      ~keys:config.Cluster.keys ~theta:0.0
-  in
-  let r =
-    Runner.run ~engine ~system:packed ~workload:wl
-      ~n_clients:config.Cluster.n_clients ~warmup ~measure
-      ~busy:(fun () -> Mk_meerkat.Sim_system.server_busy_fraction sys)
-  in
-  say "replica 2 crashes at t=%.0f us; drop probability %.0f%%."
-    (warmup +. (measure /. 2.0))
-    (100.0 *. config.Cluster.transport.Transport.drop_prob);
-  Format.printf "%a@." Runner.pp_result r;
-  let path = Option.value mode.trace ~default:"trace.json" in
-  (try
-     Mk_obs.Obs.write_chrome_trace obs ~path;
-     say "wrote %d trace events to %s (load in Perfetto / chrome://tracing)"
-       (Mk_obs.Tracer.length (Mk_obs.Obs.tracer obs))
-       path
-   with Sys_error msg -> Format.eprintf "cannot write trace: %s@." msg);
-  if mode.metrics then begin
-    say "";
-    print_string (Mk_obs.Obs.metrics_dump obs)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Shard: goodput vs shard count x cross-shard ratio (sim backend).    *)
 (* ------------------------------------------------------------------ *)
 
@@ -781,20 +707,12 @@ let experiments =
     ("latency", latency);
     ("ablation", ablation);
     ("recovery", recovery);
-    ("trace", trace_experiment);
     ("shard", shard);
   ]
 
-let run_experiments names full seed trace metrics =
-  let mode = { full; seed; trace; metrics } in
-  let names =
-    if names <> [] then names
-    else if trace <> None || metrics then
-      (* [--trace FILE] / [--metrics] with no experiment names: run just
-         the instrumented trace experiment. *)
-      [ "trace" ]
-    else List.map fst experiments
-  in
+let run_experiments names full seed =
+  let mode = { full; seed } in
+  let names = if names <> [] then names else List.map fst experiments in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
@@ -815,7 +733,7 @@ let () =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
            ~doc:"Experiments to run (default: all). One of: fig1, table1, table2, \
                  fig4, fig5, fig6a, fig6b, fig7a, fig7b, latency, ablation, recovery, \
-                 trace, shard.")
+                 shard.")
   in
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Longer measurement windows and finer sweeps.")
@@ -823,22 +741,8 @@ let () =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Root random seed (runs are deterministic).")
   in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace (trace_event JSON, Perfetto-loadable) of \
-                   the instrumented run to $(docv); implies the 'trace' experiment \
-                   when no experiment names are given.")
-  in
-  let metrics =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Print the metrics registry dump (counters, gauges, per-phase \
-                   histograms) after the instrumented run; implies the 'trace' \
-                   experiment when no experiment names are given.")
-  in
   let term =
-    Term.(const run_experiments $ names $ full $ seed $ trace $ metrics)
+    Term.(const run_experiments $ names $ full $ seed)
   in
   let info =
     Cmd.info "meerkat-bench"

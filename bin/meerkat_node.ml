@@ -34,8 +34,8 @@ let parse_port = function
       | Some p -> Error (`Msg (Printf.sprintf "port %d out of range" p))
       | None -> Error (`Msg (Printf.sprintf "bad port %S (number or auto)" s)))
 
-let run me cluster_src port cores keys shard heartbeat_ms no_detector rto_ms
-    data_dir fsync metrics =
+let run me cluster_src port cores keys shard heartbeat_ms rto_ms data_dir fsync
+    metrics =
   (* Node.launch carries this size over to every core domain. *)
   Gc.set { (Gc.get ()) with minor_heap_size = Node.minor_heap_words };
   (* Bind before reading the config: with `--cluster -' the launcher
@@ -68,8 +68,7 @@ let run me cluster_src port cores keys shard heartbeat_ms no_detector rto_ms
       cores;
       keys;
       shard;
-      detector =
-        (if no_detector then None else Some (Node.detector_cfg ~heartbeat_ms));
+      detector = Some (Node.detector_cfg ~heartbeat_ms);
       rto_us = rto_ms *. 1000.0;
       data_dir;
       fsync =
@@ -138,12 +137,6 @@ let () =
       & info [ "heartbeat-ms" ]
           ~doc:"Failure-detector heartbeat period (milliseconds).")
   in
-  let no_detector =
-    Arg.(
-      value & flag
-      & info [ "no-detector" ]
-          ~doc:"Disable heartbeats, suspicion and view changes.")
-  in
   let rto_ms =
     Arg.(
       value & opt float 100.0
@@ -174,16 +167,15 @@ let () =
       & info [ "metrics" ]
           ~doc:"Dump the metrics registry (wire counters included) at exit.")
   in
-  let wrap me cluster port cores keys shard heartbeat_ms no_detector rto_ms
-      data_dir fsync metrics =
+  let wrap me cluster port cores keys shard heartbeat_ms rto_ms data_dir fsync
+      metrics =
     let src = if cluster = "-" then `Stdin else `File cluster in
-    run me src port cores keys shard heartbeat_ms no_detector rto_ms data_dir
-      fsync metrics
+    run me src port cores keys shard heartbeat_ms rto_ms data_dir fsync metrics
   in
   let term =
     Term.(
       const wrap $ me $ cluster $ port $ cores $ keys $ shard $ heartbeat_ms
-      $ no_detector $ rto_ms $ data_dir $ fsync $ metrics)
+      $ rto_ms $ data_dir $ fsync $ metrics)
   in
   let info =
     Cmd.info "meerkat_node"

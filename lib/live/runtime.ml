@@ -39,17 +39,22 @@
    bound.
 
    Chaos mode ([config.chaos], one group only): the same topology plus
-   one monitor domain hosting the transport-agnostic
-   {!Mk_meerkat.Detector} and {!Mk_meerkat.View_change}. Every cross-domain message routes through
-   {!Link} (the wall-clock verdict of the run's nemesis plan); server
-   domains gain heartbeat agents and trecord snapshots for the
-   detector; the monitor injects the plan's crashes, carries the §5.3.2
-   view changes' messages over the same mailboxes, and runs §5.3.1
-   epoch changes ({!Mk_meerkat.Epoch.run_sync}) under a freeze
-   handshake. Chaos-mode deadlock freedom is simpler and stricter:
-   every chaos-path push is a [try_push] whose failure counts as a
-   link drop (retransmission recovers it), so no chaos-mode producer
-   ever blocks. The only
+   one monitor domain hosting the pure {!Mk_meerkat.Supervisor} for
+   every replica — the control plane a cluster node runs for itself.
+   Every cross-domain message routes through {!Link} (the wall-clock
+   verdict of the run's nemesis plan); the monitor injects the plan's
+   crashes, carries the supervisor's heartbeats (replica to replica
+   through the link, back into its own mailbox) and §5.3.2 view-change
+   messages, asks the server domains for their records (each answers
+   with its core's non-final records of every replica), and runs the
+   §5.3.1 epoch changes the supervisor asks for
+   ({!Mk_meerkat.Epoch.run_sync}) under a freeze handshake. Its clock,
+   its mailboxes and its one reboot rule (a crashed replica is
+   recoverable once its reboot time has passed) are all it adds.
+   Chaos-mode deadlock freedom is simpler and stricter: every
+   chaos-path push is a [try_push] whose failure counts as a link drop
+   (retransmission recovers it), so no chaos-mode producer ever
+   blocks. The only
    blocking chaos push is a server's [Mon_frozen] ack, sent exactly
    when the monitor is draining its inbox waiting for it.
 
@@ -59,9 +64,7 @@
    retries answer [`Stale] until a fresh view change finishes it), so
    each coordinator pushes [Mon_coord_done] when its clients are done
    and the monitor keeps scanning and driving recovery until the
-   settle deadline has passed AND every coordinator has reported in.
-   Server heartbeats and snapshots likewise run until [Stop], feeding
-   those late scans. *)
+   settle deadline has passed AND every coordinator has reported in. *)
 
 module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
@@ -76,7 +79,7 @@ module Batch = Mk_meerkat.Batch
 module Protocol = Mk_meerkat.Protocol
 module Replica = Mk_meerkat.Replica
 module Detector = Mk_meerkat.Detector
-module View_change = Mk_meerkat.View_change
+module Supervisor = Mk_meerkat.Supervisor
 module Epoch = Mk_meerkat.Epoch
 module Attempts = Mk_meerkat.Attempts
 module Workload = Mk_workload.Workload
@@ -292,16 +295,10 @@ type server_msg =
       decision : [ `Commit | `Abort ];
     }
   | Write_backs of { mask : int; txn : Txn.t; ts : Timestamp.t; commit : bool }
-  (* Chaos-mode recovery traffic (monitor-initiated, §5.3.2). *)
-  | Coord_change of { replica : int; observer : int; tid : Tid.t; view : int }
-  | Vc_accept of {
-      replica : int;
-      observer : int;
-      txn : Txn.t;
-      ts : Timestamp.t;
-      decision : [ `Commit | `Abort ];
-      view : int;
-    }
+  | Recovery of Supervisor.action
+      (* Chaos mode, from the monitor: a §5.3.2 [Coord_change] or
+         [Vc_accept], carried as its supervisor emitted it. *)
+  | Push_records  (* Answer with [Mon_records]. *)
   | Freeze
   | Stop
 
@@ -356,12 +353,10 @@ type coord_msg =
 (* Everything the monitor domain learns arrives as one of these. *)
 type mon_msg =
   | Mon_heartbeat of { from_ : int; observer : int; paused : bool }
-      (* [from_ = observer] is the sender's own tick (it always hears
-         itself, never over the faulty link). *)
-  | Mon_records of { core : int; records : (int * Trecord.entry) list }
-      (* Snapshot of one core's non-final records, per replica. The
-         entries are fresh copies: the live partitions stay owned by
-         their server domain. *)
+  | Mon_records of { core : int; records : Trecord.entry list array }
+      (* One core's non-final records, by replica ([] for a crashed
+         one). The entries are fresh copies: the live partitions stay
+         owned by their server domain. *)
   | Mon_frozen of { core : int }
   | Mon_coord_reply of {
       tid : Tid.t;
@@ -452,7 +447,7 @@ let server_handle ~shard ~core ~replicas ~answer ~stop msg =
         incr r;
         m := !m lsr 1
       done
-  | Coord_change _ | Vc_accept _ | Freeze ->
+  | Recovery _ | Push_records | Freeze ->
       (* Monitor traffic: {!server_chaos_loop} takes it first. *)
       ()
 
@@ -494,56 +489,16 @@ let answer_per_replica link coord_inboxes coord msg =
   | Coord_kill _ -> ()
 
 (* Chaos-mode server domain: the same handler, polling instead of
-   parking, with every outbound reply routed through the link, plus a
-   heartbeat agent and a periodic trecord snapshot for the detector.
-   On [Freeze] the domain acks and parks on its control mailbox until
-   the monitor finishes the epoch change — the live analogue of the
-   sim pausing every core at one instant. *)
-let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
-    ~coord_inboxes ~mon_inbox ~control ~link =
-  let n = cfg.n_replicas in
-  let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
-  let dcfg = chaos.detector in
-  let next_hb =
-    ref (float_of_int core *. dcfg.heartbeat_every
-        /. float_of_int cfg.server_domains)
-  in
-  let next_snap = ref (dcfg.scan_every /. 2.0) in
+   parking, with every outbound reply routed through the link. It
+   answers the monitor's record pushes with its core's non-final
+   records of every replica. On [Freeze] the domain acks and parks on
+   its control mailbox until the monitor finishes the epoch change —
+   the live analogue of the sim pausing every core at one instant. *)
+let server_chaos_loop ~core ~replicas ~inbox ~coord_inboxes ~mon_inbox ~control ~link =
   let reply_mon ~replica ~observer msg =
     Link.send link ~src:(Network.Replica replica)
       ~dst:(Network.Replica observer)
       ~push:(fun () -> ignore (Mailbox.try_push mon_inbox msg))
-  in
-  let heartbeat () =
-    for r = 0 to n - 1 do
-      if r mod cfg.server_domains = core && not (Replica.is_crashed replicas.(r))
-      then begin
-        let paused = Replica.is_paused replicas.(r) in
-        ignore
-          (Mailbox.try_push mon_inbox
-             (Mon_heartbeat { from_ = r; observer = r; paused }));
-        for p = 0 to n - 1 do
-          if p <> r then
-            Link.send link ~src:(Network.Replica r) ~dst:(Network.Replica p)
-              ~push:(fun () ->
-                ignore
-                  (Mailbox.try_push mon_inbox
-                     (Mon_heartbeat { from_ = r; observer = p; paused })))
-        done
-      end
-    done
-  in
-  let snapshot () =
-    let records = ref [] in
-    for r = 0 to n - 1 do
-      if not (Replica.is_crashed replicas.(r)) then
-        List.iter
-          (fun (e : Trecord.entry) ->
-            if not (Txn.is_final e.Trecord.status) then
-              records := (r, { e with Trecord.ts = e.Trecord.ts }) :: !records)
-          (Trecord.core_entries (Replica.trecord replicas.(r)) ~core)
-    done;
-    ignore (Mailbox.try_push mon_inbox (Mon_records { core; records = !records }))
   in
   let stop = ref false in
   let handle =
@@ -557,7 +512,7 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
     | Some msg -> (
         idle := 0;
         match msg with
-        | Coord_change { replica; observer; tid; view } -> (
+        | Recovery (Coord_change { replica; observer; tid; view }) -> (
             match
               Replica.handle_coord_change replicas.(replica) ~core ~tid ~view
             with
@@ -565,7 +520,7 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
             | Some reply ->
                 reply_mon ~replica ~observer
                   (Mon_coord_reply { tid; observer; view; replica; reply }))
-        | Vc_accept { replica; observer; txn; ts; decision; view } -> (
+        | Recovery (Vc_accept { replica; observer; txn; ts; decision; view }) -> (
             match
               Replica.handle_accept replicas.(replica) ~core ~txn ~ts ~decision
                 ~view
@@ -575,28 +530,23 @@ let server_chaos_loop (cfg : config) ~chaos ~t0 ~core ~replicas ~inbox
                 reply_mon ~replica ~observer
                   (Mon_accept_reply
                      { tid = txn.Txn.tid; observer; view; replica; reply }))
+        | Push_records ->
+            let records =
+              Array.map
+                (fun r ->
+                  if Replica.is_crashed r then []
+                  else Trecord.core_pending (Replica.trecord r) ~core)
+                replicas
+            in
+            ignore (Mailbox.try_push mon_inbox (Mon_records { core; records }))
         | Freeze ->
             (* The monitor is draining its inbox waiting for this ack,
                so the blocking push always completes; then park until
                it hands the cores back. *)
             Mailbox.push mon_inbox (Mon_frozen { core });
             ignore (Mailbox.pop control : unit)
-        | Validates _ | Accepts _ | Write_backs _ | Stop -> handle msg)
+        | Recovery _ | Validates _ | Accepts _ | Write_backs _ | Stop -> handle msg)
     | None ->
-        (* Chatter runs until [Stop]: the monitor may still be driving
-           recovery for a straggling coordinator past the settle
-           deadline and needs fresh heartbeats and snapshots. After
-           the monitor exits these try_pushes fill its inbox and fail,
-           which is harmless. *)
-        let now = wall_us () in
-        if now >= !next_hb then begin
-          heartbeat ();
-          next_hb := now +. dcfg.heartbeat_every
-        end;
-        if now >= !next_snap then begin
-          snapshot ();
-          next_snap := now +. (dcfg.scan_every /. 2.0)
-        end;
         Link.flush link;
         incr idle;
         if !idle > 200 then Unix.sleepf 0.0001 else Spawn.relax ()
@@ -616,85 +566,73 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
     ~mon_inbox ~controls ~link =
   let n = cfg.n_replicas in
   let wall_us () = (Spawn.wall () -. t0) *. 1e6 in
-  let dcfg = chaos.detector in
-  let det = Detector.create ~cfg:dcfg ~n ~now:(wall_us ()) in
-  (* Latest per-core trecord snapshots, per replica. *)
-  let latest = Array.make_matrix cfg.server_domains n [] in
   let down_until = Array.make n neg_infinity in
   let ec_count = ref 0 in
-  let vc_count = ref 0 in
   let fault_events = ref 0 in
-  let vcs = View_change.create ~n in
   let crashes = ref (Verdict.crashes chaos.plan) in
   let edges = ref (Verdict.window_edges chaos.plan) in
   let frozen_pending = ref 0 in
   let coords_pending = ref cfg.coordinators in
+  let up r = not (Replica.is_crashed replicas.(r)) in
+  (* Every replica's detector and view changes: {!Supervisor} decides;
+     the monitor carries its messages over the link, its record pushes
+     to the server domains, and runs the epoch changes it asks for. A
+     crashed machine can only be readmitted once it has rebooted. *)
+  let sup =
+    Supervisor.create ~cfg:chaos.detector ~n ~cores:cfg.server_domains
+      ~observers:(List.init n Fun.id) ~rto:cfg.rto_us ~now:(wall_us ())
+      {
+        Supervisor.up;
+        paused = (fun r -> Replica.is_paused replicas.(r));
+        available = (fun r -> Replica.is_available replicas.(r));
+        recoverable = (fun ~now p -> up p || now >= down_until.(p));
+      }
+  in
   (* Recovery traffic for [tid] goes to the server domain owning its
      trecord core; a crashed replica is sent nothing. *)
   let to_server ~observer ~tid ~replica msg =
-    if not (Replica.is_crashed replicas.(replica)) then begin
+    if up replica then begin
       let core = Tid.hash tid mod cfg.server_domains in
       Link.send link ~src:(Network.Replica observer) ~dst:(Network.Replica replica)
         ~push:(fun () -> ignore (Mailbox.try_push server_inboxes.(core) msg))
     end
   in
-  (* The §5.3.2 view changes: {!View_change} decides; the monitor
-     carries its messages to the server domains over the link. The
-     scratch batch is never reentered: performing an action only
-     pushes to a server inbox. *)
-  let vc_acts : View_change.action Batch.t = Batch.create () in
-  let vc_perform = function
-    | View_change.Coord_change { replica; observer; tid; view } ->
-        to_server ~observer ~tid ~replica
-          (Coord_change { replica; observer; tid; view })
-    | View_change.Vc_accept { replica; observer; txn; ts; decision; view } ->
-        to_server ~observer ~tid:txn.Txn.tid ~replica
-          (Vc_accept { replica; observer; txn; ts; decision; view })
-    | View_change.Write_back { observer; txn; ts; commit } ->
+  (* Two scratch batches: an epoch change runs while [tick_acts] is
+     iterated, and the replies it drains meanwhile go through
+     [msg_acts]. Replies only ever emit sends. *)
+  let tick_acts : Supervisor.action Batch.t = Batch.create () in
+  let msg_acts : Supervisor.action Batch.t = Batch.create () in
+  let rec feed acts f =
+    Batch.clear acts;
+    f sup ~into:acts;
+    Batch.iter perform acts
+  and perform : Supervisor.action -> unit = function
+    | Heartbeat { from_; dst; paused } ->
+        Link.send link ~src:(Network.Replica from_) ~dst:(Network.Replica dst)
+          ~push:(fun () ->
+            ignore
+              (Mailbox.try_push mon_inbox
+                 (Mon_heartbeat { from_; observer = dst; paused })))
+    | Push_records ->
+        Array.iter
+          (fun inbox -> ignore (Mailbox.try_push inbox Push_records))
+          server_inboxes
+    | Coord_change { replica; observer; tid; _ } as a ->
+        to_server ~observer ~tid ~replica (Recovery a)
+    | Vc_accept { replica; observer; txn; _ } as a ->
+        to_server ~observer ~tid:txn.Txn.tid ~replica (Recovery a)
+    | Write_back { observer; txn; ts; commit } ->
         for replica = 0 to n - 1 do
           to_server ~observer ~tid:txn.Txn.tid ~replica
             (Write_backs { mask = 1 lsl replica; txn; ts; commit })
         done
-    | View_change.Done { tid; observer; outcome } ->
-        Detector.view_change_finished det ~now:(wall_us ()) ~observer ~tid ~outcome;
-        if outcome = `Finished then incr vc_count
-  in
-  let vc_feed f =
-    Batch.clear vc_acts;
-    f ~into:vc_acts;
-    Batch.iter vc_perform vc_acts
-  in
-  let handle_mon msg =
-    match msg with
-    | Mon_heartbeat { from_; observer; paused } ->
-        let now = wall_us () in
-        if from_ = observer then Detector.heartbeat_tick det ~now ~replica:from_
-        else if not (Replica.is_crashed replicas.(observer)) then
-          Detector.heartbeat_received det ~now ~observer ~from_ ~paused
-    | Mon_records { core; records } ->
-        let by_replica = Array.make n [] in
-        List.iter (fun (r, e) -> by_replica.(r) <- e :: by_replica.(r)) records;
-        latest.(core) <- by_replica
-    | Mon_frozen _ -> decr frozen_pending
-    | Mon_coord_done -> decr coords_pending
-    | Mon_coord_reply { tid; observer; view; replica; reply } ->
-        vc_feed (View_change.coord_reply vcs ~tid ~observer ~view ~replica reply)
-    | Mon_accept_reply { tid; observer; view; replica; reply } ->
-        vc_feed (View_change.accept_reply vcs ~tid ~observer ~view ~replica reply)
-  in
-  let drain_some () =
-    match Mailbox.try_pop mon_inbox with
-    | Some m ->
-        handle_mon m;
-        true
-    | None -> false
-  in
+    | Start_epoch_change { recovering } -> run_epoch_change ~recovering
   (* §5.3.1 under a freeze handshake: stop every server domain at one
      instant, run the synchronous epoch change ({!Epoch.run_sync}, as
      [Sim_system.run_epoch_change] does), hand the cores back. While the
      freeze tokens go out the monitor keeps draining its own inbox, so
      a server blocked pushing an ack can never deadlock it. *)
-  let run_epoch_change ~recovering =
+  and run_epoch_change ~recovering =
     frozen_pending := cfg.server_domains;
     for k = 0 to cfg.server_domains - 1 do
       while not (Mailbox.try_push server_inboxes.(k) Freeze) do
@@ -711,17 +649,31 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
        safe). *)
     let success = Epoch.run_sync replicas ~recovering in
     Array.iter (fun ctl -> Mailbox.push ctl ()) controls;
-    Detector.epoch_change_finished det ~now:(wall_us ()) ~success ~recovering;
+    Supervisor.epoch_change_finished sup ~now:(wall_us ()) ~success ~recovering;
     if success then incr ec_count
-  in
-  let perform = function
-    | Detector.Start_view_change { observer; record; view } ->
-        let now = wall_us () in
-        vc_feed
-          (View_change.start vcs ~observer ~record ~view ~rto:cfg.rto_us
-             ~deadline:(now +. dcfg.give_up_after) ~now)
-    | Detector.Start_epoch_change { initiator = _; recovering } ->
-        run_epoch_change ~recovering
+  and drain_some () =
+    match Mailbox.try_pop mon_inbox with
+    | Some m ->
+        handle_mon m;
+        true
+    | None -> false
+  and handle_mon = function
+    | Mon_heartbeat { from_; observer; paused } ->
+        Supervisor.heartbeat sup ~now:(wall_us ()) ~observer ~from_ ~paused
+    | Mon_records { core; records } ->
+        Array.iteri
+          (fun observer entries -> Supervisor.records sup ~observer ~core entries)
+          records
+    | Mon_frozen _ -> decr frozen_pending
+    | Mon_coord_done -> decr coords_pending
+    | Mon_coord_reply { tid; observer; view; replica; reply } ->
+        feed msg_acts (fun s ->
+            Supervisor.coord_reply s ~now:(wall_us ()) ~tid ~observer ~view ~replica
+              reply)
+    | Mon_accept_reply { tid; observer; view; replica; reply } ->
+        feed msg_acts (fun s ->
+            Supervisor.accept_reply s ~now:(wall_us ()) ~tid ~observer ~view ~replica
+              reply)
   in
   let process_due now =
     (match !edges with
@@ -746,39 +698,6 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
              (Coord_kill { until_us = at +. down_for }))
     | _ -> ()
   in
-  let observer_records o =
-    let acc = ref [] in
-    for k = 0 to cfg.server_domains - 1 do
-      acc := List.rev_append latest.(k).(o) !acc
-    done;
-    !acc
-  in
-  let next_scan =
-    Array.init n (fun o ->
-        ref
-          ((dcfg.scan_every /. 2.0)
-          +. (float_of_int o *. dcfg.scan_every /. float_of_int n)))
-  in
-  let det_acts : Detector.action Batch.t = Batch.create () in
-  let scan_tick now =
-    for o = 0 to n - 1 do
-      if now >= !(next_scan.(o)) then begin
-        next_scan.(o) := now +. dcfg.scan_every;
-        if not (Replica.is_crashed replicas.(o)) then begin
-          let rep = replicas.(o) in
-          Batch.clear det_acts;
-          Detector.scan det ~now ~observer:o
-            ~paused:(Replica.is_paused rep)
-            ~available:(Replica.is_available rep)
-            ~records:(fun () -> observer_records o)
-            ~recoverable:(fun p ->
-              (not (Replica.is_crashed replicas.(p))) || now >= down_until.(p))
-            ~into:det_acts;
-          Batch.iter perform det_acts
-        end
-      end
-    done
-  in
   let stop_initiate_at = chaos.horizon_us +. (chaos.settle_us /. 2.0) in
   let end_at = chaos.horizon_us +. chaos.settle_us in
   let idle = ref 0 in
@@ -799,9 +718,8 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
       in
       drain 256;
       process_due now;
-      if now < stop_initiate_at || !coords_pending > 0 then scan_tick now;
-      if now >= View_change.next_due vcs then
-        vc_feed (View_change.fire_due vcs ~now);
+      if now >= stop_initiate_at && !coords_pending = 0 then Supervisor.retire sup;
+      if now >= Supervisor.next_due sup then feed tick_acts (Supervisor.tick ~now);
       Link.flush link;
       if !progressed then idle := 0
       else begin
@@ -816,7 +734,7 @@ let monitor (cfg : config) ~chaos ~t0 ~replicas ~server_inboxes ~coord_inboxes
   Link.flush link;
   {
     m_epoch_changes = !ec_count;
-    m_view_changes = !vc_count;
+    m_view_changes = Supervisor.view_changes sup;
     m_fault_events = !fault_events;
   }
 
@@ -1384,8 +1302,8 @@ let run (cfg : config) : report =
         List.init cfg.server_domains (fun core ->
             Spawn.spawn (fun () ->
                 match (cfg.chaos, link, mon_inbox) with
-                | Some ch, Some l, Some mi ->
-                    server_chaos_loop cfg ~chaos:ch ~t0 ~core ~replicas
+                | Some _, Some l, Some mi ->
+                    server_chaos_loop ~core ~replicas
                       ~inbox:server_inboxes.(core) ~coord_inboxes ~mon_inbox:mi
                       ~control:controls.(core) ~link:l
                 | _ ->

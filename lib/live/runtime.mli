@@ -16,7 +16,8 @@
 
     With [config.chaos] set (one group only), the run additionally
     spawns one monitor domain hosting the transport-agnostic
-    {!Mk_meerkat.Detector}, routes every cross-domain message through a
+    {!Mk_meerkat.Supervisor} for every replica, routes every
+    cross-domain message through a
     {!Link} applying the nemesis plan, injects the plan's replica
     fail-stops and coordinator kills, and drives real
     detector-initiated §5.3.2 view changes and §5.3.1 epoch changes

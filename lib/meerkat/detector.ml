@@ -6,9 +6,9 @@
    §5.3.2 view change for a stuck record, or a §5.3.1 epoch change
    for a suspected replica set. The simulator schedules the ticks on
    engine time and carries heartbeats over the modelled (faulty)
-   network; the live runtime does the same on wall-clock time over
-   mailboxes. Neither backend owns any detector state, so both make
-   byte-for-byte the same decisions from the same observations.
+   network; the live monitor and the cluster node drive it through
+   [Supervisor] on wall-clock time. No backend owns any detector
+   state, so all make the same decisions from the same observations.
 
    Two detectors share the state:
 
@@ -55,7 +55,7 @@ type action =
       record : Trecord.entry;
       view : int;
     }
-  | Start_epoch_change of { initiator : int; recovering : int list }
+  | Start_epoch_change of { recovering : int list }
 
 type t = {
   cfg : cfg;
@@ -89,10 +89,6 @@ let create ~cfg ~n ~now =
     ec_inflight = false;
     ec_cooldown_until = 0.0;
   }
-
-let cfg t = t.cfg
-
-let heartbeat_tick t ~now ~replica = t.hb_last.(replica).(replica) <- now
 
 let heartbeat_received t ~now ~observer ~from_ ~paused =
   t.hb_last.(observer).(from_) <- now;
@@ -135,7 +131,7 @@ let maybe_epoch_change t ~now o ~recoverable =
     let recovering = List.filter recoverable sus in
     if initiator && recovering <> [] then begin
       t.ec_inflight <- true;
-      Some (Start_epoch_change { initiator = o; recovering })
+      Some (Start_epoch_change { recovering })
     end
     else None
   end

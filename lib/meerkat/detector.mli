@@ -3,14 +3,15 @@
     {!action}s out.
 
     Like {!Protocol}, this module owns every decision and none of the
-    transport. A driver (the simulator on engine time, the live
-    runtime on wall-clock time) carries heartbeats between replicas
-    over its own channels, reports each arrival with
-    {!heartbeat_received}, calls {!scan} on each replica's scan tick,
-    and performs the returned actions — running the §5.3.2 view
-    change or §5.3.1 epoch change over its own transport and
-    reporting the outcome back with {!view_change_finished} /
-    {!epoch_change_finished}. Both backends therefore make exactly
+    transport. Its driver carries heartbeats between replicas, reports
+    each arrival with {!heartbeat_received}, calls {!scan} on each
+    replica's scan tick, and performs the returned actions — running
+    the §5.3.2 view change or §5.3.1 epoch change and reporting the
+    outcome back with {!view_change_finished} /
+    {!epoch_change_finished}. The cluster node and the live monitor
+    drive it through {!Supervisor}, which owns that schedule and the
+    view changes; the simulator drives it from its own engine-scheduled
+    loops ([Sim_system.start_detectors]). Every backend therefore makes
     the same suspicion and recovery decisions from the same
     observations.
 
@@ -53,7 +54,7 @@ type action =
       (** Drive the §5.3.2 backup-coordinator view change for this
           stuck record. The transaction is marked in flight; report the
           outcome with {!view_change_finished}. *)
-  | Start_epoch_change of { initiator : int; recovering : int list }
+  | Start_epoch_change of { recovering : int list }
       (** Drive the §5.3.1 epoch change reintegrating [recovering].
           Further initiations are suppressed until
           {!epoch_change_finished}. *)
@@ -63,13 +64,6 @@ type t
 val create : cfg:cfg -> n:int -> now:float -> t
 (** Fresh detector state for an [n]-replica deployment; every peer
     counts as heard-from at [now]. *)
-
-val cfg : t -> cfg
-
-val heartbeat_tick : t -> now:float -> replica:int -> unit
-(** [replica] emitted its periodic heartbeat (it always hears
-    itself). The driver sends the heartbeat to every peer over its
-    (faulty) transport. *)
 
 val heartbeat_received : t -> now:float -> observer:int -> from_:int -> paused:bool -> unit
 (** A heartbeat from [from_], carrying whether the sender reports

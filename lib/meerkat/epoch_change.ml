@@ -40,14 +40,16 @@ type 'dst role =
       installed_from : bool array;
     }
   | Peer of {
-      mutable from : 'dst;  (* Where records and acks go. *)
+      mutable from : 'dst;  (* Where records go. *)
       mutable rank : int;
           (* Initiator id for the tie-break; [max_int] when the change
              was started by an install alone. *)
       mutable sent_records : bool;
       mutable pending :
-        ((int * Replica.record_view) list * Replica.store_row list option) option;
-          (* An install that arrived before every core was frozen. *)
+        ('dst * (int * Replica.record_view) list * Replica.store_row list option)
+        option;
+          (* An install that arrived before every core was frozen, with
+             its sender: the ack goes there. *)
     }
 
 type 'dst change = {
@@ -187,8 +189,8 @@ let on_frozen t c ~into =
       Hashtbl.replace r.gathered t.me (t.ops.record_views ());
       broadcast_change t c ~into;
       try_merge t c ~into
-  | Peer { pending = Some (records, store); from; _ } ->
-      install_and_ack t c ~dst:from ~records ~store ~into;
+  | Peer { pending = Some (src, records, store); _ } ->
+      install_and_ack t c ~dst:src ~records ~store ~into;
       t.current <- None
   | Peer { pending = None; _ } -> peer_report t c ~into
 
@@ -223,10 +225,14 @@ let on_change t ~initiator ~epoch ~now ~into =
               if all_frozen c then peer_report t c ~into
             end
         | Peer p ->
-            if initiator < p.rank then begin
+            if initiator < p.rank && not p.sent_records then begin
+              (* Not reported yet (the cores are still freezing): follow
+                 the lower id. A peer that has reported stays with its
+                 initiator, whose majority may already count it —
+                 counted by a second initiator too, two merges could
+                 install at one epoch. *)
               p.rank <- initiator;
-              p.from <- t.addr initiator;
-              if all_frozen c then peer_report t c ~into
+              p.from <- t.addr initiator
             end
             else if initiator = p.rank && p.sent_records then
               (* Duplicate change: our report was lost. *)
@@ -257,11 +263,13 @@ let on_install t ~src ~epoch ~records ~store ~now ~into =
     | Some c when c.epoch = epoch -> (
         match c.role with
         | Peer p ->
+            (* Ack the install's sender: it need not be the initiator
+               this peer reported to, if that one turned peer itself. *)
             if all_frozen c then begin
-              install_and_ack t c ~dst:p.from ~records ~store ~into;
+              install_and_ack t c ~dst:src ~records ~store ~into;
               t.current <- None
             end
-            else p.pending <- Some (records, store)
+            else p.pending <- Some (src, records, store)
         | Initiator r ->
             (* A rival initiator won the race to a majority; adopt its
                merge once our cores are frozen. *)
@@ -273,7 +281,7 @@ let on_install t ~src ~epoch ~records ~store ~now ~into =
     | None ->
         (* We never saw the [Change] (loss or reorder): freeze and
            install once the cores ack. *)
-        let role = peer ~from:src ~rank:max_int ~pending:(Some (records, store)) in
+        let role = peer ~from:src ~rank:max_int ~pending:(Some (src, records, store)) in
         begin_change t ~epoch ~role ~now ~into
 
 let on_installed t ~replica ~epoch ~into =

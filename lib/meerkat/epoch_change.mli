@@ -17,7 +17,11 @@
 
     Concurrent initiators at the same epoch tie-break to the lowest
     replica id: the higher one turns into its peer under the same
-    freeze generation. A change for a newer epoch supersedes the one in
+    freeze generation, and so does a peer that has not reported yet. A
+    peer that has sent its [Records] stays with that initiator, so no
+    report counts toward two majorities and at most one merge installs
+    per epoch; it acks whichever [Install] it adopts to that install's
+    sender. A change for a newer epoch supersedes the one in
     flight. An [Install] at or below the installed epoch is only
     re-acked, never re-installed; one that arrives before any [Change]
     starts a peer that installs once its cores are frozen.

@@ -379,8 +379,6 @@ let crash_coordinator t ~client ~down_for =
         | Some attempts -> List.iter (resume_attempt t) attempts)
   end
 
-let coordinator_is_down t ~client = coord_down t client
-let inflight_attempts t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.inflight 0
 
 (* --- Synchronous epoch change (test helper, §5.3.1). --- *)
 
@@ -628,7 +626,6 @@ let start_detectors ?(cfg = default_detector_cfg) t ~until () =
   let rec hb_loop r =
     if now () <= until then begin
       if not (Replica.is_crashed t.replicas.(r)) then begin
-        Detector.heartbeat_tick detector ~now:(now ()) ~replica:r;
         let paused = Replica.is_paused t.replicas.(r) in
         for p = 0 to n - 1 do
           if p <> r then
@@ -718,7 +715,7 @@ let start_detectors ?(cfg = default_detector_cfg) t ~until () =
         (* Retransmit whichever phase is pending until the deadline,
            then abandon (the scanner retries at a higher view). *)
         vc_retry record.Mk_storage.Trecord.txn.Txn.tid ~delay:rto
-    | Detector.Start_epoch_change { initiator = _; recovering } ->
+    | Detector.Start_epoch_change { recovering } ->
         trigger_epoch_change ~max_rto:cfg.give_up_after t ~recovering
           ~on_complete:(fun ~success ->
             Detector.epoch_change_finished detector ~now:(now ()) ~success

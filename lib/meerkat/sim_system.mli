@@ -124,12 +124,6 @@ val crash_coordinator : t -> client:int -> down_for:float -> unit
     no attempt in flight, a coordinator that does is chosen instead
     (crashing an idle client exercises nothing). *)
 
-val coordinator_is_down : t -> client:int -> bool
-
-val inflight_attempts : t -> int
-(** Number of undecided commit-protocol attempts across all
-    coordinators (test/debug aid). *)
-
 val run_epoch_change : t -> recovering:int list -> bool
 (** Run the §5.3.1 epoch-change protocol synchronously (outside the
     simulated data path): pause replicas, aggregate and merge

@@ -4,8 +4,8 @@
    Topology inside the process: [cores] trecord cores (the same
    partitioning as the simulator and the live runtime — a transaction
    is steered to core [Tid.hash tid mod cores]). The shim's loop
-   thread owns the socket's receive side, the failure detector and the
-   recovery machines, and it IS core 0: a request for core 0 runs to
+   thread owns the socket's receive side, the supervisor and the
+   epoch-change machine, and it IS core 0: a request for core 0 runs to
    completion on the thread that received it — receive, handle, reply
    — with no hand-off, as the paper's flow steering delivers a request
    straight to its core (§4.2). Cores [1 .. cores-1] each run on their
@@ -35,27 +35,24 @@
    log-suffix in {!create}, then rejoins the cluster through the
    §5.3.1 epoch change below.
 
-   Failure handling (§5.3): each node runs its own {!Detector}
-   instance fed only with [observer = me] facts — its peers'
-   heartbeats over UDP and its own cores' non-final records (a core
-   reports them when the loop thread's tick steps it a [Core_push] —
-   core 0 right there, the others through their inboxes, answering
-   over a control mailbox — so the loop thread never touches another
-   core's live partition). Stuck records trigger the §5.3.2
-   backup-coordinator view change: the shared {!View_change} machine
-   decides (gather [Coord_change] from a majority, pick the safe
-   outcome with {!Recovery.choose}, [Vc_accept] at the new view, then
-   [Write_back]), and the loop thread carries its messages over the
-   wire and fires its retries from [tick]. A peer that reboots and
-   advertises itself paused is [recoverable] (it heartbeats again), so
-   the detector initiates the §5.3.1 epoch change. The shared
-   {!Epoch_change} machine decides it (freeze the local cores, gather
-   [Epoch_records] from a majority, {!Epoch.merge}, install locally,
-   then retransmit [Epoch_install], with a store snapshot to the
-   recovering peers, until every replica acks [Epoch_installed]); the
-   loop thread only carries its messages over the wire, its freezes
-   and thaws to the cores (core 0 inline, the others through their
-   inboxes), and fires its retries from [tick]. *)
+   Failure handling (§5.3): each node runs its own {!Supervisor}, the
+   control plane the live monitor runs too, with one observer, [me]. It
+   decides; the loop thread carries its heartbeats and view-change
+   messages over the wire, hands its record pushes to the cores (core
+   0 right there, the others through their inboxes, answering over a
+   control mailbox — so the loop thread never touches another core's
+   live partition), feeds back what arrives and calls its [tick]. A
+   peer that reboots and advertises itself paused is [recoverable] (it
+   heartbeats again; this reboot rule is the one failure-handling
+   decision the node keeps), so the supervisor asks for the §5.3.1
+   epoch change. The shared {!Epoch_change} machine runs it (freeze
+   the local cores, gather [Epoch_records] from a majority,
+   {!Epoch.merge}, install locally, then retransmit [Epoch_install],
+   with a store snapshot to the recovering peers, until every replica
+   acks [Epoch_installed]); the loop thread only carries its messages
+   over the wire, its freezes and thaws to the cores (core 0 inline,
+   the others through their inboxes), fires its retries from [tick]
+   and reports its end back to the supervisor. *)
 
 module Timestamp = Mk_clock.Timestamp
 module Tid = Timestamp.Tid
@@ -65,7 +62,7 @@ module Quorum = Mk_meerkat.Quorum
 module Batch = Mk_meerkat.Batch
 module Replica = Mk_meerkat.Replica
 module Detector = Mk_meerkat.Detector
-module View_change = Mk_meerkat.View_change
+module Supervisor = Mk_meerkat.Supervisor
 module Epoch = Mk_meerkat.Epoch
 module Epoch_change = Mk_meerkat.Epoch_change
 module Codec = Mk_wire.Codec
@@ -547,8 +544,30 @@ let core_loop t (core : core) inbox =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Loop thread: steering, detector, view changes, epoch changes        *)
+(* Loop thread: steering, supervisor, epoch changes                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Replica ids and core tags taken straight off the wire index the
+   supervisor's and the epoch-change machine's per-replica tables and
+   the trecord partitions, and count toward quorum majorities: one
+   well-framed datagram carrying an out-of-range id (hostile peer,
+   misconfigured deployment, bit-flipped genuine frame) must be a
+   counted drop like any other undecodable input — never an
+   [Invalid_argument] on the loop thread, and never a phantom quorum
+   vote. *)
+let wire_ids_ok ~n ~cores (msg : Codec.t) =
+  let replica_ok r = r >= 0 && r < n in
+  let core_ok (c, _) = c >= 0 && c < cores in
+  match msg with
+  | Codec.Heartbeat { from_; _ } -> replica_ok from_
+  | Codec.Coord_reply { replica; _ } | Codec.Vc_accept_reply { replica; _ } ->
+      replica_ok replica
+  | Codec.Epoch_change { initiator; _ } -> replica_ok initiator
+  | Codec.Epoch_records { replica; records; _ } ->
+      replica_ok replica && List.for_all core_ok records
+  | Codec.Epoch_install { records; _ } -> List.for_all core_ok records
+  | Codec.Epoch_installed { replica; _ } -> replica_ok replica
+  | _ -> true
 
 let launch t ~cluster =
   match Cluster_config.sockaddrs cluster with
@@ -562,29 +581,36 @@ let launch t ~cluster =
       let me = cfg.me in
       let n = Array.length cluster in
       if n <= me then invalid_arg "Node.launch: cluster smaller than me";
-      let quorum = Replica.quorum t.replica in
+      let r = t.replica in
+      let quorum = Replica.quorum r in
+      let now () = Spawn.wall () *. 1e6 in
       let send ~dst msg = Net.send t.net ~dst (cfg.shard, msg) in
-      let broadcast msg =
-        Array.iter (fun addr -> send ~dst:addr msg) addrs
-      in
-      let dcfg = cfg.detector in
-      let det =
-        Option.map
-          (fun d -> Detector.create ~cfg:d ~n ~now:(Spawn.wall () *. 1e6))
-          dcfg
-      in
-      let latest = Array.make cfg.cores [] in
-      let vcs = View_change.create ~n in
-      let next_hb = ref 0.0 in
-      let next_scan = ref 0.0 in
-      let next_push = ref 0.0 in
-      (* Last heartbeat wall-clock per peer: the [recoverable]
-         predicate — a suspect that still (or again) heartbeats can be
-         reintegrated right now; a silent one has to reboot first. *)
+      (* Z7: the machines name replica ids in [0, n) only. *)
+      let[@mk_lint.allow "Z7"] addr p = addrs.(p) in
+      (* Last heartbeat wall-clock per peer, for the reboot rule. *)
       let hb_seen = Array.make n neg_infinity in
-      (* Scratch batch for the detector's scan-tick emissions — the
-         loop thread owns it, and [perform] never reenters [scan]. *)
-      let det_acts : Detector.action Batch.t = Batch.create () in
+      let sup =
+        Option.map
+          (fun (d : Detector.cfg) ->
+            Supervisor.create ~cfg:d ~n ~cores:cfg.cores ~observers:[ me ]
+              ~rto:cfg.rto_us ~now:(now ())
+              {
+                Supervisor.up = (fun _ -> true);
+                paused = (fun _ -> Replica.is_paused r);
+                available = (fun _ -> Replica.is_available r);
+                recoverable =
+                  (fun ~now p ->
+                    (* A suspect that still heartbeats (a rebooted
+                       paused process) can be merged back right now; a
+                       silent one must reboot first, and this node never
+                       readmits itself. Z7: [p] is a detector id in
+                       [0, n). *)
+                    p <> me
+                    && now -. (hb_seen.(p) [@mk_lint.allow "Z7"])
+                       <= d.Detector.heartbeat_timeout);
+              })
+          cfg.detector
+      in
       (* Core 0 runs on this thread: its [Records] and [Frozen] wait
          here for the next [drain_ctl], like the other cores' do in
          [ctl_inbox] — never handled from inside the step that made
@@ -612,49 +638,17 @@ let launch t ~cluster =
         if core = 0 then step0 msg
         else Mailbox.push (snd t.spawned.(core - 1)) msg
       in
-      (* The §5.3.2 view changes this node proposes: {!View_change}
-         decides, the loop thread carries its messages over the wire.
-         The scratch batch is never reentered: performing an action
-         only sends datagrams. *)
-      let vc_acts : View_change.action Batch.t = Batch.create () in
-      let vc_perform = function
-        | View_change.Coord_change { replica; observer; tid; view } ->
-            (* Z7: the machine emits replica ids in [0, n) only. *)
-            send ~dst:(addrs.(replica) [@mk_lint.allow "Z7"])
-              (Codec.Coord_change { observer; tid; view })
-        | View_change.Vc_accept { replica; observer; txn; ts; decision; view } ->
-            send ~dst:(addrs.(replica) [@mk_lint.allow "Z7"])
-              (Codec.Vc_accept { observer; txn; ts; decision; view })
-        | View_change.Write_back { observer = _; txn; ts; commit } ->
-            broadcast (Codec.Write_back { txn; ts; commit })
-        | View_change.Done { tid; observer; outcome } -> (
-            match det with
-            | Some d ->
-                Detector.view_change_finished d ~now:(Spawn.wall () *. 1e6)
-                  ~observer ~tid ~outcome;
-                if outcome = `Finished then Obs.note_view_change t.obs
-            | None -> ())
-      in
-      let vc_feed f =
-        Batch.clear vc_acts;
-        f ~into:vc_acts;
-        Batch.iter vc_perform vc_acts
-      in
       (* The §5.3.1 epoch change: {!Epoch_change} decides, the loop
          thread carries its messages over the wire and its freezes and
          thaws to the cores. Performing an action never reenters the
          machine: core 0's [Frozen] waits in [core0_ctl]. *)
-      let r = t.replica in
       let ec =
         Epoch_change.create ~me ~n ~cores:cfg.cores ~quorum ~rto:cfg.rto_us
           ~give_up_after:
-            (match dcfg with
+            (match cfg.detector with
             | Some d -> d.Detector.give_up_after
             | None -> 40.0 *. cfg.rto_us)
-          ~epoch:(Replica.epoch r)
-          ~addr:(fun p ->
-            (* Z7: the machine names replica ids in [0, n) only. *)
-            addrs.(p) [@mk_lint.allow "Z7"])
+          ~epoch:(Replica.epoch r) ~addr
           {
             Epoch_change.handle_epoch_change = Replica.handle_epoch_change r;
             record_views = (fun () -> Replica.record_views r);
@@ -678,16 +672,55 @@ let launch t ~cluster =
         | Thaw { core; gen } -> control core (Core_thaw { gen })
         | Finished { success; recovering } ->
             Option.iter
-              (fun d ->
-                Detector.epoch_change_finished d ~now:(Spawn.wall () *. 1e6) ~success
-                  ~recovering)
-              det;
+              (fun s ->
+                Supervisor.epoch_change_finished s ~now:(now ()) ~success ~recovering)
+              sup;
             if success then Obs.note_epoch_change t.obs
       in
       let ec_feed f =
         Batch.clear ec_acts;
         f ~into:ec_acts;
         Batch.iter ec_perform ec_acts
+      in
+      (* The failure detector and the §5.3.2 view changes: {!Supervisor}
+         decides, the loop thread carries its messages over the wire and
+         its record pushes to the cores, and hands its epoch-change
+         requests to [ec]. Performing an action never reenters the
+         supervisor. *)
+      let sup_acts : Supervisor.action Batch.t = Batch.create () in
+      let sup_perform : Supervisor.action -> unit = function
+        | Heartbeat { from_; dst; paused } ->
+            send ~dst:(addr dst) (Codec.Heartbeat { from_; paused })
+        | Push_records ->
+            (* A full inbox drops the request; the next comes half a
+               scan later. *)
+            step0 Core_push;
+            Array.iter
+              (fun (_, inbox) -> ignore (Mailbox.try_push inbox Core_push : bool))
+              t.spawned
+        | Coord_change { replica; observer; tid; view } ->
+            send ~dst:(addr replica) (Codec.Coord_change { observer; tid; view })
+        | Vc_accept { replica; observer; txn; ts; decision; view } ->
+            send ~dst:(addr replica) (Codec.Vc_accept { observer; txn; ts; decision; view })
+        | Write_back { observer = _; txn; ts; commit } ->
+            Array.iter (fun dst -> send ~dst (Codec.Write_back { txn; ts; commit })) addrs
+        | Start_epoch_change { recovering } ->
+            ec_feed
+              (Epoch_change.start ec ~epoch:(Replica.epoch r + 1) ~recovering ~now:(now ()))
+      in
+      let view_changes = ref 0 in
+      let sup_feed f =
+        match sup with
+        | None -> ()
+        | Some s ->
+            Batch.clear sup_acts;
+            f s ~into:sup_acts;
+            Batch.iter sup_perform sup_acts;
+            (* A finished view change reaches the registry right away. *)
+            while !view_changes < Supervisor.view_changes s do
+              Obs.note_view_change t.obs;
+              incr view_changes
+            done
       in
       (* ------------------------------------------------------------- *)
       (* Core 0's requests run to completion right here; the others
@@ -704,32 +737,6 @@ let launch t ~cluster =
             (Mailbox.try_push (snd t.spawned.(core - 1)) (Net_req { src; msg })
               : bool)
       in
-      (* Replica ids and core tags taken straight off the wire index
-         detector, view-change and epoch-change arrays ([hb_last],
-         the view-change machine's per-replica tallies,
-         the epoch-change machine's per-replica table, trecord
-         partitions) and count toward
-         quorum majorities: one well-framed datagram
-         carrying an out-of-range id (hostile peer, misconfigured
-         deployment, bit-flipped genuine frame) must be a counted drop
-         like any other undecodable input — never an
-         [Invalid_argument] on the loop thread, and never a phantom
-         quorum vote. *)
-      let wire_ids_ok (msg : Codec.t) =
-        let replica_ok r = r >= 0 && r < n in
-        let core_ok (c, _) = c >= 0 && c < cfg.cores in
-        match msg with
-        | Codec.Heartbeat { from_; _ } -> replica_ok from_
-        | Codec.Coord_reply { replica; _ }
-        | Codec.Vc_accept_reply { replica; _ } ->
-            replica_ok replica
-        | Codec.Epoch_change { initiator; _ } -> replica_ok initiator
-        | Codec.Epoch_records { replica; records; _ } ->
-            replica_ok replica && List.for_all core_ok records
-        | Codec.Epoch_install { records; _ } -> List.for_all core_ok records
-        | Codec.Epoch_installed { replica; _ } -> replica_ok replica
-        | _ -> true
-      in
       (* A frame stamped for another shard group is a counted drop
          before the payload is acted on: the groups are independent
          deployments that merely share a socket fabric, and a crossed
@@ -744,11 +751,12 @@ let launch t ~cluster =
       in
       let on_message src ~shard (msg : Codec.t) =
         if foreign shard then ()
-        else if not (wire_ids_ok msg) then Obs.note_wire_decode_error t.obs
+        else if not (wire_ids_ok ~n ~cores:cfg.cores msg) then
+          Obs.note_wire_decode_error t.obs
         else
         match msg with
         | Codec.Get { slot; seq; key; _ } -> (
-            match Replica.handle_get t.replica ~key with
+            match Replica.handle_get r ~key with
             | None -> ()
             | Some (value, wts) ->
                 (* Packed with core 0's replies; [tick] flushes them. *)
@@ -763,29 +771,25 @@ let launch t ~cluster =
         | Codec.Accept { txn; _ } | Codec.Write_back { txn; _ } ->
             steer src msg txn.Txn.tid
         | Codec.Coord_change { tid; _ } -> steer src msg tid
-        | Codec.Heartbeat { from_; paused } ->
-            if from_ <> me then begin
-              (* Z7: [from_] was range-checked by [wire_ids_ok]. *)
-              (hb_seen.(from_) <- Spawn.wall () *. 1e6) [@mk_lint.allow "Z7"];
-              match det with
-              | Some det ->
-                  Detector.heartbeat_received det ~now:(Spawn.wall () *. 1e6)
-                    ~observer:me ~from_ ~paused
-              | None -> ()
-            end
+        | Codec.Heartbeat { from_; paused } -> (
+            let now = now () in
+            (* Z7: [from_] was range-checked by [wire_ids_ok]. *)
+            (hb_seen.(from_) <- now) [@mk_lint.allow "Z7"];
+            match sup with
+            | Some s -> Supervisor.heartbeat s ~now ~observer:me ~from_ ~paused
+            | None -> ())
         | Codec.Coord_reply { observer; replica; tid; view; reply } ->
-            vc_feed (View_change.coord_reply vcs ~tid ~observer ~view ~replica reply)
+            sup_feed (fun s ->
+                Supervisor.coord_reply s ~now:(now ()) ~tid ~observer ~view ~replica reply)
         | Codec.Vc_accept_reply { observer; replica; tid; view; reply } ->
-            vc_feed (View_change.accept_reply vcs ~tid ~observer ~view ~replica reply)
+            sup_feed (fun s ->
+                Supervisor.accept_reply s ~now:(now ()) ~tid ~observer ~view ~replica reply)
         | Codec.Epoch_change { initiator; epoch } ->
-            ec_feed
-              (Epoch_change.on_change ec ~initiator ~epoch ~now:(Spawn.wall () *. 1e6))
+            ec_feed (Epoch_change.on_change ec ~initiator ~epoch ~now:(now ()))
         | Codec.Epoch_records { replica; epoch; records } ->
             ec_feed (Epoch_change.on_records ec ~replica ~epoch ~records)
         | Codec.Epoch_install { epoch; records; store } ->
-            ec_feed
-              (Epoch_change.on_install ec ~src ~epoch ~records ~store
-                 ~now:(Spawn.wall () *. 1e6))
+            ec_feed (Epoch_change.on_install ec ~src ~epoch ~records ~store ~now:(now ()))
         | Codec.Epoch_installed { replica; epoch } ->
             ec_feed (Epoch_change.on_installed ec ~replica ~epoch)
         | Codec.Get_reply _ | Codec.Read_replies _ | Codec.Validated _
@@ -795,9 +799,8 @@ let launch t ~cluster =
             ()
         | Codec.Shutdown ->
             t.final_suspected <-
-              (match det with
-              | Some det ->
-                  Detector.suspected det ~now:(Spawn.wall () *. 1e6) ~observer:me
+              (match sup with
+              | Some s -> Supervisor.suspected s ~now:(now ()) ~observer:me
               | None -> []);
             ignore (Mailbox.try_push t.done_box () : bool)
       in
@@ -818,7 +821,7 @@ let launch t ~cluster =
                   (* One reply for the whole batch, or none at all from
                      a paused or crashed replica (the client rotates
                      the batch to the next replica on silence). *)
-                  match read_versions t.replica keys with
+                  match read_versions r keys with
                   | None -> ()
                   | Some (values, wts) ->
                       Net.pack t.core0.packer ~dst:src
@@ -830,7 +833,7 @@ let launch t ~cluster =
             held =
               (fun _ tid ->
                 Tid.hash tid mod cfg.cores = 0
-                && Trecord.mem (Replica.trecord t.replica) ~core:0 tid);
+                && Trecord.mem (Replica.trecord r) ~core:0 tid);
             write_back_held =
               (fun _ ~shard tid ~commit ->
                 if not (foreign shard) then step0 (Net_commit { tid; commit }));
@@ -838,23 +841,9 @@ let launch t ~cluster =
           }
       in
       let deliver ~src c = Codec.dispatch frames src c in
-      let perform (dc : Detector.cfg) = function
-        | Detector.Start_view_change { observer; record; view } ->
-            let now = Spawn.wall () *. 1e6 in
-            vc_feed
-              (View_change.start vcs ~observer ~record ~view ~rto:cfg.rto_us
-                 ~deadline:(now +. dc.Detector.give_up_after) ~now)
-        | Detector.Start_epoch_change { initiator = _; recovering } ->
-            ec_feed
-              (Epoch_change.start ec ~epoch:(Replica.epoch t.replica + 1) ~recovering
-                 ~now:(Spawn.wall () *. 1e6))
-      in
       let on_ctl = function
         | Records { core; entries } ->
-            (* Z7: [Records] only comes from our own cores, which
-               stamp their own 0..cores-1 index — never from the
-               wire. *)
-            (latest.(core) <- entries) [@mk_lint.allow "Z7"]
+            Option.iter (fun s -> Supervisor.records s ~observer:me ~core entries) sup
         | Frozen { core; gen } -> ec_feed (Epoch_change.core_frozen ec ~core ~gen)
       in
       let rec drain_ctl () =
@@ -874,52 +863,10 @@ let launch t ~cluster =
            replies and the [Get_reply]s leave coalesced. *)
         Net.flush t.core0.packer;
         drain_ctl ();
-        (match det with
-        | None -> ()
-        | Some d ->
-            (* Z7: [det]/[dcfg] are both [Some] or both [None]. *)
-            let dc = (Option.get dcfg [@mk_lint.allow "Z7"]) in
-            if now_us >= !next_hb then begin
-              next_hb := now_us +. dc.Detector.heartbeat_every;
-              Detector.heartbeat_tick d ~now:now_us ~replica:me;
-              let paused = Replica.is_paused t.replica in
-              Array.iteri
-                (fun p addr ->
-                  if p <> me then
-                    send ~dst:addr (Codec.Heartbeat { from_ = me; paused }))
-                addrs
-            end;
-            if now_us >= !next_push then begin
-              (* The detector's record feed: every core sends its
-                 non-final records twice per scan. A full inbox drops
-                 the request; the next comes half a scan later. *)
-              next_push := now_us +. (dc.Detector.scan_every /. 2.0);
-              step0 Core_push;
-              Array.iter
-                (fun (_, inbox) -> ignore (Mailbox.try_push inbox Core_push : bool))
-                t.spawned
-            end;
-            if now_us >= !next_scan then begin
-              next_scan := now_us +. dc.Detector.scan_every;
-              Batch.clear det_acts;
-              Detector.scan d ~now:now_us ~observer:me
-                ~paused:(Replica.is_paused t.replica)
-                ~available:(Replica.is_available t.replica)
-                ~records:(fun () -> List.concat (Array.to_list latest))
-                ~recoverable:(fun p ->
-                  (* A suspect that still heartbeats (a rebooted
-                     paused process) can be merged back right now;
-                     a silent one must reboot first. Z7: [p] is a
-                     detector-internal 0..n-1 id. *)
-                  p >= 0 && p < n
-                  && now_us -. (hb_seen.(p) [@mk_lint.allow "Z7"])
-                     <= dc.Detector.heartbeat_timeout)
-                ~into:det_acts;
-              Batch.iter (perform dc) det_acts
-            end;
-            (* Checked here so an idle tick allocates no closure. *)
-            if now_us >= View_change.next_due vcs then
-              vc_feed (View_change.fire_due vcs ~now:now_us));
+        (* Both checked here so an idle tick allocates no closure. *)
+        (match sup with
+        | Some s when now_us >= Supervisor.next_due s -> sup_feed (Supervisor.tick ~now:now_us)
+        | Some _ | None -> ());
         if now_us >= Epoch_change.next_due ec then
           ec_feed (Epoch_change.fire_due ec ~now:now_us)
       in

@@ -14,12 +14,12 @@
     domains; each drains its mailbox in bursts, parks on it when it is
     empty, and answers on the socket itself through its own packer,
     flushed once per burst. A [cores = 1] node is therefore a single
-    domain with no mailbox hop. The loop thread also feeds this
-    node's own {!Mk_meerkat.Detector} instance with peer heartbeats
-    and the non-final records each core reports when the loop's tick
-    asks for them, and drives §5.3.2 view changes for stuck records
-    and §5.3.1 epoch changes for recoverable peers entirely over the
-    wire.
+    domain with no mailbox hop. The loop thread also runs this node's
+    own {!Mk_meerkat.Supervisor} (observer [me]): it carries its
+    heartbeats and §5.3.2 view-change messages over the wire, feeds it
+    peer heartbeats and the non-final records each core reports when
+    asked, and runs the §5.3.1 epoch changes it asks for, for
+    recoverable peers, through {!Mk_meerkat.Epoch_change}.
 
     With [data_dir] set, every finalized record is appended to the
     owning core's log, and each core checkpoints its own partition

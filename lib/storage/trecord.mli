@@ -59,10 +59,9 @@ val entries : t -> (int * entry) list
     used by epoch change. *)
 
 val core_entries : t -> core:int -> entry list
-(** One core's partition only — the snapshot a live server domain
-    takes of its own partition for the failure detector (uninstrumented
-    like {!entries}; callers copy the entries before crossing
-    domains). *)
+(** One core's partition only — a core's own record views for a
+    durable checkpoint (uninstrumented like {!entries}; callers copy
+    the entries before crossing domains). *)
 
 val core_pending : t -> core:int -> entry list
 (** Fresh copies of one core's non-final records — the failure

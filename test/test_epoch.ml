@@ -510,10 +510,28 @@ let test_machine_peer_deadline () =
   Alcotest.(check bool) "serving again" true (Replica.is_available r1);
   check_thawed net
 
-let test_machine_sweep () =
+let test_machine_reported_peer () =
+  (* Replica 2 misses 0's [Change] and reports to 1, which then yields
+     to 0: 2 stays with 1, adopts 0's merge and acks it to 0, once. *)
+  let lose = function Msg { src = 0; act = Change { dst = 2; _ } } -> true | _ -> false in
+  let net = cluster ~lose () in
+  start net 1;
+  start net 0;
+  run net;
+  Alcotest.(check (list (pair bool (list int)))) "replica 0 drives" [ (true, [ 2 ]) ]
+    net.nodes.(0).finished;
+  Alcotest.(check (list int)) "each replica installed once" [ 1; 1; 1 ]
+    (Array.to_list (Array.map (fun nd -> nd.installs) net.nodes));
+  Alcotest.(check int) "one ack, to the install's sender" 1 net.nodes.(2).acks_sent;
+  check_thawed net
+
+(* 40 seeded schedules of drops, duplicates, reorders and late acks,
+   with [initiators] each starting epoch 1: every replica that installs
+   does so once, and all install the same records. *)
+let sweep initiators () =
   for seed = 1 to 40 do
     let net = cluster ~rng:(Random.State.make [| seed |]) () in
-    start net 0;
+    List.iter (start net) initiators;
     run net;
     let installed =
       Array.to_list net.nodes |> List.filter (fun nd -> nd.installs > 0)
@@ -568,6 +586,11 @@ let () =
             test_machine_duplicate_install;
           Alcotest.test_case "waiting peer resumes at its deadline" `Quick
             test_machine_peer_deadline;
-          Alcotest.test_case "drop, duplicate, reorder sweep" `Quick test_machine_sweep;
+          Alcotest.test_case "drop, duplicate, reorder sweep" `Quick (sweep [ 0 ]);
+          (* A peer that reported to one initiator must not report to a
+             second at the same epoch: both could reach a majority. *)
+          Alcotest.test_case "sweep with two initiators" `Quick (sweep [ 0; 1 ]);
+          Alcotest.test_case "reported peer acks the install's sender" `Quick
+            test_machine_reported_peer;
         ] );
     ]

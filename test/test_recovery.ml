@@ -481,6 +481,236 @@ let test_original_coordinator_fenced () =
   | Some (`Stale 1) -> ()
   | _ -> Alcotest.fail "view-0 accept should be fenced"
 
+(* --- The supervisor: three nodes over an in-memory queue --- *)
+
+module Detector = Mk_meerkat.Detector
+module Supervisor = Mk_meerkat.Supervisor
+
+let sup_cfg =
+  {
+    Detector.heartbeat_every = 100.0;
+    heartbeat_timeout = 500.0;
+    pause_timeout = 1000.0;
+    stuck_timeout = 1000.0;
+    scan_every = 200.0;
+    epoch_cooldown = 2000.0;
+    give_up_after = 8000.0;
+  }
+
+type sup_node = {
+  rep : Replica.t;
+  sup : Supervisor.t;
+  acts : Supervisor.action Batch.t;
+  heard : float array;  (** The driver's reboot rule: last heartbeat per peer. *)
+  mutable silent : bool;  (** Down: ticks, sends and hears nothing. *)
+  mutable epoch_requests : int list list;  (** [Start_epoch_change]s, newest first. *)
+}
+
+type sup_event =
+  | Send of { src : int; act : Supervisor.action }
+  | Reply of { dst : int; feed : Supervisor.t -> into:Supervisor.action Batch.t -> unit }
+
+type sup_net = {
+  mutable nodes : sup_node array;
+  mutable events : sup_event Queue.t;
+  mutable clock : float;
+}
+
+let sup_core tid = Timestamp.Tid.hash tid mod 2
+
+let sup_perform net id (act : Supervisor.action) =
+  let node = net.nodes.(id) in
+  match act with
+  | Heartbeat _ | Coord_change _ | Vc_accept _ | Write_back _ ->
+      if not node.silent then Queue.add (Send { src = id; act }) net.events
+  | Push_records ->
+      for core = 0 to 1 do
+        Supervisor.records node.sup ~observer:id ~core
+          (Trecord.core_pending (Replica.trecord node.rep) ~core)
+      done
+  | Start_epoch_change { recovering } ->
+      node.epoch_requests <- recovering :: node.epoch_requests
+
+let sup_feed net id f =
+  let node = net.nodes.(id) in
+  Batch.clear node.acts;
+  f node.sup ~into:node.acts;
+  Batch.iter (sup_perform net id) node.acts
+
+let sup_deliver net = function
+  | Reply { dst; feed } -> if not net.nodes.(dst).silent then sup_feed net dst feed
+  | Send { src = _; act } -> (
+      let now = net.clock in
+      let up r = not net.nodes.(r).silent in
+      match act with
+      | Heartbeat { from_; dst; paused } ->
+          if up dst then begin
+            let node = net.nodes.(dst) in
+            node.heard.(from_) <- now;
+            Supervisor.heartbeat node.sup ~now ~observer:dst ~from_ ~paused
+          end
+      | Coord_change { replica; observer; tid; view } when up replica -> (
+          match
+            Replica.handle_coord_change net.nodes.(replica).rep ~core:(sup_core tid) ~tid
+              ~view
+          with
+          | Some reply ->
+              Queue.add
+                (Reply
+                   {
+                     dst = observer;
+                     feed =
+                       (fun s ->
+                         Supervisor.coord_reply s ~now ~tid ~observer ~view ~replica reply);
+                   })
+                net.events
+          | None -> ())
+      | Vc_accept { replica; observer; txn; ts; decision; view } when up replica -> (
+          let tid = txn.Txn.tid in
+          match
+            Replica.handle_accept net.nodes.(replica).rep ~core:(sup_core tid) ~txn ~ts
+              ~decision ~view
+          with
+          | Some reply ->
+              Queue.add
+                (Reply
+                   {
+                     dst = observer;
+                     feed =
+                       (fun s ->
+                         Supervisor.accept_reply s ~now ~tid ~observer ~view ~replica reply);
+                   })
+                net.events
+          | None -> ())
+      | Write_back { txn; ts; commit; _ } ->
+          Array.iter
+            (fun nd ->
+              if not nd.silent then
+                ignore
+                  (Replica.handle_commit nd.rep ~core:(sup_core txn.Txn.tid) ~txn ~ts
+                     ~commit
+                    : unit option))
+            net.nodes
+      | Coord_change _ | Vc_accept _ | Push_records | Start_epoch_change _ -> ())
+
+(* Three replicas, each with the supervisor a cluster node runs:
+   observer [me] alone, its reboot rule "heard within the heartbeat
+   timeout". *)
+let sup_cluster () =
+  let net = { nodes = [||]; events = Queue.create (); clock = 0.0 } in
+  net.nodes <-
+    Array.map
+      (fun rep ->
+        let me = Replica.id rep in
+        let heard = Array.make 3 neg_infinity in
+        let host =
+          {
+            Supervisor.up = (fun _ -> not net.nodes.(me).silent);
+            paused = (fun _ -> Replica.is_paused rep);
+            available = (fun _ -> Replica.is_available rep);
+            recoverable =
+              (fun ~now p -> now -. heard.(p) <= sup_cfg.Detector.heartbeat_timeout);
+          }
+        in
+        {
+          rep;
+          sup =
+            Supervisor.create ~cfg:sup_cfg ~n:3 ~cores:2 ~observers:[ me ] ~rto:100.0
+              ~now:0.0 host;
+          acts = Batch.create ();
+          heard;
+          silent = false;
+          epoch_requests = [];
+        })
+      (make_cluster ());
+  net
+
+(* Advance the clock in 10 µs steps to [until]: every live node ticks,
+   then every queued event is delivered (replies go to the back). *)
+let sup_run net ~until =
+  while net.clock < until do
+    net.clock <- net.clock +. 10.0;
+    Array.iteri
+      (fun id nd ->
+        if not nd.silent then sup_feed net id (Supervisor.tick ~now:net.clock))
+      net.nodes;
+    let n = Queue.length net.events in
+    for _ = 1 to n do
+      sup_deliver net (Queue.pop net.events)
+    done
+  done
+
+let epoch_requests net =
+  Array.to_list (Array.mapi (fun id nd -> List.map (fun r -> (id, r)) nd.epoch_requests) net.nodes)
+  |> List.concat
+
+let test_sup_silent_then_paused () =
+  let net = sup_cluster () in
+  net.nodes.(2).silent <- true;
+  sup_run net ~until:1_000.0;
+  let suspected id = Supervisor.suspected net.nodes.(id).sup ~now:net.clock ~observer:id in
+  Alcotest.(check (list int)) "0 suspects the silent peer" [ 2 ] (suspected 0);
+  Alcotest.(check (list int)) "1 suspects the silent peer" [ 2 ] (suspected 1);
+  Alcotest.(check (list (pair int (list int)))) "a silent peer is not readmitted" []
+    (epoch_requests net);
+  (* Replica 2 reboots empty and heartbeats paused: after the pause
+     timeout the lowest unsuspected replica asks to readmit it, once,
+     however long the change takes. *)
+  Replica.crash net.nodes.(2).rep;
+  Replica.begin_recovery net.nodes.(2).rep;
+  net.nodes.(2).silent <- false;
+  sup_run net ~until:20_000.0;
+  Alcotest.(check (list (pair int (list int)))) "one request, from replica 0" [ (0, [ 2 ]) ]
+    (epoch_requests net);
+  (* The change failed; the supervisor re-arms after the cooldown. *)
+  Supervisor.epoch_change_finished net.nodes.(0).sup ~now:net.clock ~success:false
+    ~recovering:[ 2 ];
+  sup_run net ~until:(net.clock +. sup_cfg.Detector.epoch_cooldown +. 500.0);
+  Alcotest.(check (list (pair int (list int)))) "asked again after the report"
+    [ (0, [ 2 ]); (0, [ 2 ]) ] (epoch_requests net)
+
+let test_sup_stuck_record () =
+  let net = sup_cluster () in
+  let t = rmw ~seq:7 3 in
+  let core = sup_core t.Txn.tid in
+  (* Its coordinator validated at two replicas, then died. *)
+  List.iter
+    (fun id ->
+      ignore (Replica.handle_validate net.nodes.(id).rep ~core ~txn:t ~ts:(ts 7.0)))
+    [ 0; 1 ];
+  sup_run net ~until:10_000.0;
+  Array.iteri
+    (fun id nd ->
+      Alcotest.(check bool)
+        (Printf.sprintf "committed at replica %d" id)
+        true
+        (match Trecord.find (Replica.trecord nd.rep) ~core t.Txn.tid with
+        | Some e -> e.Trecord.status = Txn.Committed
+        | None -> false);
+      Alcotest.(check bool)
+        (Printf.sprintf "no view change in flight at %d" id)
+        false
+        (Supervisor.view_change_inflight nd.sup t.Txn.tid))
+    net.nodes;
+  Alcotest.(check bool) "a view change finished" true
+    (Array.exists (fun nd -> Supervisor.view_changes nd.sup >= 1) net.nodes)
+
+let test_sup_idle_tick_allocates_nothing () =
+  let net = sup_cluster () in
+  let node = net.nodes.(0) in
+  sup_feed net 0 (Supervisor.tick ~now:0.0);
+  (* A literal: a computed float would be boxed anew for each call. *)
+  Alcotest.(check bool) "50 us is before the next due" true
+    (50.0 < Supervisor.next_due node.sup);
+  Batch.clear node.acts;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Supervisor.tick node.sup ~now:50.0 ~into:node.acts
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "nothing due, nothing emitted" 0 (Batch.length node.acts);
+  Alcotest.(check (float 0.0)) "words over 10 000 idle ticks" 0.0 words
+
 let () =
   Alcotest.run "recovery"
     [
@@ -533,5 +763,14 @@ let () =
           Alcotest.test_case "successive backups agree" `Quick test_two_backups_agree;
           Alcotest.test_case "original coordinator fenced" `Quick
             test_original_coordinator_fenced;
+        ] );
+      ( "supervisor",
+        [
+          Alcotest.test_case "silent, then paused: one epoch request" `Quick
+            test_sup_silent_then_paused;
+          Alcotest.test_case "stuck record: view change to Done" `Quick
+            test_sup_stuck_record;
+          Alcotest.test_case "idle tick allocates nothing" `Quick
+            test_sup_idle_tick_allocates_nothing;
         ] );
     ]
